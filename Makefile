@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint teeth test race shuffle bench bench-json bench-gate bench-baseline chaos verify
+.PHONY: all build vet lint teeth test race shuffle bench bench-json bench-gate bench-baseline chaos perfbench-smoke verify
 
 all: verify
 
@@ -80,5 +80,18 @@ bench-baseline:
 # and demands sharded output stay bit-identical to sequential.
 chaos:
 	$(GO) test -race -run Chaos ./internal/faults/... ./internal/sim/... ./internal/supervise/...
+
+# perfbench-smoke runs the repository benchmark's own checks, which the
+# root `go test ./...` does not reach (perfbench is its own module): the
+# module's tests, then a short run of every workload. Each run fails (exit
+# 1) on any output check — §3 type templates, stablematch.IsStable on the
+# probe matchings, and the Float64bits determinism guard over every op.
+PERFBENCH_WORKLOADS = testbed-fig6 rack10k-plan fattree-faults
+
+perfbench-smoke:
+	cd perfbench && $(GO) test .
+	for w in $(PERFBENCH_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 verify: build vet lint test

@@ -8,7 +8,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -63,18 +63,21 @@ func (c *Container) Server() topology.NodeID { return c.server }
 // Placed reports whether the container has been assigned a server.
 func (c *Container) Placed() bool { return c.server != topology.None }
 
-// serverState tracks the per-server allocation.
+// serverState tracks the per-server allocation. containers is unordered;
+// readers that expose it sort.
 type serverState struct {
 	capacity   Resources
 	used       Resources
-	containers map[ContainerID]struct{}
+	containers []ContainerID
 }
 
 // Cluster couples a topology's servers with resource capacities and tracks
-// container placement.
+// container placement. Server state is dense: states[i] belongs to
+// serverIDs[i], and ordinal maps a NodeID to that i (-1 for non-servers).
 type Cluster struct {
 	topo       *topology.Topology
-	servers    map[topology.NodeID]*serverState
+	ordinal    []int32
+	states     []serverState
 	serverIDs  []topology.NodeID // sorted
 	containers []*Container
 }
@@ -88,15 +91,37 @@ func New(topo *topology.Topology, per Resources) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: negative server capacity %v", per)
 	}
 	c := &Cluster{
-		topo:    topo,
-		servers: make(map[topology.NodeID]*serverState, topo.NumServers()),
+		topo:      topo,
+		ordinal:   make([]int32, topo.NumNodes()),
+		states:    make([]serverState, topo.NumServers()),
+		serverIDs: slices.Clone(topo.Servers()),
 	}
-	for _, s := range topo.Servers() {
-		c.servers[s] = &serverState{capacity: per, containers: make(map[ContainerID]struct{})}
-		c.serverIDs = append(c.serverIDs, s)
+	slices.Sort(c.serverIDs)
+	for i := range c.ordinal {
+		c.ordinal[i] = -1
 	}
-	sort.Slice(c.serverIDs, func(i, j int) bool { return c.serverIDs[i] < c.serverIDs[j] })
+	for i, s := range c.serverIDs {
+		c.ordinal[s] = int32(i)
+		c.states[i] = serverState{capacity: per}
+	}
 	return c, nil
+}
+
+// ServerIndex returns s's position in Servers(), or -1 when s is not a
+// server of this cluster.
+func (c *Cluster) ServerIndex(s topology.NodeID) int {
+	if s < 0 || int(s) >= len(c.ordinal) {
+		return -1
+	}
+	return int(c.ordinal[s])
+}
+
+// state returns s's allocation record, or nil when s is not a server.
+func (c *Cluster) state(s topology.NodeID) *serverState {
+	if i := c.ServerIndex(s); i >= 0 {
+		return &c.states[i]
+	}
+	return nil
 }
 
 // Topology returns the underlying network topology.
@@ -114,8 +139,8 @@ func (c *Cluster) NumContainers() int { return len(c.containers) }
 // epoch-cached, so cluster writes carry no bump obligation — but taalint
 // still confines them to the blessed set.
 func (c *Cluster) SetServerCapacity(s topology.NodeID, cap Resources) error {
-	st, ok := c.servers[s]
-	if !ok {
+	st := c.state(s)
+	if st == nil {
 		return fmt.Errorf("cluster: unknown server %d", s)
 	}
 	if !st.used.Fits(Resources{}, cap) {
@@ -145,7 +170,7 @@ func (c *Cluster) Container(id ContainerID) *Container {
 
 // Capacity returns the capacity q_j of server s (zero value if unknown).
 func (c *Cluster) Capacity(s topology.NodeID) Resources {
-	if st, ok := c.servers[s]; ok {
+	if st := c.state(s); st != nil {
 		return st.capacity
 	}
 	return Resources{}
@@ -153,7 +178,7 @@ func (c *Cluster) Capacity(s topology.NodeID) Resources {
 
 // Used returns the resources currently consumed on server s.
 func (c *Cluster) Used(s topology.NodeID) Resources {
-	if st, ok := c.servers[s]; ok {
+	if st := c.state(s); st != nil {
 		return st.used
 	}
 	return Resources{}
@@ -161,7 +186,7 @@ func (c *Cluster) Used(s topology.NodeID) Resources {
 
 // Free returns Capacity(s) - Used(s).
 func (c *Cluster) Free(s topology.NodeID) Resources {
-	if st, ok := c.servers[s]; ok {
+	if st := c.state(s); st != nil {
 		return st.capacity.Sub(st.used)
 	}
 	return Resources{}
@@ -170,9 +195,9 @@ func (c *Cluster) Free(s topology.NodeID) Resources {
 // CanHost reports whether server s has room for container id (Eq. 8),
 // ignoring the container's current placement if it is already on s.
 func (c *Cluster) CanHost(s topology.NodeID, id ContainerID) bool {
-	st, ok := c.servers[s]
+	st := c.state(s)
 	ct := c.Container(id)
-	if !ok || ct == nil {
+	if st == nil || ct == nil {
 		return false
 	}
 	if ct.server == s {
@@ -188,8 +213,8 @@ func (c *Cluster) Place(id ContainerID, s topology.NodeID) error {
 	if ct == nil {
 		return fmt.Errorf("cluster: unknown container %d", id)
 	}
-	st, ok := c.servers[s]
-	if !ok {
+	st := c.state(s)
+	if st == nil {
 		return fmt.Errorf("cluster: unknown server %d", s)
 	}
 	if ct.server == s {
@@ -204,7 +229,7 @@ func (c *Cluster) Place(id ContainerID, s topology.NodeID) error {
 	}
 	ct.server = s
 	st.used = st.used.Add(ct.Demand)
-	st.containers[id] = struct{}{}
+	st.containers = append(st.containers, id)
 	return nil
 }
 
@@ -223,23 +248,24 @@ func (c *Cluster) Unplace(id ContainerID) error {
 // unplaceLocked releases ct's server-side accounting. Blessed (exempt)
 // epochbump mutator: see SetServerCapacity.
 func (c *Cluster) unplaceLocked(ct *Container) {
-	st := c.servers[ct.server]
+	st := c.state(ct.server)
 	st.used = st.used.Sub(ct.Demand)
-	delete(st.containers, ct.ID)
+	if i := slices.Index(st.containers, ct.ID); i >= 0 {
+		last := len(st.containers) - 1
+		st.containers[i] = st.containers[last]
+		st.containers = st.containers[:last]
+	}
 	ct.server = topology.None
 }
 
 // ContainersOn returns the containers placed on s, ascending by ID.
 func (c *Cluster) ContainersOn(s topology.NodeID) []ContainerID {
-	st, ok := c.servers[s]
-	if !ok {
+	st := c.state(s)
+	if st == nil {
 		return nil
 	}
-	out := make([]ContainerID, 0, len(st.containers))
-	for id := range st.containers {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(st.containers)
+	slices.Sort(out)
 	return out
 }
 
@@ -294,9 +320,10 @@ func (c *Cluster) TotalFreeSlots(demand Resources) int {
 // Validate checks internal invariants: placements are mutual and usage sums
 // match. Intended for tests and debugging.
 func (c *Cluster) Validate() error {
-	for s, st := range c.servers {
+	for i := range c.states {
+		s, st := c.serverIDs[i], &c.states[i]
 		var sum Resources
-		for id := range st.containers {
+		for _, id := range st.containers {
 			ct := c.Container(id)
 			if ct == nil || ct.server != s {
 				return fmt.Errorf("cluster: server %d lists container %d which points at %v", s, id, ct)
@@ -314,11 +341,11 @@ func (c *Cluster) Validate() error {
 		if ct.server == topology.None {
 			continue
 		}
-		st, ok := c.servers[ct.server]
-		if !ok {
+		st := c.state(ct.server)
+		if st == nil {
 			return fmt.Errorf("cluster: container %d on unknown server %d", ct.ID, ct.server)
 		}
-		if _, ok := st.containers[ct.ID]; !ok {
+		if !slices.Contains(st.containers, ct.ID) {
 			return fmt.Errorf("cluster: container %d not listed on server %d", ct.ID, ct.server)
 		}
 	}

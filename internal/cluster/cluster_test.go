@@ -305,3 +305,24 @@ func TestQuickRandomPlacementInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestServerIndex(t *testing.T) {
+	c := newTestCluster(t, Resources{CPU: 1, Memory: 1})
+	ct, err := c.NewContainer(Resources{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range c.Servers() {
+		if got := c.ServerIndex(s); got != i {
+			t.Errorf("ServerIndex(%d) = %d, want %d", s, got, i)
+		}
+	}
+	for _, x := range append(c.Topology().Switches(), topology.None, topology.NodeID(c.Topology().NumNodes())) {
+		if got := c.ServerIndex(x); got != -1 {
+			t.Errorf("ServerIndex(%d) = %d for a non-server, want -1", x, got)
+		}
+		if c.CanHost(x, ct.ID) {
+			t.Errorf("CanHost(%d) true for a non-server", x)
+		}
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -90,6 +91,14 @@ type HitScheduler struct {
 	// supervisor only ever redirects flows onto the sequential replay
 	// path, never changes a value.
 	Supervisor *supervise.Supervisor
+
+	// rowCap overrides the proposer-row cut of the rack-bucket build
+	// (maxRowLen when zero). Tests shrink it to force cut rows and the
+	// full-row rebuild.
+	rowCap int
+	// onRebuild, when set, observes each full-row re-match with the number
+	// of proposers rebuilt. Tests only.
+	onRebuild func(proposers int)
 }
 
 // fanout resolves the inner-phase worker cap: an explicit Workers wins,
@@ -170,13 +179,22 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 			return err
 		}
 	} else {
-		var candBuf []topology.NodeID
+		// One candidate list per demand class, scanned on first use and
+		// then kept equal to a live scan: placements only ever fill
+		// servers, so a list changes only by dropping the server just
+		// filled, once it no longer fits the class.
+		var pools []startPool
 		for _, t := range movable {
-			if req.Cluster.Container(t.Container).Placed() {
+			ct := req.Cluster.Container(t.Container)
+			if ct.Placed() {
 				continue
 			}
-			cands := req.Cluster.AppendCandidates(candBuf[:0], t.Container)
-			candBuf = cands
+			pi := slices.IndexFunc(pools, func(p startPool) bool { return p.demand == ct.Demand })
+			if pi < 0 {
+				pi = len(pools)
+				pools = append(pools, startPool{demand: ct.Demand, cands: req.Cluster.AppendCandidates(nil, t.Container)})
+			}
+			cands := pools[pi].cands
 			if len(cands) == 0 {
 				if report != nil {
 					report.UnplacedContainers = append(report.UnplacedContainers, t.Container)
@@ -185,8 +203,13 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 				}
 				return fmt.Errorf("core: %w for container %d", scheduler.ErrNoFeasibleServer, t.Container)
 			}
-			if err := req.Cluster.Place(t.Container, cands[req.Rand.Intn(len(cands))]); err != nil {
+			s := cands[req.Rand.Intn(len(cands))]
+			if err := req.Cluster.Place(t.Container, s); err != nil {
 				return err
+			}
+			free := req.Cluster.Free(s)
+			for i := range pools {
+				pools[i].drop(s, free)
 			}
 		}
 	}
@@ -245,6 +268,24 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 	return h.scheduleInitialWave(ms, req, movable, flows)
 }
 
+// startPool is one demand class's candidate list for the random initial
+// placement, ascending like Cluster.AppendCandidates.
+type startPool struct {
+	demand cluster.Resources
+	cands  []topology.NodeID
+}
+
+// drop removes s from the list once its free capacity no longer fits the
+// class demand.
+func (p *startPool) drop(s topology.NodeID, free cluster.Resources) {
+	if (cluster.Resources{}).Fits(p.demand, free) {
+		return
+	}
+	if i, ok := slices.BinarySearch(p.cands, s); ok {
+		p.cands = slices.Delete(p.cands, i, i+1)
+	}
+}
+
 // movableTasks returns the tasks whose containers this round may move.
 func (h *HitScheduler) movableTasks(req *scheduler.Request) []scheduler.Task {
 	var out []scheduler.Task
@@ -300,6 +341,7 @@ type prefRow struct {
 	feasible  []int
 	peerSrv   []topology.NodeID
 	propPrefs []int
+	truncated bool // propPrefs is a cut row (rackrows.go)
 	votes     []int
 }
 
@@ -326,6 +368,13 @@ type runState struct {
 	rows        map[topology.NodeID][]int32
 	rowsTopoVer uint64
 	rowsLiveVer uint64
+	// rackDists caches Oracle.RackDists rows per peer server for the
+	// rack-bucket build. That build runs only on healthy fabrics, whose
+	// distances never change, so the cache needs no version key.
+	rackDists map[topology.NodeID][]int32
+	// hostPos is compactHosts' scratch: one slot per server, all -1
+	// between calls.
+	hostPos []int32
 }
 
 func newRunState() *runState {
@@ -504,9 +553,17 @@ type assignScratch struct {
 	slotRank []int32
 	counts   []int32
 	offs     []int32
+
+	// Rack-bucket row build (rackrows.go). peerSlot holds one entry per
+	// server, all -1 between rows.
 	accCost  []float64
-	accSet   []bool
-	isPeer   []bool
+	peerCost []float64
+	peerSlot []int32
+	peerOf   []int32
+	dpeers   []int32
+	drows    [][]int32
+	items    []rowItem
+	heap     []mergeCursor
 
 	// htabKeys/htabVals form a flat open-addressed hash table (linear
 	// probing, val -1 = empty) mapping grade bit patterns to bucket slots.
@@ -533,18 +590,6 @@ func growI32(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
-}
-
-// growBoolZeroed returns a length-n all-false slice (memclr on reuse).
-func growBoolZeroed(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
 }
 
 // htabReset sizes the flat hash table and marks every slot empty. The table
@@ -780,18 +825,58 @@ const parallelThreshold = 4096
 // distinct demand replaces one per container.
 type demandClass struct {
 	feas  []int
-	cands []topology.NodeID
+	cands []topology.NodeID       // per-server build only
 	votes map[topology.NodeID]int // anchored peer server → voted server index, -1 = none
+
+	// Rack-bucket build only (rackrows.go): feas grouped by rack.
+	rackOff []int32
+	rackSrv []int32
+
+	// seen/seenSame cache the last memoized feasible list compared against
+	// feas: a class's containers memoized one shared slice, so the O(V)
+	// compare runs once per group instead of once per container.
+	seen     []int
+	seenSame bool
+}
+
+func newDemandClass(clu *cluster.Cluster, rep cluster.ContainerID, rb *rackBuild) *demandClass {
+	servers := clu.Servers()
+	cl := &demandClass{feas: make([]int, 0, len(servers)), votes: make(map[topology.NodeID]int)}
+	for si, s := range servers {
+		if clu.CanHost(s, rep) {
+			cl.feas = append(cl.feas, si)
+		}
+	}
+	if rb != nil {
+		rb.groupByRack(cl)
+		return cl
+	}
+	cl.cands = make([]topology.NodeID, len(cl.feas))
+	for k, si := range cl.feas {
+		cl.cands[k] = servers[si]
+	}
+	return cl
+}
+
+// sameFeasible reports whether a memoized feasible list equals the class's.
+func (cl *demandClass) sameFeasible(prev []int) bool {
+	if len(prev) != len(cl.feas) {
+		return false
+	}
+	if len(prev) == 0 {
+		return true
+	}
+	if len(cl.seen) == 0 || &cl.seen[0] != &prev[0] {
+		cl.seen, cl.seenSame = prev, equalInts(prev, cl.feas)
+	}
+	return cl.seenSame
 }
 
 // assignGroup matches one kind-homogeneous container group onto servers.
 // gi selects the group's slab-reusing matcher in st (0 = reduces, 1 = maps).
 func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Task, flows []*flow.Flow, loc flow.Locator, st *runState, gi int) error {
-	servers := req.Cluster.Servers()
-	serverIdx := make(map[topology.NodeID]int, len(servers))
-	for i, s := range servers {
-		serverIdx[s] = i
-	}
+	clu := req.Cluster
+	servers := clu.Servers()
 	containers := make([]cluster.ContainerID, len(group))
 	for i, t := range group {
 		containers[i] = t.Container
@@ -819,12 +904,23 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	// Release the whole group's demand before computing feasibility, so that
 	// pairwise exchanges between otherwise-full servers stay reachable — the
 	// matching, not the incumbent placement, decides who lands where.
-	original := make(map[cluster.ContainerID]topology.NodeID, len(containers))
-	for _, c := range containers {
-		original[c] = req.Cluster.Container(c).Server()
-		if err := req.Cluster.Unplace(c); err != nil {
+	original := make([]topology.NodeID, len(containers))
+	for ci, c := range containers {
+		original[ci] = clu.Container(c).Server()
+		if err := clu.Unplace(c); err != nil {
 			return err
 		}
+	}
+
+	// Rack-bucket build (rackrows.go): when every server hangs off exactly
+	// one access switch and the fabric is healthy, each container's row
+	// costs O(racks + peers + K) instead of O(servers). DisableIncremental
+	// keeps the per-server build as the reference the parity tests compare
+	// against.
+	topo := clu.Topology()
+	var rb *rackBuild
+	if !h.DisableIncremental && topo.ServersSingleHomed() && topo.AllAlive() {
+		rb = newRackBuild(clu, oracle.Racks(), st)
 	}
 
 	// Demand classes: the group is fully unplaced here, so feasibility is a
@@ -832,20 +928,10 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	classes := make(map[cluster.Resources]*demandClass, 2)
 	classOf := make([]*demandClass, len(containers))
 	for ci, c := range containers {
-		d := req.Cluster.Container(c).Demand
+		d := clu.Container(c).Demand
 		cl := classes[d]
 		if cl == nil {
-			var feas []int
-			for si, s := range servers {
-				if req.Cluster.CanHost(s, c) {
-					feas = append(feas, si)
-				}
-			}
-			cands := make([]topology.NodeID, len(feas))
-			for k, si := range feas {
-				cands[k] = servers[si]
-			}
-			cl = &demandClass{feas: feas, cands: cands, votes: make(map[topology.NodeID]int)}
+			cl = newDemandClass(clu, c, rb)
 			classes[d] = cl
 		}
 		classOf[ci] = cl
@@ -860,39 +946,49 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 
 	// Group-level shared tables, built sequentially (deterministic oracle
 	// call order) and only read by the fan-out below:
-	//   rows[ps]      — one distance row per distinct anchored peer server,
-	//                   memoized across groups and iterations in st (keyed
-	//                   by topology/liveness version) on the incremental
-	//                   path;
+	//   distances     — the rack-bucket build fetches one O(racks) row per
+	//                   distinct anchored peer server (memoized in st);
+	//                   the per-server build one O(V) DistRow, memoized
+	//                   across groups and iterations in st (keyed by
+	//                   topology/liveness version) on the incremental path;
 	//   cl.votes[ps]  — the class's nearest-feasible vote for that peer
 	//                   (Algorithm 1 lines 11–13), a function of (peer,
-	//                   candidate list) only. Incremental runs derive it
-	//                   from the fetched row with the oracle's own compare
-	//                   and lower-ID tie-break; the DisableIncremental
-	//                   parity path asks the oracle itself, pinning the
-	//                   row-scan replica against NearestByDist.
-	topo := req.Cluster.Topology()
+	//                   candidate list) only. The rack-bucket build reads
+	//                   it off the class's rack tables, the incremental
+	//                   per-server build off the fetched row with the
+	//                   oracle's own compare and lower-ID tie-break; the
+	//                   DisableIncremental parity path asks the oracle
+	//                   itself, pinning both replicas against NearestByDist.
 	var rows map[topology.NodeID][]int32
-	if useMemo {
-		tv, lv := topo.Version(), topo.LivenessVersion()
-		if st.rows == nil || st.rowsTopoVer != tv || st.rowsLiveVer != lv {
-			st.rows = make(map[topology.NodeID][]int32)
-			st.rowsTopoVer, st.rowsLiveVer = tv, lv
+	if rb == nil {
+		if useMemo {
+			tv, lv := topo.Version(), topo.LivenessVersion()
+			if st.rows == nil || st.rowsTopoVer != tv || st.rowsLiveVer != lv {
+				st.rows = make(map[topology.NodeID][]int32)
+				st.rowsTopoVer, st.rowsLiveVer = tv, lv
+			}
+			rows = st.rows
+		} else {
+			rows = make(map[topology.NodeID][]int32)
 		}
-		rows = st.rows
-	} else {
-		rows = make(map[topology.NodeID][]int32)
 	}
 	for ci, c := range containers {
+		cl := classOf[ci]
 		if useMemo {
-			if prev := st.prefs[c]; prev != nil && prev.orig == original[c] &&
-				equalInts(prev.feasible, classOf[ci].feas) && equalNodeIDs(prev.peerSrv, peerSrv[ci]) {
+			if prev := st.prefs[c]; prev != nil && prev.orig == original[ci] &&
+				cl.sameFeasible(prev.feasible) && equalNodeIDs(prev.peerSrv, peerSrv[ci]) {
 				memoHit[ci] = prev
 				continue
 			}
 		}
-		cl := classOf[ci]
 		for _, ps := range peerSrv[ci] {
+			if rb != nil {
+				rb.fetch(oracle, ps)
+				if _, ok := cl.votes[ps]; !ok {
+					cl.votes[ps] = rb.vote(cl, ps)
+				}
+				continue
+			}
 			if _, ok := rows[ps]; !ok {
 				rows[ps] = oracle.DistRow(ps)
 			}
@@ -903,39 +999,8 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 				} else {
 					best = oracle.NearestByDist(ps, cl.cands)
 				}
-				if best == topology.None {
-					cl.votes[ps] = -1
-				} else {
-					cl.votes[ps] = serverIdx[best]
-				}
+				cl.votes[ps] = clu.ServerIndex(best)
 			}
-		}
-	}
-
-	// Single-homed anchored fast path: when every server hangs off exactly
-	// one access switch and the fabric is healthy, dist(peer, s) =
-	// 1 + dist(peer, access(s)) for every server s that is not the peer
-	// itself — so the anchored cost sum is shared by every server of a rack
-	// and the per-container scan shrinks from O(flows × feasible servers)
-	// to O(flows × access switches). Peer servers themselves keep the
-	// direct per-flow loop: their own distance is 0, not 1 + dist.
-	// accSlotOf maps each server index to a dense per-rack slot so the
-	// per-container cost table is an array, not a map.
-	anchorable := topo.ServersSingleHomed() && topo.AllAlive()
-	var accSlotOf []int32
-	var accNodes []topology.NodeID
-	if anchorable {
-		accSlotOf = make([]int32, len(servers))
-		accIdx := make(map[topology.NodeID]int32, 64)
-		for si, s := range servers {
-			a := oracle.AccessSwitch(s)
-			slot, ok := accIdx[a]
-			if !ok {
-				slot = int32(len(accNodes))
-				accIdx[a] = slot
-				accNodes = append(accNodes, a)
-			}
-			accSlotOf[si] = slot
 		}
 	}
 
@@ -944,14 +1009,16 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	// own index, so the fan-out is deterministic: results are identical to
 	// the sequential loop regardless of worker count, and the merge into the
 	// grade rows below happens column-by-column with no shared writes. The
-	// shared tables above (rows, classes, accessOf, original) are read-only
+	// shared tables above (rows, rb, classes, original) are read-only
 	// during the fan-out, and st.prefs is written only after it returns.
 	//
 	// Cost sums always accumulate in flow order, keeping the floats
 	// bit-identical to the ungrouped per-flow loop.
 	propPrefs := make([][]int, len(containers))
+	truncated := make([]bool, len(containers))
 	votes := make([][]int, len(containers)) // per incident flow: voted server index, -1 = none
 	prefRows := make([]*prefRow, len(containers))
+	limit := h.rowLimit()
 	workers := h.fanout()
 	if len(containers)*len(servers) < parallelThreshold {
 		workers = 1
@@ -966,98 +1033,22 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		}
 		if prev := memoHit[ci]; prev != nil {
 			propPrefs[ci] = prev.propPrefs
+			truncated[ci] = prev.truncated
 			votes[ci] = prev.votes
 			prefRows[ci] = prev
 			return nil
 		}
 
-		// Distinct anchored peer servers in first-appearance order;
-		// peerOf[k] indexes the per-peer rows for incident flow k.
-		distinct := make([]topology.NodeID, 0, len(peerSrv[ci]))
-		peerIdx := make(map[topology.NodeID]int, len(peerSrv[ci]))
-		peerOf := make([]int, len(peerSrv[ci]))
-		for k, ps := range peerSrv[ci] {
-			pi, ok := peerIdx[ps]
-			if !ok {
-				pi = len(distinct)
-				peerIdx[ps] = pi
-				distinct = append(distinct, ps)
-			}
-			peerOf[k] = pi
-		}
-		rowOf := make([][]int32, len(distinct))
-		for pi, ps := range distinct {
-			rowOf[pi] = rows[ps]
-		}
-
 		sc := assignScratchPool.Get().(*assignScratch)
 		defer assignScratchPool.Put(sc)
 
-		// Anchored re-routed cost of hosting this container on server s:
-		// Σ rate × dist(peer, s) — the flow cost after Algorithm 1
-		// re-optimizes the route for the new endpoint. Accumulated in flow
-		// order over the prefetched rows.
-		direct := func(s topology.NodeID) float64 {
-			var cost float64
-			for k, f := range incident[ci] {
-				d := rowOf[peerOf[k]][s]
-				if d < 0 {
-					continue
-				}
-				cost += f.Rate * float64(d)
-			}
-			return cost
-		}
-		costAt := func(si int) float64 { return direct(servers[si]) }
-		if anchorable {
-			// accCost[slot] = Σ rate × float64(1 + dist(peer, access)) in
-			// flow order: term-for-term the same float64 values direct()
-			// sums for any non-peer server of that rack (the distances are
-			// equal ints, so the conversions and products are bit-
-			// identical), computed once per access switch instead of once
-			// per server. Peer servers fall back to direct().
-			accCost := growF64(sc.accCost, len(accNodes))
-			sc.accCost = accCost
-			accSet := growBoolZeroed(sc.accSet, len(accNodes))
-			sc.accSet = accSet
-			isPeer := growBoolZeroed(sc.isPeer, len(servers))
-			sc.isPeer = isPeer
-			for _, ps := range distinct {
-				isPeer[serverIdx[ps]] = true
-			}
-			costAt = func(si int) float64 {
-				if isPeer[si] {
-					return direct(servers[si])
-				}
-				slot := accSlotOf[si]
-				if !accSet[slot] {
-					var cost float64
-					a := accNodes[slot]
-					for k, f := range incident[ci] {
-						da := rowOf[peerOf[k]][a]
-						if da < 0 {
-							continue
-						}
-						cost += f.Rate * float64(1+da)
-					}
-					accCost[slot] = cost
-					accSet[slot] = true
-				}
-				return accCost[slot]
-			}
-		}
-
 		// Proposer preferences: servers by utility (Eq. 10) = current cost
 		// minus candidate cost, descending.
-		curCost := costAt(serverIdx[original[c]])
-		grades := growF64(sc.grades, len(cl.feas))
-		sc.grades = grades
-		for i, si := range cl.feas {
-			grades[i] = curCost - costAt(si)
-		}
-		prop := make([]int, len(cl.feas))
-		if !sc.stableRankDesc(grades, cl.feas, prop) {
-			sortDescFallback(grades, cl.feas, prop)
+		var prop []int
+		if rb != nil {
+			prop, truncated[ci] = rb.row(sc, cl, incident[ci], peerSrv[ci], clu.ServerIndex(original[ci]), limit)
+		} else {
+			prop = directRow(sc, cl, incident[ci], peerSrv[ci], rows, servers, clu.ServerIndex(original[ci]))
 		}
 		propPrefs[ci] = prop
 
@@ -1070,10 +1061,11 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 
 		if useMemo {
 			prefRows[ci] = &prefRow{
-				orig:      original[c],
+				orig:      original[ci],
 				feasible:  cl.feas,
 				peerSrv:   peerSrv[ci],
 				propPrefs: prop,
+				truncated: truncated[ci],
 				votes:     vts,
 			}
 		}
@@ -1112,50 +1104,42 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	for ci := range identity {
 		identity[ci] = ci
 	}
-	hostPrefs := make([][]int, len(servers))
-	sc := assignScratchPool.Get().(*assignScratch)
-	for si := range servers {
+	hostPref := func(sc *assignScratch, si int) []int {
 		row := gradeRows[si]
 		if row == nil {
-			hostPrefs[si] = identity
-			continue
+			return identity
 		}
 		out := make([]int, len(containers))
 		if !sc.stableRankDesc(row, identity, out) {
 			sortDescFallback(row, identity, out)
 		}
-		hostPrefs[si] = out
+		return out
 	}
-	assignScratchPool.Put(sc)
 
-	// CPU is the binding capacity dimension for the matching.
-	capacity := make([]float64, len(servers))
-	for si, s := range servers {
-		capacity[si] = float64(req.Cluster.Free(s).CPU)
-	}
 	loads := make([]float64, len(containers))
 	for ci, c := range containers {
-		loads[ci] = float64(req.Cluster.Container(c).Demand.CPU)
+		loads[ci] = float64(clu.Container(c).Demand.CPU)
 		if loads[ci] <= 0 {
 			loads[ci] = 1 // zero-CPU containers still occupy a scheduling slot
 		}
 	}
 
-	place := func(c cluster.ContainerID, s topology.NodeID) error {
+	place := func(ci int, s topology.NodeID) error {
+		c := containers[ci]
 		if s != topology.None {
-			if err := req.Cluster.Place(c, s); err == nil {
+			if err := clu.Place(c, s); err == nil {
 				return nil
 			}
 		}
 		// Memory (the unmodeled dimension) blocked the slot: fall back to the
 		// original server, then any feasible one.
-		if orig := original[c]; orig != topology.None && orig != s {
-			if err := req.Cluster.Place(c, orig); err == nil {
+		if orig := original[ci]; orig != topology.None && orig != s {
+			if err := clu.Place(c, orig); err == nil {
 				return nil
 			}
 		}
-		for _, alt := range req.Cluster.Candidates(c) {
-			if err := req.Cluster.Place(c, alt); err == nil {
+		for _, alt := range clu.Candidates(c) {
+			if err := clu.Place(c, alt); err == nil {
 				return nil
 			}
 		}
@@ -1167,15 +1151,15 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		for ci, c := range containers {
 			placed := false
 			for _, si := range propPrefs[ci] {
-				if req.Cluster.CanHost(servers[si], c) {
-					if err := req.Cluster.Place(c, servers[si]); err == nil {
+				if clu.CanHost(servers[si], c) {
+					if err := clu.Place(c, servers[si]); err == nil {
 						placed = true
 						break
 					}
 				}
 			}
 			if !placed {
-				if err := place(c, original[c]); err != nil {
+				if err := place(ci, original[ci]); err != nil {
 					return err
 				}
 			}
@@ -1183,43 +1167,141 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		return nil
 	}
 
-	inst := &stablematch.Instance{
-		NumProposers:  len(containers),
-		NumHosts:      len(servers),
-		ProposerPrefs: propPrefs,
-		HostPrefs:     hostPrefs,
-		Load:          loads,
-		Capacity:      capacity,
-	}
-	// Incremental runs keep one Matcher per group alive for the whole
-	// Schedule call: scratch slabs carry over, and an iteration whose
-	// preference build fully memo-hit replays the previous stable matching
-	// (provably identical — deferred acceptance is deterministic). The
-	// DisableIncremental path matches from scratch; parity tests pin the
-	// two bit-equal.
-	var res *stablematch.Result
-	if h.incremental() {
-		if st.matchers[gi] == nil {
-			st.matchers[gi] = &stablematch.Matcher{Workers: h.fanout()}
+	// The matching instance. With every row complete it spans all servers,
+	// exactly as before; once a row is cut it holds only the servers some
+	// row names (compactHosts), and hosts maps its indices back.
+	sc := assignScratchPool.Get().(*assignScratch)
+	defer assignScratchPool.Put(sc)
+	for {
+		var hosts []int // instance host index → server index
+		prefs := propPrefs
+		if slices.Contains(truncated, true) {
+			hosts, prefs = st.compactHosts(len(servers), propPrefs)
+		} else {
+			hosts = make([]int, len(servers))
+			for si := range hosts {
+				hosts[si] = si
+			}
 		}
-		res, err = st.matchers[gi].Match(inst)
-	} else {
-		res, err = stablematch.Match(inst)
-	}
-	if err != nil {
-		return err
-	}
-	for ci, hostIdx := range res.HostOf {
-		c := containers[ci]
-		target := original[c]
-		if hostIdx != stablematch.Unmatched {
-			target = servers[hostIdx]
+		hostPrefs := make([][]int, len(hosts))
+		capacity := make([]float64, len(hosts)) // CPU is the binding dimension
+		for hi, si := range hosts {
+			hostPrefs[hi] = hostPref(sc, si)
+			capacity[hi] = float64(clu.Free(servers[si]).CPU)
 		}
-		if err := place(c, target); err != nil {
+		inst := &stablematch.Instance{
+			NumProposers:  len(containers),
+			NumHosts:      len(hosts),
+			ProposerPrefs: prefs,
+			HostPrefs:     hostPrefs,
+			Load:          loads,
+			Capacity:      capacity,
+		}
+		// Incremental runs keep one Matcher per group alive for the whole
+		// Schedule call: scratch slabs carry over, and an iteration whose
+		// preference build fully memo-hit replays the previous stable
+		// matching (provably identical — deferred acceptance is
+		// deterministic). The DisableIncremental path matches from scratch;
+		// parity tests pin the two bit-equal.
+		var res *stablematch.Result
+		if h.incremental() {
+			if st.matchers[gi] == nil {
+				st.matchers[gi] = &stablematch.Matcher{Workers: h.fanout()}
+			}
+			res, err = st.matchers[gi].Match(inst)
+		} else {
+			res, err = stablematch.Match(inst)
+		}
+		if err != nil {
 			return err
 		}
+
+		// A cut proposer that ends Unmatched ran off its row, so from that
+		// proposal on the run may differ from the full-row one. Give those
+		// proposers full rows and match again; once no cut proposer ends
+		// Unmatched, none ran off, and every proposal was the full run's.
+		var redo []int
+		for ci, hi := range res.HostOf {
+			if hi == stablematch.Unmatched && truncated[ci] {
+				redo = append(redo, ci)
+			}
+		}
+		if len(redo) == 0 {
+			for ci, hi := range res.HostOf {
+				target := original[ci]
+				if hi != stablematch.Unmatched {
+					target = servers[hosts[hi]]
+				}
+				if err := place(ci, target); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if h.onRebuild != nil {
+			h.onRebuild(len(redo))
+		}
+		for _, ci := range redo {
+			propPrefs[ci], truncated[ci] = rb.row(sc, classOf[ci], incident[ci], peerSrv[ci], clu.ServerIndex(original[ci]), 0)
+			if useMemo {
+				st.prefs[containers[ci]] = &prefRow{
+					orig:      original[ci],
+					feasible:  classOf[ci].feas,
+					peerSrv:   peerSrv[ci],
+					propPrefs: propPrefs[ci],
+					votes:     votes[ci],
+				}
+			}
+		}
 	}
-	return nil
+}
+
+// directRow is the per-server proposer row: every feasible server graded
+// from full distance rows. It serves fabrics the rack-bucket build cannot
+// (multi-homed servers, dead nodes) and the DisableIncremental reference.
+func directRow(sc *assignScratch, cl *demandClass, flows []*flow.Flow, peers []topology.NodeID, rows map[topology.NodeID][]int32, servers []topology.NodeID, orig int) []int {
+	// Distinct anchored peer servers in first-appearance order; peerOf[k]
+	// indexes the per-peer rows for incident flow k.
+	rowOf := make([][]int32, 0, len(peers))
+	peerIdx := make(map[topology.NodeID]int, len(peers))
+	peerOf := make([]int, len(peers))
+	for k, ps := range peers {
+		pi, ok := peerIdx[ps]
+		if !ok {
+			pi = len(rowOf)
+			peerIdx[ps] = pi
+			rowOf = append(rowOf, rows[ps])
+		}
+		peerOf[k] = pi
+	}
+
+	// Anchored re-routed cost of hosting this container on server s:
+	// Σ rate × dist(peer, s) — the flow cost after Algorithm 1 re-optimizes
+	// the route for the new endpoint. Accumulated in flow order over the
+	// prefetched rows.
+	costAt := func(si int) float64 {
+		s := servers[si]
+		var cost float64
+		for k, f := range flows {
+			d := rowOf[peerOf[k]][s]
+			if d < 0 {
+				continue
+			}
+			cost += f.Rate * float64(d)
+		}
+		return cost
+	}
+	curCost := costAt(orig)
+	grades := growF64(sc.grades, len(cl.feas))
+	sc.grades = grades
+	for i, si := range cl.feas {
+		grades[i] = curCost - costAt(si)
+	}
+	prop := make([]int, len(cl.feas))
+	if !sc.stableRankDesc(grades, cl.feas, prop) {
+		sortDescFallback(grades, cl.feas, prop)
+	}
+	return prop
 }
 
 // scheduleSubsequentWave implements §5.3.2: reduce placements are fixed, so

@@ -109,6 +109,10 @@ type Oracle struct {
 	swTab atomic.Pointer[swDistTab]
 	swMu  sync.Mutex
 
+	// racks is the single-homed rack grouping (swdist.go), built on first
+	// use and never invalidated: it depends on edges, not liveness.
+	racks atomic.Pointer[RackTable]
+
 	// headMu guards the epoch-tagged headroom view.
 	headMu       sync.Mutex
 	headEpoch    uint64

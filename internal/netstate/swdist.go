@@ -108,3 +108,86 @@ func (o *Oracle) liftEndpoint(t *swDistTab, x topology.NodeID) (ord, lift int32)
 // enabled reports whether the table holds distances (vs the disabled
 // sentinel stored for over-cap or switch-less graphs).
 func (t *swDistTab) enabled() bool { return t != nil && t.dist != nil }
+
+// RackTable groups a single-homed fabric's servers by access switch: rack r
+// is every server whose one neighbor is Switches[r]. Racks are numbered in
+// order of their lowest server ID. Single-homing makes this a property of
+// the graph, not of liveness, so the table never changes.
+type RackTable struct {
+	// Of maps a NodeID to its rack ordinal; -1 for switches.
+	Of []int32
+	// Switches maps a rack ordinal to its access switch.
+	Switches []topology.NodeID
+}
+
+// Racks returns the fabric's rack table, or nil when some server is not
+// single-homed. The table is shared; callers must not modify it. Memoizing
+// oracles build it once; NewUncached builds it per call.
+func (o *Oracle) Racks() *RackTable {
+	if !o.topo.ServersSingleHomed() {
+		return nil
+	}
+	if !o.cached {
+		return o.buildRacks()
+	}
+	if t := o.racks.Load(); t != nil {
+		return t
+	}
+	t := o.buildRacks()
+	o.racks.CompareAndSwap(nil, t)
+	return o.racks.Load()
+}
+
+func (o *Oracle) buildRacks() *RackTable {
+	t := &RackTable{Of: make([]int32, o.topo.NumNodes())}
+	rackOf := make(map[topology.NodeID]int32)
+	for i := range t.Of {
+		x := topology.NodeID(i)
+		t.Of[i] = -1
+		if !o.topo.Node(x).IsServer() {
+			continue
+		}
+		acc := o.topo.Neighbors(x)[0]
+		r, ok := rackOf[acc]
+		if !ok {
+			r = int32(len(t.Switches))
+			rackOf[acc] = r
+			t.Switches = append(t.Switches, acc)
+		}
+		t.Of[i] = r
+	}
+	return t
+}
+
+// RackDists returns dst, regrown to one entry per rack of Racks(), holding
+// the hop distance from src to each rack's access switch (-1 when
+// unreachable): O(racks) rows where DistRow is O(nodes). While structural
+// answers hold they come from the switch-pair table through the same
+// single-homed lift Algorithm 1's segment costs use, so every entry is the
+// integer StructuralDist returns; otherwise they are read off DistRow,
+// which keeps NewUncached a pure-BFS reference. A server's distance to
+// another server s of rack r is then 0 when s == src and 1 + dst[r]
+// otherwise. The fabric must be single-homed.
+func (o *Oracle) RackDists(dst []int32, src topology.NodeID) []int32 {
+	rk := o.Racks()
+	if cap(dst) < len(rk.Switches) {
+		dst = make([]int32, len(rk.Switches))
+	}
+	dst = dst[:len(rk.Switches)]
+	if o.structuralOK() {
+		if t := o.switchTable(); t.enabled() {
+			if so, lift := o.liftEndpoint(t, src); so >= 0 {
+				row := t.dist[int(so)*t.s : (int(so)+1)*t.s]
+				for r, a := range rk.Switches {
+					dst[r] = lift + row[t.idx[a]]
+				}
+				return dst
+			}
+		}
+	}
+	row := o.DistRow(src)
+	for r, a := range rk.Switches {
+		dst[r] = row[a]
+	}
+	return dst
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestReasonStrings(t *testing.T) {
@@ -301,15 +302,16 @@ func TestChaosRecoverWrapperHammer(t *testing.T) {
 // instead of killing the process.
 func TestChaosGoRecoversEscapedPanic(t *testing.T) {
 	s := New(Config{})
-	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		s.Go(func() {
-			defer wg.Done()
-			panic("escaped")
-		})
+		s.Go(func() { panic("escaped") })
 	}
-	wg.Wait()
+	// Go books a panic in its own deferred recover, after fn has already
+	// unwound, so anything fn signals can arrive before the count does.
+	// Wait on the supervisor's bookkeeping itself.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Panics < 8 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if got := s.Stats().Panics; got != 8 {
 		t.Fatalf("recovered %d of 8 escaped panics", got)
 	}
