@@ -91,8 +91,7 @@ var ebBlessed = map[string]ebRule{
 // ebMonitored is the cache-relevant field set, keyed by
 // package-base-qualified field key ("topology.Topology.alive").
 // Deliberately absent: Topology.dist (a cache itself, cleared by
-// SetNodeAlive), the controller's fitsAll memo, and the epoch counters
-// (writes to those ARE the bumps).
+// SetNodeAlive) and the epoch counters (writes to those ARE the bumps).
 var ebMonitored = map[string]bool{
 	"topology.Topology.nodes":    true,
 	"topology.Topology.links":    true,

@@ -49,11 +49,11 @@ var puRoots = map[string]bool{
 // no read path touches it today: a future read path that does is exactly
 // the bug this check exists to catch.
 var puMonitored = map[string]bool{
-	"netstate.Oracle":     true,
-	"netstate.routeShard": true,
-	"topology.Topology":   true,
-	"cluster.Cluster":     true,
-	"cluster.serverState": true,
+	"netstate.Oracle":       true,
+	"netstate.routeShard":   true,
+	"topology.Topology":     true,
+	"cluster.Cluster":       true,
+	"cluster.serverState":   true,
 	"controller.Controller": true,
 }
 
@@ -105,22 +105,23 @@ var puBlessed = map[string]map[string]bool{
 	"netstate.(Oracle).AccessSwitch": {"netstate.Oracle.access": true},
 	// Switch-distance table: atomic publish double-checked under swMu.
 	"netstate.(Oracle).switchTable": {"netstate.Oracle.swTab": true},
-	// Pair-route cache: dense atomic slots plus lock-striped shards.
+	// Rack table: atomic compare-and-swap publish of an immutable table.
+	"netstate.(Oracle).Racks": {"netstate.Oracle.racks": true},
+	// Pair-route cache: dense atomic slots plus lock-striped shards, and
+	// the unit-route shards keyed by access-switch pair.
 	"netstate.(Oracle).routeInit": {
-		"netstate.Oracle.routeServerIdx": true,
+		"netstate.Oracle.routeServerIdx":  true,
 		"netstate.Oracle.routeNumServers": true,
 		"netstate.Oracle.routeDense":      true,
 		"netstate.Oracle.routeShards":     true,
+		"netstate.Oracle.unitShards":      true,
 		"netstate.routeShard.m":           true,
 	},
-	"netstate.(Oracle).routeStore": {
-		"netstate.Oracle.routeDense": true,
-		"netstate.routeShard.m":      true,
-	},
-	"netstate.(Oracle).clearPairRoutes": {
-		"netstate.Oracle.routeDense": true,
-		"netstate.routeShard.m":      true,
-	},
+	"netstate.(Oracle).routeStore":      {"netstate.Oracle.routeDense": true},
+	"netstate.(Oracle).clearPairRoutes": {"netstate.Oracle.routeDense": true},
+	// Shard fills and resets, each under the stripe's own write lock.
+	"netstate.(routeShard).store": {"netstate.routeShard.m": true},
+	"netstate.(routeShard).reset": {"netstate.routeShard.m": true},
 	// Headroom snapshot refresh, under headMu.
 	"netstate.(Oracle).refreshHeadroomLocked": {
 		"netstate.Oracle.headroom":     true,

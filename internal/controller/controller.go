@@ -47,11 +47,15 @@ type Controller struct {
 	// (dense: node IDs are compact). Only switch entries are ever nonzero.
 	load []float64
 
-	// fitsAll memoizes FitsEverywhere per rate-bit-pattern, valid for one
-	// oracle epoch (any Install/Uninstall/Reset/topology change bumps it).
-	fitsAllEpoch uint64
-	fitsAllValid bool
-	fitsAll      map[uint64]bool
+	// loadHigh is a high-water mark over every switch load: raised by
+	// Install, zeroed by Reset, kept by Uninstall (which only lowers
+	// loads). NaN once a NaN load appears, which disables roomEverywhere.
+	loadHigh float64
+	// capMin is the least finite switch capacity (+Inf when none is
+	// finite, NaN when any is NaN) as of topology version capVersion.
+	capMin     float64
+	capVersion uint64
+	capValid   bool
 }
 
 // New returns an empty controller over the topology, backed by a fresh
@@ -166,39 +170,48 @@ func (c *Controller) fitsFn(id flow.ID, rate float64) func(w topology.NodeID) bo
 	}
 }
 
+// roomEverywhere is an O(1) sufficient test that a flow of the given rate
+// passes every per-switch capacity check: load[w] - self + rate <= cap +
+// 1e-9 for every switch w and any self-load >= 0. IEEE addition and
+// subtraction are monotone, so load[w] - self <= loadHigh and cap >=
+// capMin give fl(load[w]-self+rate) <= fl(loadHigh+rate) <=
+// fl(capMin+1e-9) <= fl(cap+1e-9). A false answer proves nothing; callers
+// then run their scan. A NaN rate, load or capacity makes it false.
+func (c *Controller) roomEverywhere(rate float64) bool {
+	if v := c.topo.Version(); !c.capValid || c.capVersion != v {
+		c.capMin = math.Inf(1)
+		for _, w := range c.topo.Switches() {
+			// math.Min propagates a NaN capacity, which disables the bound.
+			c.capMin = math.Min(c.capMin, c.topo.Node(w).Capacity)
+		}
+		c.capVersion, c.capValid = v, true
+	}
+	return c.loadHigh+rate <= c.capMin+1e-9
+}
+
 // FitsEverywhere reports whether a flow of the given rate fits every
 // capacity-limited switch in the fabric with no self-contribution
 // discounted — the condition under which Algorithm 1's feasibility filter
 // provably keeps every candidate switch for any flow of that rate
 // (self-load only adds headroom, and float subtraction of a non-negative
-// self term is monotone, so fits() can only be more permissive). The scan
-// is memoized per rate bit-pattern and invalidated on every oracle epoch
-// bump. Core's dirty-set skip uses this to prove a re-solve would see the
-// same unfiltered stage lists as the cached solve.
+// self term is monotone, so fits() can only be more permissive). The load
+// high-water bound answers it in O(1) whenever it can; otherwise it scans
+// every switch. Core's dirty-set skip uses this to prove a re-solve would
+// see the same unfiltered stage lists as the cached solve.
 func (c *Controller) FitsEverywhere(rate float64) bool {
-	e := c.oracle.Epoch()
-	if !c.fitsAllValid || c.fitsAllEpoch != e {
-		c.fitsAll = make(map[uint64]bool)
-		c.fitsAllEpoch = e
-		c.fitsAllValid = true
+	if c.roomEverywhere(rate) {
+		return true
 	}
-	bits := math.Float64bits(rate)
-	if v, ok := c.fitsAll[bits]; ok {
-		return v
-	}
-	fits := true
 	for _, w := range c.topo.Switches() {
 		cap := c.topo.Node(w).Capacity
 		if math.IsInf(cap, 1) {
 			continue
 		}
 		if c.load[w]+rate > cap+1e-9 {
-			fits = false
-			break
+			return false
 		}
 	}
-	c.fitsAll[bits] = fits
-	return fits
+	return true
 }
 
 // Install validates and installs a policy for f, replacing any previous
@@ -227,29 +240,30 @@ func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 	}
 	// Feasibility with the old policy's contribution removed. A switch
 	// appearing k times in the new list needs k*rate headroom. Routes are a
-	// handful of switches, so the per-switch demand accumulates in a small
-	// slice (linear scan) rather than a map.
+	// handful of switches, so the per-switch demand accumulates by
+	// insertion into a small sorted array (append spills longer lists to
+	// the heap). Switches are checked in ascending ID order so the reported
+	// violation (and therefore the caller's behavior) never depends on
+	// discovery order.
 	type needEntry struct {
 		w topology.NodeID
 		n float64
 	}
-	need := make([]needEntry, 0, len(p.List))
+	var needBuf [8]needEntry
+	need := needBuf[:0]
 	for _, w := range p.List {
-		found := false
-		for i := range need {
-			if need[i].w == w {
-				need[i].n += f.Rate
-				found = true
-				break
-			}
+		j := len(need)
+		for j > 0 && need[j-1].w > w {
+			j--
 		}
-		if !found {
-			need = append(need, needEntry{w: w, n: f.Rate})
+		if j > 0 && need[j-1].w == w {
+			need[j-1].n += f.Rate
+			continue
 		}
+		need = append(need, needEntry{})
+		copy(need[j+1:], need[j:])
+		need[j] = needEntry{w: w, n: f.Rate}
 	}
-	// Check switches in ascending ID order so the reported violation (and
-	// therefore the caller's behavior) never depends on discovery order.
-	sort.Slice(need, func(i, j int) bool { return need[i].w < need[j].w })
 	for _, e := range need {
 		w, n := e.w, e.n
 		cap := c.topo.Node(w).Capacity
@@ -266,6 +280,11 @@ func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 	c.rates[f.ID] = f.Rate
 	for _, w := range p.List {
 		c.load[w] += f.Rate
+		// A NaN load poisons the mark for good (until Reset): a NaN mark
+		// fails both tests and is never overwritten.
+		if l := c.load[w]; l > c.loadHigh || math.IsNaN(l) {
+			c.loadHigh = l
+		}
 	}
 	c.oracle.BumpEpoch()
 	return nil
@@ -294,6 +313,7 @@ func (c *Controller) Reset() {
 	c.policies = make(map[flow.ID]*flow.Policy)
 	c.rates = make(map[flow.ID]float64)
 	c.load = make([]float64, c.topo.NumNodes())
+	c.loadHigh = 0
 	c.oracle.BumpEpoch()
 }
 
@@ -360,20 +380,28 @@ func (c *Controller) RandomPolicy(f *flow.Flow, loc flow.Locator, rng *rand.Rand
 		return nil, err
 	}
 	p := &flow.Policy{Flow: f.ID, Types: append([]string(nil), types...)}
-	fits := c.fitsFn(f.ID, f.Rate)
+	// When the load bound passes every switch, the filter would keep every
+	// candidate: draw from the unfiltered list, the same RNG draw.
+	var fits func(topology.NodeID) bool
+	if !c.roomEverywhere(f.Rate) {
+		fits = c.fitsFn(f.ID, f.Rate)
+	}
 	fp := feasiblePool.Get().(*[]topology.NodeID)
 	defer feasiblePool.Put(fp)
 	for _, typ := range types {
-		cands := c.oracle.SwitchesOfType(typ)
-		feasible := (*fp)[:0]
-		for _, w := range cands {
-			if fits(w) {
-				feasible = append(feasible, w)
+		feasible := c.oracle.SwitchesOfType(typ)
+		if fits != nil {
+			kept := (*fp)[:0]
+			for _, w := range feasible {
+				if fits(w) {
+					kept = append(kept, w)
+				}
 			}
+			*fp = kept
+			feasible = kept
 		}
-		*fp = feasible
 		if len(feasible) == 0 {
-			return nil, fmt.Errorf("controller: %w of type %q for flow %d", ErrNoFeasibleSwitch, typ, f.ID)
+			return nil, errNoFeasibleSwitch(typ, f.ID)
 		}
 		p.List = append(p.List, feasible[rng.Intn(len(feasible))])
 	}
@@ -474,41 +502,16 @@ func (c *Controller) optimizeBetween(f *flow.Flow, src, dst topology.NodeID) (*f
 		return &flow.Policy{Flow: f.ID}, info, nil
 	}
 
-	// One feasibility pass over the oracle's cached stage candidates
-	// decides whether the capacity filter bites at all. In the common
-	// uncongested case it does not, and the solve runs over the shared
-	// unfiltered lists — which the oracle answers from its pair cache
-	// after the first flow between these servers pays for the DP.
+	// The load bound, or failing it one feasibility pass over the oracle's
+	// cached stage candidates, decides whether the capacity filter bites
+	// at all. In the common uncongested case it does not, and the solve
+	// runs over the shared unfiltered lists — which the oracle answers
+	// from its pair cache after the first flow between these racks pays
+	// for the DP.
 	full := c.oracle.StagesForTemplate(types)
-	fits := c.fitsFn(f.ID, f.Rate)
-	allFit := true
-	for i, typ := range types {
-		n := 0
-		for _, w := range full[i] {
-			if fits(w) {
-				n++
-			}
-		}
-		if n == 0 {
-			return nil, info, fmt.Errorf("controller: %w of type %q for flow %d", ErrNoFeasibleSwitch, typ, f.ID)
-		}
-		if n < len(full[i]) {
-			allFit = false
-		}
-	}
-	stages := full
-	if !allFit {
-		filtered := make([][]topology.NodeID, len(types))
-		for i := range full {
-			kept := make([]topology.NodeID, 0, len(full[i]))
-			for _, w := range full[i] {
-				if fits(w) {
-					kept = append(kept, w)
-				}
-			}
-			filtered[i] = kept
-		}
-		stages = filtered
+	stages, allFit, err := c.feasibleStages(f, types, full)
+	if err != nil {
+		return nil, info, err
 	}
 	info.FullStages = allFit
 	list, _, hit, ok := c.oracle.BestRoute(src, dst, netstate.RouteQuery{
@@ -528,6 +531,56 @@ func (c *Controller) optimizeBetween(f *flow.Flow, src, dst topology.NodeID) (*f
 		List:  append([]topology.NodeID(nil), list...),
 		Types: append([]string(nil), types...),
 	}, info, nil
+}
+
+// feasibleStages applies the capacity filter to a template's full stage
+// lists: the lists themselves when every switch fits (allFit), a filtered
+// copy otherwise, and ErrNoFeasibleSwitch for the first stage left empty.
+// When roomEverywhere passes every switch no scan runs, and only a stage
+// that is already empty (every switch of its type dead) can fail.
+func (c *Controller) feasibleStages(f *flow.Flow, types []string, full [][]topology.NodeID) ([][]topology.NodeID, bool, error) {
+	if c.roomEverywhere(f.Rate) {
+		for i, typ := range types {
+			if len(full[i]) == 0 {
+				return nil, false, errNoFeasibleSwitch(typ, f.ID)
+			}
+		}
+		return full, true, nil
+	}
+	fits := c.fitsFn(f.ID, f.Rate)
+	allFit := true
+	for i, typ := range types {
+		n := 0
+		for _, w := range full[i] {
+			if fits(w) {
+				n++
+			}
+		}
+		if n == 0 {
+			return nil, false, errNoFeasibleSwitch(typ, f.ID)
+		}
+		if n < len(full[i]) {
+			allFit = false
+		}
+	}
+	if allFit {
+		return full, true, nil
+	}
+	filtered := make([][]topology.NodeID, len(types))
+	for i := range full {
+		kept := make([]topology.NodeID, 0, len(full[i]))
+		for _, w := range full[i] {
+			if fits(w) {
+				kept = append(kept, w)
+			}
+		}
+		filtered[i] = kept
+	}
+	return filtered, false, nil
+}
+
+func errNoFeasibleSwitch(typ string, id flow.ID) error {
+	return fmt.Errorf("controller: %w of type %q for flow %d", ErrNoFeasibleSwitch, typ, id)
 }
 
 // OptimizeInstalled reruns Algorithm 1 for an installed flow and reinstalls

@@ -1,8 +1,10 @@
 package controller
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -100,6 +102,49 @@ func TestInstallRejectsOverCapacity(t *testing.T) {
 	// The first remains installed.
 	if e.ctl.Policy(f1.ID) == nil {
 		t.Error("first policy lost")
+	}
+}
+
+// TestInstallChecksSwitchesInIDOrder pins Install's per-switch demand
+// accounting: a switch listed k times needs k×rate, switches are checked
+// in ascending ID order whatever the list order (so the violation reported
+// is the lowest-ID one), and lists longer than the inline buffer behave the
+// same.
+func TestInstallChecksSwitchesInIDOrder(t *testing.T) {
+	e := newEnv(t, topology.LinkParams{SwitchCapacity: 5})
+	sw := e.topo.Switches()
+	srv := e.topo.Servers()
+	f := e.flowBetween(0, 1, 2, srv[0], srv[15], 2)
+	policy := func(idx ...int) *flow.Policy {
+		p := &flow.Policy{Flow: f.ID}
+		for _, i := range idx {
+			p.List = append(p.List, sw[i])
+			p.Types = append(p.Types, e.topo.Node(sw[i]).Type)
+		}
+		return p
+	}
+	// sw[7] and sw[3] each appear three times (need 6 > 5), high ID first.
+	err := e.ctl.Install(f, policy(9, 7, 12, 7, 3, 11, 3, 7, 3, 10, 13))
+	if want := fmt.Sprintf("switch %d over capacity", sw[3]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Install error %v, want it to name %q", err, want)
+	}
+	if err := e.ctl.Install(f, policy(7, 3, 7, 3)); err != nil {
+		t.Fatalf("two appearances (need 4 <= 5) rejected: %v", err)
+	}
+	long := policy(9, 7, 12, 7, 3, 11, 3, 10, 13, 14)
+	if err := e.ctl.Install(f, long); err != nil {
+		t.Fatalf("long list within capacity rejected: %v", err)
+	}
+	for i, w := range sw {
+		n := 0
+		for _, x := range long.List {
+			if x == w {
+				n++
+			}
+		}
+		if got := e.ctl.Load(w); got != float64(2*n) {
+			t.Errorf("switch %d (sw[%d]) load %v, want %v", w, i, got, 2*n)
+		}
 	}
 }
 

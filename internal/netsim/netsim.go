@@ -397,6 +397,12 @@ func (r *Result) AvgHops() float64 {
 // It returns an error when any route is invalid. Transfers with zero bytes
 // complete at their start instant.
 func (n *Network) Simulate(transfers []*Transfer) (*Result, error) {
+	return n.simulate(transfers, (*session).fairShare)
+}
+
+// simulate is Simulate with the progressive-filling routine passed in, so
+// tests can pin whole runs against a reference fair share.
+func (n *Network) simulate(transfers []*Transfer, share func(*session, [][]resUse, []bool) []float64) (*Result, error) {
 	sess := n.newSession()
 	res := &Result{Flows: make(map[flow.ID]*FlowStats, len(transfers))}
 	type state struct {
@@ -485,7 +491,7 @@ func (n *Network) Simulate(transfers []*Transfer) (*Result, error) {
 			continue
 		}
 
-		rates := sess.fairShare(activeUses, activeCross)
+		rates := share(sess, activeUses, activeCross)
 		// Time to the next completion.
 		dt := math.Inf(1)
 		for i, st := range activeStates {

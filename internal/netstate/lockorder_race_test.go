@@ -1,6 +1,7 @@
 package netstate_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -23,6 +24,12 @@ import (
 // and headroom lock domains it is invalidating. A lock-order inversion
 // anywhere in that set hangs this test; a missed-lock shortcut is a
 // -race report.
+//
+// Every reader also sweeps every ordered pair of racks at its own rates,
+// so while one round's revival resets the unit-route shards, others
+// publish and read unit routes for all 56 access pairs. After the final
+// recovery each pair must answer from its unit route again, bit-identical
+// to an uncached solve.
 func TestLockOrderHammer(t *testing.T) {
 	topo := buildFatTree(t)
 	o := netstate.New(topo)
@@ -46,6 +53,15 @@ func TestLockOrderHammer(t *testing.T) {
 		readers = 6
 		queries = 10
 	)
+	// One server per rack: every ordered pair is a distinct access pair.
+	var reps []topology.NodeID
+	seenRack := make(map[topology.NodeID]bool)
+	for _, s := range servers {
+		if acc := topo.AccessSwitch(s); !seenRack[acc] {
+			seenRack[acc] = true
+			reps = append(reps, s)
+		}
+	}
 	for round := 0; round < rounds; round++ {
 		// Single-threaded liveness flip between waves: after this, every
 		// reader's first oracle call finds the liveness epoch stale and
@@ -93,6 +109,20 @@ func TestLockOrderHammer(t *testing.T) {
 					_ = o.Headroom(servers[(seed+i)%len(servers)])
 					_ = o.NearestByDist(a, servers)
 				}
+				// Unit-route shards: publish and read every access pair.
+				for i, a := range reps {
+					for j, b := range reps {
+						types, err := o.TypeTemplate(a, b)
+						if err != nil || len(types) == 0 {
+							continue
+						}
+						rate := 1 + float64(seed*len(reps)*len(reps)+i*len(reps)+j)/64
+						q := netstate.RouteQuery{Rate: rate, UnitCost: 1, Stages: o.StagesForTemplate(types), Full: true}
+						if _, _, _, ok := o.BestRoute(a, b, q); !ok {
+							t.Errorf("BestRoute(%d,%d) rate %v infeasible", a, b, rate)
+						}
+					}
+				}
 			}(r)
 		}
 		wg.Wait()
@@ -103,5 +133,22 @@ func TestLockOrderHammer(t *testing.T) {
 	a, b := servers[0], servers[1]
 	if d1, d2 := o.Dist(a, b), o.Dist(a, b); d1 != d2 {
 		t.Errorf("quiescent Dist not stable: %d vs %d", d1, d2)
+	}
+	if !topo.AllAlive() {
+		t.Fatal("hammer must end on a healthy fabric")
+	}
+	ref := netstate.NewUncached(topo)
+	for _, a := range reps {
+		for _, b := range reps {
+			if a == b {
+				continue
+			}
+			q := netstate.RouteQuery{Rate: math.Pi, UnitCost: 1, Stages: stagesFor(t, o, a, b), Full: true}
+			o.BestRoute(a, b, q)
+			q.Rate = math.Nextafter(math.Pi, 4)
+			if !checkRoute(t, o, ref, a, b, q) {
+				t.Errorf("BestRoute(%d,%d) after recovery: perturbed rate missed the unit route", a, b)
+			}
+		}
 	}
 }

@@ -121,12 +121,14 @@ type Oracle struct {
 	loadSnapshot []float64
 
 	// Server-pair route cache (pairroute.go): dense atomic table for small
-	// clusters, sharded maps above denseRouteLimit pair slots.
+	// clusters, sharded maps above denseRouteLimit pair slots. unitShards
+	// holds the rate-free unit routes keyed by access-switch pair.
 	routeOnce       sync.Once
 	routeDense      []atomic.Pointer[PairRoute]
 	routeServerIdx  []int32
 	routeNumServers int
 	routeShards     []routeShard
+	unitShards      []routeShard
 
 	// routeStats stripes the pair-route hit/miss counters by source server
 	// so concurrent shard presolves warming the cache don't serialize on
@@ -201,10 +203,13 @@ func (o *Oracle) Epoch() uint64 {
 //
 // Lock-order contract (proved by taalint's lockorder check): reviveMu is
 // the package's only outer lock — pairMu, typeMu and the route shard
-// stripes nest strictly inside it, one at a time, never inside each
-// other. Keep the pairMu and typeMu sections below SEQUENTIAL; nesting
-// one inside the other creates an acquisition edge that closes a cycle
-// with the read paths and is rejected at lint time.
+// stripes (the server-pair shards and the unit-route shards keyed by
+// access-switch pair, both reset by clearPairRoutes) nest strictly inside
+// it, one at a time, never inside each other. Readers publish unit routes
+// under a single stripe's write lock and read them under its read lock,
+// holding nothing else. Keep the pairMu and typeMu sections below
+// SEQUENTIAL; nesting one inside the other creates an acquisition edge
+// that closes a cycle with the read paths and is rejected at lint time.
 func (o *Oracle) ensureLive() {
 	lv := o.topo.LivenessVersion()
 	if o.liveSeen.Load() == lv {

@@ -23,6 +23,21 @@ func stagesFor(t *testing.T, o *netstate.Oracle, src, dst topology.NodeID) [][]t
 	return o.StagesForTemplate(types)
 }
 
+// filteredStages drops the last candidate of every multi-candidate stage,
+// the shape of a capacity-filtered query. Filtered queries always take the
+// rate-keyed, server-pair path; full-stage queries on a healthy
+// single-homed fabric are answered rate-free from the access-pair table.
+func filteredStages(full [][]topology.NodeID) [][]topology.NodeID {
+	out := make([][]topology.NodeID, len(full))
+	for i, s := range full {
+		out[i] = s
+		if len(s) > 1 {
+			out[i] = s[:len(s)-1]
+		}
+	}
+	return out
+}
+
 // TestBestRouteCachedUncachedParity checks the core memoization contract:
 // for every server pair and several rates, the cached oracle's BestRoute
 // answer — on both the miss (first) and hit (second) call — is
@@ -160,23 +175,25 @@ func TestBestRouteFilteredRevalidation(t *testing.T) {
 	}
 }
 
-// TestBestRouteRateKeying asserts rate and unit cost are part of the key:
-// changing either bit pattern misses even on the same pair and stages.
+// TestBestRouteRateKeying asserts rate and unit cost are part of the
+// rate-keyed path's key: changing either bit pattern misses even on the
+// same pair and stages. The queries use filtered stages, which keeps them
+// on that path.
 func TestBestRouteRateKeying(t *testing.T) {
 	topo := buildTree(t, 3, 2)
 	o := netstate.New(topo)
 	servers := topo.Servers()
 	a, b := servers[0], servers[len(servers)-1]
-	stages := stagesFor(t, o, a, b)
+	stages := filteredStages(stagesFor(t, o, a, b))
 
-	base := netstate.RouteQuery{Rate: 1, UnitCost: 1, Stages: stages, Full: true}
+	base := netstate.RouteQuery{Rate: 1, UnitCost: 1, Stages: stages}
 	_, baseCost, _, ok := o.BestRoute(a, b, base)
 	if !ok {
 		t.Fatal("base solve failed")
 	}
 	for _, q := range []netstate.RouteQuery{
-		{Rate: math.Nextafter(1, 2), UnitCost: 1, Stages: stages, Full: true},
-		{Rate: 1, UnitCost: math.Nextafter(1, 2), Stages: stages, Full: true},
+		{Rate: math.Nextafter(1, 2), UnitCost: 1, Stages: stages},
+		{Rate: 1, UnitCost: math.Nextafter(1, 2), Stages: stages},
 	} {
 		if _, _, hit, ok := o.BestRoute(a, b, q); !ok || hit {
 			t.Fatalf("perturbed query (rate=%v unit=%v): ok=%v hit=%v, want miss+solve", q.Rate, q.UnitCost, ok, hit)
@@ -236,7 +253,8 @@ func TestPairRouteStats(t *testing.T) {
 // TestBestRouteShardedFallback drives the sharded-map path: a 512-server
 // fabric exceeds denseRouteLimit (512² > 2¹⁷), so entries land in the
 // lock-striped shards. Random pairs must still hit on re-query and agree
-// with an uncached solve.
+// with an uncached solve. Filtered stages keep the queries on the
+// server-pair store.
 func TestBestRouteShardedFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-server cache test skipped in -short mode")
@@ -255,7 +273,7 @@ func TestBestRouteShardedFallback(t *testing.T) {
 		if a == b {
 			continue
 		}
-		q := netstate.RouteQuery{Rate: 1 + rng.Float64(), UnitCost: 1, Stages: stagesFor(t, o, a, b), Full: true}
+		q := netstate.RouteQuery{Rate: 1 + rng.Float64(), UnitCost: 1, Stages: filteredStages(stagesFor(t, o, a, b))}
 		l1, c1, hit1, ok1 := o.BestRoute(a, b, q)
 		if !ok1 || hit1 {
 			t.Fatalf("pair %d-%d: first query ok=%v hit=%v", a, b, ok1, hit1)
