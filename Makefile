@@ -48,11 +48,17 @@ shuffle:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 
-# bench-json runs the scalability/oracle/multi-scheduler benchmarks and
-# archives one machine-readable BENCH_local.json (CI emits BENCH_<sha>.json
-# per commit, forming the benchmark trajectory).
+# BENCH_PKGS and BENCH_NAMES select the gated benchmarks: the root
+# package's scalability/oracle/multi-scheduler families and netsim's fair
+# share and fluid simulation.
+BENCH_PKGS = . ./internal/netsim
+BENCH_NAMES = HitScalability|PathOracle|MultiScheduler|FairShare64Flows|Simulate64Flows|SimulateTestbed1024
+
+# bench-json runs the gated benchmarks once each and archives one
+# machine-readable BENCH_local.json (CI emits BENCH_<sha>.json per commit,
+# forming the benchmark trajectory).
 bench-json:
-	$(GO) test -run XXX -bench 'HitScalability|PathOracle|MultiScheduler' -benchtime 1x . | $(GO) run ./cmd/benchjson -o BENCH_local.json
+	$(GO) test -run XXX -bench '$(BENCH_NAMES)' -benchtime 1x $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_local.json
 
 # bench-gate is the regression gate: a fresh run is diffed against the
 # committed BENCH_baseline.json and any benchmark past its per-metric
@@ -67,10 +73,10 @@ bench-json:
 # deliberately (and say why in the commit) with:
 #   make bench-baseline
 bench-gate:
-	$(GO) test -run XXX -bench 'HitScalability|PathOracle|MultiScheduler' -count=3 . | $(GO) run ./cmd/benchjson -o BENCH_local.json -baseline BENCH_baseline.json
+	$(GO) test -run XXX -bench '$(BENCH_NAMES)' -count=3 $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_local.json -baseline BENCH_baseline.json
 
 bench-baseline:
-	$(GO) test -run XXX -bench 'HitScalability|PathOracle|MultiScheduler' -count=3 . | $(GO) run ./cmd/benchjson -o BENCH_baseline.json
+	$(GO) test -run XXX -bench '$(BENCH_NAMES)' -count=3 $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_baseline.json
 
 # chaos runs the fault-injection harness under the race detector: randomized
 # seeded fault schedules replayed bit-identically, with the run-time

@@ -3,22 +3,28 @@
 // each pinned to a concrete route by its network policy, it computes
 // max-min fair bandwidth shares subject to link bandwidths and switch
 // processing capacities, and advances a fluid simulation to obtain per-flow
-// completion times, average shuffle delay and aggregate throughput — the
-// quantities Figures 6, 7 and 9 report.
+// completion times, route lengths and route delays — the quantities Figures
+// 6, 7 and 9 report.
 //
 // The simulator works on dense resource indices: every full-duplex link
-// direction and every capacity-limited switch gets a small integer ID, each
-// transfer's walk is expanded once per run into a (resource, multiplicity)
-// usage list via the netstate oracle's cached shortest paths, and each
-// progressive-filling step rebuilds only flat index slices — no maps, no
-// per-step route re-expansion. Capacities are read fresh at the start of
-// every run, so bandwidth/capacity changes (failure injection) between runs
-// are honored.
+// direction and every capacity-limited switch a run touches gets a small
+// integer ID, and each transfer's walk is expanded once per run, via the
+// netstate oracle's cached shortest paths, into a (resource, multiplicity)
+// usage list. One resource index per run — the usage lists, each
+// resource's members in transfer order, and the capacities — serves every
+// progressive-filling step. A step reads only its active transfers' uses
+// and the resources they touch, and refolds a resource's frozen-rate sum
+// only after one of its members froze; every rate stays bit-identical to a
+// from-scratch fill of the same active set (DESIGN.md §3.4). Capacities
+// are read fresh at the start of every run, so bandwidth/capacity changes
+// (failure injection) between runs are honored.
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/flow"
 	"repro/internal/netstate"
@@ -66,22 +72,6 @@ func (n *Network) ExpandRoute(route []topology.NodeID) ([]topology.NodeID, error
 	return walk, nil
 }
 
-// ExpandRoute is the topology-level variant of Network.ExpandRoute for
-// callers without an oracle at hand. It routes through a throwaway
-// uncached oracle so netstate stays the only package that runs BFS;
-// callers on a hot path should hold a memoizing oracle and use it
-// directly.
-func ExpandRoute(topo *topology.Topology, route []topology.NodeID) ([]topology.NodeID, error) {
-	if len(route) == 0 {
-		return nil, fmt.Errorf("netsim: empty route")
-	}
-	walk, err := netstate.NewUncached(topo).ExpandRoute(route)
-	if err != nil {
-		return nil, fmt.Errorf("netsim: %w", err)
-	}
-	return walk, nil
-}
-
 // resUse is one (resource, multiplicity) pair on a transfer's walk: a walk
 // may cross the same link direction or switch more than once.
 type resUse struct {
@@ -89,38 +79,59 @@ type resUse struct {
 	mult int32
 }
 
-// member is one transfer's stake in a resource during a fair-share step.
+// member is one transfer's stake in a resource.
 type member struct {
-	idx  int32 // index into the active-transfer slice
+	idx  int32 // transfer index in the run
 	mult int32
 }
 
-// session holds the dense resource tables of one simulation run. Resource
-// IDs: link l traversed low→high node ID is 2l, high→low is 2l+1 (full
-// duplex: each direction is its own resource with the link's full bandwidth,
-// as on real Ethernet fabrics); capacity-limited switch s is 2·NumLinks+s.
-// Capacities are captured from the topology when a walk first touches a
-// resource, freezing them for the run.
+// Transfer states within a session.
+const (
+	idle     uint8 = iota // not in the current fair-share call
+	unfrozen              // in the call, rate still rising
+	frozen                // in the call, rate fixed
+	finished              // retired; never active again
+)
+
+// session is the resource index of one run. Resource IDs on the topology:
+// link l traversed low→high node ID is 2l, high→low is 2l+1 (full duplex:
+// each direction is its own resource with the link's full bandwidth, as on
+// real Ethernet fabrics); capacity-limited switch s is 2·NumLinks+s. The
+// session relabels the resources its walks touch densely in first-touch
+// order and captures their capacities then, freezing them for the run.
 type session struct {
 	topo *topology.Topology
-	caps []float64 // resource ID -> capacity, valid where filled
-	fill []bool
+	slot []int32   // topology resource ID -> dense resource, -1 when untouched
+	caps []float64 // dense resource -> capacity
 
-	// Per-step scratch, reset after every fairShare call.
-	slot    []int32 // resource ID -> dense index this step, -1 when untouched
-	resIDs  []int32 // touched resources in first-seen order
-	offsets []int32 // prefix offsets into members, len(resIDs)+1
+	uses     []resUse // every transfer's uses, flat
+	useOff   []int32  // transfer t's uses are uses[useOff[t]:useOff[t+1]]
+	crossing []bool   // false for single-server walks
+
+	// Resource r's members are members[memLo[r]:memHi[r]], in transfer
+	// order. A refold drops finished members, so memHi only shrinks.
 	members []member
+	memLo   []int32
+	memHi   []int32
+
+	// Per-call state, allocated once per run.
+	state []uint8   // transfer -> idle/unfrozen/frozen/finished
+	rates []float64 // transfer -> rate, valid for the last call's transfers
+	mult  []int32   // resource -> multiplicity of its unfrozen members
+	used  []float64 // resource -> frozen members' rate sum, valid unless dirty
+	dirty []bool
+	seen  []uint32 // resource -> stamp of the last call that touched it
+	stamp uint32
+	order []int32 // the call's resources with unfrozen members, first-seen order
 }
 
-func (n *Network) newSession() *session {
+func (n *Network) newSession(transfers int) *session {
 	topo := n.oracle.Topology()
-	nRes := 2*topo.NumLinks() + topo.NumNodes()
 	s := &session{
-		topo: topo,
-		caps: make([]float64, nRes),
-		fill: make([]bool, nRes),
-		slot: make([]int32, nRes),
+		topo:     topo,
+		slot:     make([]int32, 2*topo.NumLinks()+topo.NumNodes()),
+		useOff:   make([]int32, 1, transfers+1),
+		crossing: make([]bool, 0, transfers),
 	}
 	for i := range s.slot {
 		s.slot[i] = -1
@@ -128,146 +139,161 @@ func (n *Network) newSession() *session {
 	return s
 }
 
-// uses converts an expanded walk into its resource-usage list, registering
-// capacities on first touch. The linear multiplicity scan is fine: walks are
-// a handful of hops.
-func (s *session) uses(walk []topology.NodeID) ([]resUse, error) {
-	out := make([]resUse, 0, 2*len(walk))
-	add := func(id int32, capacity float64) {
-		for i := range out {
-			if out[i].res == id {
-				out[i].mult++
-				return
-			}
-		}
-		if !s.fill[id] {
-			s.caps[id] = capacity
-			s.fill[id] = true
-		}
-		out = append(out, resUse{res: id, mult: 1})
-	}
+// add appends the next transfer's resource-usage list, converted from its
+// expanded walk. The linear multiplicity scan is fine: walks are a handful
+// of hops.
+func (s *session) add(walk []topology.NodeID) error {
+	start := len(s.uses)
 	links := s.topo.Links()
 	base := int32(2 * s.topo.NumLinks())
 	for i := 1; i < len(walk); i++ {
 		a, b := walk[i-1], walk[i]
 		li, ok := s.topo.LinkIndex(a, b)
 		if !ok {
-			return nil, fmt.Errorf("netsim: walk uses missing link %d-%d", a, b)
+			return fmt.Errorf("netsim: walk uses missing link %d-%d", a, b)
 		}
 		dir := int32(0)
 		if a > b {
 			dir = 1
 		}
-		add(int32(2*li)+dir, links[li].Bandwidth)
+		s.use(start, int32(2*li)+dir, links[li].Bandwidth)
 	}
 	for _, nd := range walk {
 		node := s.topo.Node(nd)
 		if !node.IsSwitch() || math.IsInf(node.Capacity, 1) {
 			continue
 		}
-		add(base+int32(nd), node.Capacity)
+		s.use(start, base+int32(nd), node.Capacity)
 	}
-	return out, nil
+	s.useOff = append(s.useOff, int32(len(s.uses)))
+	s.crossing = append(s.crossing, len(walk) > 1)
+	return nil
 }
 
-// fairShare computes max-min fair rates for the given usage lists via
-// progressive filling. crossing[i] is false for single-server walks, which
-// receive +Inf (local copies are not network-bound).
-func (s *session) fairShare(uses [][]resUse, crossing []bool) []float64 {
-	// Dense per-step resource build: first-seen order, flat member slices.
-	s.resIDs = s.resIDs[:0]
-	counts := make([]int32, 0, 64)
-	for _, u := range uses {
-		for _, e := range u {
-			if s.slot[e.res] == -1 {
-				s.slot[e.res] = int32(len(s.resIDs))
-				s.resIDs = append(s.resIDs, e.res)
-				counts = append(counts, 0)
-			}
-			counts[s.slot[e.res]]++
+// use counts one crossing of topology resource id by the transfer whose
+// uses begin at s.uses[start].
+func (s *session) use(start int, id int32, capacity float64) {
+	r := s.slot[id]
+	if r < 0 {
+		r = int32(len(s.caps))
+		s.slot[id] = r
+		s.caps = append(s.caps, capacity)
+	}
+	for i := start; i < len(s.uses); i++ {
+		if s.uses[i].res == r {
+			s.uses[i].mult++
+			return
 		}
 	}
-	s.offsets = append(s.offsets[:0], 0)
-	total := int32(0)
-	for _, c := range counts {
-		total += c
-		s.offsets = append(s.offsets, total)
-	}
-	if cap(s.members) < int(total) {
-		s.members = make([]member, total)
-	} else {
-		s.members = s.members[:total]
-	}
-	next := append([]int32(nil), s.offsets[:len(counts)]...)
-	for ti, u := range uses {
-		for _, e := range u {
-			r := s.slot[e.res]
-			s.members[next[r]] = member{idx: int32(ti), mult: e.mult}
-			next[r]++
-		}
-	}
+	s.uses = append(s.uses, resUse{res: r, mult: 1})
+}
 
-	rates := make([]float64, len(uses))
-	frozen := make([]bool, len(uses))
-	for i := range uses {
-		if !crossing[i] {
-			rates[i] = math.Inf(1)
-			frozen[i] = true
+// index builds the member lists and the per-call buffers once every
+// transfer has been added.
+func (s *session) index() {
+	nRes, nTr := len(s.caps), len(s.crossing)
+	lo := make([]int32, nRes+1)
+	for _, u := range s.uses {
+		lo[u.res+1]++
+	}
+	for r := 0; r < nRes; r++ {
+		lo[r+1] += lo[r]
+	}
+	s.memLo = lo[:nRes]
+	s.memHi = append([]int32(nil), s.memLo...)
+	s.members = make([]member, len(s.uses))
+	for t := 0; t < nTr; t++ {
+		for _, u := range s.uses[s.useOff[t]:s.useOff[t+1]] {
+			s.members[s.memHi[u.res]] = member{idx: int32(t), mult: u.mult}
+			s.memHi[u.res]++
+		}
+	}
+	s.state = make([]uint8, nTr)
+	s.rates = make([]float64, nTr)
+	s.mult = make([]int32, nRes)
+	s.used = make([]float64, nRes)
+	s.dirty = make([]bool, nRes)
+	s.seen = make([]uint32, nRes)
+	s.order = make([]int32, 0, nRes)
+}
+
+// share computes the max-min fair rates of the active transfers, given in
+// transfer order, into s.rates via progressive filling. Single-server
+// walks receive +Inf (local copies are not network-bound).
+//
+// Every rate is bit-identical to a from-scratch fill of the same active
+// set (refFairShare in the tests): resources are visited in the active
+// set's first-seen order, and a resource's frozen-rate sum is refolded
+// from zero in member order, never accumulated, after one of its members
+// froze. Members outside the active set are masked out of every fold.
+func (s *session) share(active []int32) {
+	s.stamp++
+	s.order = s.order[:0]
+	for _, t := range active {
+		cross := s.crossing[t]
+		if cross {
+			s.state[t] = unfrozen
+		} else {
+			s.state[t] = frozen
+			s.rates[t] = math.Inf(1)
+		}
+		for _, u := range s.uses[s.useOff[t]:s.useOff[t+1]] {
+			r := u.res
+			if s.seen[r] != s.stamp {
+				s.seen[r] = s.stamp
+				s.order = append(s.order, r)
+				s.mult[r], s.used[r], s.dirty[r] = 0, 0, false
+			}
+			if cross {
+				s.mult[r] += u.mult
+			} else {
+				s.dirty[r] = true
+			}
 		}
 	}
 
 	level := 0.0
 	for {
-		// Remaining headroom per resource and active multiplicity.
+		// Remaining headroom per resource that still has unfrozen members;
+		// the others leave the visit order for good.
 		bottleneck := math.Inf(1)
-		anyActive := false
-		for r := range s.resIDs {
-			used := 0.0
-			activeMult := 0
-			for _, m := range s.members[s.offsets[r]:s.offsets[r+1]] {
-				if frozen[m.idx] {
-					used += rates[m.idx] * float64(m.mult)
-				} else {
-					activeMult += int(m.mult)
-				}
-			}
-			if activeMult == 0 {
+		live := s.order[:0]
+		for _, r := range s.order {
+			if s.mult[r] == 0 {
 				continue
 			}
-			anyActive = true
-			grow := (s.caps[s.resIDs[r]] - used - level*float64(activeMult)) / float64(activeMult)
+			live = append(live, r)
+			if s.dirty[r] {
+				s.refold(r)
+			}
+			am := float64(s.mult[r])
+			grow := (s.caps[r] - s.used[r] - level*am) / am
 			if grow < bottleneck {
 				bottleneck = grow
 			}
 		}
-		if !anyActive {
+		s.order = live
+		if len(live) == 0 {
 			break
 		}
 		if bottleneck < 0 {
 			bottleneck = 0
 		}
 		level += bottleneck
-		// Freeze every unfrozen transfer on a saturated resource.
+		// Freeze every unfrozen transfer on a saturated resource. A freeze
+		// changes the sums of resources visited later in this same pass.
 		progressed := false
-		for r := range s.resIDs {
-			used := 0.0
-			activeMult := 0
-			lo, hi := s.offsets[r], s.offsets[r+1]
-			for _, m := range s.members[lo:hi] {
-				if frozen[m.idx] {
-					used += rates[m.idx] * float64(m.mult)
-				} else {
-					activeMult += int(m.mult)
-				}
-			}
-			if activeMult == 0 {
+		for _, r := range live {
+			if s.mult[r] == 0 {
 				continue
 			}
-			if used+level*float64(activeMult) >= s.caps[s.resIDs[r]]-1e-9 {
-				for _, m := range s.members[lo:hi] {
-					if !frozen[m.idx] {
-						frozen[m.idx] = true
-						rates[m.idx] = level
+			if s.dirty[r] {
+				s.refold(r)
+			}
+			if s.used[r]+level*float64(s.mult[r]) >= s.caps[r]-1e-9 {
+				for _, m := range s.members[s.memLo[r]:s.memHi[r]] {
+					if s.state[m.idx] == unfrozen {
+						s.freeze(m.idx, level)
 						progressed = true
 					}
 				}
@@ -275,23 +301,51 @@ func (s *session) fairShare(uses [][]resUse, crossing []bool) []float64 {
 		}
 		if !progressed {
 			// No resource saturates (all remaining transfers unconstrained —
-			// possible only with infinite capacities). Give them the level and
+			// possible only with infinite capacities). Give them +Inf and
 			// stop.
-			for i := range frozen {
-				if !frozen[i] {
-					frozen[i] = true
-					rates[i] = math.Inf(1)
+			for _, t := range active {
+				if s.state[t] == unfrozen {
+					s.state[t] = frozen
+					s.rates[t] = math.Inf(1)
 				}
 			}
 			break
 		}
 	}
-
-	// Reset the per-step slot table for the next call.
-	for _, id := range s.resIDs {
-		s.slot[id] = -1
+	for _, t := range active {
+		s.state[t] = idle
 	}
-	return rates
+}
+
+// refold recomputes resource r's frozen-rate sum from zero in member order,
+// dropping finished members, which never return.
+func (s *session) refold(r int32) {
+	used := 0.0
+	k := s.memLo[r]
+	for _, m := range s.members[s.memLo[r]:s.memHi[r]] {
+		switch s.state[m.idx] {
+		case finished:
+			continue
+		case frozen:
+			used += s.rates[m.idx] * float64(m.mult)
+		}
+		s.members[k] = m
+		k++
+	}
+	s.memHi[r] = k
+	s.used[r] = used
+	s.dirty[r] = false
+}
+
+// freeze fixes transfer t's rate at level and takes it out of the active
+// multiplicity of every resource it uses.
+func (s *session) freeze(t int32, level float64) {
+	s.state[t] = frozen
+	s.rates[t] = level
+	for _, u := range s.uses[s.useOff[t]:s.useOff[t+1]] {
+		s.mult[u.res] -= u.mult
+		s.dirty[u.res] = true
+	}
 }
 
 // FairShare computes the max-min fair rate of each transfer (all treated as
@@ -299,26 +353,23 @@ func (s *session) fairShare(uses [][]resUse, crossing []bool) []float64 {
 // stays on one server (no links) receive +Inf. Rates are in data units per
 // time unit.
 func (n *Network) FairShare(transfers []*Transfer) ([]float64, error) {
-	s := n.newSession()
-	uses := make([][]resUse, len(transfers))
-	crossing := make([]bool, len(transfers))
-	for i, tr := range transfers {
+	s := n.newSession(len(transfers))
+	for _, tr := range transfers {
 		walk, err := n.ExpandRoute(tr.Route)
 		if err != nil {
 			return nil, err
 		}
-		crossing[i] = len(walk) > 1
-		if uses[i], err = s.uses(walk); err != nil {
+		if err := s.add(walk); err != nil {
 			return nil, err
 		}
 	}
-	return s.fairShare(uses, crossing), nil
-}
-
-// FairShare is the topology-level variant of Network.FairShare for callers
-// without an oracle at hand.
-func FairShare(topo *topology.Topology, transfers []*Transfer) ([]float64, error) {
-	return NewNetwork(netstate.New(topo)).FairShare(transfers)
+	s.index()
+	active := make([]int32, len(transfers))
+	for i := range active {
+		active[i] = int32(i)
+	}
+	s.share(active)
+	return s.rates, nil
 }
 
 // FlowStats summarizes one transfer's outcome.
@@ -346,79 +397,25 @@ type Result struct {
 	TotalBytes float64
 }
 
-// Throughput returns TotalBytes / Makespan (0 when degenerate).
-func (r *Result) Throughput() float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return r.TotalBytes / r.Makespan
-}
-
-// AvgTransferTime averages the bandwidth-bound transfer times.
-func (r *Result) AvgTransferTime() float64 {
-	if len(r.Flows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, f := range r.Flows {
-		sum += f.TransferTime
-	}
-	return sum / float64(len(r.Flows))
-}
-
-// AvgPropagationDelay averages per-flow route latencies (Figure 7(b)).
-func (r *Result) AvgPropagationDelay() float64 {
-	if len(r.Flows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, f := range r.Flows {
-		sum += f.PropagationDelay
-	}
-	return sum / float64(len(r.Flows))
-}
-
-// AvgHops averages route lengths (Figure 7(a)).
-func (r *Result) AvgHops() float64 {
-	if len(r.Flows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, f := range r.Flows {
-		sum += float64(f.Hops)
-	}
-	return sum / float64(len(r.Flows))
-}
-
 // Simulate runs the fluid simulation to completion: at each step it computes
 // the max-min fair shares of the transfers active at the current time,
 // advances to the next completion or arrival, and repeats. Routes are
-// expanded and resource-indexed once up front; each step reuses the walks.
-// It returns an error when any route is invalid. Transfers with zero bytes
-// complete at their start instant.
+// expanded and resource-indexed once up front; each step reuses the index.
+// It returns an error when any route is invalid or any transfer's bytes or
+// start is negative or not finite. Transfers with zero bytes complete at
+// their start instant.
 func (n *Network) Simulate(transfers []*Transfer) (*Result, error) {
-	return n.simulate(transfers, (*session).fairShare)
-}
-
-// simulate is Simulate with the progressive-filling routine passed in, so
-// tests can pin whole runs against a reference fair share.
-func (n *Network) simulate(transfers []*Transfer, share func(*session, [][]resUse, []bool) []float64) (*Result, error) {
-	sess := n.newSession()
+	s := n.newSession(len(transfers))
 	res := &Result{Flows: make(map[flow.ID]*FlowStats, len(transfers))}
-	type state struct {
-		tr        *Transfer
-		remaining float64
-		uses      []resUse
-		crossing  bool
-		done      bool
-	}
-	states := make([]*state, len(transfers))
-	seen := make(map[flow.ID]bool, len(transfers))
+	flows := make([]FlowStats, len(transfers))
+	remaining := make([]float64, len(transfers))
 	for i, tr := range transfers {
-		if seen[tr.ID] {
+		if _, dup := res.Flows[tr.ID]; dup {
 			return nil, fmt.Errorf("netsim: duplicate transfer ID %d", tr.ID)
 		}
-		seen[tr.ID] = true
+		if math.IsNaN(tr.Bytes) || math.IsInf(tr.Bytes, 0) || math.IsNaN(tr.Start) || math.IsInf(tr.Start, 0) {
+			return nil, fmt.Errorf("netsim: transfer %d has non-finite bytes/start", tr.ID)
+		}
 		if tr.Bytes < 0 || tr.Start < 0 {
 			return nil, fmt.Errorf("netsim: transfer %d has negative bytes/start", tr.ID)
 		}
@@ -426,64 +423,73 @@ func (n *Network) simulate(transfers []*Transfer, share func(*session, [][]resUs
 		if err != nil {
 			return nil, err
 		}
-		uses, err := sess.uses(walk)
-		if err != nil {
+		if err := s.add(walk); err != nil {
 			return nil, err
 		}
-		states[i] = &state{tr: tr, remaining: tr.Bytes, uses: uses, crossing: len(walk) > 1}
-		res.Flows[tr.ID] = &FlowStats{
+		flows[i] = FlowStats{
 			ID:               tr.ID,
 			Bytes:            tr.Bytes,
 			Hops:             len(walk) - 1,
 			PropagationDelay: n.oracle.PathLatency(walk),
 		}
+		res.Flows[tr.ID] = &flows[i]
 		res.TotalBytes += tr.Bytes
+		remaining[i] = tr.Bytes
 	}
+	s.index()
 
-	// Reusable active-set buffers.
-	activeUses := make([][]resUse, 0, len(states))
-	activeCross := make([]bool, 0, len(states))
-	activeStates := make([]*state, 0, len(states))
+	// Arrival queue: transfers by start, ties in transfer order. Starts only
+	// grow along it, so the transfers arrived by any instant are a prefix.
+	queue := make([]int32, len(transfers))
+	for i := range queue {
+		queue[i] = int32(i)
+	}
+	slices.SortStableFunc(queue, func(a, b int32) int {
+		return cmp.Compare(transfers[a].Start, transfers[b].Start)
+	})
+	head := 0
+	// The arrived, unfinished transfers in transfer order.
+	active := make([]int32, 0, len(transfers))
 
 	now := 0.0
 	for step := 0; ; step++ {
 		if step > 4*len(transfers)+16 {
 			return nil, fmt.Errorf("netsim: simulation did not converge after %d steps", step)
 		}
-		// Active set at `now`; also find the next arrival.
-		activeUses = activeUses[:0]
-		activeCross = activeCross[:0]
-		activeStates = activeStates[:0]
-		nextArrival := math.Inf(1)
-		pendingWork := false
-		for _, st := range states {
-			if st.done {
-				continue
-			}
-			pendingWork = true
-			if st.tr.Start > now+1e-12 {
-				if st.tr.Start < nextArrival {
-					nextArrival = st.tr.Start
-				}
-				continue
-			}
-			if st.remaining <= 1e-12 {
-				st.done = true
-				res.Flows[st.tr.ID].Finish = now
-				res.Flows[st.tr.ID].TransferTime = now - st.tr.Start
+		// Admit every transfer that starts by now+1e-12.
+		first := head
+		for head < len(queue) && !(transfers[queue[head]].Start > now+1e-12) {
+			head++
+		}
+		if head > first {
+			active = append(active, queue[first:head]...)
+			slices.Sort(active)
+		}
+		if len(active) == 0 && head == len(queue) {
+			break // nothing pending
+		}
+		// A transfer is done at the first step that sees it drained.
+		k := 0
+		for _, t := range active {
+			if remaining[t] <= 1e-12 {
+				st := &flows[t]
+				st.Finish = now
+				st.TransferTime = now - transfers[t].Start
 				if now > res.Makespan {
 					res.Makespan = now
 				}
+				s.state[t] = finished
 				continue
 			}
-			activeUses = append(activeUses, st.uses)
-			activeCross = append(activeCross, st.crossing)
-			activeStates = append(activeStates, st)
+			active[k] = t
+			k++
 		}
-		if !pendingWork {
-			break
+		active = active[:k]
+		nextArrival := math.Inf(1)
+		if head < len(queue) {
+			nextArrival = transfers[queue[head]].Start
 		}
-		if len(activeStates) == 0 {
+		if len(active) == 0 {
 			if math.IsInf(nextArrival, 1) {
 				break // only zero-byte stragglers, handled above
 			}
@@ -491,16 +497,16 @@ func (n *Network) simulate(transfers []*Transfer, share func(*session, [][]resUs
 			continue
 		}
 
-		rates := share(sess, activeUses, activeCross)
+		s.share(active)
 		// Time to the next completion.
 		dt := math.Inf(1)
-		for i, st := range activeStates {
-			if rates[i] <= 0 {
+		for _, t := range active {
+			if s.rates[t] <= 0 {
 				continue
 			}
-			t := st.remaining / rates[i]
-			if t < dt {
-				dt = t
+			d := remaining[t] / s.rates[t]
+			if d < dt {
+				dt = d
 			}
 		}
 		if math.IsInf(dt, 1) {
@@ -509,23 +515,17 @@ func (n *Network) simulate(transfers []*Transfer, share func(*session, [][]resUs
 		if nextArrival-now < dt {
 			dt = nextArrival - now
 		}
-		for i, st := range activeStates {
-			if math.IsInf(rates[i], 1) {
-				st.remaining = 0
+		for _, t := range active {
+			if math.IsInf(s.rates[t], 1) {
+				remaining[t] = 0
 			} else {
-				st.remaining -= rates[i] * dt
+				remaining[t] -= s.rates[t] * dt
 			}
-			if st.remaining < 1e-12 {
-				st.remaining = 0
+			if remaining[t] < 1e-12 {
+				remaining[t] = 0
 			}
 		}
 		now += dt
 	}
 	return res, nil
-}
-
-// Simulate is the topology-level variant of Network.Simulate for callers
-// without an oracle at hand.
-func Simulate(topo *topology.Topology, transfers []*Transfer) (*Result, error) {
-	return NewNetwork(netstate.New(topo)).Simulate(transfers)
 }

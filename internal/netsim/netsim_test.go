@@ -3,12 +3,17 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/flow"
+	"repro/internal/netstate"
 	"repro/internal/topology"
 )
+
+// newNet binds a simulator to a fresh oracle over topo.
+func newNet(topo *topology.Topology) *Network { return NewNetwork(netstate.New(topo)) }
 
 // linearTopo builds s0 - w0 - w1 - s1 with the given link bandwidth and
 // switch capacity.
@@ -31,7 +36,8 @@ func linearTopo(t *testing.T, bw, swCap float64) (*topology.Topology, []topology
 
 func TestExpandRouteSplicesGaps(t *testing.T) {
 	topo, n := linearTopo(t, 1, topology.InfiniteCapacity)
-	walk, err := ExpandRoute(topo, []topology.NodeID{n[0], n[3]})
+	net := newNet(topo)
+	walk, err := net.ExpandRoute([]topology.NodeID{n[0], n[3]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +48,14 @@ func TestExpandRouteSplicesGaps(t *testing.T) {
 		t.Errorf("expanded walk invalid: %v", err)
 	}
 	// Already-adjacent elements pass through unchanged; repeated nodes collapse.
-	walk2, err := ExpandRoute(topo, []topology.NodeID{n[0], n[1], n[1], n[2], n[3]})
+	walk2, err := net.ExpandRoute([]topology.NodeID{n[0], n[1], n[1], n[2], n[3]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(walk2) != 4 {
 		t.Errorf("walk2 = %v, want 4 nodes", walk2)
 	}
-	if _, err := ExpandRoute(topo, nil); err == nil {
+	if _, err := net.ExpandRoute(nil); err == nil {
 		t.Error("empty route accepted")
 	}
 }
@@ -57,7 +63,7 @@ func TestExpandRouteSplicesGaps(t *testing.T) {
 func TestFairShareSingleFlow(t *testing.T) {
 	topo, n := linearTopo(t, 2, topology.InfiniteCapacity)
 	tr := &Transfer{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10}
-	rates, err := FairShare(topo, []*Transfer{tr})
+	rates, err := newNet(topo).FairShare([]*Transfer{tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func TestFairShareTwoFlowsShareBottleneck(t *testing.T) {
 	topo, n := linearTopo(t, 2, topology.InfiniteCapacity)
 	a := &Transfer{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10}
 	b := &Transfer{ID: 1, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10}
-	rates, err := FairShare(topo, []*Transfer{a, b})
+	rates, err := newNet(topo).FairShare([]*Transfer{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +89,7 @@ func TestFairShareSwitchCapacityBinds(t *testing.T) {
 	// Links are fat (10) but the switches only process 1 unit.
 	topo, n := linearTopo(t, 10, 1)
 	a := &Transfer{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10}
-	rates, err := FairShare(topo, []*Transfer{a})
+	rates, err := newNet(topo).FairShare([]*Transfer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func TestFairShareSwitchCapacityBinds(t *testing.T) {
 func TestFairShareLocalFlowUnconstrained(t *testing.T) {
 	topo, n := linearTopo(t, 1, topology.InfiniteCapacity)
 	local := &Transfer{ID: 0, Route: []topology.NodeID{n[0]}, Bytes: 5}
-	rates, err := FairShare(topo, []*Transfer{local})
+	rates, err := newNet(topo).FairShare([]*Transfer{local})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func TestFairShareMaxMinProperty(t *testing.T) {
 	a := &Transfer{ID: 0, Route: []topology.NodeID{w0, w2}, Bytes: 1}  // both middle links
 	bb := &Transfer{ID: 1, Route: []topology.NodeID{w0, w1}, Bytes: 1} // first middle link
 	c := &Transfer{ID: 2, Route: []topology.NodeID{w1, w2}, Bytes: 1}  // second middle link
-	rates, err := FairShare(topo, []*Transfer{a, bb, c})
+	rates, err := newNet(topo).FairShare([]*Transfer{a, bb, c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +141,7 @@ func TestFairShareMaxMinProperty(t *testing.T) {
 		}
 	}
 	// Asymmetric: give C its own parallel... instead check freeing B raises A.
-	rates2, err := FairShare(topo, []*Transfer{a, c})
+	rates2, err := newNet(topo).FairShare([]*Transfer{a, c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestFairShareMaxMinProperty(t *testing.T) {
 func TestSimulateSingleTransfer(t *testing.T) {
 	topo, n := linearTopo(t, 2, topology.InfiniteCapacity)
 	tr := &Transfer{ID: 7, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10}
-	res, err := Simulate(topo, []*Transfer{tr})
+	res, err := newNet(topo).Simulate([]*Transfer{tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +173,8 @@ func TestSimulateSingleTransfer(t *testing.T) {
 	if math.Abs(res.Makespan-5) > 1e-9 {
 		t.Errorf("makespan = %v", res.Makespan)
 	}
-	if math.Abs(res.Throughput()-2) > 1e-9 {
-		t.Errorf("throughput = %v, want 2", res.Throughput())
-	}
-	if res.AvgHops() != 3 || res.AvgPropagationDelay() != 2 {
-		t.Error("averages wrong")
+	if res.TotalBytes != 10 {
+		t.Errorf("total bytes = %v, want 10", res.TotalBytes)
 	}
 }
 
@@ -180,7 +183,7 @@ func TestSimulateSerialCompletion(t *testing.T) {
 	topo, n := linearTopo(t, 1, topology.InfiniteCapacity)
 	a := &Transfer{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10}
 	b := &Transfer{ID: 1, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10}
-	res, err := Simulate(topo, []*Transfer{a, b})
+	res, err := newNet(topo).Simulate([]*Transfer{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +194,7 @@ func TestSimulateSerialCompletion(t *testing.T) {
 	// flow1 has 10 left at rate 1 -> finish 20.
 	c := &Transfer{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 5}
 	d := &Transfer{ID: 1, Route: []topology.NodeID{n[0], n[3]}, Bytes: 15}
-	res, err = Simulate(topo, []*Transfer{c, d})
+	res, err = newNet(topo).Simulate([]*Transfer{c, d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +210,7 @@ func TestSimulateStaggeredStart(t *testing.T) {
 	topo, n := linearTopo(t, 1, topology.InfiniteCapacity)
 	a := &Transfer{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10, Start: 0}
 	b := &Transfer{ID: 1, Route: []topology.NodeID{n[0], n[3]}, Bytes: 10, Start: 5}
-	res, err := Simulate(topo, []*Transfer{a, b})
+	res, err := newNet(topo).Simulate([]*Transfer{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ func TestSimulateZeroBytesAndLocal(t *testing.T) {
 	topo, n := linearTopo(t, 1, topology.InfiniteCapacity)
 	z := &Transfer{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 0}
 	l := &Transfer{ID: 1, Route: []topology.NodeID{n[0]}, Bytes: 42}
-	res, err := Simulate(topo, []*Transfer{z, l})
+	res, err := newNet(topo).Simulate([]*Transfer{z, l})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +244,8 @@ func TestSimulateZeroBytesAndLocal(t *testing.T) {
 	if res.Makespan != 0 {
 		t.Errorf("makespan = %v", res.Makespan)
 	}
-	if res.Throughput() != 0 {
-		t.Errorf("degenerate throughput = %v, want 0", res.Throughput())
+	if res.TotalBytes != 42 {
+		t.Errorf("total bytes = %v, want 42", res.TotalBytes)
 	}
 }
 
@@ -252,28 +255,46 @@ func TestSimulateErrors(t *testing.T) {
 		{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 1},
 		{ID: 0, Route: []topology.NodeID{n[0], n[3]}, Bytes: 1},
 	}
-	if _, err := Simulate(topo, dup); err == nil {
+	if _, err := newNet(topo).Simulate(dup); err == nil {
 		t.Error("duplicate IDs accepted")
 	}
-	if _, err := Simulate(topo, []*Transfer{{ID: 0, Route: []topology.NodeID{n[0]}, Bytes: -1}}); err == nil {
+	if _, err := newNet(topo).Simulate([]*Transfer{{ID: 0, Route: []topology.NodeID{n[0]}, Bytes: -1}}); err == nil {
 		t.Error("negative bytes accepted")
 	}
-	if _, err := Simulate(topo, []*Transfer{{ID: 0, Route: nil, Bytes: 1}}); err == nil {
+	if _, err := newNet(topo).Simulate([]*Transfer{{ID: 0, Route: nil, Bytes: 1}}); err == nil {
 		t.Error("empty route accepted")
+	}
+	for _, tc := range []struct {
+		name         string
+		bytes, start float64
+	}{
+		{"NaN bytes", math.NaN(), 0},
+		{"+Inf bytes", math.Inf(1), 0},
+		{"NaN start", 1, math.NaN()},
+		{"+Inf start", 1, math.Inf(1)},
+	} {
+		trs := []*Transfer{
+			{ID: 4, Route: []topology.NodeID{n[0], n[3]}, Bytes: 1},
+			{ID: 5, Route: []topology.NodeID{n[0], n[3]}, Bytes: tc.bytes, Start: tc.start},
+		}
+		_, err := newNet(topo).Simulate(trs)
+		if err == nil || !strings.Contains(err.Error(), "transfer 5 ") {
+			t.Errorf("%s: error %v, want one naming transfer 5", tc.name, err)
+		}
 	}
 }
 
 func TestSimulateEmpty(t *testing.T) {
 	topo, _ := linearTopo(t, 1, topology.InfiniteCapacity)
-	res, err := Simulate(topo, nil)
+	res, err := newNet(topo).Simulate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Makespan != 0 || len(res.Flows) != 0 {
 		t.Errorf("empty sim: %+v", res)
 	}
-	if res.AvgHops() != 0 || res.AvgTransferTime() != 0 || res.AvgPropagationDelay() != 0 {
-		t.Error("empty averages non-zero")
+	if res.TotalBytes != 0 {
+		t.Errorf("empty sim moved %v bytes", res.TotalBytes)
 	}
 }
 
@@ -286,6 +307,7 @@ func TestQuickFairShareFeasibleAndSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := topo.Servers()
+	net := newNet(topo)
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		count := int(n%6) + 2
@@ -301,7 +323,7 @@ func TestQuickFairShareFeasibleAndSaturated(t *testing.T) {
 		if len(transfers) == 0 {
 			return true
 		}
-		rates, err := FairShare(topo, transfers)
+		rates, err := net.FairShare(transfers)
 		if err != nil {
 			return false
 		}
@@ -314,7 +336,7 @@ func TestQuickFairShareFeasibleAndSaturated(t *testing.T) {
 		linkUse := make(map[[2]topology.NodeID]*usage)
 		swUse := make(map[topology.NodeID]*usage)
 		for i, tr := range transfers {
-			walk, err := ExpandRoute(topo, tr.Route)
+			walk, err := net.ExpandRoute(tr.Route)
 			if err != nil {
 				return false
 			}
@@ -367,7 +389,7 @@ func TestQuickFairShareFeasibleAndSaturated(t *testing.T) {
 			if math.IsInf(rates[i], 1) {
 				continue
 			}
-			walk, _ := ExpandRoute(topo, tr.Route)
+			walk, _ := net.ExpandRoute(tr.Route)
 			saturated := false
 			for k := 1; k < len(walk) && !saturated; k++ {
 				if u := linkUse[[2]topology.NodeID{walk[k-1], walk[k]}]; u != nil && u.used >= u.cap-1e-6 {
@@ -412,7 +434,7 @@ func TestQuickSimulateConservation(t *testing.T) {
 				Start: rng.Float64() * 3,
 			})
 		}
-		res, err := Simulate(topo, transfers)
+		res, err := newNet(topo).Simulate(transfers)
 		if err != nil {
 			return false
 		}
@@ -441,6 +463,9 @@ func TestQuickSimulateConservation(t *testing.T) {
 	}
 }
 
+// benchRates keeps benchmark results live.
+var benchRates []float64
+
 func BenchmarkFairShare64Flows(b *testing.B) {
 	topo, err := topology.NewTree(3, 4, topology.LinkParams{Bandwidth: 1, SwitchCapacity: 48})
 	if err != nil {
@@ -455,13 +480,18 @@ func BenchmarkFairShare64Flows(b *testing.B) {
 			Bytes: 1,
 		})
 	}
+	net := newNet(topo)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FairShare(topo, transfers); err != nil {
+		if benchRates, err = net.FairShare(transfers); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// benchResult keeps benchmark results live.
+var benchResult *Result
 
 func BenchmarkSimulate64Flows(b *testing.B) {
 	topo, err := topology.NewTree(3, 4, topology.LinkParams{Bandwidth: 1, SwitchCapacity: 48})
@@ -480,9 +510,40 @@ func BenchmarkSimulate64Flows(b *testing.B) {
 		}
 		return transfers
 	}
+	net := newNet(topo)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(topo, mk()); err != nil {
+		if benchResult, err = net.Simulate(mk()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulateTestbed1024 is a testbed-shaped shuffle: 1,024
+// transfers between the 64 servers of the paper's tree, in 16 start groups
+// of 64 as map waves end, at the testbed's link bandwidth and switch
+// capacity.
+func BenchmarkSimulateTestbed1024(b *testing.B) {
+	topo, err := topology.NewPaperTree(topology.LinkParams{Bandwidth: 0.08, SwitchCapacity: 48})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := topo.Servers()
+	transfers := make([]*Transfer, 1024)
+	for i := range transfers {
+		transfers[i] = &Transfer{
+			ID:    flow.ID(i),
+			Route: []topology.NodeID{srv[i%len(srv)], srv[(i*7+3)%len(srv)]},
+			Bytes: 0.1 + 0.05*float64(i%9),
+			Start: 2 * float64(i/64),
+		}
+	}
+	net := newNet(topo)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchResult, err = net.Simulate(transfers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,8 +54,8 @@ func (c Config) withDefaults() Config {
 // FlowSpec is one packet stream over a fixed route.
 type FlowSpec struct {
 	ID flow.ID
-	// Route is the concrete node walk (use netsim.ExpandRoute for policy
-	// routes with gaps).
+	// Route is the concrete node walk (expand policy routes with gaps
+	// through netsim.Network.ExpandRoute).
 	Route []topology.NodeID
 	// Bytes to send.
 	Bytes float64

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/netsim"
+	"repro/internal/netstate"
 	"repro/internal/topology"
 )
 
@@ -363,7 +364,7 @@ func TestDelayFetcherMatchesNetsimSingleFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := netsim.Simulate(topo, []*netsim.Transfer{{
+	res, err := netsim.NewNetwork(netstate.New(topo)).Simulate([]*netsim.Transfer{{
 		ID: 0, Route: []topology.NodeID{srv[0], srv[15]}, Bytes: size,
 	}})
 	if err != nil {
