@@ -17,13 +17,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the seventeen taalint checks (maporder, floateq, rngsource,
+# lint runs the fifteen taalint checks (maporder, floateq, rngsource,
 # wallclock, oraclebypass, epochbump, atomicguard, errcompare, mergeorder,
-# purity, publishfreeze, poolescape, arbitercommit, panicpath, lockorder,
-# chandiscipline, snapshotfreeze) over every non-test package, fails on
-# any unsuppressed finding, and with -prune also fails on stale
-# //taalint: suppressions. Checks run concurrently by default; pass
-# -serial to cmd/taalint to fall back to one-at-a-time execution.
+# purity, publishfreeze, poolescape, panicpath, lockorder, snapshotfreeze)
+# over every non-test package, fails on any unsuppressed finding, and with
+# -prune also fails on stale //taalint: suppressions. Checks run
+# concurrently by default; pass -serial to cmd/taalint to fall back to
+# one-at-a-time execution.
 lint:
 	$(GO) run ./cmd/taalint -prune
 
@@ -49,10 +49,10 @@ bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 
 # BENCH_PKGS and BENCH_NAMES select the gated benchmarks: the root
-# package's scalability/oracle/multi-scheduler families and netsim's fair
-# share and fluid simulation.
+# package's scalability/oracle families and netsim's fair share and fluid
+# simulation.
 BENCH_PKGS = . ./internal/netsim
-BENCH_NAMES = HitScalability|PathOracle|MultiScheduler|FairShare64Flows|Simulate64Flows|SimulateTestbed1024
+BENCH_NAMES = HitScalability|PathOracle|FairShare64Flows|Simulate64Flows|SimulateTestbed1024
 
 # bench-json runs the gated benchmarks once each and archives one
 # machine-readable BENCH_local.json (CI emits BENCH_<sha>.json per commit,
@@ -81,11 +81,9 @@ bench-baseline:
 # chaos runs the fault-injection harness under the race detector: randomized
 # seeded fault schedules replayed bit-identically, with the run-time
 # invariants (no policy through a dead switch, zero overload after reaction)
-# enforced inside the simulator. The supervise leg injects
-# scheduler-internal faults — worker panics, stalls, poisoned proposals —
-# and demands sharded output stay bit-identical to sequential.
+# enforced inside the simulator.
 chaos:
-	$(GO) test -race -run Chaos ./internal/faults/... ./internal/sim/... ./internal/supervise/...
+	$(GO) test -race -run Chaos ./internal/faults/... ./internal/sim/...
 
 # perfbench-smoke runs the repository benchmark's own checks, which the
 # root `go test ./...` does not reach (perfbench is its own module): the

@@ -3,10 +3,11 @@
 //
 // Usage:
 //
-//	hitsim [-scheduler hit|capacity|pna|random]
+//	hitsim [-scheduler hit|capacity|pna|cam|anneal|random]
 //	       [-topology tree|fattree|bcube|vl2] [-servers N]
 //	       [-jobs N] [-class heavy|medium|light|mixed]
-//	       [-bandwidth F] [-seed N] [-shards N]
+//	       [-bandwidth F] [-seed N] [-gantt]
+//	       [-trace FILE] [-trace-out FILE]
 //	       [-checkpoint FILE] [-resume FILE] [-halt-after-wave N]
 //
 // Exit codes: 0 success (including an orderly -halt-after-wave stop),
@@ -18,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/cluster"
@@ -25,7 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/supervise"
 	"repro/internal/taasearch"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -44,7 +45,6 @@ type config struct {
 	gantt      bool
 	tracePath  string
 	traceOut   string
-	shards     int
 	checkpoint string
 	resume     string
 	haltAfter  int
@@ -73,7 +73,6 @@ func main() {
 	flag.BoolVar(&cfg.gantt, "gantt", false, "print an ASCII job timeline")
 	flag.StringVar(&cfg.tracePath, "trace", "", "replay a workload trace file (overrides -jobs/-class)")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "save the generated workload as a trace file")
-	flag.IntVar(&cfg.shards, "shards", 0, "presolve shard workers for the hit scheduler (0 = sequential)")
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write a resumable checkpoint to FILE at every wave boundary")
 	flag.StringVar(&cfg.resume, "resume", "", "resume the run from a checkpoint FILE")
 	flag.IntVar(&cfg.haltAfter, "halt-after-wave", 0, "stop after N map waves (with the boundary checkpoint written)")
@@ -97,16 +96,10 @@ func main() {
 }
 
 func run(cfg config, out io.Writer) error {
-	var sup *supervise.Supervisor
 	var sched scheduler.Scheduler
 	switch cfg.schedName {
 	case "hit":
-		hs := &core.HitScheduler{Shards: cfg.shards}
-		if cfg.shards > 1 {
-			sup = supervise.New(supervise.Config{})
-			hs.Supervisor = sup
-		}
-		sched = hs
+		sched = &core.HitScheduler{}
 	case "capacity":
 		sched = scheduler.Capacity{}
 	case "pna":
@@ -120,14 +113,17 @@ func run(cfg config, out io.Writer) error {
 	default:
 		return usagef("unknown scheduler %q", cfg.schedName)
 	}
-	if cfg.shards != 0 && cfg.schedName != "hit" {
-		return usagef("-shards applies only to the hit scheduler")
+	if cfg.tracePath == "" && cfg.nJobs < 1 {
+		return usagef("-jobs must be at least 1 without -trace, got %d", cfg.nJobs)
+	}
+	if !(cfg.bandwidth > 0) || math.IsInf(cfg.bandwidth, 1) {
+		return usagef("-bandwidth must be finite and positive, got %g", cfg.bandwidth)
+	}
+	if cfg.haltAfter < 0 {
+		return usagef("-halt-after-wave must be non-negative, got %d", cfg.haltAfter)
 	}
 	if cfg.haltAfter > 0 && cfg.checkpoint == "" {
 		return usagef("-halt-after-wave requires -checkpoint (the boundary checkpoint is the resume point)")
-	}
-	if cfg.resume != "" && cfg.tracePath == "" && cfg.nJobs == 0 {
-		return usagef("-resume needs the identical workload (same -jobs/-class/-seed or -trace)")
 	}
 
 	topo, err := topology.NewArchitecture(cfg.topoName, cfg.servers, topology.LinkParams{
@@ -198,7 +194,7 @@ func run(cfg config, out io.Writer) error {
 
 	opts := sim.Options{Seed: cfg.seed, HaltAfterWave: cfg.haltAfter}
 	if cfg.checkpoint != "" {
-		opts.CheckpointSink = checkpointSink(cfg.checkpoint, sup)
+		opts.CheckpointSink = checkpointSink(cfg.checkpoint)
 	}
 	if cfg.resume != "" {
 		ck, err := loadCheckpoint(cfg.resume)
@@ -206,11 +202,6 @@ func run(cfg config, out io.Writer) error {
 			return err
 		}
 		opts.Resume = ck
-		// Resume the resilience trajectory too, so a resumed sharded run
-		// continues the same hysteresis state it halted with.
-		if sup != nil {
-			sup.Restore(ck.Supervisor)
-		}
 	}
 
 	eng, err := sim.New(topo, cluster.Resources{CPU: 4, Memory: 8192}, sched, opts)
@@ -250,32 +241,6 @@ func run(cfg config, out io.Writer) error {
 	agg.AddRowf([]string{"%s", "%d"}, "network flows", res.NumFlows)
 	fmt.Fprintln(out, agg.String())
 
-	// Supervision summary: only for supervised (sharded) runs, so the
-	// default sequential output stays byte-identical to earlier versions.
-	if sup != nil {
-		st := sup.Stats()
-		sv := metrics.NewTable("Supervision", "metric", "value")
-		sv.AddRowf([]string{"%s", "%d"}, "commits adopted", st.Adopted)
-		for _, r := range supervise.ReplayReasons() {
-			sv.AddRowf([]string{"%s", "%d"}, "replays: "+r.String(), st.Replays[r])
-		}
-		sv.AddRowf([]string{"%s", "%d"}, "worker panics isolated", st.Panics)
-		sv.AddRowf([]string{"%s", "%d"}, "worker stalls", st.Stalls)
-		sv.AddRowf([]string{"%s", "%d"}, "cells over budget", st.OverBudget)
-		sv.AddRowf([]string{"%s", "%d"}, "proposals poisoned", st.Poisons)
-		sv.AddRowf([]string{"%s", "%d"}, "degradations", st.Degradations)
-		sv.AddRowf([]string{"%s", "%d"}, "re-escalations", st.Reescalations)
-		sv.AddRowf([]string{"%s", "%d"}, "degradation level", st.Level)
-		mode := "full fan-out"
-		switch {
-		case st.Pinned:
-			mode = "pinned sequential (storm limit)"
-		case st.Level > 0:
-			mode = "degraded (conflict storm)"
-		}
-		sv.AddRowf([]string{"%s", "%s"}, "mode", mode)
-		fmt.Fprintln(out, sv.String())
-	}
 	if cfg.gantt {
 		fmt.Fprintln(out, sim.RenderGantt(res, 72))
 	}
@@ -284,12 +249,9 @@ func run(cfg config, out io.Writer) error {
 
 // checkpointSink writes each wave-boundary checkpoint atomically
 // (temp file + rename) so a kill mid-write never corrupts the resume
-// point, attaching the supervisor's resilience state when present.
-func checkpointSink(path string, sup *supervise.Supervisor) func(*sim.Checkpoint) error {
+// point.
+func checkpointSink(path string) func(*sim.Checkpoint) error {
 	return func(ck *sim.Checkpoint) error {
-		if sup != nil {
-			ck.Supervisor = sup.Export()
-		}
 		tmp := path + ".tmp"
 		f, err := os.Create(tmp)
 		if err != nil {

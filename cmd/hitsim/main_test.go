@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -50,9 +51,15 @@ func TestRunErrors(t *testing.T) {
 		"unknown scheduler":           func(c *config) { c.schedName = "bogus" },
 		"unknown topology":            func(c *config) { c.topoName = "bogus" },
 		"unknown class":               func(c *config) { c.class = "bogus" },
-		"shards on non-hit":           func(c *config) { c.schedName = "random"; c.shards = 4 },
 		"halt without checkpoint":     func(c *config) { c.haltAfter = 1 },
+		"negative halt":               func(c *config) { c.haltAfter = -2; c.checkpoint = "x" },
+		"zero jobs":                   func(c *config) { c.nJobs = 0 },
+		"negative jobs":               func(c *config) { c.nJobs = -3 },
 		"resume without any workload": func(c *config) { c.resume = "x"; c.nJobs = 0 },
+		"negative bandwidth":          func(c *config) { c.bandwidth = -1 },
+		"zero bandwidth":              func(c *config) { c.bandwidth = 0 },
+		"NaN bandwidth":               func(c *config) { c.bandwidth = math.NaN() },
+		"infinite bandwidth":          func(c *config) { c.bandwidth = math.Inf(1) },
 	} {
 		cfg := base()
 		mutate(&cfg)
@@ -89,67 +96,35 @@ func TestRunTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunShardedPrintsSupervision: a sharded run appends the supervision
-// summary; the sequential default must not (so its output stays
-// byte-identical to earlier releases).
-func TestRunShardedPrintsSupervision(t *testing.T) {
-	var seq, shard bytes.Buffer
-	cfg := base()
-	if err := run(cfg, &seq); err != nil {
-		t.Fatal(err)
-	}
-	cfg.shards = 4
-	if err := run(cfg, &shard); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(seq.Bytes(), []byte("Supervision")) {
-		t.Error("sequential output grew a Supervision section")
-	}
-	if !bytes.Contains(shard.Bytes(), []byte("Supervision")) {
-		t.Error("sharded output lacks the Supervision section")
-	}
-	if !bytes.Contains(shard.Bytes(), []byte("replays: storm")) {
-		t.Error("sharded output lacks degraded-mode reason codes")
-	}
-	// The metric tables before the supervision section must agree: shard
-	// parity end to end.
-	if !bytes.HasPrefix(shard.Bytes(), seq.Bytes()[:bytes.Index(seq.Bytes(), []byte("Aggregate"))]) {
-		t.Error("sharded per-job tables diverge from sequential")
-	}
-}
-
 // TestRunCheckpointResumeByteIdentical is the CLI-level restore
 // guarantee: a run halted at a wave boundary and resumed from its
-// checkpoint prints byte-identical output to the uninterrupted run —
-// sequential and sharded (supervisor state rides the checkpoint).
+// checkpoint prints byte-identical output to the uninterrupted run.
 func TestRunCheckpointResumeByteIdentical(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		dir := t.TempDir()
-		ckPath := filepath.Join(dir, "run.ck")
-		cfg := base()
-		cfg.nJobs, cfg.seed, cfg.shards = 3, 7, shards
+	dir := t.TempDir()
+	ckPath := filepath.Join(dir, "run.ck")
+	cfg := base()
+	cfg.nJobs, cfg.seed = 3, 7
 
-		var full bytes.Buffer
-		if err := run(cfg, &full); err != nil {
-			t.Fatalf("shards %d: uninterrupted: %v", shards, err)
-		}
+	var full bytes.Buffer
+	if err := run(cfg, &full); err != nil {
+		t.Fatalf("uninterrupted: %v", err)
+	}
 
-		halted := cfg
-		halted.checkpoint = ckPath
-		halted.haltAfter = 1
-		if err := run(halted, io.Discard); !errors.Is(err, sim.ErrHalted) {
-			t.Fatalf("shards %d: want ErrHalted, got %v", shards, err)
-		}
+	halted := cfg
+	halted.checkpoint = ckPath
+	halted.haltAfter = 1
+	if err := run(halted, io.Discard); !errors.Is(err, sim.ErrHalted) {
+		t.Fatalf("want ErrHalted, got %v", err)
+	}
 
-		resumed := cfg
-		resumed.resume = ckPath
-		var got bytes.Buffer
-		if err := run(resumed, &got); err != nil {
-			t.Fatalf("shards %d: resume: %v", shards, err)
-		}
-		if !bytes.Equal(full.Bytes(), got.Bytes()) {
-			t.Errorf("shards %d: resumed output differs from uninterrupted run", shards)
-		}
+	resumed := cfg
+	resumed.resume = ckPath
+	var got bytes.Buffer
+	if err := run(resumed, &got); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if !bytes.Equal(full.Bytes(), got.Bytes()) {
+		t.Error("resumed output differs from uninterrupted run")
 	}
 }
 

@@ -17,11 +17,16 @@ func TestListExitsZero(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errw); code != 0 {
 		t.Fatalf("run(-list) = %d, want 0 (stderr: %s)", code, errw.String())
 	}
-	for _, want := range []string{"maporder", "epochbump", "atomicguard", "errcompare", "mergeorder",
-		"purity", "publishfreeze", "poolescape", "lockorder", "chandiscipline", "snapshotfreeze"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("-list output missing check %q:\n%s", want, out.String())
-		}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		got = append(got, strings.Fields(line)[0])
+	}
+	want := []string{"maporder", "floateq", "rngsource", "wallclock", "oraclebypass",
+		"epochbump", "atomicguard", "errcompare", "mergeorder",
+		"purity", "publishfreeze", "poolescape",
+		"panicpath", "lockorder", "snapshotfreeze"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("-list names %v, want the fifteen checks %v", got, want)
 	}
 }
 

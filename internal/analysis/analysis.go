@@ -14,9 +14,10 @@
 // and four checks on top of it: epochbump, atomicguard, errcompare and
 // mergeorder. v3 adds an interprocedural effects layer (effects.go) —
 // per-function write-effect summaries fixed-pointed over the call graph —
-// and three concurrency-readiness checks for the multi-scheduler era:
-// purity, publishfreeze and poolescape (see their files for the precise
-// rules).
+// and three concurrency-readiness checks: purity, publishfreeze and
+// poolescape. panicpath, lockorder and snapshotfreeze guard the
+// concurrency that remains: internal/parallel fan-outs and the netstate
+// and controller locks (see each check's file for the precise rules).
 //
 // A finding on a given line is suppressed by a comment of the form
 //
@@ -151,10 +152,8 @@ func All() []Check {
 		Purity{},
 		PublishFreeze{},
 		PoolEscape{},
-		ArbiterCommit{},
 		PanicPath{},
 		LockOrder{},
-		ChanDiscipline{},
 		SnapshotFreeze{},
 	}
 }
@@ -476,7 +475,6 @@ var decisionPackages = map[string]bool{
 	"yarn":        true,
 	"experiments": true,
 	"faults":      true,
-	"multisched":  true,
 }
 
 // wallclockPackages are the import-path base names that must use the

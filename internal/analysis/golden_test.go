@@ -40,20 +40,14 @@ var goldenFixtures = []struct {
 	{"purity", "purity", "fixture/netstate"},
 	{"publishfreeze", "publishfreeze", "fixture/netstate"},
 	{"poolescape", "poolescape", "fixture/stablematch"},
-	// arbitercommit matches mutators on "(Receiver).Method" suffixes gated
-	// by package base, so one package masquerading as multisched can
-	// declare its own Controller/Cluster and still hit the real tables.
-	{"arbitercommit", "arbitercommit", "fixture/multisched"},
 	// panicpath is purely syntactic but scoped to decision packages, so
 	// the fixture masquerades as sim.
 	{"panicpath", "panicpath", "fixture/sim"},
 	// v4 concurrency-soundness checks. lockorder tracks mutexes owned by
 	// the concurrent packages and snapshotfreeze's source table keys on
 	// "(Oracle).Method" gated by the netstate base, so both fixtures
-	// masquerade as netstate; chandiscipline's field rule is scoped to
-	// decision packages, so its fixture masquerades as multisched.
+	// masquerade as netstate.
 	{"lockorder", "lockorder", "fixture/netstate"},
-	{"chandiscipline", "chandiscipline", "fixture/multisched"},
 	{"snapshotfreeze", "snapshotfreeze", "fixture/netstate"},
 }
 

@@ -63,7 +63,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	var pkgs []*analysis.Package
 	for _, fx := range []struct{ dir, path string }{
 		{"testdata/src/lockorder", "fixture/netstate"},
-		{"testdata/src/chandiscipline", "fixture/multisched"},
+		{"testdata/src/mergeorder", "fixture/core"},
 		{"testdata/src/snapshotfreeze", "fixture/netstate2"},
 		{"testdata/src/floateq", "fixture/floateq"},
 	} {

@@ -14,16 +14,14 @@ import (
 // sync.RWMutex owned by the concurrent packages (loPackages) must be
 // acyclic.
 //
-// PR-8/9 gave the scheduler a genuinely concurrent core: the netstate
-// oracle's six lock domains, the pair-route shard stripes and the
-// supervisor's window mutex are all taken from shard workers, the
-// arbiter and the scheduling goroutine at once. Deadlock freedom for
-// plain mutexes reduces to one global property — there is a total order
-// on locks such that every nested acquisition respects it. This check
-// computes the "acquired-while-held" relation statically and fails on
-// any cycle, so an inverted nesting (pairMu inside typeMu here, typeMu
-// inside pairMu there) is caught at lint time instead of as a
-// once-a-week hang under -race.
+// The netstate oracle supports concurrent readers, so its six lock domains
+// and the pair-route shard stripes can be taken from several goroutines at
+// once. Deadlock freedom for plain mutexes reduces to one global property
+// — there is a total order on locks such that every nested acquisition
+// respects it. This check computes the "acquired-while-held" relation
+// statically and fails on any cycle, so an inverted nesting (pairMu inside
+// typeMu here, typeMu inside pairMu there) is caught at lint time instead
+// of as a once-a-week hang under -race.
 //
 // Graph construction, per declared function (and separately per
 // goroutine-launched literal, which starts with an empty held set):
@@ -43,7 +41,7 @@ import (
 //     no edges — the convention is enforced by construction.
 //   - Code that runs on ANOTHER goroutine — `go` statements and
 //     function literals handed to the pool entry points
-//     (acPoolEntrypoints) — is excluded from the launcher's walk and
+//     (poolEntrypoints) — is excluded from the launcher's walk and
 //     walked as its own root instead: holding H while STARTING a
 //     goroutine that takes L is not nesting.
 //
@@ -62,8 +60,6 @@ import (
 // mutex vars are tracked lock nodes.
 var loPackages = map[string]bool{
 	"netstate":   true,
-	"multisched": true,
-	"supervise":  true,
 	"controller": true,
 }
 
@@ -129,7 +125,7 @@ func (LockOrder) Name() string { return "lockorder" }
 
 // Doc implements Check.
 func (LockOrder) Doc() string {
-	return "the static lock-acquisition graph over netstate/multisched/supervise/controller mutexes must be acyclic"
+	return "the static lock-acquisition graph over netstate/controller mutexes must be acyclic"
 }
 
 // RunModule implements ModuleCheck.
@@ -187,7 +183,7 @@ func loLockKey(pkg *Package, recv ast.Expr) string {
 			return ""
 		}
 		key := shortKey(fieldAccessKey(owner, field)) // "netstate.Oracle.pairMu"
-		if loPackages[acPkgBase(key)] {
+		if loPackages[keyPkgBase(key)] {
 			return key
 		}
 	case *ast.Ident:
@@ -242,7 +238,7 @@ func loLockCall(pkg *Package, call *ast.CallExpr) (key string, acquire, ok bool)
 // that run on other goroutines (queued on workers instead, for their
 // own root walks): go-statement literals and function literals passed
 // to the pool entry points. Function literals invoked synchronously
-// (Once.Do, Supervisor.Isolate, deferred closures) are walked inline.
+// (Once.Do, deferred closures) are walked inline.
 // When releases is false, release events are dropped — the
 // deferred-unlock semantics: a lock released only by a defer stays held
 // to the end of the function.
@@ -272,7 +268,7 @@ func loScan(pkg *Package, n ast.Node, releases bool, workers *[]*ast.FuncLit) []
 			if callee != "" {
 				events = append(events, loEvent{kind: loCall, callee: callee, pos: x.Pos()})
 			}
-			if acPoolEntrypoints[shortKey(callee)] {
+			if poolEntrypoints[shortKey(callee)] {
 				// The literal arguments run on pool worker goroutines:
 				// queue them as roots and walk only the other args.
 				for _, a := range x.Args {

@@ -40,14 +40,11 @@ var oracleOnly = map[string]bool{
 // while any node is down — and internal/netstate is where the
 // fallback-to-BFS gating lives. A consumer calling them directly must
 // reimplement that gating, and a missed refusal check silently serves
-// healthy-graph distances on a degraded fabric. ServerCell is not a
-// distance oracle but lives behind the same door: Oracle.CellOf is the
-// consumer API, with the access-switch fallback for irregular graphs.
+// healthy-graph distances on a degraded fabric.
 var structuralOnly = map[string]bool{
 	"StructuralDist":   true,
 	"LowestCommonTier": true,
 	"StageTemplate":    true,
-	"ServerCell":       true,
 }
 
 // Name implements Check.

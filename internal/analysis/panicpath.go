@@ -6,14 +6,11 @@ import (
 
 // PanicPath forbids naked `go` statements in the decision packages. A
 // worker goroutine launched bare has no recover wrapper: a panic in it
-// kills the whole process instead of poisoning one cell, and the
-// supervised degradation ladder (DESIGN.md §11) never gets to classify
-// the failure or replay the work sequentially. Every fan-out in a
-// decision package must flow through a recover-wrapped entry point —
-// supervise.(Supervisor).Go for supervised cell workers, or the
+// kills the whole process instead of failing the one task that raised
+// it. Every fan-out in a decision package must flow through the
 // internal/parallel pool (ForEach/Map), whose safeCall wrapper converts
-// panics to errors. Those two packages are deliberately NOT decision
-// packages, so their own launch sites stay legal.
+// panics to errors. That package is deliberately NOT a decision package,
+// so its own launch sites stay legal.
 //
 // The check is purely syntactic — any *ast.GoStmt is a finding — because
 // the contract is structural: there is no "safe" naked goroutine in a
@@ -25,7 +22,7 @@ func (PanicPath) Name() string { return "panicpath" }
 
 // Doc implements Check.
 func (PanicPath) Doc() string {
-	return "no naked go statements in decision packages; fan out through supervise.Supervisor.Go or internal/parallel"
+	return "no naked go statements in decision packages; fan out through internal/parallel"
 }
 
 // Run implements Check.
@@ -37,7 +34,7 @@ func (PanicPath) Run(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				p.Reportf(g.Pos(),
-					"naked go statement in a decision package; launch workers through supervise.Supervisor.Go or internal/parallel so panics are isolated and replayed")
+					"naked go statement in a decision package; launch workers through internal/parallel so panics surface as errors")
 			}
 			return true
 		})

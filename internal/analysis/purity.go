@@ -9,14 +9,12 @@ import (
 // must be write-free on monitored shared state, except the blessed
 // memo-install sites.
 //
-// ROADMAP item 2 runs N optimistic scheduler goroutines against one
-// shared Oracle. Its read API is advertised as safe for concurrent use
-// precisely because reads either hit immutable published tables or
-// install memo entries through atomic publishes and lock-guarded shard
-// fills. Any OTHER write reachable from a read — a stray counter, a
-// "quick fix" cache poke, a liveness flip — is a data race the type
-// system cannot see and the race detector only catches if a test happens
-// to interleave it.
+// The netstate oracle's read API is advertised as safe for concurrent use
+// precisely because reads either hit immutable published tables or install
+// memo entries through atomic publishes and lock-guarded shard fills. Any
+// OTHER write reachable from a read — a stray counter, a "quick fix" cache
+// poke, a liveness flip — is a data race the type system cannot see and
+// the race detector only catches if a test happens to interleave it.
 //
 // The check floods the static call graph from the read-API roots
 // (puRoots), then inspects every reached function's direct write effects

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // snapshotfreeze: values obtained from the netstate oracle's blessed
@@ -14,9 +15,9 @@ import (
 // The oracle's read API (DistRow, ShortestPath, TypeTemplate, BestRoute,
 // StagesForTemplate, ...) deliberately returns SHARED cache-resident
 // slices — "callers must not modify" is in every doc comment, and the
-// whole multischeduler rests on it: shard workers presolve against
-// Snapshot-pinned state concurrently, so one worker writing a distance
-// row corrupts every other worker's reads and the arbiter's replay.
+// preference build's workers rely on it: they read the same distance
+// rows concurrently, so one worker writing a row corrupts every other
+// worker's reads.
 // publishfreeze proves the PRODUCER side (published values immutable
 // after the atomic store); this check proves the CONSUMER side across
 // goroutine boundaries, extending the same freeze discipline to every
@@ -24,9 +25,8 @@ import (
 //
 // Scope: code that runs on a worker goroutine — the body of every
 // `go func(){...}`, every function literal passed to a pool entry point
-// (acPoolEntrypoints: internal/parallel fan-outs and
-// supervise.Supervisor.Go), every named `go` callee, and everything
-// those reach through the static call graph.
+// (poolEntrypoints: the internal/parallel fan-outs), every named `go`
+// callee, and everything those reach through the static call graph.
 //
 // Within each analyzed declaration a flow-insensitive taint fixpoint
 // tracks two flavors:
@@ -59,7 +59,6 @@ type SnapshotFreeze struct{}
 // launders them — but keeping the full blessed list here documents the
 // contract in one place.
 var sfSources = map[string]bool{
-	"(Oracle).Snapshot":          true,
 	"(Oracle).Dist":              true,
 	"(Oracle).DistRow":           true,
 	"(Oracle).ShortestPath":      true,
@@ -76,6 +75,32 @@ var sfSources = map[string]bool{
 	"(Oracle).PathBandwidth":     true,
 }
 
+// poolEntrypoints are the fan-out calls whose function-literal arguments
+// run on worker goroutines: the internal/parallel pool entry points.
+var poolEntrypoints = map[string]bool{
+	"parallel.ForEach": true,
+	"parallel.Map":     true,
+}
+
+// recvMethod extracts the "(Receiver).Method" suffix of a method key,
+// or "" for plain functions.
+func recvMethod(key FuncKey) string {
+	i := strings.Index(key, ".(")
+	if i < 0 {
+		return ""
+	}
+	return key[i+1:]
+}
+
+// keyPkgBase extracts the package base name of an index key.
+func keyPkgBase(key FuncKey) string {
+	s := shortKey(key)
+	if i := strings.IndexByte(s, '.'); i >= 0 {
+		return s[:i]
+	}
+	return s
+}
+
 // Name implements Check.
 func (SnapshotFreeze) Name() string { return "snapshotfreeze" }
 
@@ -86,8 +111,8 @@ func (SnapshotFreeze) Doc() string {
 
 // sfIsSource reports whether a callee key is a blessed oracle read.
 func sfIsSource(callee FuncKey) bool {
-	rm := acRecvMethod(callee)
-	return rm != "" && sfSources[rm] && acPkgBase(callee) == "netstate"
+	rm := recvMethod(callee)
+	return rm != "" && sfSources[rm] && keyPkgBase(callee) == "netstate"
 }
 
 // sfTaintSet is the per-declaration taint state.
@@ -330,7 +355,7 @@ func (SnapshotFreeze) RunModule(mp *ModulePass) {
 							seed(resolveCall(pkg, x.Call), shortKey(declKey(pkg, fd)))
 						}
 					case *ast.CallExpr:
-						if !acPoolEntrypoints[shortKey(resolveCall(pkg, x))] {
+						if !poolEntrypoints[shortKey(resolveCall(pkg, x))] {
 							return true
 						}
 						for _, a := range x.Args {

@@ -5,17 +5,8 @@ package fixture
 
 import "sync"
 
-// Supervisor stands in for the recover-wrapped launcher a real decision
-// package would get from internal/supervise.
-type Supervisor struct{ wg sync.WaitGroup }
-
-// Go is the blessed launch path; its own body may use `go` only because
-// the real one lives in the supervise package, which is not a decision
-// package. Here it must not, so it runs fn inline.
-func (s *Supervisor) Go(fn func()) { fn() }
-
 // FanOut launches a naked worker goroutine: a panic in the closure kills
-// the process instead of poisoning a cell. Flagged.
+// the process instead of surfacing as an error. Flagged.
 func FanOut(work []int) {
 	var wg sync.WaitGroup
 	for range work {
@@ -39,14 +30,6 @@ func signal(done chan struct{}) { close(done) }
 func Inline(fn func()) {
 	defer fn()
 	fn()
-}
-
-// Supervised fans out through the recover-wrapped entry point. Not
-// flagged.
-func Supervised(s *Supervisor, work []int) {
-	for range work {
-		s.Go(func() {})
-	}
 }
 
 // Drain is a deliberate exception with a recorded reason; suppressed.

@@ -611,29 +611,13 @@ func (c *Controller) OptimizeInstalledDetailed(f *flow.Flow, loc flow.Locator) (
 	if err != nil {
 		return 0, opt, info, err
 	}
-	util, err := c.AdoptIfCheaper(f, opt, oldCost, newCost)
-	if err != nil {
-		return 0, opt, info, err
-	}
-	return util, opt, info, nil
-}
-
-// AdoptIfCheaper applies the optimizer's adoption rule — install opt only
-// when newCost improves oldCost by more than the 1e-12 float guard — and
-// returns the achieved utility (0 when the incumbent stays). It is the
-// single decision point shared by OptimizeInstalledDetailed and the
-// sharded scheduler's arbiter: a presolved proposal whose costs were
-// computed against a still-valid snapshot lands bit-identically to a live
-// re-solve, because both paths funnel through this comparison and the
-// same Install.
-func (c *Controller) AdoptIfCheaper(f *flow.Flow, opt *flow.Policy, oldCost, newCost float64) (float64, error) {
 	if newCost >= oldCost-1e-12 {
-		return 0, nil
+		return 0, opt, info, nil
 	}
 	if err := c.Install(f, opt); err != nil {
-		return 0, err
+		return 0, opt, info, err
 	}
-	return oldCost - newCost, nil
+	return oldCost - newCost, opt, info, nil
 }
 
 // TotalCost evaluates the TAA objective over the installed policies.

@@ -35,11 +35,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/flow"
-	"repro/internal/multisched"
 	"repro/internal/parallel"
 	"repro/internal/scheduler"
 	"repro/internal/stablematch"
-	"repro/internal/supervise"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -67,30 +65,6 @@ type HitScheduler struct {
 	// either way (the incremental path only skips work it can prove is a
 	// no-op), so this switch exists for parity tests and perf comparison.
 	DisableIncremental bool
-	// Shards > 1 runs the wave through the sharded optimistic scheduler
-	// (internal/multisched): candidate scans, Algorithm-1 presolves and the
-	// preference build fan out over up to Shards goroutines organized by
-	// topology cell, and a deterministic arbiter commits in sequential flow
-	// order. Output is Float64bits-identical to Shards <= 1 at any shard
-	// count (DESIGN.md §10); with Shards <= 1 the sequential code paths run
-	// byte-for-byte unchanged.
-	Shards int
-	// Workers caps the fan-out of the parallel inner phases (preference
-	// build, stable-match validation). Zero derives the cap from Shards
-	// when sharded, else from GOMAXPROCS exactly as before — set it only
-	// to keep a sharded scheduler from oversubscribing shared cores.
-	Workers int
-	// Supervisor, when non-nil, is the resilience runtime threaded through
-	// the sharded service (internal/supervise): panic isolation, operation
-	// budgets, conflict-storm degradation, and — for the chaos harness —
-	// deterministic scheduler-internal fault injection. Sharing one
-	// Supervisor across Schedule calls lets its hysteresis span waves;
-	// nil gives each Schedule call a fresh default supervisor. Sequential
-	// runs (Shards <= 1) never consult it. Under every supervised failure
-	// mode the output stays Float64bits-identical to sequential — the
-	// supervisor only ever redirects flows onto the sequential replay
-	// path, never changes a value.
-	Supervisor *supervise.Supervisor
 
 	// rowCap overrides the proposer-row cut of the rack-bucket build
 	// (maxRowLen when zero). Tests shrink it to force cut rows and the
@@ -99,19 +73,6 @@ type HitScheduler struct {
 	// onRebuild, when set, observes each full-row re-match with the number
 	// of proposers rebuilt. Tests only.
 	onRebuild func(proposers int)
-}
-
-// fanout resolves the inner-phase worker cap: an explicit Workers wins,
-// a sharded run reuses its shard budget, and the sequential default (0,
-// meaning GOMAXPROCS inside parallel.ForEach) stays as it always was.
-func (h *HitScheduler) fanout() int {
-	if h.Workers > 0 {
-		return h.Workers
-	}
-	if h.Shards > 1 {
-		return h.Shards
-	}
-	return 0
 }
 
 // Name implements scheduler.Scheduler.
@@ -154,13 +115,6 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 	movable := h.movableTasks(req)
 	flows := req.Flows
 
-	// The sharded service (nil when Shards <= 1, which leaves every
-	// sequential code path below byte-for-byte untouched).
-	var ms *multisched.Service
-	if h.Shards > 1 {
-		ms = multisched.NewSupervised(req.Controller, req.Cluster, h.Shards, h.Supervisor)
-	}
-
 	var report *scheduler.ScheduleReport
 	if req.Degraded {
 		report = req.Report
@@ -174,43 +128,37 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 	// degraded mode a container with no feasible server is reported and
 	// skipped (with its flows) instead of aborting the wave.
 	dropped := make(map[cluster.ContainerID]bool)
-	if ms != nil {
-		if err := h.placeInitialSharded(ms, req, movable, report, dropped); err != nil {
-			return err
+	// One candidate list per demand class, scanned on first use and
+	// then kept equal to a live scan: placements only ever fill
+	// servers, so a list changes only by dropping the server just
+	// filled, once it no longer fits the class.
+	var pools []startPool
+	for _, t := range movable {
+		ct := req.Cluster.Container(t.Container)
+		if ct.Placed() {
+			continue
 		}
-	} else {
-		// One candidate list per demand class, scanned on first use and
-		// then kept equal to a live scan: placements only ever fill
-		// servers, so a list changes only by dropping the server just
-		// filled, once it no longer fits the class.
-		var pools []startPool
-		for _, t := range movable {
-			ct := req.Cluster.Container(t.Container)
-			if ct.Placed() {
+		pi := slices.IndexFunc(pools, func(p startPool) bool { return p.demand == ct.Demand })
+		if pi < 0 {
+			pi = len(pools)
+			pools = append(pools, startPool{demand: ct.Demand, cands: req.Cluster.AppendCandidates(nil, t.Container)})
+		}
+		cands := pools[pi].cands
+		if len(cands) == 0 {
+			if report != nil {
+				report.UnplacedContainers = append(report.UnplacedContainers, t.Container)
+				dropped[t.Container] = true
 				continue
 			}
-			pi := slices.IndexFunc(pools, func(p startPool) bool { return p.demand == ct.Demand })
-			if pi < 0 {
-				pi = len(pools)
-				pools = append(pools, startPool{demand: ct.Demand, cands: req.Cluster.AppendCandidates(nil, t.Container)})
-			}
-			cands := pools[pi].cands
-			if len(cands) == 0 {
-				if report != nil {
-					report.UnplacedContainers = append(report.UnplacedContainers, t.Container)
-					dropped[t.Container] = true
-					continue
-				}
-				return fmt.Errorf("core: %w for container %d", scheduler.ErrNoFeasibleServer, t.Container)
-			}
-			s := cands[req.Rand.Intn(len(cands))]
-			if err := req.Cluster.Place(t.Container, s); err != nil {
-				return err
-			}
-			free := req.Cluster.Free(s)
-			for i := range pools {
-				pools[i].drop(s, free)
-			}
+			return fmt.Errorf("core: %w for container %d", scheduler.ErrNoFeasibleServer, t.Container)
+		}
+		s := cands[req.Rand.Intn(len(cands))]
+		if err := req.Cluster.Place(t.Container, s); err != nil {
+			return err
+		}
+		free := req.Cluster.Free(s)
+		for i := range pools {
+			pools[i].drop(s, free)
 		}
 	}
 	if len(dropped) > 0 {
@@ -239,12 +187,6 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 		}
 		flows = kept
 	}
-	// Sharded runs pre-warm the oracle's template/stage caches on the
-	// shard workers; the sequential draw-and-install loop below then runs
-	// against warm caches. Pure reads — results are unchanged.
-	if ms != nil {
-		ms.WarmTemplates(flows, loc)
-	}
 	routable := flows[:0:0]
 	for _, f := range flows {
 		p, err := req.Controller.RandomPolicy(f, loc, req.Rand)
@@ -265,7 +207,7 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 	if h.isSubsequentWave(req, movable, flows) {
 		return h.scheduleSubsequentWave(req, movable, flows)
 	}
-	return h.scheduleInitialWave(ms, req, movable, flows)
+	return h.scheduleInitialWave(req, movable, flows)
 }
 
 // startPool is one demand class's candidate list for the random initial
@@ -419,8 +361,7 @@ func (st *runState) cleanFlow(req *scheduler.Request, f *flow.Flow, loc flow.Loc
 
 // scheduleInitialWave runs the full joint optimization loop over the
 // round's working flow set (req.Flows minus any degraded-mode exclusions).
-// ms is the sharded service, or nil for the sequential path.
-func (h *HitScheduler) scheduleInitialWave(ms *multisched.Service, req *scheduler.Request, movable []scheduler.Task, flows []*flow.Flow) error {
+func (h *HitScheduler) scheduleInitialWave(req *scheduler.Request, movable []scheduler.Task, flows []*flow.Flow) error {
 	loc := req.Locator()
 	st := newRunState()
 	best, err := req.Controller.TotalCost(flows, loc)
@@ -436,21 +377,15 @@ func (h *HitScheduler) scheduleInitialWave(ms *multisched.Service, req *schedule
 		// unfiltered now) are clean: re-solving is a proven no-op, so the
 		// sweep touches only the dirty set.
 		if !h.DisablePolicyOpt {
-			if ms != nil {
-				if err := h.optimizeFlowsSharded(ms, req, flows, loc, st); err != nil {
+			for _, f := range flows {
+				if h.incremental() && st.cleanFlow(req, f, loc) {
+					continue
+				}
+				_, opt, info, err := req.Controller.OptimizeInstalledDetailed(f, loc)
+				if err != nil {
 					return err
 				}
-			} else {
-				for _, f := range flows {
-					if h.incremental() && st.cleanFlow(req, f, loc) {
-						continue
-					}
-					_, opt, info, err := req.Controller.OptimizeInstalledDetailed(f, loc)
-					if err != nil {
-						return err
-					}
-					st.record(f, loc, opt, info)
-				}
+				st.record(f, loc, opt, info)
 			}
 		}
 
@@ -462,7 +397,7 @@ func (h *HitScheduler) scheduleInitialWave(ms *multisched.Service, req *schedule
 
 		// Phase 3 — policies must follow the new placement (type templates
 		// change when endpoints move racks).
-		if err := h.reinstallPolicies(ms, req, flows, loc, st); err != nil {
+		if err := h.reinstallPolicies(req, flows, loc, st); err != nil {
 			return err
 		}
 
@@ -482,7 +417,7 @@ func (h *HitScheduler) scheduleInitialWave(ms *multisched.Service, req *schedule
 			if err := req.Cluster.Restore(bestSnap); err != nil {
 				return err
 			}
-			if err := h.reinstallPolicies(ms, req, flows, loc, st); err != nil {
+			if err := h.reinstallPolicies(req, flows, loc, st); err != nil {
 				return err
 			}
 		}
@@ -497,16 +432,11 @@ func (h *HitScheduler) scheduleInitialWave(ms *multisched.Service, req *schedule
 // flows (cleanFlow) reinstall their recorded solve output without paying
 // for the DP again; the uninstall/install sequence itself always runs in
 // full flow order, so switch loads accumulate in the historical order.
-func (h *HitScheduler) reinstallPolicies(ms *multisched.Service, req *scheduler.Request, flows []*flow.Flow, loc flow.Locator, st *runState) error {
+func (h *HitScheduler) reinstallPolicies(req *scheduler.Request, flows []*flow.Flow, loc flow.Locator, st *runState) error {
 	// Release the old routes first: stale switch loads from pre-move policies
 	// must not make the post-move optimum look infeasible.
 	for _, f := range flows {
 		req.Controller.Uninstall(f.ID)
-	}
-	// The sharded path covers the Algorithm-1 reinstalls; random policies
-	// (DisablePolicyOpt) draw from the sequential RNG and stay here.
-	if ms != nil && !h.DisablePolicyOpt {
-		return h.reinstallSharded(ms, req, flows, loc, st)
 	}
 	for _, f := range flows {
 		var p *flow.Policy
@@ -1019,7 +949,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	votes := make([][]int, len(containers)) // per incident flow: voted server index, -1 = none
 	prefRows := make([]*prefRow, len(containers))
 	limit := h.rowLimit()
-	workers := h.fanout()
+	workers := 0 // GOMAXPROCS
 	if len(containers)*len(servers) < parallelThreshold {
 		workers = 1
 	}
@@ -1206,7 +1136,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		var res *stablematch.Result
 		if h.incremental() {
 			if st.matchers[gi] == nil {
-				st.matchers[gi] = &stablematch.Matcher{Workers: h.fanout()}
+				st.matchers[gi] = &stablematch.Matcher{}
 			}
 			res, err = st.matchers[gi].Match(inst)
 		} else {
@@ -1350,7 +1280,5 @@ func (h *HitScheduler) scheduleSubsequentWave(req *scheduler.Request, movable []
 			return err
 		}
 	}
-	// Subsequent waves stay sequential: the greedy per-container scan is
-	// RNG- and order-free but cheap, and not worth a sharded variant.
-	return h.reinstallPolicies(nil, req, flows, loc, newRunState())
+	return h.reinstallPolicies(req, flows, loc, newRunState())
 }

@@ -131,14 +131,14 @@ type Oracle struct {
 	unitShards      []routeShard
 
 	// routeStats stripes the pair-route hit/miss counters by source server
-	// so concurrent shard presolves warming the cache don't serialize on
-	// two hot cache lines. PairRouteStats sums in fixed stripe order.
+	// so concurrent readers warming the cache don't serialize on two hot
+	// cache lines. PairRouteStats sums in fixed stripe order.
 	routeStats [routeStatStripes]routeStatStripe
 }
 
 // routeStatStripes is the stripe count for Oracle.routeStats. A power of
-// two so the stripe pick is a mask; eight comfortably covers the shard
-// counts the multischeduler runs.
+// two so the stripe pick is a mask; eight comfortably covers the reader
+// goroutines of a small host.
 const routeStatStripes = 8
 
 // routeStatStripe is one padded hit/miss counter pair. The tail pads the
@@ -244,56 +244,6 @@ func (o *Oracle) ensureLive() {
 // a blessed mutator calling BumpEpoch (directly or transitively) on every
 // mutating path discharges its epochbump proof obligation.
 func (o *Oracle) BumpEpoch() { o.epoch.Add(1) }
-
-// Snapshot is a copy-free handle pinning the oracle state a shard worker
-// presolved against: the combined epoch (parameter + liveness + controller
-// counters) plus the liveness version alone. It is three words of version
-// numbers, not a lock — taking one never blocks mutation. Workers record
-// the handle before reading; the arbiter validates proposals against it
-// before adopting them.
-type Snapshot struct {
-	o     *Oracle
-	epoch uint64
-	live  uint64
-}
-
-// Snapshot pins the oracle's current epoch and liveness version.
-func (o *Oracle) Snapshot() Snapshot {
-	return Snapshot{o: o, epoch: o.Epoch(), live: o.topo.LivenessVersion()}
-}
-
-// Current reports whether nothing — parameters, liveness, or controller
-// state — has changed since the snapshot was taken. Epoch() is a strictly
-// monotonic sum of the three version counters, so equality is a CAS-style
-// proof that every read made under the snapshot still holds.
-func (s Snapshot) Current() bool { return s.o != nil && s.o.Epoch() == s.epoch }
-
-// LiveUnchanged reports whether node liveness is as the snapshot saw it.
-// Weaker than Current: switch loads may have moved (commits land between
-// presolve and adoption), but every structure-derived cache a worker read
-// — distances, templates, stage lists, pair routes — is intact.
-func (s Snapshot) LiveUnchanged() bool {
-	return s.o != nil && s.o.topo.LivenessVersion() == s.live
-}
-
-// Epoch returns the pinned combined epoch.
-func (s Snapshot) Epoch() uint64 { return s.epoch }
-
-// CellOf returns the scheduling cell a server belongs to: the structural
-// rack/pod from the topology's coordinate records, or the access-switch ID
-// for irregular graphs, or 0 when neither applies (multi-homed irregular
-// servers). Cells are work-partition labels for the sharded scheduler —
-// servers of one cell share a presolve stream — and carry no distance
-// semantics; a degraded fabric keeps its cell map.
-func (o *Oracle) CellOf(server topology.NodeID) int {
-	if c, ok := o.topo.ServerCell(server); ok {
-		return c
-	}
-	if a := o.AccessSwitch(server); a != topology.None {
-		return int(a)
-	}
-	return 0
-}
 
 // BindLoad attaches the switch-load source (the controller's Load method).
 // An unbound oracle sees zero load everywhere.

@@ -371,7 +371,7 @@ func (o *Oracle) RouteCost(src, dst topology.NodeID, q RouteQuery) (float64, boo
 }
 
 // PairRouteStats reports cache hits and misses since construction. The
-// counters are striped by source server (parallel presolves bump disjoint
+// counters are striped by source server (concurrent readers bump disjoint
 // cache lines); the merge walks stripes in fixed index order, so for any
 // fixed multiset of recorded events the totals are deterministic.
 func (o *Oracle) PairRouteStats() (hits, misses uint64) {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // ForEach runs fn(i) for i in [0, n) on up to `workers` goroutines
@@ -75,89 +74,6 @@ func safeCall(fn func(int) error, i int) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// Group is a nested-safe concurrency limiter: one token budget shared by
-// every ForEach issued through it, no matter how deeply the calls nest.
-// Plain ForEach inside ForEach multiplies worker counts (outer×inner
-// goroutines all runnable at once — exactly the oversubscription the
-// sharded scheduler must avoid); a Group instead lets an inner fan-out
-// borrow only whatever tokens its siblings are not using.
-//
-// Deadlock freedom: the calling goroutine always executes tasks itself and
-// never waits for a token, so progress is guaranteed even when the budget
-// is exhausted by the callers' own ancestors. Helper goroutines are spawned
-// opportunistically, one per token acquired, and return their token when
-// the task stream drains.
-type Group struct {
-	limit  int
-	tokens chan struct{}
-}
-
-// NewGroup returns a Group that will run at most limit tasks concurrently
-// across all nested ForEach calls (limit <= 0 means GOMAXPROCS).
-func NewGroup(limit int) *Group {
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	// Callers work without a token, so limit-1 helper tokens give a
-	// non-nested ForEach exactly `limit` concurrent tasks; under nesting
-	// the ancestors already count toward the budget and the free-token
-	// pool shrinks accordingly.
-	return &Group{limit: limit, tokens: make(chan struct{}, limit-1)}
-}
-
-// Limit returns the group's concurrency budget.
-func (g *Group) Limit() int { return g.limit }
-
-// ForEach runs fn(i) for i in [0, n) under the group's shared budget and
-// returns the first error by index order; all tasks run even when one
-// fails. The same determinism contract as the package-level ForEach
-// applies: fn's captured writes must be index-addressed.
-func (g *Group) ForEach(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if fn == nil {
-		return fmt.Errorf("parallel: nil function")
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			errs[i] = safeCall(fn, i)
-		}
-	}
-	var wg sync.WaitGroup
-	// Spawn one helper per free token, capped at n-1 (the caller takes the
-	// stream too). A nested call finds its ancestors holding tokens and
-	// simply spawns fewer helpers — the shared budget is never exceeded.
-spawn:
-	for h := 0; h < n-1; h++ {
-		select {
-		case g.tokens <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-g.tokens }()
-				run()
-			}()
-		default:
-			break spawn // budget exhausted; the caller drains the rest
-		}
-	}
-	run()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Map runs fn for every index and collects the results in order.

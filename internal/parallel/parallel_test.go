@@ -2,8 +2,6 @@ package parallel
 
 import (
 	"errors"
-	"fmt"
-	"time"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -139,103 +137,5 @@ func TestQuickDeterministicResults(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestGroupNestedBudget is the regression test for nested fan-out: a Group
-// with limit L must never run more than L tasks at once even when every
-// outer task issues its own inner ForEach through the same group. Plain
-// ForEach-inside-ForEach multiplies worker counts; the shared token budget
-// must not.
-func TestGroupNestedBudget(t *testing.T) {
-	const limit = 3
-	g := NewGroup(limit)
-	var cur, peak atomic.Int64
-	enter := func() {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-	}
-	sum := make([]int64, 8*16)
-	err := g.ForEach(8, func(outer int) error {
-		return g.ForEach(16, func(inner int) error {
-			enter()
-			defer cur.Add(-1)
-			time.Sleep(200 * time.Microsecond)
-			sum[outer*16+inner] = int64(outer*16 + inner)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > limit {
-		t.Fatalf("nested Group.ForEach ran %d tasks concurrently, budget is %d", p, limit)
-	}
-	for i, v := range sum {
-		if v != int64(i) {
-			t.Fatalf("task %d did not run (got %d)", i, v)
-		}
-	}
-}
-
-// TestGroupErrorOrder: first error by index, all tasks still run.
-func TestGroupErrorOrder(t *testing.T) {
-	g := NewGroup(4)
-	var ran atomic.Int64
-	err := g.ForEach(10, func(i int) error {
-		ran.Add(1)
-		if i == 3 || i == 7 {
-			return fmt.Errorf("task %d", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "task 3" {
-		t.Fatalf("want first error by index (task 3), got %v", err)
-	}
-	if ran.Load() != 10 {
-		t.Fatalf("want all 10 tasks to run, ran %d", ran.Load())
-	}
-}
-
-// TestGroupPanic: panics become errors, the pool survives.
-func TestGroupPanic(t *testing.T) {
-	g := NewGroup(2)
-	err := g.ForEach(4, func(i int) error {
-		if i == 2 {
-			panic("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("panic not converted to error")
-	}
-}
-
-// TestGroupLimitOne: a unit budget degrades to the caller running every
-// task itself, still correctly and in bounded concurrency.
-func TestGroupLimitOne(t *testing.T) {
-	g := NewGroup(1)
-	if g.Limit() != 1 {
-		t.Fatalf("Limit() = %d", g.Limit())
-	}
-	var cur, peak atomic.Int64
-	err := g.ForEach(6, func(i int) error {
-		c := cur.Add(1)
-		defer cur.Add(-1)
-		if c > peak.Load() {
-			peak.Store(c)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() != 1 {
-		t.Fatalf("limit-1 group ran %d tasks concurrently", peak.Load())
 	}
 }

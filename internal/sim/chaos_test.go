@@ -176,48 +176,6 @@ func TestChaosFaultyRunsBitIdenticalAcrossReruns(t *testing.T) {
 	}
 }
 
-// TestChaosShardedMatchesSequential is the sharded scheduler's chaos
-// gate: under randomized fault schedules — crashes, degradations, task
-// failures, speculation — the optimistic multi-scheduler (Shards: 4)
-// must produce a run fingerprint bit-identical to the sequential
-// scheduler's. Every mid-run fault invalidates presolved proposals, so
-// this exercises the arbiter's replay path far harder than the healthy
-// parity tests; `make chaos` runs it under the race detector.
-func TestChaosShardedMatchesSequential(t *testing.T) {
-	spec := faults.Spec{Horizon: 50, Rate: 16, Severity: 0.6, MTTR: 8,
-		SwitchCrashW: 2, SwitchDegradeW: 1, LinkDegradeW: 1, ServerCrashW: 1}
-	for _, seed := range []int64{3, 7} {
-		jobs := chaosJobs(t, 2, seed)
-		run := func(shards int) *Result {
-			topo := chaosTopo(t)
-			plan := &faults.Plan{
-				Events: faults.GenerateTimeline(rand.New(rand.NewSource(seed)), topo, spec),
-				Tasks: faults.TaskModel{
-					FailureProb:   0.15,
-					StragglerProb: 0.15,
-					Speculation:   true,
-					Seed:          uint64(seed),
-				},
-			}
-			eng, err := New(topo, cluster.Resources{CPU: 4, Memory: 8192},
-				&core.HitScheduler{Shards: shards}, Options{Seed: seed, Faults: plan})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := eng.Run(jobs)
-			if err != nil {
-				t.Fatalf("seed %d shards %d: faulty run: %v", seed, shards, err)
-			}
-			return res
-		}
-		sequential := run(0)
-		sharded := run(4)
-		if !reflect.DeepEqual(resultFingerprint(sequential), resultFingerprint(sharded)) {
-			t.Errorf("seed %d: sharded fingerprint diverges from sequential under faults", seed)
-		}
-	}
-}
-
 // TestChaosEmptyPlanMatchesLegacy pins the zero-fault contract: an empty
 // plan takes the legacy path and must be indistinguishable — to the bit —
 // from not configuring faults at all.

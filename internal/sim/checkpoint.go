@@ -1,15 +1,17 @@
 package sim
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/flow"
-	"repro/internal/supervise"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -28,8 +30,8 @@ import (
 // ascending container ID so the sequential NewContainer IDs and the
 // order-independent Place accounting reproduce bit-identically; (b) the
 // shared RNG, restored by replaying the recorded number of source draws
-// (supervise.CountingSource.FastForward) — the generator is a pure
-// function of seed and draw count; and (c) nextFlowID, stored directly.
+// (CountingSource.FastForward) — the generator is a pure function of
+// seed and draw count; and (c) nextFlowID, stored directly.
 // A configuration digest over every run input guards against resuming
 // into a different world (ErrCheckpointMismatch).
 
@@ -98,12 +100,7 @@ type Checkpoint struct {
 	// RNGDraws is the number of source-level draws consumed so far; resume
 	// fast-forwards a fresh seeded source by exactly this count.
 	RNGDraws uint64
-	// Supervisor optionally carries the scheduler-side resilience state
-	// (degradation ladder, reason counters) so a resumed sharded run
-	// continues the same hysteresis trajectory. The engine itself does not
-	// read it — cmd/hitsim attaches and restores it.
-	Supervisor *supervise.State
-	Jobs       []JobCheckpoint
+	Jobs     []JobCheckpoint
 }
 
 // Save gob-encodes the checkpoint.
@@ -127,43 +124,54 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // them differs between checkpoint and resume, the resumed trajectory would
 // silently diverge, so Restore fails instead.
 func (e *Engine) configDigest(jobs []*workload.Job, arrivals []float64) uint64 {
-	var d supervise.Digest
-	d.Str(e.sched.Name())
-	d.Str(e.topo.Name())
-	d.Int(int64(e.topo.NumServers()))
-	d.Int(int64(e.topo.NumSwitches()))
-	d.Int(e.opts.Seed)
-	d.Int(int64(e.opts.ContainerDemand.CPU))
-	d.Int(int64(e.opts.ContainerDemand.Memory))
-	d.Float(e.opts.MapFetchBandwidth)
-	d.Float(e.opts.StragglerProb)
-	d.Float(e.opts.StragglerFactor)
-	d.Bool(e.opts.Speculation)
-	d.Int(int64(len(jobs)))
+	// FNV-1a 64 over a stream of little-endian 64-bit words; a string is
+	// its length word followed by its bytes.
+	var b []byte
+	word := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	str := func(s string) { word(uint64(len(s))); b = append(b, s...) }
+	float := func(f float64) { word(math.Float64bits(f)) }
+	str(e.sched.Name())
+	str(e.topo.Name())
+	word(uint64(e.topo.NumServers()))
+	word(uint64(e.topo.NumSwitches()))
+	word(uint64(e.opts.Seed))
+	word(uint64(e.opts.ContainerDemand.CPU))
+	word(uint64(e.opts.ContainerDemand.Memory))
+	float(e.opts.MapFetchBandwidth)
+	float(e.opts.StragglerProb)
+	float(e.opts.StragglerFactor)
+	speculation := uint64(0)
+	if e.opts.Speculation {
+		speculation = 1
+	}
+	word(speculation)
+	word(uint64(len(jobs)))
 	for _, j := range jobs {
-		d.Int(int64(j.ID))
-		d.Str(j.Benchmark)
-		d.Int(int64(j.Class))
-		d.Float(j.InputGB)
-		d.Float(j.RemoteMapGB)
-		d.Int(int64(j.NumMaps))
-		d.Int(int64(j.NumReduces))
+		word(uint64(j.ID))
+		str(j.Benchmark)
+		word(uint64(j.Class))
+		float(j.InputGB)
+		float(j.RemoteMapGB)
+		word(uint64(j.NumMaps))
+		word(uint64(j.NumReduces))
 		for _, row := range j.Shuffle {
 			for _, v := range row {
-				d.Float(v)
+				float(v)
 			}
 		}
 		for _, v := range j.MapComputeSec {
-			d.Float(v)
+			float(v)
 		}
 		for _, v := range j.ReduceComputeSec {
-			d.Float(v)
+			float(v)
 		}
 	}
 	for _, a := range arrivals {
-		d.Float(a)
+		float(a)
 	}
-	return d.Sum64()
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // checkpointable rejects run modes the checkpoint format does not cover:

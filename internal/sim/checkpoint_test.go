@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/flow"
 	"repro/internal/workload"
 )
 
@@ -182,5 +184,97 @@ func TestCheckpointRefusesUncoveredModes(t *testing.T) {
 	}
 	if _, err := reused.Run(jobs); err == nil {
 		t.Error("checkpointing a reused engine did not error")
+	}
+}
+
+// TestConfigDigestPinned pins configDigest's values, so checkpoints
+// written by earlier builds keep resuming: a digest change would reject
+// every one of them with ErrCheckpointMismatch.
+func TestConfigDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want uint64
+	}{
+		{1, 0xcef7e2c3585b6efd},
+		{5, 0x8bf8a232bc8b57d2},
+	} {
+		eng, err := New(chaosTopo(t), ckRes(), &core.HitScheduler{}, Options{Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.configDigest(ckJobs(t, tc.seed), []float64{0, 1.5}); got != tc.want {
+			t.Errorf("seed %d: configDigest = %#x, want %#x", tc.seed, got, tc.want)
+		}
+	}
+}
+
+// legacyCheckpoint mirrors the gob shape of a Checkpoint written when it
+// still carried the sharded scheduler's supervisor state. Gob matches
+// fields by name, so LoadCheckpoint must skip Supervisor and keep the rest.
+type legacyCheckpoint struct {
+	Version    int
+	Digest     uint64
+	Wave       int
+	NextFlowID flow.ID
+	RNGDraws   uint64
+	Supervisor *legacySupervisorState
+	Jobs       []JobCheckpoint
+}
+
+type legacySupervisorState struct {
+	Stats       legacySupervisorStats
+	Ring        []bool
+	RingI       int
+	RingFill    int
+	RingReplays int
+	Commits     int
+	ReprieveAt  int
+	Phases      uint64
+}
+
+type legacySupervisorStats struct {
+	Adopted int
+	Replays []int
+	Level   int
+	Pinned  bool
+}
+
+// TestCheckpointDecodesLegacySupervisorField: a checkpoint that carries
+// the dropped Supervisor field still decodes, unchanged in every field
+// that remains, and resumes bit-identically.
+func TestCheckpointDecodesLegacySupervisorField(t *testing.T) {
+	jobs := ckJobs(t, 2)
+	want, cks := runUninterrupted(t, 2, jobs)
+	ck := cks[0]
+	legacy := legacyCheckpoint{
+		Version: ck.Version, Digest: ck.Digest, Wave: ck.Wave,
+		NextFlowID: ck.NextFlowID, RNGDraws: ck.RNGDraws, Jobs: ck.Jobs,
+		Supervisor: &legacySupervisorState{
+			Stats: legacySupervisorStats{Adopted: 41, Replays: []int{0, 3, 1}, Level: 1},
+			Ring:  []bool{true, false, true}, RingI: 2, RingFill: 3, RingReplays: 2,
+			Commits: 44, ReprieveAt: 60, Phases: 9,
+		},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCheckpoint(&buf)
+	if err != nil {
+		t.Fatalf("legacy checkpoint rejected: %v", err)
+	}
+	if !reflect.DeepEqual(ck, loaded) {
+		t.Fatalf("legacy checkpoint decoded differently:\n%+v\n%+v", ck, loaded)
+	}
+	eng, err := New(chaosTopo(t), ckRes(), &core.HitScheduler{}, Options{Seed: 2, Resume: loaded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resultFingerprint(want), resultFingerprint(got)) {
+		t.Error("resume from legacy checkpoint diverges")
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/scheduler"
-	"repro/internal/supervise"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -108,7 +107,7 @@ type Engine struct {
 	sched  scheduler.Scheduler
 	opts   Options
 	rng    *rand.Rand
-	rngSrc *supervise.CountingSource
+	rngSrc *CountingSource
 	runSeq int
 }
 
@@ -126,10 +125,10 @@ func New(topo *topology.Topology, serverRes cluster.Resources, sched scheduler.S
 		return nil, err
 	}
 	ctl := controller.New(topo)
-	// The counting wrapper is value-stream-transparent (see supervise's
-	// stream-identity test); it exists so checkpoints can record — and
-	// resumes replay — the exact RNG position.
-	src := supervise.NewCountingSource(opts.Seed)
+	// The counting wrapper is value-stream-transparent (see
+	// TestCountingSourceStreamIdentity); it exists so checkpoints can
+	// record — and resumes replay — the exact RNG position.
+	src := NewCountingSource(opts.Seed)
 	return &Engine{
 		topo:   topo,
 		cl:     cl,

@@ -13,24 +13,12 @@
 // match, and parity tests pin the two paths equal.
 package stablematch
 
-import (
-	"math"
-
-	"repro/internal/parallel"
-)
+import "math"
 
 // Matcher reuses scratch slabs across Match calls and replays the previous
 // result when the instance provably did not change. The zero value is ready
 // to use. A Matcher must not be used from multiple goroutines concurrently.
 type Matcher struct {
-	// Workers > 1 chunks the embarrassingly-parallel phases of a match —
-	// instance validation and the dense host-rank fill — across that many
-	// goroutines. Deferred acceptance itself stays sequential, and the
-	// result (including which error Validate reports) is identical to
-	// Workers == 0: rows are disjoint, every worker owns a private stamp
-	// slab, and errors reduce to the lowest row index. 0 means sequential.
-	Workers int
-
 	// Scratch slabs, regrown on demand and reset per run.
 	rankBack    []int32
 	hostRank    [][]int32
@@ -71,67 +59,12 @@ func (m *Matcher) Match(in *Instance) (*Result, error) {
 	if m.prevRes != nil && m.prev.matches(in) {
 		return m.prevRes.clone(), nil
 	}
-	if err := m.validate(in); err != nil {
+	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	res := m.run(in)
 	m.remember(in, res)
 	return res, nil
-}
-
-// parallelMinRows is the instance size below which the chunked phases run
-// sequentially regardless of Workers: goroutine handoff costs more than
-// the scan it would split.
-const parallelMinRows = 64
-
-// validate is Instance.Validate with the per-row scans chunked across
-// m.Workers goroutines. The returned error is exactly the one the
-// sequential scan reports: phases keep their order, and within a phase
-// chunks are contiguous ascending rows, so the first non-nil chunk error
-// is the lowest-row error.
-func (m *Matcher) validate(in *Instance) error {
-	w := m.Workers
-	if w > in.NumProposers+in.NumHosts {
-		w = in.NumProposers + in.NumHosts
-	}
-	if w <= 1 || in.NumProposers+in.NumHosts < parallelMinRows {
-		return in.Validate()
-	}
-	if err := in.checkDims(); err != nil {
-		return err
-	}
-	chunkErr := make([]error, w)
-	scan := func(rows int, check func(row int, stamps []int) error, stampLen int) error {
-		for c := range chunkErr {
-			chunkErr[c] = nil
-		}
-		err := parallel.ForEach(w, w, func(c int) error {
-			stamps := make([]int, stampLen)
-			for row := c * rows / w; row < (c+1)*rows/w; row++ {
-				if err := check(row, stamps); err != nil {
-					chunkErr[c] = err
-					return nil
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err // a panic in a row check, surfaced as an error
-		}
-		for _, err := range chunkErr {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := scan(in.NumProposers, in.checkProposerRow, in.NumHosts); err != nil {
-		return err
-	}
-	if err := scan(in.NumHosts, in.checkHostRow, in.NumProposers); err != nil {
-		return err
-	}
-	return in.checkVectors()
 }
 
 // remember snapshots the instance and result for the next call's replay

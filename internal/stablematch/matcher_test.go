@@ -122,39 +122,3 @@ func TestMatcherReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMatcherWorkersParity: a parallel Matcher (Workers > 1) must return
-// bit-identical results to the sequential one on instances large enough to
-// actually cross the parallel threshold, and must report the same
-// validation errors on malformed instances.
-func TestMatcherWorkersParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	nP, nH := 96, 48 // nP+nH >= parallelMinRows: the chunked paths run
-	caps := make([]float64, nH)
-	for h := range caps {
-		caps[h] = 2
-	}
-	for trial := 0; trial < 8; trial++ {
-		in := randInstance(rng, nP, nH, caps)
-		seq, err1 := (&Matcher{}).Match(in)
-		par, err2 := (&Matcher{Workers: 4}).Match(in)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("trial %d: errs %v / %v", trial, err1, err2)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d: parallel result diverged from sequential", trial)
-		}
-	}
-
-	// Same first error as sequential validation: corrupt one proposer row
-	// (duplicate host) and one host row; the proposer-phase error must win
-	// in both modes.
-	in := randInstance(rng, nP, nH, caps)
-	in.ProposerPrefs[40][1] = in.ProposerPrefs[40][0]
-	in.HostPrefs[3][2] = in.HostPrefs[3][0]
-	_, errSeq := (&Matcher{}).Match(in)
-	_, errPar := (&Matcher{Workers: 4}).Match(in)
-	if errSeq == nil || errPar == nil || errSeq.Error() != errPar.Error() {
-		t.Fatalf("validation errors diverge: seq=%v par=%v", errSeq, errPar)
-	}
-}

@@ -12,8 +12,6 @@ package stablematch
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/parallel"
 )
 
 // Unmatched marks a proposer that no host accepted.
@@ -54,28 +52,6 @@ type Result struct {
 
 // Validate checks structural consistency of the instance.
 func (in *Instance) Validate() error {
-	if err := in.checkDims(); err != nil {
-		return err
-	}
-	// Duplicate detection via one stamp array per side (stamp = row index
-	// + 1), instead of allocating a set per row.
-	seenHosts := make([]int, in.NumHosts)
-	for p := range in.ProposerPrefs {
-		if err := in.checkProposerRow(p, seenHosts); err != nil {
-			return err
-		}
-	}
-	seenProps := make([]int, in.NumProposers)
-	for h := range in.HostPrefs {
-		if err := in.checkHostRow(h, seenProps); err != nil {
-			return err
-		}
-	}
-	return in.checkVectors()
-}
-
-// checkDims validates the instance's dimensions against its row counts.
-func (in *Instance) checkDims() error {
 	if in.NumProposers < 0 || in.NumHosts < 0 {
 		return errors.New("stablematch: negative dimensions")
 	}
@@ -85,42 +61,32 @@ func (in *Instance) checkDims() error {
 	if len(in.HostPrefs) != in.NumHosts {
 		return fmt.Errorf("stablematch: HostPrefs has %d rows, want %d", len(in.HostPrefs), in.NumHosts)
 	}
-	return nil
-}
-
-// checkProposerRow validates one proposer's ranked list. seenHosts is a
-// stamp array of at least NumHosts entries; rows stamp with p+1, so one
-// zero-initialized slab serves any set of distinct rows without resets.
-func (in *Instance) checkProposerRow(p int, seenHosts []int) error {
-	for _, h := range in.ProposerPrefs[p] {
-		if h < 0 || h >= in.NumHosts {
-			return fmt.Errorf("stablematch: proposer %d ranks invalid host %d", p, h)
+	// Duplicate detection via one stamp array per side (stamp = row index
+	// + 1), instead of allocating a set per row.
+	seenHosts := make([]int, in.NumHosts)
+	for p, prefs := range in.ProposerPrefs {
+		for _, h := range prefs {
+			if h < 0 || h >= in.NumHosts {
+				return fmt.Errorf("stablematch: proposer %d ranks invalid host %d", p, h)
+			}
+			if seenHosts[h] == p+1 {
+				return fmt.Errorf("stablematch: proposer %d ranks host %d twice", p, h)
+			}
+			seenHosts[h] = p + 1
 		}
-		if seenHosts[h] == p+1 {
-			return fmt.Errorf("stablematch: proposer %d ranks host %d twice", p, h)
-		}
-		seenHosts[h] = p + 1
 	}
-	return nil
-}
-
-// checkHostRow validates one host's ranked list (stamp contract as above,
-// with h+1 stamps over a NumProposers-sized slab).
-func (in *Instance) checkHostRow(h int, seenProps []int) error {
-	for _, p := range in.HostPrefs[h] {
-		if p < 0 || p >= in.NumProposers {
-			return fmt.Errorf("stablematch: host %d ranks invalid proposer %d", h, p)
+	seenProps := make([]int, in.NumProposers)
+	for h, prefs := range in.HostPrefs {
+		for _, p := range prefs {
+			if p < 0 || p >= in.NumProposers {
+				return fmt.Errorf("stablematch: host %d ranks invalid proposer %d", h, p)
+			}
+			if seenProps[p] == h+1 {
+				return fmt.Errorf("stablematch: host %d ranks proposer %d twice", h, p)
+			}
+			seenProps[p] = h + 1
 		}
-		if seenProps[p] == h+1 {
-			return fmt.Errorf("stablematch: host %d ranks proposer %d twice", h, p)
-		}
-		seenProps[p] = h + 1
 	}
-	return nil
-}
-
-// checkVectors validates the optional load/capacity vectors.
-func (in *Instance) checkVectors() error {
 	if in.Load != nil {
 		if len(in.Load) != in.NumProposers {
 			return fmt.Errorf("stablematch: Load has %d entries, want %d", len(in.Load), in.NumProposers)
@@ -187,26 +153,11 @@ func (m *Matcher) run(in *Instance) *Result {
 	m.rankBack = growInt32(m.rankBack, nH*nP)
 	m.hostRank = growRows(m.hostRank, nH)
 	hostRank := m.hostRank
-	fillRows := func(lo, hi int) {
-		for h := lo; h < hi; h++ {
-			hostRank[h] = m.rankBack[h*nP : (h+1)*nP]
-			for r, p := range in.HostPrefs[h] {
-				hostRank[h][p] = int32(r) + 1
-			}
+	for h, prefs := range in.HostPrefs {
+		hostRank[h] = m.rankBack[h*nP : (h+1)*nP]
+		for r, p := range prefs {
+			hostRank[h][p] = int32(r) + 1
 		}
-	}
-	if w := m.Workers; w > 1 && nH >= parallelMinRows {
-		// Rows are disjoint slices of one slab, so chunked fills write
-		// disjoint memory and the table is bit-identical to a sequential
-		// fill. Row checks cannot error; a panic still surfaces.
-		if err := parallel.ForEach(w, w, func(c int) error {
-			fillRows(c*nH/w, (c+1)*nH/w)
-			return nil
-		}); err != nil {
-			panic(err)
-		}
-	} else {
-		fillRows(0, nH)
 	}
 
 	// blacklist[p][h]: p must not propose to h anymore. Dense bool rows

@@ -132,26 +132,6 @@ func (t *Topology) StructuralDist(a, b NodeID) (int, bool) {
 	return 0, false
 }
 
-// ServerCell returns the structural cell a server belongs to: the
-// access-switch index for Tree, the pod for Fat-Tree, the rack for VL2, and
-// the level-0 switch group (address / n) for BCube. Cells partition
-// scheduling work across shards, so unlike the distance oracles this
-// tolerates crashed nodes — a dead server still has a home cell. ok=false
-// only for irregular topologies, invalid IDs, and non-servers.
-func (t *Topology) ServerCell(s NodeID) (int, bool) {
-	if t.arch.family == FamilyIrregular || !t.Valid(s) || !t.nodes[s].IsServer() {
-		return 0, false
-	}
-	c := t.coords[s]
-	switch t.arch.family {
-	case FamilyTree, FamilyFatTree, FamilyVL2:
-		return int(c.pod), true
-	case FamilyBCube:
-		return int(c.idx) / t.arch.n, true
-	}
-	return 0, false
-}
-
 // LowestCommonTier returns the tier of the highest-tier node on the lowest-ID
 // shortest path between two SERVERS: the "how far up the hierarchy does this
 // flow climb" answer (-1 when a == b, where the path has no switch at all).

@@ -215,78 +215,3 @@ func TestStructuralRefusals(t *testing.T) {
 		t.Fatal("BCube servers claim to be single-homed")
 	}
 }
-
-// TestServerCell checks the structural cell partition: same-rack/pod
-// servers share a cell, cells differ across pods, non-servers and
-// irregular graphs refuse, and — unlike the distance oracles — crashed
-// nodes keep their home cell (cells partition scheduling WORK, not paths).
-func TestServerCell(t *testing.T) {
-	topo, err := NewTree(3, 3, DefaultLinkParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := topo.Servers()
-	// Tree(3,3): 9 access switches of 3 servers each; pods group by access
-	// switch, so servers 0..2 share a cell and server 3 starts the next.
-	c0, ok := topo.ServerCell(srv[0])
-	if !ok {
-		t.Fatal("ServerCell refused a healthy tree server")
-	}
-	if c1, _ := topo.ServerCell(srv[1]); c1 != c0 {
-		t.Fatalf("same-rack servers in cells %d and %d", c0, c1)
-	}
-	if c3, _ := topo.ServerCell(srv[3]); c3 == c0 {
-		t.Fatalf("cross-rack servers share cell %d", c0)
-	}
-	if _, ok := topo.ServerCell(topo.AccessSwitch(srv[0])); ok {
-		t.Fatal("ServerCell answered for a switch")
-	}
-	if _, ok := topo.ServerCell(NodeID(1 << 20)); ok {
-		t.Fatal("ServerCell answered for an invalid ID")
-	}
-	if err := topo.SetNodeAlive(srv[0], false); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := topo.ServerCell(srv[0]); !ok || c != c0 {
-		t.Fatalf("crashed server lost its cell: %d, %v; want %d, true", c, ok, c0)
-	}
-
-	ft, err := NewFatTree(4, DefaultLinkParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := make(map[int]int)
-	for _, s := range ft.Servers() {
-		c, ok := ft.ServerCell(s)
-		if !ok {
-			t.Fatalf("ServerCell refused fat-tree server %d", s)
-		}
-		cells[c]++
-	}
-	// k=4 fat-tree: 4 pods of 4 servers.
-	if len(cells) != 4 {
-		t.Fatalf("fat-tree k=4 has %d cells, want 4 pods", len(cells))
-	}
-	for c, n := range cells {
-		if n != 4 {
-			t.Fatalf("fat-tree pod cell %d holds %d servers, want 4", c, n)
-		}
-	}
-
-	bc, err := NewBCube(2, 1, DefaultLinkParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcCells := make(map[int]int)
-	for _, s := range bc.Servers() {
-		c, ok := bc.ServerCell(s)
-		if !ok {
-			t.Fatalf("ServerCell refused BCube server %d", s)
-		}
-		bcCells[c]++
-	}
-	// BCube(2,1): 4 servers in level-0 groups of n=2.
-	if len(bcCells) != 2 {
-		t.Fatalf("BCube(2,1) has %d cells, want 2", len(bcCells))
-	}
-}
