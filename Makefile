@@ -21,15 +21,16 @@ vet:
 # wallclock, oraclebypass, epochbump, atomicguard, errcompare, mergeorder,
 # purity, publishfreeze, poolescape, panicpath, lockorder, snapshotfreeze)
 # over every non-test package, fails on any unsuppressed finding, and with
-# -prune also fails on stale //taalint: suppressions. Checks run
-# concurrently by default; pass -serial to cmd/taalint to fall back to
-# one-at-a-time execution.
+# -prune also fails on stale //taalint: suppressions. Checks run one
+# after another over one shared dataflow index.
 lint:
 	$(GO) run ./cmd/taalint -prune
 
 # teeth proves the lint gates bite: each deliberate-mutation patch in
 # internal/analysis/testdata/teeth/ is applied to a throwaway worktree of
-# HEAD and taalint must catch it (exit 1) with the named check alone.
+# the working tree (HEAD plus uncommitted, non-ignored changes; exactly
+# HEAD on a clean checkout) and taalint must catch it (exit 1) with the
+# named check alone.
 teeth:
 	sh scripts/lint-teeth.sh
 

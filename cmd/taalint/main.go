@@ -5,20 +5,19 @@
 // Usage:
 //
 //	taalint [-checks maporder,epochbump,...] [-suppressed] [-prune]
-//	        [-format text|json] [-lockgraph file] [-serial]
+//	        [-format text|json] [-lockgraph file]
 //	        [-cpuprofile file] [-list] [dir]
 //
 // With no directory argument the module containing the current working
 // directory is scanned. -prune additionally fails on stale //taalint:
 // suppressions that no longer cover any finding. -format=json emits one
 // machine-readable document (findings with file/line/check/message/
-// suppressed records, stale suppressions, plus scan wall-clock and mode)
-// for the CI audit artifact. -lockgraph writes the static
+// suppressed records, stale suppressions, plus the check phase's
+// wall-clock) for the CI audit artifact. -lockgraph writes the static
 // lock-acquisition graph the lockorder check verifies as Graphviz DOT —
 // the proven lock order, shipped as a CI artifact beside the findings.
-// Checks run concurrently by default with deterministic (check-name
-// ordered, position-sorted) output; -serial runs them one at a time for
-// timing comparisons and debugging. -cpuprofile writes a pprof CPU
+// Checks run one after another in suite order; output is position-sorted
+// and deterministic. -cpuprofile writes a pprof CPU
 // profile of the scan for lint perf work. `make lint` is the canonical
 // invocation; the selfscan test in internal/analysis keeps the gate even
 // when make isn't run.
@@ -56,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list available checks and exit")
 	format := fs.String("format", "text", "output format: text or json")
 	lockgraph := fs.String("lockgraph", "", "write the static lock-acquisition graph (Graphviz DOT) to this file")
-	serial := fs.Bool("serial", false, "run checks one at a time instead of concurrently")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the scan to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -136,12 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	scanStart := time.Now()
-	var findings []analysis.Finding
-	if *serial {
-		findings = analysis.RunSerial(pkgs, checks)
-	} else {
-		findings = analysis.Run(pkgs, checks)
-	}
+	findings := analysis.Run(pkgs, checks)
 	scanDur := time.Since(scanStart)
 	var stale []analysis.Suppression
 	if *prune {
@@ -168,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *format == "json" {
-		if err := writeJSON(stdout, findings, stale, scanDur, !*serial); err != nil {
+		if err := writeJSON(stdout, findings, stale, scanDur); err != nil {
 			return fatal(stderr, err)
 		}
 	} else {
@@ -218,23 +211,20 @@ type jsonStale struct {
 
 // jsonReport is the full -format=json document. Findings always include
 // suppressed records (flagged) so the audit artifact is self-contained.
-// DurationMS and Parallel record the check-execution wall clock and mode
-// so CI can chart the parallel-vs-serial speedup from the artifact.
+// DurationMS records the check-execution wall clock.
 type jsonReport struct {
 	Findings          []jsonFinding `json:"findings"`
 	StaleSuppressions []jsonStale   `json:"stale_suppressions"`
 	DurationMS        int64         `json:"duration_ms"`
-	Parallel          bool          `json:"parallel"`
 }
 
 // writeJSON renders findings and stale suppressions as one indented JSON
 // document. Slices are always non-nil so a clean run emits [] not null.
-func writeJSON(w io.Writer, findings []analysis.Finding, stale []analysis.Suppression, dur time.Duration, parallel bool) error {
+func writeJSON(w io.Writer, findings []analysis.Finding, stale []analysis.Suppression, dur time.Duration) error {
 	rep := jsonReport{
 		Findings:          []jsonFinding{},
 		StaleSuppressions: []jsonStale{},
 		DurationMS:        dur.Milliseconds(),
-		Parallel:          parallel,
 	}
 	for _, f := range findings {
 		rep.Findings = append(rep.Findings, jsonFinding{

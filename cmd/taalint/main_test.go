@@ -46,7 +46,7 @@ func TestUnknownFormatExitsNonzero(t *testing.T) {
 // suppressions, with empty slices (not null) on a clean run.
 func TestWriteJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeJSON(&buf, nil, nil, 1500*time.Millisecond, true); err != nil {
+	if err := writeJSON(&buf, nil, nil, 1500*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	var clean jsonReport
@@ -56,8 +56,8 @@ func TestWriteJSON(t *testing.T) {
 	if !strings.Contains(buf.String(), `"findings": []`) {
 		t.Errorf("clean run must emit an empty findings array, got:\n%s", buf.String())
 	}
-	if clean.DurationMS != 1500 || !clean.Parallel {
-		t.Errorf("timing record mismatch: duration_ms=%d parallel=%v", clean.DurationMS, clean.Parallel)
+	if clean.DurationMS != 1500 {
+		t.Errorf("timing record mismatch: duration_ms=%d", clean.DurationMS)
 	}
 
 	buf.Reset()
@@ -72,7 +72,7 @@ func TestWriteJSON(t *testing.T) {
 		Checks: []string{"maporder"},
 		Reason: "legacy",
 	}}
-	if err := writeJSON(&buf, findings, stale, 0, false); err != nil {
+	if err := writeJSON(&buf, findings, stale, 0); err != nil {
 		t.Fatal(err)
 	}
 	var rep jsonReport

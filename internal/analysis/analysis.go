@@ -18,6 +18,9 @@
 // poolescape. panicpath, lockorder and snapshotfreeze guard the
 // concurrency that remains: internal/parallel fan-outs and the netstate
 // and controller locks (see each check's file for the precise rules).
+// The module checks share one dataflow substrate (flow.go): a path
+// walker, an lvalue-spine helper, a taint evaluator, a call-graph flood
+// and a set-closure fixpoint.
 //
 // A finding on a given line is suppressed by a comment of the form
 //
@@ -44,7 +47,6 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Finding is one diagnostic produced by a check.
@@ -184,67 +186,21 @@ func ByName(names string) ([]Check, error) {
 // package; module checks run once over the full set with the dataflow
 // index. Suppressed findings are included with Suppressed set so callers
 // can audit the escape hatches.
-//
-// Checks execute concurrently, one goroutine per check: every input a
-// check reads — the type-checked packages, the dataflow index, the
-// effects summaries — is built before the first goroutine starts and
-// read-only afterwards, and each check collects into its own slice.
-// The slices are concatenated in suite order before the position sort,
-// so output and exit codes are bit-identical to RunSerial.
 func Run(pkgs []*Package, checks []Check) []Finding {
-	return runChecks(pkgs, checks, true)
-}
-
-// RunSerial is Run without the per-check goroutines — the reference
-// implementation taalint's -serial flag selects for timing comparisons
-// and for debugging a misbehaving check in isolation.
-func RunSerial(pkgs []*Package, checks []Check) []Finding {
-	return runChecks(pkgs, checks, false)
-}
-
-func runChecks(pkgs []*Package, checks []Check, parallel bool) []Finding {
 	var idx *Index
+	var findings []Finding
 	for _, c := range checks {
-		if _, ok := c.(ModuleCheck); ok && idx == nil {
-			idx = BuildIndex(pkgs)
-			// Prebuild the lazy effects summaries: Effects() memoizes
-			// without a lock, which is only safe while single-threaded.
-			idx.Effects()
-		}
-	}
-
-	perCheck := make([][]Finding, len(checks))
-	runOne := func(i int, c Check) {
-		var out []Finding
 		if pc, ok := c.(PackageCheck); ok {
 			for _, pkg := range pkgs {
-				pc.Run(&Pass{Pkg: pkg, check: c.Name(), findings: &out})
+				pc.Run(&Pass{Pkg: pkg, check: c.Name(), findings: &findings})
 			}
 		}
 		if mc, ok := c.(ModuleCheck); ok {
-			mc.RunModule(&ModulePass{Pkgs: pkgs, Index: idx, check: c.Name(), findings: &out})
+			if idx == nil {
+				idx = BuildIndex(pkgs)
+			}
+			mc.RunModule(&ModulePass{Pkgs: pkgs, Index: idx, check: c.Name(), findings: &findings})
 		}
-		perCheck[i] = out
-	}
-	if parallel {
-		var wg sync.WaitGroup
-		for i, c := range checks {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				runOne(i, c)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, c := range checks {
-			runOne(i, c)
-		}
-	}
-
-	var findings []Finding
-	for _, fs := range perCheck {
-		findings = append(findings, fs...)
 	}
 
 	sup, malformed := parseSuppressions(pkgs)
@@ -427,13 +383,6 @@ func ParseSuppressionComment(text string) (checks []string, reason string, probl
 		problems = append(problems, "missing reason")
 	}
 	return checks, reason, problems, true
-}
-
-// suppressions parses //taalint: markers across all packages, dropping
-// malformed ones (Run reports those separately).
-func suppressions(pkgs []*Package) suppressionSet {
-	sups, _ := parseSuppressions(pkgs)
-	return sups
 }
 
 // parseSuppressions scans every package's comments for //taalint:

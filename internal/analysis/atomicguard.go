@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -45,12 +44,7 @@ func (AtomicGuard) Doc() string {
 // RunModule implements ModuleCheck.
 func (AtomicGuard) RunModule(mp *ModulePass) {
 	// Rule 1: atomic exclusivity over the field-access index.
-	keys := make([]string, 0, len(mp.Index.Fields))
-	for k := range mp.Index.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(mp.Index.Fields) {
 		accesses := mp.Index.Fields[k]
 		hasAtomic := false
 		for _, a := range accesses {
@@ -85,18 +79,11 @@ func (AtomicGuard) RunModule(mp *ModulePass) {
 		if len(guarded) == 0 {
 			continue
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if strings.HasSuffix(fd.Name.Name, "Locked") {
-					continue
-				}
+		forEachFunc([]*Package{pkg}, func(pkg *Package, fd *ast.FuncDecl) {
+			if !strings.HasSuffix(fd.Name.Name, "Locked") {
 				checkLockDiscipline(mp, pkg, fd, guarded)
 			}
-		}
+		})
 	}
 }
 
@@ -120,7 +107,7 @@ func guardedMapFields(pkg *Package) map[*types.Var]bool {
 			}
 			hasMutex := false
 			for i := 0; i < st.NumFields(); i++ {
-				if isSyncMutexType(st.Field(i).Type()) {
+				if isMutexType(st.Field(i).Type()) {
 					hasMutex = true
 					break
 				}
@@ -140,31 +127,14 @@ func guardedMapFields(pkg *Package) map[*types.Var]bool {
 	return out
 }
 
-// isSyncMutexType reports whether t is sync.Mutex or sync.RWMutex.
-func isSyncMutexType(t types.Type) bool {
-	named, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
 // checkLockDiscipline walks one function (nested literals included — the
 // routeInit Once closure is the same critical region) and reports guarded
 // map accesses not preceded by a Lock/RLock rooted at the same variable.
 func checkLockDiscipline(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, guarded map[*types.Var]bool) {
 	// Pass 1: fresh locals (maps/structs created here are unpublished) and
-	// lock events keyed by root object.
+	// the first Lock/RLock position per root object.
 	fresh := make(map[types.Object]bool)
-	type lockEvent struct {
-		root types.Object
-		pos  token.Pos
-	}
-	var locks []lockEvent
+	firstLock := make(map[types.Object]token.Pos)
 	ast.Inspect(fd, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
@@ -194,24 +164,16 @@ func checkLockDiscipline(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, guarded
 			if name != "Lock" && name != "RLock" {
 				return true
 			}
-			if !isSyncMutexType(receiverType(pkg, sel)) {
+			if !isMutexType(receiverType(pkg, sel)) {
 				return true
 			}
-			if root := rootObject(pkg, sel.X); root != nil {
-				locks = append(locks, lockEvent{root: root, pos: s.Pos()})
+			root := spineOf(pkg, unwrapAddr(sel.X)).root
+			if first, seen := firstLock[root]; root != nil && (!seen || s.Pos() < first) {
+				firstLock[root] = s.Pos()
 			}
 		}
 		return true
 	})
-
-	lockedBefore := func(root types.Object, pos token.Pos) bool {
-		for _, l := range locks {
-			if l.root == root && l.pos < pos {
-				return true
-			}
-		}
-		return false
-	}
 
 	// Pass 2: guarded map accesses.
 	ast.Inspect(fd, func(n ast.Node) bool {
@@ -220,20 +182,14 @@ func checkLockDiscipline(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, guarded
 			return true
 		}
 		s, ok := pkg.Info.Selections[sel]
-		if !ok || s.Kind() != types.FieldVal {
+		if !ok || s.Kind() != types.FieldVal || !guarded[s.Obj().(*types.Var)] {
 			return true
 		}
-		v, ok := s.Obj().(*types.Var)
-		if !ok || !guarded[v] {
+		root := spineOf(pkg, unwrapAddr(sel.X)).root
+		if first, locked := firstLock[root]; root == nil || fresh[root] || locked && first < sel.Pos() {
 			return true
 		}
-		root := rootObject(pkg, sel.X)
-		if root == nil || fresh[root] {
-			return true
-		}
-		if lockedBefore(root, sel.Pos()) {
-			return true
-		}
+		v := s.Obj()
 		mp.Reportf(pkg, sel.Sel.Pos(),
 			"access to mutex-guarded map %s without an earlier Lock/RLock on %s in this function (suffix the function with Locked if the caller holds it)",
 			v.Name(), root.Name())
@@ -249,32 +205,6 @@ func receiverType(pkg *Package, sel *ast.SelectorExpr) types.Type {
 	return pkg.Info.TypeOf(sel.X)
 }
 
-// rootObject walks a selector/index/deref spine to its base identifier's
-// object: o.routeShards[i].mu roots at o; sh.m roots at sh.
-func rootObject(pkg *Package, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		case *ast.Ident:
-			return pkg.Info.ObjectOf(x)
-		default:
-			return nil
-		}
-	}
-}
-
 // isFreshExpr reports whether rhs creates a value invisible to other
 // goroutines: make(), a composite literal, its address, or new().
 func isFreshExpr(pkg *Package, rhs ast.Expr) bool {
@@ -288,8 +218,8 @@ func isFreshExpr(pkg *Package, rhs ast.Expr) bool {
 		_, ok := ast.Unparen(x.X).(*ast.CompositeLit)
 		return ok
 	case *ast.CallExpr:
-		id, ok := ast.Unparen(x.Fun).(*ast.Ident)
-		return ok && (id.Name == "make" || id.Name == "new") && isBuiltinIdent(pkg, id)
+		b := builtinName(pkg, x.Fun)
+		return b == "make" || b == "new"
 	}
 	return false
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file is taalint v3's interprocedural effects layer: a per-function
@@ -23,11 +22,10 @@ import (
 //     ("does this function mutate oracle state?") care about the spine,
 //     not just the exact selector.
 //   - FieldWrites: the transitive closure of Writes over the static call
-//     graph, fixed-pointed over recursion with a global worklist (the
-//     epochbump interpreter's optimistic busy-map would under-approximate
-//     here: a summary consumed mid-cycle must not be frozen before the
-//     cycle stabilizes, so the engine iterates to a true fixpoint
-//     instead).
+//     graph, iterated to a true fixpoint by the shared set closure
+//     (flow.go closeSets; the epochbump interpreter's optimistic busy-map
+//     would under-approximate here: a summary consumed mid-cycle must not
+//     be frozen before the cycle stabilizes).
 //   - ParamWrites: per formal slot (receiver first, then parameters),
 //     whether the function may write THROUGH that slot — a deref, index or
 //     field store whose lvalue spine is rooted at the formal, directly or
@@ -75,14 +73,11 @@ type FuncEffects struct {
 
 // Effects is the module-wide effects table.
 type Effects struct {
-	idx *Index
 	fns map[FuncKey]*FuncEffects
 }
 
 // Effects returns the lazily built effects table shared by all checks of
-// one Run. The memoization is unlocked: Run prebuilds the table before
-// any check goroutine starts, so concurrent callers only ever read the
-// already-set field (first-call safety is the builder's, not ours).
+// one Run.
 func (idx *Index) Effects() *Effects {
 	if idx.effects == nil {
 		idx.effects = buildEffects(idx)
@@ -94,24 +89,9 @@ func (idx *Index) Effects() *Effects {
 func (e *Effects) Of(key FuncKey) *FuncEffects { return e.fns[key] }
 
 func buildEffects(idx *Index) *Effects {
-	e := &Effects{idx: idx, fns: make(map[FuncKey]*FuncEffects)}
-	for _, pkg := range idx.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				key := declKey(pkg, fd)
-				if key == "" {
-					continue
-				}
-				if _, dup := e.fns[key]; dup {
-					continue
-				}
-				e.fns[key] = collectEffects(pkg, key, fd)
-			}
-		}
+	e := &Effects{fns: make(map[FuncKey]*FuncEffects, len(idx.Funcs))}
+	for key, info := range idx.Funcs {
+		e.fns[key] = collectEffects(info.Pkg, key, info.Decl)
 	}
 	e.fixpoint()
 	return e
@@ -142,58 +122,23 @@ func collectEffects(pkg *Package, key FuncKey, fd *ast.FuncDecl) *FuncEffects {
 	}
 	fe.ParamWrites = make([]bool, len(fe.formals))
 
-	slot := func(obj types.Object) int {
-		if obj == nil {
-			return -1
-		}
-		for i, f := range fe.formals {
-			if f != nil && f == obj {
-				return i
-			}
-		}
-		return -1
-	}
-
 	// addWrite records a field write for every selection on the lvalue (or
 	// receiver) spine, and a param write-through when the spine is
 	// non-trivial and rooted at a formal. A trivial spine (`p = x`) rebinds
 	// the local and has no external effect.
-	addWrite := func(spine ast.Expr, atomic bool) {
-		nontrivial := false
-		e := spine
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.StarExpr:
-				nontrivial = true
-				e = x.X
-			case *ast.IndexExpr:
-				nontrivial = true
-				e = x.X
-			case *ast.SliceExpr:
-				nontrivial = true
-				e = x.X
-			case *ast.SelectorExpr:
-				if owner, field := fieldOf(pkg, x); field != nil {
-					fe.Writes = append(fe.Writes, WriteEffect{
-						Field:  fieldAccessKey(owner, field),
-						Pos:    x.Sel.Pos(),
-						Atomic: atomic,
-					})
-				}
-				nontrivial = true
-				e = x.X
-			case *ast.Ident:
-				if nontrivial {
-					if i := slot(pkg.Info.ObjectOf(x)); i >= 0 {
-						fe.ParamWrites[i] = true
-					}
-				}
-				return
-			default:
-				return
+	addWrite := func(e ast.Expr, atomic bool) {
+		sp := spineOf(pkg, e)
+		for _, x := range sp.fields() {
+			if owner, field := fieldOf(pkg, x); field != nil {
+				fe.Writes = append(fe.Writes, WriteEffect{
+					Field:  fieldAccessKey(owner, field),
+					Pos:    x.Sel.Pos(),
+					Atomic: atomic,
+				})
 			}
+		}
+		if len(sp.layers) > 0 {
+			fe.writeThrough(sp.root)
 		}
 	}
 
@@ -206,24 +151,16 @@ func collectEffects(pkg *Package, key FuncKey, fd *ast.FuncDecl) *FuncEffects {
 		case *ast.IncDecStmt:
 			addWrite(s.X, false)
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && id.Name == "delete" {
-				if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin && len(s.Args) > 0 {
-					addWrite(s.Args[0], false)
-				}
+			if builtinName(pkg, s.Fun) == "delete" && len(s.Args) > 0 {
+				addWrite(s.Args[0], false)
 			}
-			// atomic.StoreUint64(&o.f, x) and friends: writes o.f.
-			if isAtomicPkgFunc(pkg, s.Fun) && atomicFuncMutates(pkg, s.Fun) {
-				for _, arg := range s.Args {
-					if ue, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-						addWrite(ue.X, true)
-					}
+			// atomic.StoreUint64(&o.f, x), o.epoch.Add(1),
+			// o.distRows[i].Store(&d): an atomic write whose operand spine
+			// passes through fields writes them.
+			if ops, writes := atomicOperands(pkg, s); writes {
+				for _, op := range ops {
+					addWrite(op, true)
 				}
-			}
-			// o.epoch.Add(1), o.distRows[i].Store(&d): an atomic mutator
-			// whose receiver spine passes through fields writes them.
-			if mSel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok &&
-				atomicMutatorNames[mSel.Sel.Name] && isAtomicType(pkg.Info.TypeOf(mSel.X)) {
-				addWrite(mSel.X, true)
 			}
 			// Record ident-rooted argument bindings for resolvable calls.
 			if callee := resolveCall(pkg, s); callee != "" {
@@ -241,28 +178,6 @@ func collectEffects(pkg *Package, key FuncKey, fd *ast.FuncDecl) *FuncEffects {
 		fe.FieldWrites[w.Field] = true
 	}
 	return fe
-}
-
-// atomicMutatorNames is the set of sync/atomic method names that mutate
-// their receiver.
-var atomicMutatorNames = map[string]bool{
-	"Add": true, "Store": true, "Swap": true, "CompareAndSwap": true, "Or": true, "And": true,
-}
-
-// atomicFuncMutates reports whether a sync/atomic package function writes
-// through its pointer argument (Load* does not).
-func atomicFuncMutates(p *Package, fun ast.Expr) bool {
-	sel, ok := ast.Unparen(fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	name := sel.Sel.Name
-	for _, prefix := range []string{"Add", "Store", "Swap", "CompareAndSwap", "Or", "And"} {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
 }
 
 // callArgObjects maps a call's arguments onto the callee's formal slots:
@@ -294,16 +209,23 @@ func rootIdentObject(pkg *Package, e ast.Expr) types.Object {
 	return nil
 }
 
-// fixpoint closes FieldWrites and ParamWrites over the call graph. The
-// module is small enough that a simple iterate-until-stable loop over all
-// summaries (deterministic key order) converges in a handful of passes
-// even through mutual recursion.
+// fixpoint closes FieldWrites over the call graph, then ParamWrites
+// through each call's argument bindings: a callee writing through its
+// formal i makes the caller write through whichever of its own formals it
+// passed in slot i. Both iterate to a true fixpoint, so mutual recursion
+// converges.
 func (e *Effects) fixpoint() {
-	keys := make([]FuncKey, 0, len(e.fns))
-	for k := range e.fns {
-		keys = append(keys, k)
+	sets := make(map[FuncKey]map[string]bool, len(e.fns))
+	callees := make(map[FuncKey][]FuncKey, len(e.fns))
+	for k, fe := range e.fns {
+		sets[k] = fe.FieldWrites
+		for _, c := range fe.Calls {
+			callees[k] = append(callees[k], c.Callee)
+		}
 	}
-	sort.Strings(keys)
+	closeSets(sets, callees)
+
+	keys := sortedKeys(e.fns)
 	for changed := true; changed; {
 		changed = false
 		for _, k := range keys {
@@ -313,26 +235,26 @@ func (e *Effects) fixpoint() {
 				if callee == nil {
 					continue // unresolved or external: assumed write-free
 				}
-				for f := range callee.FieldWrites {
-					if !fe.FieldWrites[f] {
-						fe.FieldWrites[f] = true
-						changed = true
-					}
-				}
 				for i, obj := range c.Args {
-					if obj == nil || i >= len(callee.ParamWrites) || !callee.ParamWrites[i] {
-						continue
-					}
-					for j, formal := range fe.formals {
-						if formal != nil && formal == obj && !fe.ParamWrites[j] {
-							fe.ParamWrites[j] = true
-							changed = true
-						}
+					if i < len(callee.ParamWrites) && callee.ParamWrites[i] && fe.writeThrough(obj) {
+						changed = true
 					}
 				}
 			}
 		}
 	}
+}
+
+// writeThrough marks every formal slot bound to obj written through,
+// reporting whether that is new.
+func (fe *FuncEffects) writeThrough(obj types.Object) (changed bool) {
+	for i, f := range fe.formals {
+		if f != nil && f == obj && !fe.ParamWrites[i] {
+			fe.ParamWrites[i] = true
+			changed = true
+		}
+	}
+	return changed
 }
 
 // WritesThroughArg reports whether the call may write through the given

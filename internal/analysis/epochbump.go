@@ -2,9 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
 )
 
 // EpochBump enforces the netstate epoch-invalidation contract at the
@@ -28,12 +25,12 @@ import (
 //     flips) carry no obligation; paths that write and return without a
 //     bump are findings.
 //
-// The proof walks each function with a dirty flag: a monitored write sets
-// it, a bump clears it, branches join pessimistically (either side dirty
-// → dirty), loop bodies are walked twice, and calls apply the callee's
-// memoized summary (cycles resolve optimistically). A mutator is reported
-// when any exit — explicit return or fall-off, after deferred calls —
-// can still be dirty. When the module contains decision-layer packages
+// The proof walks each function on the shared path walker (flow.go) with
+// a dirty flag: a monitored write sets it, a bump clears it, branches
+// join pessimistically (either side dirty → dirty), and calls apply the
+// callee's memoized summary (cycles resolve optimistically). A mutator is
+// reported when any exit — return, panic or fall-off, after the defers
+// registered on its path — can still be dirty. When the module contains decision-layer packages
 // (scheduler, sim, ...) the obligation is scoped to mutators reachable
 // from them over the call graph; in isolated fixtures every blessed
 // mutator is obligated.
@@ -131,12 +128,7 @@ func (EpochBump) RunModule(mp *ModulePass) {
 	eng := &ebEngine{idx: mp.Index, memo: make(map[FuncKey]ebSummary), busy: make(map[FuncKey]bool)}
 
 	// Rule 1: writes outside the blessed set.
-	fieldKeys := make([]string, 0, len(mp.Index.Fields))
-	for k := range mp.Index.Fields {
-		fieldKeys = append(fieldKeys, k)
-	}
-	sort.Strings(fieldKeys)
-	for _, k := range fieldKeys {
+	for _, k := range sortedKeys(mp.Index.Fields) {
 		if !ebMonitored[shortKey(k)] {
 			continue
 		}
@@ -156,28 +148,24 @@ func (EpochBump) RunModule(mp *ModulePass) {
 	// Rule 2: bump proof for obligated mutators. When decision-layer
 	// packages are present the obligation follows call-graph reachability
 	// from them; otherwise (fixtures) every blessed mutator is obligated.
-	var reachable map[FuncKey]bool
 	rootsExist := false
 	for _, p := range mp.Pkgs {
-		if decisionPackages[p.Base()] {
-			rootsExist = true
-			break
+		rootsExist = rootsExist || decisionPackages[p.Base()]
+	}
+	funcKeys := sortedKeys(mp.Index.Funcs)
+	var seeds []floodSeed
+	for _, k := range funcKeys {
+		if decisionPackages[mp.Index.Funcs[k].Pkg.Base()] {
+			seeds = append(seeds, floodSeed{fn: k})
 		}
 	}
-	if rootsExist {
-		reachable = mp.Index.ReachableFrom(func(p *Package) bool { return decisionPackages[p.Base()] })
-	}
-	funcKeys := make([]FuncKey, 0, len(mp.Index.Funcs))
-	for k := range mp.Index.Funcs {
-		funcKeys = append(funcKeys, k)
-	}
-	sort.Strings(funcKeys)
+	_, reachable := mp.Index.flood(seeds)
 	for _, k := range funcKeys {
 		rule, blessed := ebBlessed[shortKey(k)]
 		if !blessed || rule.exempt {
 			continue
 		}
-		if rootsExist && !reachable[k] {
+		if _, ok := reachable[k]; rootsExist && !ok {
 			continue
 		}
 		info := mp.Index.Funcs[k]
@@ -191,23 +179,38 @@ func (EpochBump) RunModule(mp *ModulePass) {
 
 // ebState is the abstract state at one program point: dirty = a monitored
 // write has happened with no bump since; bumped = a bump has happened
-// since function entry on this path.
-type ebState struct{ dirty, bumped bool }
-
-// ebJoin merges branch states pessimistically.
-func ebJoin(a, b ebState) ebState {
-	return ebState{dirty: a.dirty || b.dirty, bumped: a.bumped && b.bumped}
+// since function entry on this path; defers = the effect of the defers
+// registered on this path, in the order they will run.
+type ebState struct {
+	dirty, bumped bool
+	defers        ebSummary
 }
 
 // ebSummary is a function's memoized effect: mayExitDirty = some exit can
-// be dirty when entered clean; alwaysBumps = every exit has bumped.
+// be dirty when entered clean; alwaysBumps = every exit has bumped. The
+// zero summary has no effect.
 type ebSummary struct{ mayExitDirty, alwaysBumps bool }
 
 // apply folds a callee's summary into the caller's state.
 func (st ebState) apply(sum ebSummary) ebState {
-	return ebState{
-		dirty:  (st.dirty && !sum.alwaysBumps) || sum.mayExitDirty,
-		bumped: st.bumped || sum.alwaysBumps,
+	st.dirty = (st.dirty && !sum.alwaysBumps) || sum.mayExitDirty
+	st.bumped = st.bumped || sum.alwaysBumps
+	return st
+}
+
+// then is the effect of running a and then b.
+func (a ebSummary) then(b ebSummary) ebSummary {
+	return ebSummary{
+		mayExitDirty: (a.mayExitDirty && !b.alwaysBumps) || b.mayExitDirty,
+		alwaysBumps:  a.alwaysBumps || b.alwaysBumps,
+	}
+}
+
+// join is the effect of running a or b: pessimistic, and exact for apply.
+func (a ebSummary) join(b ebSummary) ebSummary {
+	return ebSummary{
+		mayExitDirty: a.mayExitDirty || b.mayExitDirty,
+		alwaysBumps:  a.alwaysBumps && b.alwaysBumps,
 	}
 }
 
@@ -226,11 +229,8 @@ func (e *ebEngine) summary(key FuncKey) ebSummary {
 	if s, ok := e.memo[key]; ok {
 		return s
 	}
-	if e.busy[key] {
-		return ebSummary{}
-	}
 	info := e.idx.Func(key)
-	if info == nil {
+	if e.busy[key] || info == nil {
 		return ebSummary{}
 	}
 	if rule, ok := ebBlessed[shortKey(key)]; ok && rule.exempt {
@@ -238,200 +238,88 @@ func (e *ebEngine) summary(key FuncKey) ebSummary {
 		return ebSummary{}
 	}
 	e.busy[key] = true
-	w := &ebWalk{eng: e, pkg: info.Pkg}
-	final := w.stmts(info.Decl.Body.List, ebState{})
-	w.exit(final)
+	sum := e.bodySummary(info.Pkg, info.Decl.Body)
 	delete(e.busy, key)
-	sum := ebSummary{alwaysBumps: true}
-	for _, ex := range w.exits {
-		if ex.dirty {
-			sum.mayExitDirty = true
-		}
-		if !ex.bumped {
-			sum.alwaysBumps = false
-		}
-	}
 	e.memo[key] = sum
 	return sum
 }
 
-// ebWalk interprets one function body.
+// bodySummary walks one function body from a clean entry state and folds
+// its exits into a summary.
+func (e *ebEngine) bodySummary(pkg *Package, body *ast.BlockStmt) ebSummary {
+	w := &ebWalk{eng: e, pkg: pkg}
+	walkBody(pkg, w, body, ebState{})
+	sum := ebSummary{alwaysBumps: true}
+	for _, ex := range w.exits {
+		sum = sum.join(ebSummary{mayExitDirty: ex.dirty, alwaysBumps: ex.bumped})
+	}
+	return sum
+}
+
+// ebWalk is epochbump's transfer over the shared path walker.
 type ebWalk struct {
-	eng    *ebEngine
-	pkg    *Package
-	exits  []ebState
-	defers []ebSummary // effects of defers registered so far, in order
+	eng   *ebEngine
+	pkg   *Package
+	exits []ebState
 }
 
-// exit records a function exit, applying the defers registered up to this
-// point (a deferred bump covers every later return).
-func (w *ebWalk) exit(st ebState) {
-	for _, d := range w.defers {
-		st = st.apply(d)
-	}
-	w.exits = append(w.exits, st)
+func (w *ebWalk) copy(st ebState) ebState { return st }
+
+func (w *ebWalk) join(a, b ebState) ebState {
+	return ebState{dirty: a.dirty || b.dirty, bumped: a.bumped && b.bumped, defers: a.defers.join(b.defers)}
 }
 
-func (w *ebWalk) stmts(list []ast.Stmt, st ebState) ebState {
-	for _, s := range list {
-		st = w.stmt(s, st)
-	}
-	return st
-}
+// exit records a function exit after running the defers registered on
+// its path (a deferred bump covers every later exit).
+func (w *ebWalk) exit(st ebState) { w.exits = append(w.exits, st.apply(st.defers)) }
 
 func (w *ebWalk) stmt(s ast.Stmt, st ebState) ebState {
 	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			st = w.exprEffects(r, st)
-		}
-		w.exit(st)
-		return st
 	case *ast.ExprStmt:
-		return w.exprEffects(s.X, st)
+		return w.expr(s.X, st)
 	case *ast.AssignStmt:
 		for _, r := range s.Rhs {
-			st = w.exprEffects(r, st)
+			st = w.expr(r, st)
 		}
 		for _, l := range s.Lhs {
-			st = w.exprEffects(l, st)
-			st = w.lvalue(l, st)
+			st = w.lvalue(l, w.expr(l, st))
 		}
-		return st
 	case *ast.IncDecStmt:
-		st = w.exprEffects(s.X, st)
-		return w.lvalue(s.X, st)
-	case *ast.DeferStmt:
-		for _, a := range s.Call.Args {
-			st = w.exprEffects(a, st)
-		}
-		w.defers = append(w.defers, w.callSummary(s.Call))
-		return st
+		return w.lvalue(s.X, w.expr(s.X, st))
 	case *ast.GoStmt:
 		// Conservative: account the goroutine's effects at spawn point.
-		return w.exprEffects(s.Call, st)
-	case *ast.BlockStmt:
-		return w.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st = w.stmt(s.Init, st)
-		}
-		st = w.exprEffects(s.Cond, st)
-		then := w.stmts(s.Body.List, st)
-		els := st
-		if s.Else != nil {
-			els = w.stmt(s.Else, st)
-		}
-		return ebJoin(then, els)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st = w.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			st = w.exprEffects(s.Cond, st)
-		}
-		once := w.loopPass(s, st)
-		twice := w.loopPass(s, once)
-		return ebJoin(st, ebJoin(once, twice))
-	case *ast.RangeStmt:
-		st = w.exprEffects(s.X, st)
-		once := w.stmts(s.Body.List, st)
-		twice := w.stmts(s.Body.List, once)
-		return ebJoin(st, ebJoin(once, twice))
-	case *ast.SwitchStmt:
-		return w.switchLike(s.Init, s.Tag, caseBodies(s.Body), hasDefaultClause(s.Body), st)
-	case *ast.TypeSwitchStmt:
-		return w.switchLike(s.Init, nil, caseBodies(s.Body), hasDefaultClause(s.Body), st)
-	case *ast.SelectStmt:
-		out := st // a select with no ready case blocks, but stay conservative
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			b := st
-			if cc.Comm != nil {
-				b = w.stmt(cc.Comm, b)
-			}
-			out = ebJoin(out, w.stmts(cc.Body, b))
-		}
-		return out
+		return w.expr(s.Call, st)
 	case *ast.SendStmt:
-		st = w.exprEffects(s.Chan, st)
-		return w.exprEffects(s.Value, st)
+		return w.expr(s.Value, w.expr(s.Chan, st))
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						st = w.exprEffects(v, st)
+						st = w.expr(v, st)
 					}
 				}
 			}
 		}
-		return st
-	default:
-		return st
-	}
-}
-
-func (w *ebWalk) loopPass(s *ast.ForStmt, st ebState) ebState {
-	st = w.stmts(s.Body.List, st)
-	if s.Post != nil {
-		st = w.stmt(s.Post, st)
-	}
-	if s.Cond != nil {
-		st = w.exprEffects(s.Cond, st)
 	}
 	return st
 }
 
-func (w *ebWalk) switchLike(init ast.Stmt, tag ast.Expr, bodies [][]ast.Stmt, hasDefault bool, st ebState) ebState {
-	if init != nil {
-		st = w.stmt(init, st)
+// deferred evaluates the deferred call's arguments now and registers its
+// effect to run, before the defers registered earlier, at every exit of
+// this path.
+func (w *ebWalk) deferred(d *ast.DeferStmt, st ebState) ebState {
+	for _, a := range d.Call.Args {
+		st = w.expr(a, st)
 	}
-	if tag != nil {
-		st = w.exprEffects(tag, st)
-	}
-	out := st
-	first := !hasDefault // without a default, falling past every case is a path
-	for _, body := range bodies {
-		b := w.stmts(body, st)
-		if first && hasDefault {
-			out = b
-			first = false
-			continue
-		}
-		out = ebJoin(out, b)
-	}
-	return out
+	st.defers = w.callSummary(d.Call).then(st.defers)
+	return st
 }
 
-func caseBodies(body *ast.BlockStmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			out = append(out, cc.Body)
-		}
-	}
-	return out
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// exprEffects applies the effects of every call embedded in e (skipping
+// expr applies the effects of every call embedded in e (skipping
 // function literals, whose bodies run only when invoked) and of delete()
 // on monitored maps.
-func (w *ebWalk) exprEffects(e ast.Expr, st ebState) ebState {
+func (w *ebWalk) expr(e ast.Expr, st ebState) ebState {
 	if e == nil {
 		return st
 	}
@@ -445,49 +333,33 @@ func (w *ebWalk) exprEffects(e ast.Expr, st ebState) ebState {
 		}
 		if w.callBumps(call) {
 			st.bumped, st.dirty = true, false
-			return true
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "delete" && isBuiltinIdent(w.pkg, id) {
+		} else if builtinName(w.pkg, call.Fun) == "delete" {
 			if len(call.Args) > 0 {
 				st = w.lvalue(call.Args[0], st)
 			}
-			return true
+		} else {
+			st = st.apply(w.eng.summary(resolveCall(w.pkg, call)))
 		}
-		st = st.apply(w.eng.summary(resolveCall(w.pkg, call)))
 		return true
 	})
 	return st
 }
 
 // lvalue applies the write effect of assigning through e: every monitored
-// field on the selector spine dirties the state; every epoch-counter
-// field bumps it.
+// field on the spine dirties the state; every epoch-counter field bumps
+// it.
 func (w *ebWalk) lvalue(e ast.Expr, st ebState) ebState {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			if owner, field := fieldOf(w.pkg, x); field != nil {
-				key := shortKey(fieldAccessKey(owner, field))
-				if ebEpochFields[key] {
-					st.bumped, st.dirty = true, false
-				} else if ebMonitored[key] {
-					st.dirty = true
-				}
-			}
-			e = x.X
-		default:
-			return st
+	for _, x := range spineOf(w.pkg, e).fields() {
+		if key := fieldKey(w.pkg, x); ebEpochFields[key] {
+			st.bumped, st.dirty = true, false
+		} else if ebMonitored[key] {
+			st.dirty = true
 		}
 	}
+	return st
 }
 
-// callSummary resolves the effect of a (possibly deferred) call: a direct
+// callSummary resolves the effect of a deferred call: a direct
 // epoch-field mutation, a known callee's summary, or an inline literal's
 // body interpreted as its own function.
 func (w *ebWalk) callSummary(call *ast.CallExpr) ebSummary {
@@ -495,61 +367,23 @@ func (w *ebWalk) callSummary(call *ast.CallExpr) ebSummary {
 		return ebSummary{alwaysBumps: true}
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		sub := &ebWalk{eng: w.eng, pkg: w.pkg}
-		final := sub.stmts(lit.Body.List, ebState{})
-		sub.exit(final)
-		sum := ebSummary{alwaysBumps: true}
-		for _, ex := range sub.exits {
-			if ex.dirty {
-				sum.mayExitDirty = true
-			}
-			if !ex.bumped {
-				sum.alwaysBumps = false
-			}
-		}
-		return sum
+		return w.eng.bodySummary(w.pkg, lit.Body)
 	}
 	return w.eng.summary(resolveCall(w.pkg, call))
 }
 
-// callBumps recognizes a direct epoch bump: a mutating sync/atomic method
-// on an epoch-counter field (o.epoch.Add(1)) or an epoch-counter field's
+// callBumps recognizes a direct epoch bump: an ebAtomicMutators method on
+// an epoch-counter field (o.epoch.Add(1)) or an epoch-counter field's
 // address passed to a sync/atomic function.
 func (w *ebWalk) callBumps(call *ast.CallExpr) bool {
-	if mSel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && ebAtomicMutators[mSel.Sel.Name] {
-		if recvSel, ok := ast.Unparen(mSel.X).(*ast.SelectorExpr); ok && isAtomicType(w.pkg.Info.TypeOf(recvSel)) {
-			if owner, field := fieldOf(w.pkg, recvSel); field != nil {
-				if ebEpochFields[shortKey(fieldAccessKey(owner, field))] {
-					return true
-				}
-			}
-		}
+	ops, _ := atomicOperands(w.pkg, call)
+	if len(ops) == 0 || !isAtomicPkgFunc(w.pkg, call.Fun) && !ebAtomicMutators[ast.Unparen(call.Fun).(*ast.SelectorExpr).Sel.Name] {
+		return false
 	}
-	if isAtomicPkgFunc(w.pkg, call.Fun) {
-		for _, arg := range call.Args {
-			if ue, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-				if sel, ok := ast.Unparen(ue.X).(*ast.SelectorExpr); ok {
-					if owner, field := fieldOf(w.pkg, sel); field != nil {
-						if ebEpochFields[shortKey(fieldAccessKey(owner, field))] {
-							return true
-						}
-					}
-				}
-			}
+	for _, op := range ops {
+		if sel, ok := ast.Unparen(op).(*ast.SelectorExpr); ok && ebEpochFields[fieldKey(w.pkg, sel)] {
+			return true
 		}
 	}
 	return false
 }
-
-// isBuiltinIdent reports whether id resolves to a Go builtin.
-func isBuiltinIdent(p *Package, id *ast.Ident) bool {
-	_, ok := p.Info.Uses[id].(*types.Builtin)
-	return ok
-}
-
-// shortKey trims the import-path directory from an index key, leaving the
-// package-base-qualified form both the real module and fixtures share:
-// "repro/internal/topology.(Topology).SetNodeAlive" and
-// "fixture/topology.(Topology).SetNodeAlive" both shorten to
-// "topology.(Topology).SetNodeAlive". Field keys shorten the same way.
-func shortKey(key string) string { return pkgPathBase(key) }

@@ -4,13 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// This file is taalint v2's module-level dataflow substrate: a lightweight
-// call graph plus a field-access index built once over every loaded
-// package. The per-file AST checks of v1 cannot see that a controller
+// This file is taalint v2's module-level index: a lightweight call graph
+// plus a field-access index built once over every loaded package (the
+// dataflow helpers the checks share over it live in flow.go). The per-file AST checks of v1 cannot see that a controller
 // mutation three calls away fails to bump the netstate epoch, or that a
 // field written plainly in one package is read through sync/atomic in
 // another; module checks (epochbump, atomicguard) consult this index
@@ -79,67 +78,23 @@ func BuildIndex(pkgs []*Package) *Index {
 		Funcs:  make(map[FuncKey]*FuncInfo),
 		Fields: make(map[string][]FieldAccess),
 	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				key := declKey(pkg, fd)
-				info := &FuncInfo{Key: key, Pkg: pkg, Decl: fd}
-				collectCalls(pkg, fd.Body, info)
-				collectFieldAccesses(idx, pkg, key, fd.Body)
-				// Later declarations never overwrite earlier ones; the
-				// loader rejects duplicate top-level names anyway.
-				if _, dup := idx.Funcs[key]; !dup && key != "" {
-					idx.Funcs[key] = info
-				}
-			}
+	forEachFunc(pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		key := declKey(pkg, fd)
+		info := &FuncInfo{Key: key, Pkg: pkg, Decl: fd}
+		collectCalls(pkg, fd.Body, info)
+		collectFieldAccesses(idx, pkg, key, fd.Body)
+		// Later declarations never overwrite earlier ones; the loader
+		// rejects duplicate top-level names anyway.
+		if _, dup := idx.Funcs[key]; !dup && key != "" {
+			idx.Funcs[key] = info
 		}
-	}
+	})
 	return idx
 }
 
 // Func returns the info for a key, or nil when the function is not
 // declared in a loaded package (stdlib, unresolved).
 func (idx *Index) Func(key FuncKey) *FuncInfo { return idx.Funcs[key] }
-
-// ReachableFrom flood-fills the call graph from every function whose
-// package satisfies root, returning the set of reachable function keys
-// (roots included).
-func (idx *Index) ReachableFrom(root func(*Package) bool) map[FuncKey]bool {
-	seen := make(map[FuncKey]bool)
-	var queue []FuncKey
-	// Deterministic seeding: keys sorted, though reachability is a set and
-	// order-insensitive anyway.
-	keys := make([]FuncKey, 0, len(idx.Funcs))
-	for k := range idx.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if root(idx.Funcs[k].Pkg) {
-			seen[k] = true
-			queue = append(queue, k)
-		}
-	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		info := idx.Funcs[k]
-		if info == nil {
-			continue
-		}
-		for _, c := range info.Calls {
-			if !seen[c.Callee] {
-				seen[c.Callee] = true
-				queue = append(queue, c.Callee)
-			}
-		}
-	}
-	return seen
-}
 
 // declKey computes the key of a function declaration via its type object.
 func declKey(pkg *Package, fd *ast.FuncDecl) FuncKey {
@@ -280,6 +235,16 @@ func fieldAccessKey(ownerKey string, field *types.Var) string {
 	return ownerKey + "." + field.Name()
 }
 
+// fieldKey is the package-base-qualified key of a field selection
+// ("topology.Topology.alive"), the form the checks' tables use, or ""
+// for any other selector.
+func fieldKey(p *Package, sel *ast.SelectorExpr) string {
+	if owner, field := fieldOf(p, sel); field != nil {
+		return shortKey(fieldAccessKey(owner, field))
+	}
+	return ""
+}
+
 // collectFieldAccesses walks one function body recording every struct
 // field access with write/atomic classification:
 //
@@ -299,20 +264,8 @@ func collectFieldAccesses(idx *Index, pkg *Package, fn FuncKey, body ast.Node) {
 
 	markLvalue := func(e ast.Expr) {
 		// Every field selection along the lvalue spine is written through.
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.SelectorExpr:
-				written[x] = true
-				e = x.X
-			default:
-				return
-			}
+		for _, sel := range spineOf(pkg, e).fields() {
+			written[sel] = true
 		}
 	}
 
@@ -325,28 +278,17 @@ func collectFieldAccesses(idx *Index, pkg *Package, fn FuncKey, body ast.Node) {
 		case *ast.IncDecStmt:
 			markLvalue(s.X)
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && id.Name == "delete" {
-				if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin && len(s.Args) > 0 {
-					markLvalue(s.Args[0])
-				}
+			if builtinName(pkg, s.Fun) == "delete" && len(s.Args) > 0 {
+				markLvalue(s.Args[0])
 			}
-			// atomic.AddUint64(&x.f, 1) and friends.
-			if isAtomicPkgFunc(pkg, s.Fun) {
-				for _, arg := range s.Args {
-					if ue, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-						if sel, ok := ast.Unparen(ue.X).(*ast.SelectorExpr); ok {
-							atomicSel[sel] = true
-						}
-					}
-				}
-			}
-			// o.epoch.Add(1): receiver of a method on an atomic type. Only
-			// the exact field selector counts — o.rows[i].Store(x) goes
-			// through an atomic ELEMENT, which says nothing about how the
-			// rows header itself may be accessed.
-			if mSel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok {
-				if recvSel, ok := ast.Unparen(mSel.X).(*ast.SelectorExpr); ok && isAtomicType(pkg.Info.TypeOf(recvSel)) {
-					atomicSel[recvSel] = true
+			// atomic.AddUint64(&x.f, 1), o.epoch.Add(1): only an exact field
+			// selector counts — o.rows[i].Store(x) goes through an atomic
+			// ELEMENT, which says nothing about how the rows header itself
+			// may be accessed.
+			ops, _ := atomicOperands(pkg, s)
+			for _, op := range ops {
+				if sel, ok := ast.Unparen(op).(*ast.SelectorExpr); ok {
+					atomicSel[sel] = true
 				}
 			}
 		}
@@ -374,6 +316,33 @@ func collectFieldAccesses(idx *Index, pkg *Package, fn FuncKey, body ast.Node) {
 	})
 }
 
+// atomicOperands returns what a sync/atomic call acts on — the receiver
+// of a method on an atomic-typed value (o.epoch.Add(1)), or the operand
+// of each &-argument of a package function (atomic.AddUint64(&s.seq, 1))
+// — and whether the call writes them (Add, And, CompareAndSwap, Or,
+// Store, Swap; not Load).
+func atomicOperands(p *Package, call *ast.CallExpr) (ops []ast.Expr, writes bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, false
+	}
+	for _, prefix := range []string{"Add", "And", "CompareAndSwap", "Or", "Store", "Swap"} {
+		writes = writes || strings.HasPrefix(sel.Sel.Name, prefix)
+	}
+	if isAtomicPkgFunc(p, call.Fun) {
+		for _, arg := range call.Args {
+			if ue, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && ue.Op == token.AND {
+				ops = append(ops, ue.X)
+			}
+		}
+		return ops, writes
+	}
+	if isAtomicType(p.Info.TypeOf(sel.X)) {
+		return []ast.Expr{sel.X}, writes
+	}
+	return nil, false
+}
+
 // isAtomicPkgFunc reports whether the call target is a package-level
 // function of sync/atomic.
 func isAtomicPkgFunc(p *Package, fun ast.Expr) bool {
@@ -386,25 +355,15 @@ func isAtomicPkgFunc(p *Package, fun ast.Expr) bool {
 		f.Type().(*types.Signature).Recv() == nil
 }
 
-// isAtomicType reports whether t is one of sync/atomic's named types
-// (Bool, Int32..Uint64, Uintptr, Pointer[T], Value).
-func isAtomicType(t types.Type) bool {
-	if t == nil {
-		return false
+// shortKey trims the import-path directory from an index key, leaving the
+// package-base-qualified form both the real module and fixtures share:
+// "repro/internal/topology.(Topology).SetNodeAlive" and
+// "fixture/topology.(Topology).SetNodeAlive" both shorten to
+// "topology.(Topology).SetNodeAlive". Field keys and import paths shorten
+// the same way ("fixture/topology" -> "topology").
+func shortKey(key string) string {
+	if i := strings.LastIndexByte(key, '/'); i >= 0 {
+		return key[i+1:]
 	}
-	named, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// pkgPathBase returns the last element of an import path, tolerating
-// fixture paths ("fixture/topology" -> "topology").
-func pkgPathBase(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
+	return key
 }

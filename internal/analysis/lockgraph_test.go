@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -51,34 +50,5 @@ func TestLockGraphDOT(t *testing.T) {
 	}
 	if dot != buf2.String() {
 		t.Error("WriteDOT is not deterministic across calls")
-	}
-}
-
-// TestRunParallelMatchesSerial proves the satellite claim behind the
-// concurrent executor: Run (parallel) and RunSerial produce identical
-// findings — same order, same suppression marks — over packages that
-// exercise package checks, module checks and suppressions at once.
-func TestRunParallelMatchesSerial(t *testing.T) {
-	loader := analysis.NewLoader()
-	var pkgs []*analysis.Package
-	for _, fx := range []struct{ dir, path string }{
-		{"testdata/src/lockorder", "fixture/netstate"},
-		{"testdata/src/mergeorder", "fixture/core"},
-		{"testdata/src/snapshotfreeze", "fixture/netstate2"},
-		{"testdata/src/floateq", "fixture/floateq"},
-	} {
-		pkg, err := loader.LoadDir(fx.dir, fx.path)
-		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", fx.dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	parallel := analysis.Run(pkgs, analysis.All())
-	serial := analysis.RunSerial(pkgs, analysis.All())
-	if len(parallel) == 0 {
-		t.Fatal("fixture scan produced no findings; the equivalence test is vacuous")
-	}
-	if !reflect.DeepEqual(parallel, serial) {
-		t.Errorf("parallel and serial runs disagree:\nparallel: %v\nserial:   %v", parallel, serial)
 	}
 }

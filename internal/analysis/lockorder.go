@@ -45,8 +45,8 @@ import (
 //     walked as its own root instead: holding H while STARTING a
 //     goroutine that takes L is not nesting.
 //
-// Branch joins are unions (an edge on some path is an edge), loop
-// bodies are walked twice, returns terminate a path. Dynamic calls
+// The held set rides the shared path walker (flow.go): branch joins are
+// unions, so an edge on some path is an edge. Dynamic calls
 // (function values, interface methods) contribute no edges — the
 // fail-safe stance of every index-based check — so callback fields like
 // netstate.Oracle.load carry a contract annotation at the declaration
@@ -132,14 +132,11 @@ func (LockOrder) Doc() string {
 func (LockOrder) RunModule(mp *ModulePass) {
 	g := buildLockGraph(mp.Index)
 
-	// Cycle detection: strongly connected components over the edge set.
-	// Any SCC with two or more members is a deadlock-capable cycle;
-	// every in-SCC edge is reported at its acquisition site so the fix
-	// (pick one order) is visible at each offending nesting.
-	for _, scc := range lockSCCs(g) {
-		if len(scc) < 2 {
-			continue
-		}
+	// Cycle detection: every strongly connected component of two or
+	// more locks is a deadlock-capable cycle; every in-component edge is
+	// reported at its acquisition site so the fix (pick one order) is
+	// visible at each offending nesting.
+	for _, scc := range lockCycles(g) {
 		inSCC := make(map[string]bool, len(scc))
 		for _, n := range scc {
 			inSCC[n] = true
@@ -155,17 +152,6 @@ func (LockOrder) RunModule(mp *ModulePass) {
 	}
 }
 
-// loMutexType reports whether t is sync.Mutex or sync.RWMutex.
-func loMutexType(t types.Type) bool {
-	named, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
 // loLockKey resolves the receiver expression of a Lock/Unlock call to
 // its tracked-node key ("pkg.Struct.field" for fields, "pkg.var" for
 // package-level vars), or "" when untracked. Stripe locks (an array or
@@ -173,17 +159,13 @@ func loMutexType(t types.Type) bool {
 // field key ignores the index, which is what a global stripe order
 // means.
 func loLockKey(pkg *Package, recv ast.Expr) string {
-	if !loMutexType(pkg.Info.TypeOf(recv)) {
+	if !isMutexType(pkg.Info.TypeOf(recv)) {
 		return ""
 	}
 	switch x := ast.Unparen(recv).(type) {
 	case *ast.SelectorExpr:
-		owner, field := fieldOf(pkg, x)
-		if field == nil {
-			return ""
-		}
-		key := shortKey(fieldAccessKey(owner, field)) // "netstate.Oracle.pairMu"
-		if loPackages[keyPkgBase(key)] {
+		key := fieldKey(pkg, x) // "netstate.Oracle.pairMu"
+		if base, _, _ := strings.Cut(key, "."); loPackages[base] {
 			return key
 		}
 	case *ast.Ident:
@@ -228,10 +210,7 @@ func loLockCall(pkg *Package, call *ast.CallExpr) (key string, acquire, ok bool)
 		return "", false, false
 	}
 	key = loLockKey(pkg, sel.X)
-	if key == "" {
-		return "", false, false
-	}
-	return key, acquire, true
+	return key, acquire, key != ""
 }
 
 // loScan collects the ordered lock events under n, excluding subtrees
@@ -288,16 +267,8 @@ func loScan(pkg *Package, n ast.Node, releases bool, workers *[]*ast.FuncLit) []
 	return events
 }
 
-// loFuncSummary is the per-function substrate of the transitive-acquire
-// fixpoint.
-type loFuncSummary struct {
-	acquires map[string]bool // direct acquisitions on this goroutine
-	callees  []FuncKey
-	trans    map[string]bool // closed over the call graph
-}
-
 // buildLockGraph runs the three passes: node inventory, per-function
-// transitive-acquire fixpoint, and the held-set edge walk.
+// transitive-acquire closure, and the held-set edge walk.
 func buildLockGraph(idx *Index) *LockGraph {
 	g := &LockGraph{}
 	nodeSeen := make(map[string]bool)
@@ -308,42 +279,25 @@ func buildLockGraph(idx *Index) *LockGraph {
 		}
 	}
 
-	// Pass 1: tracked-lock inventory from declarations, so locks nobody
-	// nests (or even acquires) still appear in the DOT artifact.
+	// Pass 1: tracked-lock inventory from package-level declarations, so
+	// locks nobody nests (or even acquires) still appear in the DOT
+	// artifact.
 	for _, pkg := range idx.Pkgs {
 		if !loPackages[pkg.Base()] {
 			continue
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
+		scope := pkg.Pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Var:
+				if isMutexType(obj.Type()) {
+					addNode(pkg.Base() + "." + name)
 				}
-				for _, spec := range gd.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						st, ok := s.Type.(*ast.StructType)
-						if !ok {
-							continue
-						}
-						for _, fld := range st.Fields.List {
-							if !loMutexType(pkg.Info.TypeOf(fld.Type)) {
-								continue
-							}
-							for _, name := range fld.Names {
-								addNode(pkg.Base() + "." + s.Name.Name + "." + name.Name)
-							}
-						}
-					case *ast.ValueSpec:
-						if gd.Tok != token.VAR {
-							continue
-						}
-						for _, name := range s.Names {
-							if obj := pkg.Info.Defs[name]; obj != nil && loMutexType(obj.Type()) {
-								addNode(pkg.Base() + "." + name.Name)
-							}
-						}
+			case *types.TypeName:
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				for i := 0; ok && i < st.NumFields(); i++ {
+					if f := st.Field(i); !f.Embedded() && isMutexType(f.Type()) {
+						addNode(pkg.Base() + "." + name + "." + f.Name())
 					}
 				}
 			}
@@ -351,56 +305,27 @@ func buildLockGraph(idx *Index) *LockGraph {
 	}
 
 	// Pass 2: per-function direct acquires and same-goroutine callees,
-	// then the transitive fixpoint.
-	sums := make(map[FuncKey]*loFuncSummary, len(idx.Funcs))
+	// closed over the call graph into transitive acquire sets.
+	trans := make(map[FuncKey]map[string]bool, len(idx.Funcs))
+	callees := make(map[FuncKey][]FuncKey, len(idx.Funcs))
 	for key, info := range idx.Funcs {
-		sum := &loFuncSummary{acquires: make(map[string]bool)}
+		trans[key] = make(map[string]bool)
 		for _, ev := range loScan(info.Pkg, info.Decl.Body, true, nil) {
 			switch ev.kind {
 			case loAcquire:
-				sum.acquires[ev.lock] = true
+				trans[key][ev.lock] = true
 			case loCall:
-				sum.callees = append(sum.callees, ev.callee)
-			}
-		}
-		sums[key] = sum
-	}
-	keys := make([]FuncKey, 0, len(sums))
-	for k := range sums {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sum := sums[k]
-		sum.trans = make(map[string]bool, len(sum.acquires))
-		for l := range sum.acquires {
-			sum.trans[l] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range keys {
-			sum := sums[k]
-			for _, c := range sum.callees {
-				callee := sums[c]
-				if callee == nil {
-					continue // dynamic or external: assumed lock-free
-				}
-				for l := range callee.trans {
-					if !sum.trans[l] {
-						sum.trans[l] = true
-						changed = true
-					}
-				}
+				callees[key] = append(callees[key], ev.callee)
 			}
 		}
 	}
+	closeSets(trans, callees)
 
 	// Pass 3: the held-set walk, per declared function and per
 	// goroutine-launched literal (fresh empty held set: the launcher's
 	// held locks are not held on the worker).
 	edgeSeen := make(map[string]bool)
-	addEdge := func(pkg *Package, fn, from, to string, pos token.Pos) {
+	w := &loWalk{trans: trans, addEdge: func(pkg *Package, fn, from, to string, pos token.Pos) {
 		if from == to {
 			// Same-node re-acquisition is stripe iteration (shard[i].mu
 			// after shard[i-1].mu released) or recursion, not an order
@@ -415,282 +340,132 @@ func buildLockGraph(idx *Index) *LockGraph {
 		addNode(from)
 		addNode(to)
 		g.Edges = append(g.Edges, LockEdge{From: from, To: to, Fn: fn, Pkg: pkg, Pos: pos})
-	}
-
-	for _, pkg := range idx.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn := shortKey(declKey(pkg, fd))
-				roots := []*ast.BlockStmt{fd.Body}
-				for i := 0; i < len(roots); i++ {
-					var workers []*ast.FuncLit
-					loWalkRoot(pkg, fn, roots[i], sums, addEdge, &workers)
-					for _, w := range workers {
-						roots = append(roots, w.Body)
-					}
-				}
+	}}
+	forEachFunc(idx.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		w.pkg, w.fn, w.workers = pkg, shortKey(declKey(pkg, fd)), nil
+		roots := []*ast.BlockStmt{fd.Body}
+		for i := 0; i < len(roots); i++ {
+			walkBody(pkg, w, roots[i], make(map[string]bool))
+			for _, fl := range w.workers {
+				roots = append(roots, fl.Body)
 			}
+			w.workers = nil
 		}
-	}
+	})
 	return g
 }
 
-// loState is the walker's path state: the set of locks held on the
-// current path, and whether the path has terminated (returned).
-type loState struct {
-	held       map[string]bool
-	terminated bool
+// loWalk is lockorder's transfer over the shared path walker: the state
+// is the set of locks held on the path, and every acquisition, or call
+// that acquires transitively, adds an edge from each held lock. Worker
+// literals found on the way are queued for their own root walks.
+type loWalk struct {
+	pkg     *Package
+	fn      string // shortKey of the walked declaration, the edges' label
+	trans   map[FuncKey]map[string]bool
+	addEdge func(pkg *Package, fn, from, to string, pos token.Pos)
+	workers []*ast.FuncLit
 }
 
-func loClone(s *loState) *loState {
-	c := &loState{held: make(map[string]bool, len(s.held)), terminated: s.terminated}
-	for k, v := range s.held {
-		c.held[k] = v
+func (w *loWalk) copy(held map[string]bool) map[string]bool {
+	c := make(map[string]bool, len(held))
+	for k := range held {
+		c[k] = true
 	}
 	return c
 }
 
-// loJoin folds branch states back into dst as a union: a lock held on
-// any surviving (non-terminated) path may be held afterwards, which is
-// the right over-approximation for a may-nest edge relation. When every
-// branch terminated, so has dst.
-func loJoin(dst *loState, srcs ...*loState) {
-	live := 0
-	union := make(map[string]bool)
-	for _, s := range srcs {
-		if s.terminated {
-			continue
-		}
-		live++
-		for k := range s.held {
-			union[k] = true
-		}
+// join is a union: a lock held on any live path may be held afterwards,
+// the right over-approximation for a may-nest edge relation.
+func (w *loWalk) join(a, b map[string]bool) map[string]bool {
+	for k := range b {
+		a[k] = true
 	}
-	if live == 0 {
-		dst.terminated = true
-		dst.held = make(map[string]bool)
-		return
-	}
-	dst.held = union
+	return a
 }
 
-// loWalkRoot walks one root body (a declaration or a worker literal)
-// emitting acquired-while-held edges. Worker literals discovered inside
-// are queued on workers for their own root walks.
-func loWalkRoot(pkg *Package, fn string, body *ast.BlockStmt,
-	sums map[FuncKey]*loFuncSummary,
-	addEdge func(pkg *Package, fn, from, to string, pos token.Pos),
-	workers *[]*ast.FuncLit) {
+func (w *loWalk) exit(map[string]bool) {}
 
-	heldSorted := func(st *loState) []string {
-		hs := make([]string, 0, len(st.held))
-		for h := range st.held {
-			hs = append(hs, h)
-		}
-		sort.Strings(hs)
-		return hs
-	}
-
-	apply := func(events []loEvent, st *loState) {
-		for _, ev := range events {
-			switch ev.kind {
-			case loAcquire:
-				for _, h := range heldSorted(st) {
-					addEdge(pkg, fn, h, ev.lock, ev.pos)
-				}
-				st.held[ev.lock] = true
-			case loRelease:
-				delete(st.held, ev.lock)
-			case loCall:
-				callee := sums[ev.callee]
-				if callee == nil || len(st.held) == 0 {
-					continue
-				}
-				acq := make([]string, 0, len(callee.trans))
-				for a := range callee.trans {
-					acq = append(acq, a)
-				}
-				sort.Strings(acq)
-				for _, h := range heldSorted(st) {
-					for _, a := range acq {
-						addEdge(pkg, fn, h, a, ev.pos)
-					}
-				}
-			}
-		}
-	}
-
-	var walk func(s ast.Stmt, st *loState)
-	walkList := func(list []ast.Stmt, st *loState) {
-		for _, s := range list {
-			if st.terminated {
-				return
-			}
-			walk(s, st)
-		}
-	}
-	walk = func(s ast.Stmt, st *loState) {
-		switch x := s.(type) {
-		case *ast.BlockStmt:
-			walkList(x.List, st)
-		case *ast.LabeledStmt:
-			walk(x.Stmt, st)
-		case *ast.ReturnStmt:
-			apply(loScan(pkg, x, true, workers), st)
-			st.terminated = true
-		case *ast.DeferStmt:
-			// Deferred releases are dropped (the lock stays held to the
-			// end of the function); deferred acquires and calls are
-			// applied with the held set at registration — conservative,
-			// and exact for the ubiquitous `defer mu.Unlock()`.
-			apply(loScan(pkg, x, false, workers), st)
-		case *ast.IfStmt:
-			if x.Init != nil {
-				walk(x.Init, st)
-			}
-			apply(loScan(pkg, x.Cond, true, workers), st)
-			thenSt := loClone(st)
-			walk(x.Body, thenSt)
-			elseSt := loClone(st)
-			if x.Else != nil {
-				walk(x.Else, elseSt)
-			}
-			loJoin(st, thenSt, elseSt)
-		case *ast.ForStmt:
-			if x.Init != nil {
-				walk(x.Init, st)
-			}
-			if x.Cond != nil {
-				apply(loScan(pkg, x.Cond, true, workers), st)
-			}
-			for i := 0; i < 2; i++ {
-				bodySt := loClone(st)
-				walk(x.Body, bodySt)
-				if x.Post != nil && !bodySt.terminated {
-					walk(x.Post, bodySt)
-				}
-				loJoin(st, bodySt, loClone(st))
-			}
-		case *ast.RangeStmt:
-			apply(loScan(pkg, x.X, true, workers), st)
-			for i := 0; i < 2; i++ {
-				bodySt := loClone(st)
-				walk(x.Body, bodySt)
-				loJoin(st, bodySt, loClone(st))
-			}
-		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			var bodyList []ast.Stmt
-			switch y := x.(type) {
-			case *ast.SwitchStmt:
-				if y.Init != nil {
-					walk(y.Init, st)
-				}
-				if y.Tag != nil {
-					apply(loScan(pkg, y.Tag, true, workers), st)
-				}
-				bodyList = y.Body.List
-			case *ast.TypeSwitchStmt:
-				if y.Init != nil {
-					walk(y.Init, st)
-				}
-				bodyList = y.Body.List
-			case *ast.SelectStmt:
-				bodyList = y.Body.List
-			}
-			branches := []*loState{loClone(st)} // no-case-taken path
-			for _, cc := range bodyList {
-				br := loClone(st)
-				switch c := cc.(type) {
-				case *ast.CaseClause:
-					walkList(c.Body, br)
-				case *ast.CommClause:
-					walkList(c.Body, br)
-				}
-				branches = append(branches, br)
-			}
-			loJoin(st, branches...)
-		case *ast.GoStmt:
-			apply(loScan(pkg, x, true, workers), st) // queues the worker, emits nothing
-		default:
-			apply(loScan(pkg, s, true, workers), st)
-		}
-	}
-
-	st := &loState{held: make(map[string]bool)}
-	walkList(body.List, st)
+func (w *loWalk) stmt(s ast.Stmt, held map[string]bool) map[string]bool {
+	return w.apply(loScan(w.pkg, s, true, &w.workers), held)
 }
 
-// lockSCCs returns the graph's strongly connected components (Tarjan),
-// each sorted, the list sorted by first member — fully deterministic.
-func lockSCCs(g *LockGraph) [][]string {
+func (w *loWalk) expr(e ast.Expr, held map[string]bool) map[string]bool {
+	return w.apply(loScan(w.pkg, e, true, &w.workers), held)
+}
+
+// deferred drops the deferred releases (the lock stays held to the end
+// of the function) and applies deferred acquires and calls with the held
+// set at registration — conservative, and exact for the ubiquitous
+// `defer mu.Unlock()`.
+func (w *loWalk) deferred(d *ast.DeferStmt, held map[string]bool) map[string]bool {
+	return w.apply(loScan(w.pkg, d, false, &w.workers), held)
+}
+
+func (w *loWalk) apply(events []loEvent, held map[string]bool) map[string]bool {
+	for _, ev := range events {
+		switch ev.kind {
+		case loAcquire:
+			for _, h := range sortedKeys(held) {
+				w.addEdge(w.pkg, w.fn, h, ev.lock, ev.pos)
+			}
+			held[ev.lock] = true
+		case loRelease:
+			delete(held, ev.lock)
+		case loCall:
+			if len(held) == 0 {
+				continue
+			}
+			acq := sortedKeys(w.trans[ev.callee])
+			for _, h := range sortedKeys(held) {
+				for _, a := range acq {
+					w.addEdge(w.pkg, w.fn, h, a, ev.pos)
+				}
+			}
+		}
+	}
+	return held
+}
+
+// lockCycles returns the graph's cycles: its strongly connected
+// components of two or more locks, each sorted, ordered by first member.
+func lockCycles(g *LockGraph) [][]string {
 	adj := make(map[string][]string)
-	nodes := append([]string(nil), g.Nodes...)
-	inNodes := make(map[string]bool)
-	for _, n := range nodes {
-		inNodes[n] = true
-	}
 	for _, e := range g.Edges {
 		adj[e.From] = append(adj[e.From], e.To)
-		for _, n := range []string{e.From, e.To} {
-			if !inNodes[n] {
-				inNodes[n] = true
-				nodes = append(nodes, n)
-			}
-		}
 	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		sort.Strings(adj[n])
-	}
-
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var sccs [][]string
-	next := 0
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
+	reach := func(from string) map[string]bool {
+		seen := make(map[string]bool)
+		for stack := []string{from}; len(stack) > 0; {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, m := range adj[n] {
+				if !seen[m] {
+					seen[m] = true
+					stack = append(stack, m)
 				}
 			}
-			sort.Strings(scc)
-			sccs = append(sccs, scc)
 		}
+		return seen
 	}
-	for _, n := range nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
+	var cycles [][]string
+	inCycle := make(map[string]bool)
+	for _, n := range sortedKeys(adj) {
+		if inCycle[n] {
+			continue
 		}
+		r := reach(n)
+		if !r[n] {
+			continue // on no cycle (no edge loops on one lock)
+		}
+		var scc []string
+		for _, m := range sortedKeys(r) {
+			if reach(m)[n] {
+				scc = append(scc, m)
+				inCycle[m] = true
+			}
+		}
+		cycles = append(cycles, scc)
 	}
-	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
-	return sccs
+	return cycles
 }

@@ -46,14 +46,9 @@ func (MapOrder) Run(p *Pass) {
 	if !decisionPackages[p.Pkg.Base()] {
 		return
 	}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Body != nil {
-				mapOrderFunc(p, fn.Body)
-			}
-		}
-	}
+	forEachFunc([]*Package{p.Pkg}, func(_ *Package, fd *ast.FuncDecl) {
+		mapOrderFunc(p, fd.Body)
+	})
 }
 
 // mapOrderFunc inspects one function body. fnBody is the scope searched
@@ -172,7 +167,7 @@ func commutativeAssign(p *Pass, s *ast.AssignStmt, keyObj types.Object, appendTa
 	case token.ASSIGN, token.DEFINE:
 		// v = append(v, ...) collects for a later sort.
 		if obj := identObj(p, lhs); obj != nil {
-			if call, ok := rhs.(*ast.CallExpr); ok && isBuiltin(p, call.Fun, "append") && len(call.Args) > 0 {
+			if call, ok := rhs.(*ast.CallExpr); ok && builtinName(p.Pkg, call.Fun) == "append" && len(call.Args) > 0 {
 				if identObj(p, call.Args[0]) == obj {
 					appendTargets[obj] = true
 					return true
@@ -237,7 +232,7 @@ func sortedAfter(p *Pass, body *ast.BlockStmt, pos token.Pos, obj types.Object) 
 // isKeyedDelete matches delete(m2, k) with k the loop key.
 func isKeyedDelete(p *Pass, e ast.Expr, keyObj types.Object) bool {
 	call, ok := e.(*ast.CallExpr)
-	if !ok || keyObj == nil || !isBuiltin(p, call.Fun, "delete") || len(call.Args) != 2 {
+	if !ok || keyObj == nil || builtinName(p.Pkg, call.Fun) != "delete" || len(call.Args) != 2 {
 		return false
 	}
 	return identObj(p, call.Args[1]) == keyObj
@@ -267,15 +262,6 @@ func isIntegerExpr(p *Pass, e ast.Expr) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
-}
-
-func isBuiltin(p *Pass, fun ast.Expr, name string) bool {
-	id, ok := fun.(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, ok = p.Pkg.Info.Uses[id].(*types.Builtin)
-	return ok
 }
 
 // identObj resolves an expression to the object of a plain identifier, or

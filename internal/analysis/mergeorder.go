@@ -40,33 +40,27 @@ func (MergeOrder) Run(p *Pass) {
 	if p.Pkg.Base() == "parallel" {
 		return
 	}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := parallelCallee(p, call)
-				if callee == "" || len(call.Args) == 0 {
-					return true
-				}
-				worker := call.Args[len(call.Args)-1]
-				lit, ok := ast.Unparen(worker).(*ast.FuncLit)
-				if !ok {
-					p.Reportf(worker.Pos(),
-						"worker passed to parallel.%s by name; pass a function literal so the merge order is verifiable at the call site", callee)
-					return true
-				}
-				checkWorker(p, fd, call, lit, callee)
+	forEachFunc([]*Package{p.Pkg}, func(_ *Package, fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-		}
-	}
+			}
+			callee := parallelCallee(p, call)
+			if callee == "" || len(call.Args) == 0 {
+				return true
+			}
+			worker := call.Args[len(call.Args)-1]
+			lit, ok := ast.Unparen(worker).(*ast.FuncLit)
+			if !ok {
+				p.Reportf(worker.Pos(),
+					"worker passed to parallel.%s by name; pass a function literal so the merge order is verifiable at the call site", callee)
+				return true
+			}
+			checkWorker(p, fd, call, lit, callee)
+			return true
+		})
+	})
 }
 
 // parallelCallee returns "ForEach"/"Map" when call targets
@@ -77,7 +71,7 @@ func parallelCallee(p *Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	f, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || f.Pkg() == nil || pkgPathBase(f.Pkg().Path()) != "parallel" {
+	if !ok || f.Pkg() == nil || shortKey(f.Pkg().Path()) != "parallel" {
 		return ""
 	}
 	if f.Name() == "ForEach" || f.Name() == "Map" {
@@ -112,7 +106,7 @@ func checkWorker(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, lit *ast.FuncLit
 		case *ast.IncDecStmt:
 			auditLvalue(p, lit, idxObj, s.X, flag)
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && id.Name == "delete" && isBuiltinIdent(p.Pkg, id) && len(s.Args) > 0 {
+			if builtinName(p.Pkg, s.Fun) == "delete" && len(s.Args) > 0 {
 				auditLvalue(p, lit, idxObj, s.Args[0], flag)
 			}
 		}
@@ -134,41 +128,29 @@ func workerIndexParam(p *Pass, lit *ast.FuncLit) types.Object {
 // variable captured from outside the literal are reported via flag unless
 // some index on the spine is addressed by the worker's index parameter.
 func auditLvalue(p *Pass, lit *ast.FuncLit, idxObj types.Object, e ast.Expr, flag func(ast.Expr, bool, types.Object)) {
-	orig := e
-	indexed := false
-	mapWrite := false
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			if t := p.TypeOf(x.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					mapWrite = true
-				}
+	sp := spineOf(p.Pkg, e)
+	if sp.root == nil || !capturedBy(lit, sp.root) {
+		return // worker-local state is invisible outside
+	}
+	indexed, mapWrite := false, false
+	for _, l := range sp.layers {
+		x, ok := l.(*ast.IndexExpr)
+		if !ok {
+			continue
+		}
+		if t := p.TypeOf(x.X); t != nil {
+			if _, isMap := t.Underlying().(*types.Map); isMap {
+				mapWrite = true
 			}
-			if idxObj != nil && mentionsObject(p, x.Index, idxObj) {
-				indexed = true
-			}
-			e = x.X
-		case *ast.Ident:
-			obj := p.Pkg.Info.ObjectOf(x)
-			if obj == nil || !capturedBy(lit, obj) {
-				return // worker-local state is invisible outside
-			}
-			if indexed && !mapWrite {
-				return // out[i] = v: each worker owns its slot
-			}
-			flag(orig, mapWrite, obj)
-			return
-		default:
-			return
+		}
+		if idxObj != nil && mentionsObject(p, x.Index, idxObj) {
+			indexed = true
 		}
 	}
+	if indexed && !mapWrite {
+		return // out[i] = v: each worker owns its slot
+	}
+	flag(e, mapWrite, sp.root)
 }
 
 // capturedBy reports whether obj is declared outside the literal (a true

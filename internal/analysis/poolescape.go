@@ -23,9 +23,9 @@ import (
 //
 //   - Rule A (Put balance), per function unit (a declaration or one of
 //     its function literals): every sync.Pool.Get must reach a Put on
-//     every exit path — deferred Puts cover all later exits, branch joins
-//     are pessimistic (held if held on any path), loop bodies are walked
-//     twice, and an explicit panic is an exit (defers still run).
+//     every exit path of the shared path walker (flow.go) — a deferred
+//     Put covers the later exits of its own path, and branch joins are
+//     pessimistic (held if held on any path).
 //   - Rule B (escape), flat over the whole declaration including
 //     closures: pooled objects and chains rooted at registered slab
 //     fields (peSlabFields) are tainted; taint flows through re-slicing,
@@ -72,17 +72,21 @@ func (PoolEscape) Doc() string {
 
 // RunModule implements ModuleCheck.
 func (PoolEscape) RunModule(mp *ModulePass) {
-	for _, pkg := range mp.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				peCheckDecl(mp, pkg, fd)
+	forEachFunc(mp.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		// Rule A per function unit: the declaration and each literal.
+		var pooled []types.Object // every pooled object, for rule B seeding
+		units := []*ast.BlockStmt{fd.Body}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if fl, ok := n.(*ast.FuncLit); ok {
+				units = append(units, fl.Body)
 			}
+			return true
+		})
+		for _, body := range units {
+			pooled = append(pooled, peRuleA(mp, pkg, body, units)...)
 		}
-	}
+		peRuleB(mp, pkg, fd, pooled)
+	})
 }
 
 // peGet is one tracked Pool.Get binding.
@@ -92,45 +96,11 @@ type peGet struct {
 	leaked bool
 }
 
-func peCheckDecl(mp *ModulePass, pkg *Package, fd *ast.FuncDecl) {
-	// ---- Rule A: Put balance, per function unit. ----
-	var units []*ast.BlockStmt
-	units = append(units, fd.Body)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			units = append(units, fl.Body)
-		}
-		return true
-	})
-	var pooled []types.Object // every pooled object, for rule B seeding
-	for _, body := range units {
-		pooled = append(pooled, peRuleA(mp, pkg, body, units)...)
-	}
-
-	// ---- Rule B: taint and escape, flat over the declaration. ----
-	peRuleB(mp, pkg, fd, pooled)
-}
-
 // peIsPoolMethod reports whether call is sync.Pool method name on any
 // receiver expression.
-func peIsPoolMethod(pkg *Package, call *ast.CallExpr, name string) (recv ast.Expr, ok bool) {
+func peIsPoolMethod(pkg *Package, call *ast.CallExpr, name string) bool {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || sel.Sel.Name != name {
-		return nil, false
-	}
-	t := pkg.Info.TypeOf(sel.X)
-	if t == nil {
-		return nil, false
-	}
-	named, isNamed := derefType(t).(*types.Named)
-	if !isNamed {
-		return nil, false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" || obj.Name() != "Pool" {
-		return nil, false
-	}
-	return sel.X, true
+	return isSel && sel.Sel.Name == name && isNamed(pkg.Info.TypeOf(sel.X), "sync", "Pool")
 }
 
 // peGetCall unwraps an expression to a Pool.Get call, looking through
@@ -140,14 +110,10 @@ func peGetCall(pkg *Package, e ast.Expr) *ast.CallExpr {
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {
 		e = ast.Unparen(ta.X)
 	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return nil
+	if call, ok := e.(*ast.CallExpr); ok && peIsPoolMethod(pkg, call, "Get") {
+		return call
 	}
-	if _, isGet := peIsPoolMethod(pkg, call, "Get"); !isGet {
-		return nil
-	}
-	return call
+	return nil
 }
 
 // peRuleA walks one function unit proving every Get reaches a Put on
@@ -163,13 +129,21 @@ func peRuleA(mp *ModulePass, pkg *Package, body *ast.BlockStmt, units []*ast.Blo
 		return false
 	}
 
-	// Pre-pass: find Get bindings and unbound Gets in this unit.
-	gets := make(map[types.Object]*peGet)
+	// Pre-pass: find Get bindings and unbound Gets in this unit. An
+	// assignment is visited before the calls on its right-hand side.
+	u := &peUnit{pkg: pkg, gets: make(map[types.Object]*peGet)}
 	bound := make(map[*ast.CallExpr]bool)
 	var order []*peGet
 	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil || nested(n) {
+			return true
+		}
+		if call, ok := n.(*ast.CallExpr); ok && !bound[call] && peIsPoolMethod(pkg, call, "Get") {
+			mp.Reportf(pkg, call.Pos(),
+				"result of Pool.Get is not bound to a variable; taalint cannot prove it returns to the pool")
+		}
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || nested(n) {
+		if !ok {
 			return true
 		}
 		for i, rhs := range as.Rhs {
@@ -187,240 +161,114 @@ func peRuleA(mp *ModulePass, pkg *Package, body *ast.BlockStmt, units []*ast.Blo
 			}
 			bound[call] = true
 			g := &peGet{pos: call.Pos(), obj: obj}
-			gets[obj] = g
+			u.gets[obj] = g
 			order = append(order, g)
 		}
 		return true
 	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || nested(n) || bound[call] {
-			return true
-		}
-		if _, isGet := peIsPoolMethod(pkg, call, "Get"); isGet {
-			mp.Reportf(pkg, call.Pos(),
-				"result of Pool.Get is not bound to a variable; taalint cannot prove it returns to the pool")
-		}
-		return true
-	})
 
-	var pooledObjs []types.Object
-	for obj := range gets {
-		pooledObjs = append(pooledObjs, obj)
+	if len(order) == 0 {
+		return nil
 	}
-	if len(gets) == 0 {
-		return pooledObjs
-	}
-
-	// putTarget resolves a Put call's released object, looking inside a
-	// deferred closure body too (defer func() { pool.Put(x) }()).
-	putTargets := func(n ast.Node) []*peGet {
-		var out []*peGet
-		ast.Inspect(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if _, isPut := peIsPoolMethod(pkg, call, "Put"); isPut && len(call.Args) == 1 {
-				if obj := rootIdentObject(pkg, call.Args[0]); obj != nil {
-					if g := gets[obj]; g != nil {
-						out = append(out, g)
-					}
-				}
-			}
-			return true
-		})
-		return out
-	}
-
-	type state struct {
-		held     map[*peGet]bool
-		deferred map[*peGet]bool
-	}
-	clone := func(s *state) *state {
-		c := &state{held: make(map[*peGet]bool, len(s.held)), deferred: make(map[*peGet]bool, len(s.deferred))}
-		for k, v := range s.held {
-			c.held[k] = v
-		}
-		for k, v := range s.deferred {
-			c.deferred[k] = v
-		}
-		return c
-	}
-	// join: held on any path stays held; a defer registered on only some
-	// paths is not guaranteed to run.
-	join := func(dst *state, srcs ...*state) {
-		for _, s := range srcs {
-			for g, h := range s.held {
-				if h {
-					dst.held[g] = true
-				}
-			}
-		}
-		for g := range dst.deferred {
-			for _, s := range srcs {
-				if !s.deferred[g] {
-					delete(dst.deferred, g)
-					break
-				}
-			}
-		}
-	}
-	exit := func(s *state) {
-		for g, h := range s.held {
-			if h && !s.deferred[g] {
-				g.leaked = true
-			}
-		}
-	}
-
-	var walk func(s ast.Stmt, st *state)
-	walkList := func(list []ast.Stmt, st *state) {
-		for _, s := range list {
-			walk(s, st)
-		}
-	}
-	walk = func(s ast.Stmt, st *state) {
-		switch x := s.(type) {
-		case *ast.BlockStmt:
-			walkList(x.List, st)
-		case *ast.LabeledStmt:
-			walk(x.Stmt, st)
-		case *ast.AssignStmt:
-			for i, rhs := range x.Rhs {
-				if call := peGetCall(pkg, rhs); call != nil && i < len(x.Lhs) {
-					if id, ok := ast.Unparen(x.Lhs[i]).(*ast.Ident); ok {
-						if g := gets[pkg.Info.ObjectOf(id)]; g != nil {
-							st.held[g] = true
-						}
-					}
-				}
-			}
-		case *ast.ExprStmt:
-			for _, g := range putTargets(x) {
-				st.held[g] = false
-			}
-			if call, ok := ast.Unparen(x.X).(*ast.CallExpr); ok {
-				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-					if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-						exit(st) // deferred Puts run during panic unwinding
-						for g := range st.held {
-							st.held[g] = false
-						}
-					}
-				}
-			}
-		case *ast.DeferStmt:
-			for _, g := range putTargets(x) {
-				st.deferred[g] = true
-			}
-		case *ast.ReturnStmt:
-			exit(st)
-			for g := range st.held {
-				st.held[g] = false // unreachable afterwards on this path
-			}
-		case *ast.IfStmt:
-			if x.Init != nil {
-				walk(x.Init, st)
-			}
-			thenSt := clone(st)
-			walk(x.Body, thenSt)
-			elseSt := clone(st)
-			if x.Else != nil {
-				walk(x.Else, elseSt)
-			}
-			join(st, thenSt, elseSt)
-		case *ast.ForStmt:
-			if x.Init != nil {
-				walk(x.Init, st)
-			}
-			// Two passes: effects of one iteration feed the next.
-			for i := 0; i < 2; i++ {
-				bodySt := clone(st)
-				walk(x.Body, bodySt)
-				if x.Post != nil {
-					walk(x.Post, bodySt)
-				}
-				join(st, bodySt)
-			}
-		case *ast.RangeStmt:
-			for i := 0; i < 2; i++ {
-				bodySt := clone(st)
-				walk(x.Body, bodySt)
-				join(st, bodySt)
-			}
-		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			var bodyList []ast.Stmt
-			switch y := x.(type) {
-			case *ast.SwitchStmt:
-				if y.Init != nil {
-					walk(y.Init, st)
-				}
-				bodyList = y.Body.List
-			case *ast.TypeSwitchStmt:
-				if y.Init != nil {
-					walk(y.Init, st)
-				}
-				bodyList = y.Body.List
-			case *ast.SelectStmt:
-				bodyList = y.Body.List
-			}
-			branches := []*state{clone(st)} // no-case-taken path
-			for _, cc := range bodyList {
-				br := clone(st)
-				switch c := cc.(type) {
-				case *ast.CaseClause:
-					walkList(c.Body, br)
-				case *ast.CommClause:
-					walkList(c.Body, br)
-				}
-				branches = append(branches, br)
-			}
-			join(st, branches...)
-		}
-	}
-
-	st := &state{held: make(map[*peGet]bool), deferred: make(map[*peGet]bool)}
-	walkList(body.List, st)
-	exit(st) // fall off the end
-
+	walkBody(pkg, u, body, peState{held: make(map[*peGet]bool), deferred: make(map[*peGet]bool)})
+	var pooled []types.Object
 	for _, g := range order {
+		pooled = append(pooled, g.obj)
 		if g.leaked {
 			mp.Reportf(pkg, g.pos,
 				"pooled %s may not be returned to its pool on every exit path; defer the Put or Put before each return",
 				g.obj.Name())
 		}
 	}
-	return pooledObjs
+	return pooled
 }
 
-// peRefLike reports whether a value of type t can carry references to
-// slab memory: pointers, slices, maps, chans, funcs, interfaces, and
-// aggregates containing them. Strings are immutable and scalar-like.
-func peRefLike(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil {
-		return false
+// peState is rule A's path state: the pooled objects held, and the ones a
+// defer registered on this path will Put.
+type peState struct{ held, deferred map[*peGet]bool }
+
+// peUnit is rule A's transfer over the shared path walker for one unit.
+type peUnit struct {
+	pkg  *Package
+	gets map[types.Object]*peGet
+}
+
+func (u *peUnit) copy(st peState) peState {
+	c := peState{held: make(map[*peGet]bool, len(st.held)), deferred: make(map[*peGet]bool, len(st.deferred))}
+	for g := range st.held {
+		c.held[g] = true
 	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
+	for g := range st.deferred {
+		c.deferred[g] = true
 	}
-	if seen[t] {
-		return false
+	return c
+}
+
+// join: held on any path stays held; a defer registered on only some
+// paths is not guaranteed to run.
+func (u *peUnit) join(a, b peState) peState {
+	for g := range b.held {
+		a.held[g] = true
 	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
-		return true
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if peRefLike(u.Field(i).Type(), seen) {
-				return true
+	for g := range a.deferred {
+		if !b.deferred[g] {
+			delete(a.deferred, g)
+		}
+	}
+	return a
+}
+
+// exit marks every object held and not Put by a registered defer leaked.
+func (u *peUnit) exit(st peState) {
+	for g := range st.held {
+		if !st.deferred[g] {
+			g.leaked = true
+		}
+	}
+}
+
+func (u *peUnit) stmt(s ast.Stmt, st peState) peState {
+	switch x := s.(type) {
+	case *ast.AssignStmt:
+		for i, rhs := range x.Rhs {
+			if peGetCall(u.pkg, rhs) != nil && i < len(x.Lhs) {
+				if id, ok := ast.Unparen(x.Lhs[i]).(*ast.Ident); ok {
+					if g := u.gets[u.pkg.Info.ObjectOf(id)]; g != nil {
+						st.held[g] = true
+					}
+				}
 			}
 		}
-	case *types.Array:
-		return peRefLike(u.Elem(), seen)
+	case *ast.ExprStmt:
+		for _, g := range u.putTargets(x) {
+			delete(st.held, g)
+		}
 	}
-	return false
+	return st
+}
+
+func (u *peUnit) expr(_ ast.Expr, st peState) peState { return st }
+
+func (u *peUnit) deferred(d *ast.DeferStmt, st peState) peState {
+	for _, g := range u.putTargets(d) {
+		st.deferred[g] = true
+	}
+	return st
+}
+
+// putTargets resolves the objects a statement Puts back, looking inside a
+// deferred closure body too (defer func() { pool.Put(x) }()).
+func (u *peUnit) putTargets(n ast.Node) []*peGet {
+	var out []*peGet
+	ast.Inspect(n, func(m ast.Node) bool {
+		if call, ok := m.(*ast.CallExpr); ok && len(call.Args) == 1 && peIsPoolMethod(u.pkg, call, "Put") {
+			if g := u.gets[rootIdentObject(u.pkg, call.Args[0])]; g != nil {
+				out = append(out, g)
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // peRuleB runs the flat taint/escape analysis over one declaration.
@@ -429,105 +277,27 @@ func peRuleB(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, pooled []types.Obje
 	for _, obj := range pooled {
 		tainted[obj] = true
 	}
-
-	// chainTainted: does the expression's value chain reach slab memory?
-	var chainTainted func(e ast.Expr) bool
-	chainTainted = func(e ast.Expr) bool {
+	// Seeds: pooled objects and what they taint, and chains rooted at a
+	// registered slab field.
+	seed := func(e ast.Expr) bool {
 		switch x := e.(type) {
-		case *ast.ParenExpr:
-			return chainTainted(x.X)
 		case *ast.Ident:
 			return tainted[pkg.Info.ObjectOf(x)]
-		case *ast.StarExpr:
-			return chainTainted(x.X)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				return chainTainted(x.X)
-			}
-			return false
-		case *ast.IndexExpr:
-			return chainTainted(x.X)
-		case *ast.SliceExpr:
-			return chainTainted(x.X)
 		case *ast.SelectorExpr:
-			if owner, field := fieldOf(pkg, x); field != nil {
-				if peSlabFields[shortKey(fieldAccessKey(owner, field))] {
-					return true
-				}
-			}
-			return chainTainted(x.X)
-		case *ast.CompositeLit:
-			for _, el := range x.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					el = kv.Value
-				}
-				if chainTainted(el) {
-					return true
-				}
-			}
-		case *ast.TypeAssertExpr:
-			return chainTainted(x.X)
-		case *ast.CallExpr:
-			// Conversions share backing ([]T(x)); append shares arg0's
-			// backing; other calls may return views of any argument (the
-			// grow* helper shape).
-			if tv, ok := pkg.Info.Types[x.Fun]; ok && tv.IsType() {
-				if len(x.Args) == 1 {
-					return chainTainted(x.Args[0])
-				}
-				return false
-			}
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-					if id.Name == "append" && len(x.Args) > 0 {
-						return chainTainted(x.Args[0])
-					}
-					return false // len, cap, min, max...
-				}
-			}
-			for _, a := range x.Args {
-				if chainTainted(a) && peRefLike(pkg.Info.TypeOf(a), nil) {
-					return true
-				}
-			}
+			return peSlab(pkg, x)
 		}
 		return false
 	}
-	// taintedExpr: the chain reaches slab memory AND the value itself can
-	// carry a reference (reading a scalar element launders the taint).
-	taintedExpr := func(e ast.Expr) bool {
-		return chainTainted(e) && peRefLike(pkg.Info.TypeOf(e), nil)
-	}
 
-	// lvalueInfo walks an lvalue spine: root object, nontrivial (writes
-	// through, not rebinds), and whether any selector on the spine is a
+	// lvalue walks an lvalue spine: root object, nontrivial (writes
+	// through, not rebinds), and whether any field on the spine is a
 	// registered slab field (re-registration).
-	lvalueInfo := func(e ast.Expr) (root types.Object, nontrivial, slab bool) {
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.StarExpr:
-				nontrivial = true
-				e = x.X
-			case *ast.IndexExpr:
-				nontrivial = true
-				e = x.X
-			case *ast.SelectorExpr:
-				nontrivial = true
-				if owner, field := fieldOf(pkg, x); field != nil {
-					if peSlabFields[shortKey(fieldAccessKey(owner, field))] {
-						slab = true
-					}
-				}
-				e = x.X
-			case *ast.Ident:
-				root = pkg.Info.ObjectOf(x)
-				return
-			default:
-				return
-			}
+	lvalue := func(e ast.Expr) (root types.Object, nontrivial, slab bool) {
+		sp := spineOf(pkg, e)
+		for _, x := range sp.fields() {
+			slab = slab || peSlab(pkg, x)
 		}
+		return sp.root, len(sp.layers) > 0, slab
 	}
 
 	// Formal slots and named results: roots that outlive the call body.
@@ -573,10 +343,10 @@ func peRuleB(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, pooled []types.Obje
 					if i >= len(s.Rhs) {
 						break
 					}
-					if !taintedExpr(s.Rhs[i]) {
+					if !carries(pkg, s.Rhs[i], seed) {
 						continue
 					}
-					root, nontrivial, slab := lvalueInfo(lhs)
+					root, nontrivial, slab := lvalue(lhs)
 					if root == nil || slab {
 						continue
 					}
@@ -588,13 +358,13 @@ func peRuleB(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, pooled []types.Obje
 				}
 			case *ast.ValueSpec:
 				for i, name := range s.Names {
-					if i < len(s.Values) && taintedExpr(s.Values[i]) {
+					if i < len(s.Values) && carries(pkg, s.Values[i], seed) {
 						taint(pkg.Info.Defs[name])
 					}
 				}
 			case *ast.RangeStmt:
-				if s.Value != nil && chainTainted(s.X) {
-					if id, ok := ast.Unparen(s.Value).(*ast.Ident); ok && peRefLike(pkg.Info.TypeOf(id), nil) {
+				if s.Value != nil && reaches(pkg, s.X, seed) {
+					if id, ok := ast.Unparen(s.Value).(*ast.Ident); ok && refLike(pkg.Info.TypeOf(id)) {
 						taint(pkg.Info.ObjectOf(id))
 					}
 				}
@@ -618,17 +388,17 @@ func peRuleB(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, pooled []types.Obje
 				return true
 			}
 			for _, r := range s.Results {
-				if taintedExpr(r) {
+				if carries(pkg, r, seed) {
 					mp.Reportf(pkg, r.Pos(),
 						"return value reaches pool/slab-backed memory; pooled buffers must not outlive the call — copy into a fresh allocation")
 				}
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range s.Lhs {
-				if i >= len(s.Rhs) || !taintedExpr(s.Rhs[i]) {
+				if i >= len(s.Rhs) || !carries(pkg, s.Rhs[i], seed) {
 					continue
 				}
-				root, nontrivial, slab := lvalueInfo(lhs)
+				root, nontrivial, slab := lvalue(lhs)
 				if slab || root == nil || !nontrivial {
 					continue
 				}
@@ -639,13 +409,13 @@ func peRuleB(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, pooled []types.Obje
 				}
 			}
 		case *ast.SendStmt:
-			if taintedExpr(s.Value) {
+			if carries(pkg, s.Value, seed) {
 				mp.Reportf(pkg, s.Value.Pos(),
 					"pool/slab-backed memory sent on a channel; the receiver outlives this call — copy into a fresh allocation")
 			}
 		case *ast.GoStmt:
 			for _, a := range s.Call.Args {
-				if taintedExpr(a) {
+				if carries(pkg, a, seed) {
 					mp.Reportf(pkg, a.Pos(),
 						"pool/slab-backed memory passed to a goroutine that may outlive this call; copy into a fresh allocation")
 				}
@@ -653,4 +423,9 @@ func peRuleB(mp *ModulePass, pkg *Package, fd *ast.FuncDecl, pooled []types.Obje
 		}
 		return true
 	})
+}
+
+// peSlab reports whether sel selects a registered slab field.
+func peSlab(pkg *Package, sel *ast.SelectorExpr) bool {
+	return peSlabFields[fieldKey(pkg, sel)]
 }

@@ -51,17 +51,7 @@ func (PublishFreeze) Doc() string {
 // RunModule implements ModuleCheck.
 func (PublishFreeze) RunModule(mp *ModulePass) {
 	eff := mp.Index.Effects()
-	for _, pkg := range mp.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				pfCheckFunc(mp, eff, pkg, fd)
-			}
-		}
-	}
+	forEachFunc(mp.Pkgs, func(pkg *Package, fd *ast.FuncDecl) { pfCheckFunc(mp, eff, pkg, fd) })
 }
 
 // pfPublish is one atomic-pointer store with a trackable stored root.
@@ -93,42 +83,16 @@ func pfCheckFunc(mp *ModulePass, eff *Effects, pkg *Package, fd *ast.FuncDecl) {
 		aliases[b] = append(aliases[b], a)
 	}
 
-	// spineRoot walks an lvalue/receiver spine to its root ident object,
-	// reporting whether the spine dereferences (a nontrivial spine means
-	// the store mutates the referent, not the variable binding).
-	spineRoot := func(e ast.Expr) (types.Object, bool) {
-		nontrivial := false
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.StarExpr, *ast.IndexExpr, *ast.SliceExpr, *ast.SelectorExpr:
-				nontrivial = true
-				switch y := x.(type) {
-				case *ast.StarExpr:
-					e = y.X
-				case *ast.IndexExpr:
-					e = y.X
-				case *ast.SliceExpr:
-					e = y.X
-				case *ast.SelectorExpr:
-					e = y.X
-				}
-			case *ast.Ident:
-				return pkg.Info.ObjectOf(x), nontrivial
-			default:
-				return nil, nontrivial
-			}
-		}
-	}
-
+	// A write event needs a spine that writes through its root: a trivial
+	// spine rebinds the variable instead of mutating the referent.
 	addWriteEvent := func(lv ast.Expr, what string, pos token.Pos) {
-		if obj, nontrivial := spineRoot(lv); obj != nil && nontrivial {
-			events = append(events, pfEvent{pos: pos, obj: obj, what: what + " of " + obj.Name()})
+		if sp := spineOf(pkg, lv); sp.root != nil && len(sp.layers) > 0 {
+			events = append(events, pfEvent{pos: pos, obj: sp.root, what: what + " of " + sp.root.Name()})
 		}
 	}
 
-	refLike := func(t types.Type) bool {
+	// aliasable: copying a value of this type shares its backing.
+	aliasable := func(t types.Type) bool {
 		if t == nil {
 			return false
 		}
@@ -150,80 +114,56 @@ func pfCheckFunc(mp *ModulePass, eff *Effects, pkg *Package, fd *ast.FuncDecl) {
 				// `v = append(v, x)` rebinds; writes land at/past the
 				// published header's length and are not visible through it.
 				if i < len(s.Rhs) {
-					if call, ok := ast.Unparen(s.Rhs[i]).(*ast.CallExpr); ok {
-						if id, isID := ast.Unparen(call.Fun).(*ast.Ident); isID && id.Name == "append" {
-							if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-								if lo, nontrivial := spineRoot(lhs); lo != nil && !nontrivial {
-									// The result may share arg0's backing
-									// within its capacity: keep the alias.
-									if len(call.Args) > 0 {
-										if ro, _ := spineRoot(ast.Unparen(call.Args[0])); ro != nil {
-											addAlias(lo, ro)
-										}
-									}
-									continue
-								}
+					if call, ok := ast.Unparen(s.Rhs[i]).(*ast.CallExpr); ok && builtinName(pkg, call.Fun) == "append" {
+						if lo := spineOf(pkg, lhs); lo.root != nil && len(lo.layers) == 0 {
+							// The result may share arg0's backing within
+							// its capacity: keep the alias.
+							if len(call.Args) > 0 {
+								addAlias(lo.root, spineOf(pkg, call.Args[0]).root)
 							}
+							continue
 						}
 					}
 				}
 				addWriteEvent(lhs, "assignment", lhs.Pos())
 				// Copy-aliasing: lhs and the rhs chain root refer to the
 				// same backing when the copied value is reference-like.
-				if i < len(s.Rhs) {
-					if lo, nontrivial := spineRoot(lhs); lo != nil && !nontrivial && refLike(pkg.Info.TypeOf(s.Lhs[i])) {
-						if ro, _ := spineRoot(unwrapAddr(s.Rhs[i])); ro != nil {
-							addAlias(lo, ro)
-						}
-					}
+				if lo := spineOf(pkg, lhs); i < len(s.Rhs) && lo.root != nil && len(lo.layers) == 0 && aliasable(pkg.Info.TypeOf(lhs)) {
+					addAlias(lo.root, spineOf(pkg, unwrapAddr(s.Rhs[i])).root)
 				}
 			}
 		case *ast.IncDecStmt:
 			addWriteEvent(s.X, "increment", s.X.Pos())
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && id.Name == "delete" {
-				if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin && len(s.Args) > 0 {
-					addWriteEvent(s.Args[0], "delete", s.Pos())
-				}
+			if builtinName(pkg, s.Fun) == "delete" && len(s.Args) > 0 {
+				addWriteEvent(s.Args[0], "delete", s.Pos())
 			}
-			// Publish sites and mutation events through atomic calls.
+			// Publish sites: the stored argument of atomic.Pointer's
+			// Store/Swap/CompareAndSwap and of the StorePointer family.
+			// Every other atomic write mutates its operands.
 			if mSel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok {
-				recvT := pkg.Info.TypeOf(mSel.X)
-				if isAtomicPointerType(recvT) && len(s.Args) > 0 {
-					var stored ast.Expr
+				stored := -1
+				if isNamed(pkg.Info.TypeOf(mSel.X), "sync/atomic", "Pointer") {
 					switch mSel.Sel.Name {
 					case "Store", "Swap":
-						stored = s.Args[0]
+						stored = 0
 					case "CompareAndSwap":
-						stored = s.Args[len(s.Args)-1]
+						stored = len(s.Args) - 1
 					}
-					if stored != nil {
-						if obj := rootIdentObject(pkg, stored); obj != nil {
-							publishes = append(publishes, pfPublish{pos: s.Pos(), obj: obj})
-						}
+				} else if ops, writes := atomicOperands(pkg, s); writes {
+					for _, op := range ops {
+						addWriteEvent(op, "atomic mutation", s.Pos())
 					}
-				} else if atomicMutatorNames[mSel.Sel.Name] && isAtomicType(recvT) {
-					addWriteEvent(mSel.X, "atomic mutation", s.Pos())
-				}
-				if isAtomicPkgFunc(pkg, s.Fun) {
 					switch mSel.Sel.Name {
 					case "StorePointer", "SwapPointer":
-						if len(s.Args) >= 2 {
-							if obj := rootIdentObject(pkg, s.Args[1]); obj != nil {
-								publishes = append(publishes, pfPublish{pos: s.Pos(), obj: obj})
-							}
-						}
+						stored = 1
 					case "CompareAndSwapPointer":
-						if len(s.Args) >= 3 {
-							if obj := rootIdentObject(pkg, s.Args[2]); obj != nil {
-								publishes = append(publishes, pfPublish{pos: s.Pos(), obj: obj})
-							}
-						}
+						stored = 2
 					}
-					if atomicFuncMutates(pkg, s.Fun) && len(s.Args) > 0 {
-						if ue, ok := ast.Unparen(s.Args[0]).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-							addWriteEvent(ue.X, "atomic mutation", s.Pos())
-						}
+				}
+				if stored >= 0 && stored < len(s.Args) {
+					if obj := rootIdentObject(pkg, s.Args[stored]); obj != nil {
+						publishes = append(publishes, pfPublish{pos: s.Pos(), obj: obj})
 					}
 				}
 			}
@@ -303,17 +243,4 @@ func unwrapAddr(e ast.Expr) ast.Expr {
 		return ue.X
 	}
 	return e
-}
-
-// isAtomicPointerType reports whether t is sync/atomic's Pointer[T].
-func isAtomicPointerType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && obj.Name() == "Pointer"
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sort"
 	"strings"
 )
 
@@ -150,41 +149,15 @@ func (Purity) RunModule(mp *ModulePass) {
 
 	// Flood from the read-API roots, remembering one representative root
 	// per reached function for the diagnostic.
-	via := make(map[FuncKey]string)
-	var queue []FuncKey
-	keys := make([]FuncKey, 0, len(mp.Index.Funcs))
-	for k := range mp.Index.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	var seeds []floodSeed
+	for _, k := range sortedKeys(mp.Index.Funcs) {
 		if puRoots[shortKey(k)] {
-			via[k] = shortKey(k)
-			queue = append(queue, k)
+			seeds = append(seeds, floodSeed{k, shortKey(k)})
 		}
 	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		info := mp.Index.Funcs[k]
-		if info == nil {
-			continue
-		}
-		for _, c := range info.Calls {
-			if _, seen := via[c.Callee]; !seen {
-				via[c.Callee] = via[k]
-				queue = append(queue, c.Callee)
-			}
-		}
-	}
+	_, via := mp.Index.flood(seeds)
 
-	reached := make([]FuncKey, 0, len(via))
-	for k := range via {
-		reached = append(reached, k)
-	}
-	sort.Strings(reached)
-
-	for _, k := range reached {
+	for _, k := range sortedKeys(via) {
 		fe := eff.Of(k)
 		info := mp.Index.Funcs[k]
 		if fe == nil || info == nil {

@@ -36,7 +36,7 @@ import (
 //     of a holder, a re-slice, a view returned by a helper fed a shared
 //     argument. append with a fresh first argument
 //     (append([]T(nil), s...)) copies and therefore launders — it is
-//     the blessed clone idiom. Scalar reads launder too (peRefLike).
+//     the blessed clone idiom. Scalar reads launder too (refLike).
 //   - holds: a local container some shared reference was stored into
 //     (rows[ps] = oracle.DistRow(ps)). Storing into the container's
 //     own slots stays legal — that is building a local index, not
@@ -55,7 +55,7 @@ type SnapshotFreeze struct{}
 // sfSources is the blessed oracle read API whose results are shared
 // oracle-owned memory, keyed "(Receiver).Method" and gated on the
 // netstate package base (so the golden fixture's miniature Oracle hits
-// the same table). Scalar-returning entries are harmless — peRefLike
+// the same table). Scalar-returning entries are harmless — refLike
 // launders them — but keeping the full blessed list here documents the
 // contract in one place.
 var sfSources = map[string]bool{
@@ -82,25 +82,6 @@ var poolEntrypoints = map[string]bool{
 	"parallel.Map":     true,
 }
 
-// recvMethod extracts the "(Receiver).Method" suffix of a method key,
-// or "" for plain functions.
-func recvMethod(key FuncKey) string {
-	i := strings.Index(key, ".(")
-	if i < 0 {
-		return ""
-	}
-	return key[i+1:]
-}
-
-// keyPkgBase extracts the package base name of an index key.
-func keyPkgBase(key FuncKey) string {
-	s := shortKey(key)
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
 // Name implements Check.
 func (SnapshotFreeze) Name() string { return "snapshotfreeze" }
 
@@ -111,8 +92,8 @@ func (SnapshotFreeze) Doc() string {
 
 // sfIsSource reports whether a callee key is a blessed oracle read.
 func sfIsSource(callee FuncKey) bool {
-	rm := recvMethod(callee)
-	return rm != "" && sfSources[rm] && keyPkgBase(callee) == "netstate"
+	base, method, _ := strings.Cut(shortKey(callee), ".")
+	return base == "netstate" && sfSources[method]
 }
 
 // sfTaintSet is the per-declaration taint state.
@@ -121,83 +102,28 @@ type sfTaintSet struct {
 	holds  map[types.Object]bool
 }
 
-// sfSharedExpr reports whether the expression's value is a shared
-// oracle reference.
-func sfSharedExpr(pkg *Package, t *sfTaintSet, e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		return sfSharedExpr(pkg, t, x.X)
-	case *ast.Ident:
-		return t.shared[pkg.Info.ObjectOf(x)]
-	case *ast.StarExpr:
-		return sfSharedExpr(pkg, t, x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return sfSharedExpr(pkg, t, x.X)
+// seed marks the expressions that are shared oracle references outright:
+// a shared object, an element read out of a holder, and a source call.
+func (t *sfTaintSet) seed(pkg *Package) func(ast.Expr) bool {
+	return func(e ast.Expr) bool {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return t.shared[pkg.Info.ObjectOf(x)]
+		case *ast.IndexExpr:
+			id, ok := ast.Unparen(x.X).(*ast.Ident)
+			return ok && t.holds[pkg.Info.ObjectOf(id)]
+		case *ast.CallExpr:
+			return sfIsSource(resolveCall(pkg, x))
 		}
 		return false
-	case *ast.IndexExpr:
-		// An element read out of a holder is a shared reference.
-		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok && t.holds[pkg.Info.ObjectOf(id)] {
-			return true
-		}
-		return sfSharedExpr(pkg, t, x.X)
-	case *ast.SliceExpr:
-		return sfSharedExpr(pkg, t, x.X)
-	case *ast.SelectorExpr:
-		if _, field := fieldOf(pkg, x); field != nil {
-			return sfSharedExpr(pkg, t, x.X)
-		}
-		return false
-	case *ast.TypeAssertExpr:
-		return sfSharedExpr(pkg, t, x.X)
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			if sfSharedExpr(pkg, t, el) {
-				return true
-			}
-		}
-	case *ast.CallExpr:
-		if sfIsSource(resolveCall(pkg, x)) {
-			return true
-		}
-		// Conversions share backing; append shares its first argument's
-		// backing (append([]T(nil), s...) is the blessed fresh copy);
-		// other builtins return scalars; remaining calls may return
-		// views of any reference-like argument.
-		if tv, ok := pkg.Info.Types[x.Fun]; ok && tv.IsType() {
-			if len(x.Args) == 1 {
-				return sfSharedExpr(pkg, t, x.Args[0])
-			}
-			return false
-		}
-		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-			if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-				if id.Name == "append" && len(x.Args) > 0 {
-					return sfSharedExpr(pkg, t, x.Args[0])
-				}
-				return false
-			}
-		}
-		for _, a := range x.Args {
-			if sfSharedExpr(pkg, t, a) && peRefLike(pkg.Info.TypeOf(a), nil) {
-				return true
-			}
-		}
 	}
-	return false
 }
 
 // sfTaint runs the flow-insensitive taint fixpoint over one
 // declaration body.
 func sfTaint(pkg *Package, body ast.Node) *sfTaintSet {
 	t := &sfTaintSet{shared: make(map[types.Object]bool), holds: make(map[types.Object]bool)}
-	sharedVal := func(e ast.Expr) bool {
-		return sfSharedExpr(pkg, t, e) && peRefLike(pkg.Info.TypeOf(e), nil)
-	}
+	seed := t.seed(pkg)
 	for changed := true; changed; {
 		changed = false
 		markShared := func(obj types.Object) {
@@ -222,7 +148,7 @@ func sfTaint(pkg *Package, body ast.Node) *sfTaintSet {
 						for _, lhs := range s.Lhs {
 							if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
 								obj := pkg.Info.ObjectOf(id)
-								if obj != nil && peRefLike(obj.Type(), nil) && !sfIsErrType(obj.Type()) {
+								if obj != nil && refLike(obj.Type()) && !sfIsErrType(obj.Type()) {
 									markShared(obj)
 								}
 							}
@@ -231,22 +157,19 @@ func sfTaint(pkg *Package, body ast.Node) *sfTaintSet {
 					return true
 				}
 				for i, lhs := range s.Lhs {
-					if i >= len(s.Rhs) || !sharedVal(s.Rhs[i]) {
+					if i >= len(s.Rhs) || !carries(pkg, s.Rhs[i], seed) {
 						continue
 					}
-					root, layers, _ := sfLvalue(pkg, lhs)
-					if root == nil {
-						continue
-					}
-					if layers == 0 {
-						markShared(root) // plain rebind: alias
-					} else if !t.shared[root] {
-						markHolds(root) // store into a local container
+					sp := spineOf(pkg, lhs)
+					if len(sp.layers) == 0 {
+						markShared(sp.root) // plain rebind: alias
+					} else if !t.shared[sp.root] {
+						markHolds(sp.root) // store into a local container
 					}
 				}
 			case *ast.ValueSpec:
 				for i, name := range s.Names {
-					if i < len(s.Values) && name.Name != "_" && sharedVal(s.Values[i]) {
+					if i < len(s.Values) && name.Name != "_" && carries(pkg, s.Values[i], seed) {
 						markShared(pkg.Info.Defs[name])
 					}
 				}
@@ -254,12 +177,12 @@ func sfTaint(pkg *Package, body ast.Node) *sfTaintSet {
 				if s.Value == nil {
 					return true
 				}
-				overShared := sfSharedExpr(pkg, t, s.X)
+				overShared := reaches(pkg, s.X, seed)
 				if id, ok := ast.Unparen(s.X).(*ast.Ident); ok && t.holds[pkg.Info.ObjectOf(id)] {
 					overShared = true
 				}
 				if overShared {
-					if id, ok := ast.Unparen(s.Value).(*ast.Ident); ok && peRefLike(pkg.Info.TypeOf(id), nil) {
+					if id, ok := ast.Unparen(s.Value).(*ast.Ident); ok && refLike(pkg.Info.TypeOf(id)) {
 						markShared(pkg.Info.ObjectOf(id))
 					}
 				}
@@ -279,128 +202,63 @@ func sfIsErrType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
-// sfLvalue walks an lvalue spine: the root object (nil when the spine
-// bottoms out in a call or non-ident), the number of deref/index/field
-// layers written through, and the source call on the spine, if any
-// (o.DistRow(2)[0] = 9 has no root but writes oracle memory directly).
-func sfLvalue(pkg *Package, e ast.Expr) (root types.Object, layers int, srcCall FuncKey) {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			layers++
-			e = x.X
-		case *ast.IndexExpr:
-			layers++
-			e = x.X
-		case *ast.SliceExpr:
-			layers++
-			e = x.X
-		case *ast.SelectorExpr:
-			if _, field := fieldOf(pkg, x); field == nil {
-				return nil, layers, ""
-			}
-			layers++
-			e = x.X
-		case *ast.CallExpr:
-			if callee := resolveCall(pkg, x); sfIsSource(callee) {
-				return nil, layers, callee
-			}
-			return nil, layers, ""
-		case *ast.Ident:
-			return pkg.Info.ObjectOf(x), layers, ""
-		default:
-			return nil, layers, ""
-		}
-	}
-}
-
 // RunModule implements ModuleCheck.
 func (SnapshotFreeze) RunModule(mp *ModulePass) {
 	eff := mp.Index.Effects()
 	reported := make(map[string]bool) // pkg.Path + pos dedup across overlapping regions
 
-	// via maps worker-reachable functions to the shortKey of the
-	// function whose launch rooted them, for diagnostics.
-	via := make(map[FuncKey]string)
-	var queue []FuncKey
-	seed := func(callee FuncKey, root string) {
-		if callee == "" {
-			return
-		}
-		if _, seen := via[callee]; !seen {
-			via[callee] = root
-			queue = append(queue, callee)
-		}
-	}
-
 	// Phase 1: launch sites. Worker literals are analyzed in their
 	// launcher's taint context (they capture its locals); named go
-	// callees and calls made inside worker literals seed the closure.
-	for _, pkg := range mp.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+	// callees and calls made inside worker literals seed the closure,
+	// naming the launching function as their root.
+	var seeds []floodSeed
+	forEachFunc(mp.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		key := declKey(pkg, fd)
+		root := shortKey(key)
+		var lits []*ast.FuncLit
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.GoStmt:
+				if fl, isLit := ast.Unparen(x.Call.Fun).(*ast.FuncLit); isLit {
+					lits = append(lits, fl)
+				} else {
+					seeds = append(seeds, floodSeed{resolveCall(pkg, x.Call), root})
 				}
-				var lits []*ast.FuncLit
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch x := n.(type) {
-					case *ast.GoStmt:
-						if fl, isLit := ast.Unparen(x.Call.Fun).(*ast.FuncLit); isLit {
-							lits = append(lits, fl)
-						} else {
-							seed(resolveCall(pkg, x.Call), shortKey(declKey(pkg, fd)))
-						}
-					case *ast.CallExpr:
-						if !poolEntrypoints[shortKey(resolveCall(pkg, x))] {
-							return true
-						}
-						for _, a := range x.Args {
-							if fl, isLit := ast.Unparen(a).(*ast.FuncLit); isLit {
-								lits = append(lits, fl)
-							}
-						}
-					}
+			case *ast.CallExpr:
+				if !poolEntrypoints[shortKey(resolveCall(pkg, x))] {
 					return true
-				})
-				if len(lits) == 0 {
-					continue
 				}
-				root := shortKey(declKey(pkg, fd))
-				taint := sfTaint(pkg, fd.Body)
-				key := declKey(pkg, fd)
-				for _, fl := range lits {
-					sfFindings(mp, pkg, key, fl.Body, taint, eff, reported,
-						"goroutine launched in "+root)
-					ast.Inspect(fl.Body, func(n ast.Node) bool {
-						if call, ok := n.(*ast.CallExpr); ok {
-							seed(resolveCall(pkg, call), root)
-						}
-						return true
-					})
+				for _, a := range x.Args {
+					if fl, isLit := ast.Unparen(a).(*ast.FuncLit); isLit {
+						lits = append(lits, fl)
+					}
 				}
 			}
+			return true
+		})
+		if len(lits) == 0 {
+			return
 		}
-	}
+		taint := sfTaint(pkg, fd.Body)
+		for _, fl := range lits {
+			sfFindings(mp, pkg, key, fl.Body, taint, eff, reported, "goroutine launched in "+root)
+			ast.Inspect(fl.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					seeds = append(seeds, floodSeed{resolveCall(pkg, call), root})
+				}
+				return true
+			})
+		}
+	})
 
 	// Phase 2: the worker-reachable closure — every declared function a
 	// worker can call runs entirely on the worker goroutine, so its
 	// whole body is in scope.
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		info := mp.Index.Funcs[k]
-		if info == nil {
-			continue
-		}
-		taint := sfTaint(info.Pkg, info.Decl.Body)
-		sfFindings(mp, info.Pkg, k, info.Decl.Body, taint, eff, reported,
-			shortKey(k)+", reachable from a goroutine launched in "+via[k]+",")
-		for _, c := range info.Calls {
-			seed(c.Callee, via[k])
+	order, via := mp.Index.flood(seeds)
+	for _, k := range order {
+		if info := mp.Index.Funcs[k]; info != nil {
+			sfFindings(mp, info.Pkg, k, info.Decl.Body, sfTaint(info.Pkg, info.Decl.Body), eff, reported,
+				shortKey(k)+", reachable from a goroutine launched in "+via[k]+",")
 		}
 	}
 }
@@ -422,20 +280,27 @@ func sfFindings(mp *ModulePass, pkg *Package, declKey FuncKey, region ast.Node,
 	}
 
 	checkWrite := func(lhs ast.Expr) {
-		root, layers, srcCall := sfLvalue(pkg, lhs)
+		sp := spineOf(pkg, lhs)
+		if len(sp.layers) == 0 {
+			return // rebinding a variable writes no shared memory
+		}
+		var src FuncKey
+		if sp.call != nil {
+			src = resolveCall(pkg, sp.call)
+		}
 		switch {
-		case srcCall != "" && layers > 0:
+		case sfIsSource(src):
 			report(lhs.Pos(),
 				"%s writes through the result of %s; oracle read results are shared and frozen — copy before mutating (append([]T(nil), s...))",
-				whoFmt, shortKey(srcCall))
-		case root != nil && taint.shared[root] && layers > 0:
+				whoFmt, shortKey(src))
+		case taint.shared[sp.root]:
 			report(lhs.Pos(),
 				"%s writes through %s, which aliases shared oracle memory; read-API results are frozen — copy before mutating (append([]T(nil), s...))",
-				whoFmt, root.Name())
-		case root != nil && taint.holds[root] && layers >= 2:
+				whoFmt, sp.root.Name())
+		case taint.holds[sp.root] && len(sp.layers) >= 2:
 			report(lhs.Pos(),
 				"%s writes through an element of %s, which holds shared oracle rows; read-API results are frozen — copy before mutating",
-				whoFmt, root.Name())
+				whoFmt, sp.root.Name())
 		}
 	}
 

@@ -95,3 +95,107 @@ func (o *Oracle) SpawnStats(done chan struct{}) {
 		close(done)
 	}()
 }
+
+// cases pins the shared path walker's control-flow rules (DESIGN.md
+// §6.1): each method takes its own lock, runs one control-flow shape and
+// then takes probe, so the graph has an edge from the case's lock to
+// probe exactly when the walker finds the lock held there. probe is never
+// held while another lock is taken, so no case closes a cycle.
+type cases struct {
+	sw, sel, selb, ret, pan, def, loop sync.Mutex
+	probe                              sync.Mutex
+}
+
+func (c *cases) probed() int {
+	c.probe.Lock()
+	defer c.probe.Unlock()
+	return 1
+}
+
+// SwitchDefault unlocks in every case of a switch that has a default: no
+// path falls past the cases, so sw is free at probe (no edge).
+func (c *cases) SwitchDefault(n int) {
+	c.sw.Lock()
+	switch n {
+	case 0:
+		c.sw.Unlock()
+	default:
+		c.sw.Unlock()
+	}
+	c.probed()
+}
+
+// SelectDefault unlocks in both clauses of a select with a default: a
+// select never falls past its clauses (no edge).
+func (c *cases) SelectDefault(ch chan int) {
+	c.sel.Lock()
+	select {
+	case <-ch:
+		c.sel.Unlock()
+	default:
+		c.sel.Unlock()
+	}
+	c.probed()
+}
+
+// SelectBlocking evaluates a send clause's value while selb is held: the
+// walker walks comm statements (edge selb -> probe).
+func (c *cases) SelectBlocking(in, out chan int) {
+	c.selb.Lock()
+	select {
+	case <-in:
+		c.selb.Unlock()
+	case out <- c.probed():
+		c.selb.Unlock()
+	}
+}
+
+// AfterReturn reaches probe only after a return in the same block: dead
+// code adds no edge.
+func (c *cases) AfterReturn() {
+	c.ret.Lock()
+	defer c.ret.Unlock()
+	return
+	c.probed()
+}
+
+// PanicDeferred defers the unlock, so pan stays held past the panic
+// check up to probe (edge pan -> probe).
+func (c *cases) PanicDeferred(n int) {
+	c.pan.Lock()
+	defer c.pan.Unlock()
+	if n < 0 {
+		panic("negative")
+	}
+	c.probed()
+}
+
+// DeferOneBranch defers the unlock on one branch and unlocks at once on
+// the other; on the first path def is held at probe (edge def -> probe).
+func (c *cases) DeferOneBranch(n int) {
+	c.def.Lock()
+	if n > 0 {
+		defer c.def.Unlock()
+	} else {
+		c.def.Unlock()
+	}
+	c.probed()
+}
+
+// LabeledLoop unlocks before a labeled continue and at the end of each
+// iteration, so loop is free at probe on both walks of the body (no
+// edge).
+func (c *cases) LabeledLoop(rows [][]int) {
+outer:
+	for _, row := range rows {
+		c.loop.Lock()
+		for _, v := range row {
+			if v < 0 {
+				c.loop.Unlock()
+				continue outer
+			}
+		}
+		c.loop.Unlock()
+		c.probed()
+	}
+}

@@ -112,3 +112,88 @@ func growInt32(s []int32, n int) []int32 {
 	}
 	return make([]int32, n)
 }
+
+// The cases below pin the shared path walker's control-flow rules
+// (DESIGN.md §6.1) for rule A: a reported Get is one some exit path
+// leaves out of the pool.
+
+// SwitchDefault puts the scratch back in every case of a switch that has
+// a default: no path falls past the cases (near-miss).
+func SwitchDefault(n int) {
+	sw := scratchPool.Get().(*scratch)
+	switch {
+	case n < 0:
+		scratchPool.Put(sw)
+	default:
+		scratchPool.Put(sw)
+	}
+}
+
+// SelectDefault puts the scratch back in both clauses of a select with a
+// default: a select never falls past its clauses (near-miss).
+func SelectDefault(ch chan int) {
+	sd := scratchPool.Get().(*scratch)
+	select {
+	case <-ch:
+		scratchPool.Put(sd)
+	default:
+		scratchPool.Put(sd)
+	}
+}
+
+// SelectBlocking puts the scratch back in both clauses of a select
+// without a default, which blocks until one runs (near-miss).
+func SelectBlocking(in, out chan int) {
+	sb := scratchPool.Get().(*scratch)
+	select {
+	case <-in:
+		scratchPool.Put(sb)
+	case out <- 1:
+		scratchPool.Put(sb)
+	}
+}
+
+// AfterReturn's second Get follows a return in the same block: dead code
+// leaves nothing out of the pool (near-miss).
+func AfterReturn(n int) int {
+	sr := scratchPool.Get().(*scratch)
+	scratchPool.Put(sr)
+	return n
+	dead := scratchPool.Get().(*scratch)
+	return len(dead.idx)
+}
+
+// PanicDeferred panics after the Get with the Put already deferred; the
+// panic exit runs the defer (near-miss).
+func PanicDeferred(n int) {
+	sp := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sp)
+	if n < 0 {
+		panic("negative size")
+	}
+}
+
+// DeferOneBranch defers the Put on one branch only, so the other path
+// leaves the scratch out (trigger).
+func DeferOneBranch(n int) {
+	so := scratchPool.Get().(*scratch)
+	if n > 0 {
+		defer scratchPool.Put(so)
+	}
+}
+
+// LabeledLoop draws scratch per row and puts it back both before a
+// labeled continue and at the end of the row (near-miss).
+func LabeledLoop(rows [][]int) {
+outer:
+	for _, row := range rows {
+		sl := scratchPool.Get().(*scratch)
+		for _, v := range row {
+			if v < 0 {
+				scratchPool.Put(sl)
+				continue outer
+			}
+		}
+		scratchPool.Put(sl)
+	}
+}

@@ -22,6 +22,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/cluster"
@@ -263,14 +264,14 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 	if len(arrivals) != len(jobs) {
 		return nil, fmt.Errorf("sim: %d arrivals for %d jobs", len(arrivals), len(jobs))
 	}
-	for i, a := range arrivals {
-		if a < 0 {
-			return nil, fmt.Errorf("sim: negative arrival %v for job %d", a, i)
-		}
-	}
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return nil, err
+		}
+	}
+	for i, a := range arrivals {
+		if !(a >= 0) || math.IsInf(a, 1) {
+			return nil, fmt.Errorf("sim: arrival %d (job %d) = %v, want a finite non-negative time", i, jobs[i].ID, a)
 		}
 	}
 	ckActive := e.opts.CheckpointSink != nil || e.opts.Resume != nil || e.opts.HaltAfterWave > 0

@@ -359,8 +359,10 @@ func TestRunWithArrivalsErrors(t *testing.T) {
 	if _, err := eng.RunWithArrivals(jobs, []float64{0}); err == nil {
 		t.Error("short arrivals accepted")
 	}
-	if _, err := eng.RunWithArrivals(jobs, []float64{0, -1}); err == nil {
-		t.Error("negative arrival accepted")
+	for _, a := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := eng.RunWithArrivals(jobs, []float64{0, a}); err == nil || !strings.Contains(err.Error(), "arrival 1") {
+			t.Errorf("arrival %v: err = %v, want one naming arrival 1", a, err)
+		}
 	}
 }
 

@@ -36,8 +36,8 @@ func (t *Trace) Validate() error {
 		}
 		prev := -1.0
 		for i, a := range t.Arrivals {
-			if a < 0 {
-				return fmt.Errorf("workload: trace arrival %d negative", i)
+			if !finiteNonNegative(a) {
+				return fmt.Errorf("workload: trace arrival %d (job %d) = %v", i, t.Jobs[i].ID, a)
 			}
 			if a < prev {
 				return fmt.Errorf("workload: trace arrivals not sorted at %d", i)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -78,10 +79,12 @@ func TestTraceValidateErrors(t *testing.T) {
 	if tr.Validate() == nil {
 		t.Error("unsorted arrivals accepted")
 	}
-	tr, _ = NewTrace("x", g, 1, 0.5, 1)
-	tr.Arrivals[0] = -1
-	if tr.Validate() == nil {
-		t.Error("negative arrival accepted")
+	for _, a := range []float64{-1, math.NaN(), math.Inf(1)} {
+		tr, _ = NewTrace("x", g, 1, 0.5, 1)
+		tr.Arrivals[0] = a
+		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "arrival 0") {
+			t.Errorf("arrival %v: err = %v, want one naming arrival 0", a, err)
+		}
 	}
 	bad := &Trace{Jobs: []*Job{{NumMaps: 0, NumReduces: 1}}}
 	if bad.Validate() == nil {
@@ -108,5 +111,13 @@ func TestLoadTraceErrors(t *testing.T) {
 	}
 	if _, err := LoadTrace(strings.NewReader(`{"jobs":[{"NumMaps":0}]}`)); err == nil {
 		t.Error("invalid job accepted")
+	}
+	// A hand-written trace that is well-formed except for one negative
+	// compute time: hitsim -trace must refuse it rather than run it.
+	negative := `{"name": "hand", "jobs": [{"ID": 7, "NumMaps": 2, "NumReduces": 1,
+		"Shuffle": [[1], [1]], "MapComputeSec": [3, -50], "ReduceComputeSec": [2]}]}`
+	_, err := LoadTrace(strings.NewReader(negative))
+	if err == nil || !strings.Contains(err.Error(), "job 7 map compute time 1") {
+		t.Errorf("negative compute time: err = %v, want one naming job 7, map 1", err)
 	}
 }

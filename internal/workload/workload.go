@@ -198,10 +198,26 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("workload: job %d compute vectors sized %d/%d, want %d/%d",
 			j.ID, len(j.MapComputeSec), len(j.ReduceComputeSec), j.NumMaps, j.NumReduces)
 	}
-	if j.InputGB < 0 || j.RemoteMapGB < 0 {
-		return fmt.Errorf("workload: job %d negative sizes", j.ID)
+	for m, v := range j.MapComputeSec {
+		if !finiteNonNegative(v) {
+			return fmt.Errorf("workload: job %d map compute time %d = %v", j.ID, m, v)
+		}
+	}
+	for r, v := range j.ReduceComputeSec {
+		if !finiteNonNegative(v) {
+			return fmt.Errorf("workload: job %d reduce compute time %d = %v", j.ID, r, v)
+		}
+	}
+	if !finiteNonNegative(j.InputGB) || !finiteNonNegative(j.RemoteMapGB) {
+		return fmt.Errorf("workload: job %d sizes input %v GB, remote map %v GB", j.ID, j.InputGB, j.RemoteMapGB)
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether v is a usable time or size: not
+// negative, not NaN and not infinite.
+func finiteNonNegative(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1)
 }
 
 // Config tunes the statistical job generator.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -290,6 +291,23 @@ func TestJobValidateErrors(t *testing.T) {
 	bad.InputGB = -1
 	if bad.Validate() == nil {
 		t.Error("negative input accepted")
+	}
+	bad = *good
+	bad.RemoteMapGB = math.NaN()
+	if bad.Validate() == nil {
+		t.Error("NaN remote map input accepted")
+	}
+	for _, v := range []float64{-50, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = *good
+		bad.MapComputeSec = []float64{v}
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "map compute time 0") {
+			t.Errorf("map compute time %v: err = %v, want one naming map 0", v, err)
+		}
+		bad = *good
+		bad.ReduceComputeSec = []float64{v}
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "reduce compute time 0") {
+			t.Errorf("reduce compute time %v: err = %v, want one naming reduce 0", v, err)
+		}
 	}
 }
 
