@@ -50,10 +50,11 @@ bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 
 # BENCH_PKGS and BENCH_NAMES select the gated benchmarks: the root
-# package's scalability/oracle families and netsim's fair share and fluid
-# simulation.
-BENCH_PKGS = . ./internal/netsim
-BENCH_NAMES = HitScalability|PathOracle|FairShare64Flows|Simulate64Flows|SimulateTestbed1024
+# package's scalability/oracle families, netsim's fair share and fluid
+# simulation, and one cold Algorithm-1 wave at 10k servers in the
+# controller.
+BENCH_PKGS = . ./internal/netsim ./internal/controller
+BENCH_NAMES = HitScalability|PathOracle|FairShare64Flows|Simulate64Flows|SimulateTestbed1024|Alg1ColdWave
 
 # bench-json runs the gated benchmarks once each and archives one
 # machine-readable BENCH_local.json (CI emits BENCH_<sha>.json per commit,

@@ -7,11 +7,15 @@
 // Usage:
 //
 //	hitprofile [-jobs N] [-seed N] [-o profiles.json]
+//
+// Exit codes: 0 success, 1 run failure, 2 usage error (-jobs below 1).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -32,11 +36,24 @@ func main() {
 
 	if err := run(*nJobs, *seed, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "hitprofile: %v\n", err)
+		if errors.As(err, &usageError{}) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
+// usageError marks a bad flag value, as opposed to a run failure; main
+// maps it to exit 2.
+type usageError struct{ err error }
+
+func (u usageError) Error() string { return u.err.Error() }
+func (u usageError) Unwrap() error { return u.err }
+
 func run(nJobs int, seed int64, out string) error {
+	if nJobs < 1 {
+		return usageError{fmt.Errorf("-jobs must be at least 1, got %d", nJobs)}
+	}
 	topo, err := topology.NewPaperTree(topology.LinkParams{Bandwidth: 1, SwitchCapacity: 48})
 	if err != nil {
 		return err
@@ -105,11 +122,20 @@ func run(nJobs int, seed int64, out string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := store.Save(f); err != nil {
+		if err := saveStore(store, f); err != nil {
 			return err
 		}
 		fmt.Printf("profile store written to %s\n", out)
 	}
 	return nil
+}
+
+// saveStore writes the store to w and closes it. A failed Close can lose
+// the written data just as a failed write does, so its error counts too.
+func saveStore(store *profile.Store, w io.WriteCloser) error {
+	err := store.Save(w)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -16,9 +16,10 @@ import (
 // Forbidden outside internal/netstate (and internal/topology itself):
 // Topology.Dist, ShortestPath, ShortestPathDAG, PathLatency, AccessSwitch
 // and SwitchesOfType — each has an oracle equivalent of the same name —
-// plus the coordinate closed forms StructuralDist, LowestCommonTier and
-// StageTemplate, which answer for the healthy graph only and whose
-// refuse-and-fall-back-to-BFS gating is centralized in internal/netstate.
+// plus the coordinate closed forms StructuralDist, LowestCommonTier,
+// StageTemplate and StageRoute, which answer for the healthy graph only
+// and whose refuse-and-fall-back-to-BFS gating is centralized in
+// internal/netstate.
 // Structural accessors (Node, Servers, Switches, Links, Neighbors, ...)
 // remain free: they are O(1) reads, not path computations.
 type OracleBypass struct{}
@@ -45,6 +46,7 @@ var structuralOnly = map[string]bool{
 	"StructuralDist":   true,
 	"LowestCommonTier": true,
 	"StageTemplate":    true,
+	"StageRoute":       true,
 }
 
 // Name implements Check.

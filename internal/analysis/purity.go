@@ -104,14 +104,12 @@ var puBlessed = map[string]map[string]bool{
 	"netstate.(Oracle).switchTable": {"netstate.Oracle.swTab": true},
 	// Rack table: atomic compare-and-swap publish of an immutable table.
 	"netstate.(Oracle).Racks": {"netstate.Oracle.racks": true},
-	// Pair-route cache: dense atomic slots plus lock-striped shards, and
-	// the unit-route shards keyed by access-switch pair.
+	// Pair-route cache: dense atomic slots plus lock-striped shards.
 	"netstate.(Oracle).routeInit": {
 		"netstate.Oracle.routeServerIdx":  true,
 		"netstate.Oracle.routeNumServers": true,
 		"netstate.Oracle.routeDense":      true,
 		"netstate.Oracle.routeShards":     true,
-		"netstate.Oracle.unitShards":      true,
 		"netstate.routeShard.m":           true,
 	},
 	"netstate.(Oracle).routeStore":      {"netstate.Oracle.routeDense": true},

@@ -47,6 +47,12 @@ func RawCommonTier(t *topology.Topology, a, b topology.NodeID) int {
 	return tier
 }
 
+// RawStageRoute picks a flow's switches without the oracle. Flagged.
+func RawStageRoute(t *topology.Topology, a, b topology.NodeID) []topology.NodeID {
+	route, _ := t.StageRoute(a, b)
+	return route
+}
+
 // planner is a near miss: same method names, not a topology.Topology
 // receiver. Not flagged.
 type planner struct{}

@@ -734,3 +734,43 @@ func BenchmarkOptimizePolicy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAlg1ColdWave10k is one cold Algorithm-1 wave at 10,000 servers:
+// a fresh controller, and so a fresh oracle, per iteration on the rack tree
+// of NewTreeWithRacks(3, 10, 100), then OptimizePolicy over the 4,608 flows
+// of a 96×48 job whose 144 containers sit on servers drawn once from a
+// fixed seed. Every route is solved cold, so a closed form that starts
+// allocating more or falling back to the DP shows in allocs/op and ns/op.
+func BenchmarkAlg1ColdWave10k(b *testing.B) {
+	topo, err := topology.NewTreeWithRacks(3, 10, 100, topology.LinkParams{Bandwidth: 1, SwitchCapacity: 1e9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const maps, reduces = 96, 48
+	rng := rand.New(rand.NewSource(1))
+	srv := topo.Servers()
+	where := make([]topology.NodeID, maps+reduces)
+	for i := range where {
+		where[i] = srv[rng.Intn(len(srv))]
+	}
+	loc := flow.LocatorFunc(func(c cluster.ContainerID) topology.NodeID { return where[c] })
+	flows := make([]*flow.Flow, 0, maps*reduces)
+	for m := 0; m < maps; m++ {
+		for r := 0; r < reduces; r++ {
+			flows = append(flows, &flow.Flow{
+				ID: flow.ID(len(flows)), Src: cluster.ContainerID(m), Dst: cluster.ContainerID(maps + r),
+				SizeGB: 0.5, Rate: 0.5,
+			})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctl := New(topo)
+		for _, f := range flows {
+			if _, err := ctl.OptimizePolicy(f, loc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -26,10 +26,10 @@ import (
 // -race report.
 //
 // Every reader also sweeps every ordered pair of racks at its own rates,
-// so while one round's revival resets the unit-route shards, others
-// publish and read unit routes for all 56 access pairs. After the final
-// recovery each pair must answer from its unit route again, bit-identical
-// to an uncached solve.
+// so while one round's revival resets the route shards, others publish
+// and read rate-keyed routes (liveness flipped off) or closed-form routes
+// (healthy) for all 56 access pairs. After the final recovery each pair
+// must answer in closed form again, bit-identical to an uncached solve.
 func TestLockOrderHammer(t *testing.T) {
 	topo := buildFatTree(t)
 	o := netstate.New(topo)
@@ -109,7 +109,8 @@ func TestLockOrderHammer(t *testing.T) {
 					_ = o.Headroom(servers[(seed+i)%len(servers)])
 					_ = o.NearestByDist(a, servers)
 				}
-				// Unit-route shards: publish and read every access pair.
+				// Every access pair: route-shard publishes while a switch
+				// is dead, closed-form answers while the fabric is healthy.
 				for i, a := range reps {
 					for j, b := range reps {
 						types, err := o.TypeTemplate(a, b)
@@ -147,7 +148,7 @@ func TestLockOrderHammer(t *testing.T) {
 			o.BestRoute(a, b, q)
 			q.Rate = math.Nextafter(math.Pi, 4)
 			if !checkRoute(t, o, ref, a, b, q) {
-				t.Errorf("BestRoute(%d,%d) after recovery: perturbed rate missed the unit route", a, b)
+				t.Errorf("BestRoute(%d,%d) after recovery: perturbed rate missed the closed form", a, b)
 			}
 		}
 	}

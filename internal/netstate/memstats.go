@@ -22,8 +22,7 @@ type MemoryStats struct {
 	// SwitchPairEntries is the size of the dense switch-pair distance
 	// table (S², capped at maxSwitchPairSlots; 0 when unbuilt or disabled).
 	SwitchPairEntries int
-	// RoutesDense/RoutesSharded count pair-route cache entries by storage;
-	// the unit routes keyed by access-switch pair are sharded entries.
+	// RoutesDense/RoutesSharded count pair-route cache entries by storage.
 	RoutesDense, RoutesSharded int
 	// ApproxBytes estimates the resident heap of everything counted above.
 	ApproxBytes int64
@@ -99,21 +98,18 @@ func (o *Oracle) MemoryStats() MemoryStats {
 // routeEntryBytes approximates one PairRoute entry plus its List slice.
 const routeEntryBytes = 96
 
-// routeCensus counts pair-route entries in both storages, unit routes
-// included.
+// routeCensus counts pair-route entries in both storages.
 func (o *Oracle) routeCensus() (dense, sharded int) {
 	for i := range o.routeDense {
 		if o.routeDense[i].Load() != nil {
 			dense++
 		}
 	}
-	for _, shards := range [][]routeShard{o.routeShards, o.unitShards} {
-		for i := range shards {
-			sh := &shards[i]
-			sh.mu.RLock()
-			sharded += len(sh.m)
-			sh.mu.RUnlock()
-		}
+	for i := range o.routeShards {
+		sh := &o.routeShards[i]
+		sh.mu.RLock()
+		sharded += len(sh.m)
+		sh.mu.RUnlock()
 	}
 	return dense, sharded
 }

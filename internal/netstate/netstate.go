@@ -121,14 +121,12 @@ type Oracle struct {
 	loadSnapshot []float64
 
 	// Server-pair route cache (pairroute.go): dense atomic table for small
-	// clusters, sharded maps above denseRouteLimit pair slots. unitShards
-	// holds the rate-free unit routes keyed by access-switch pair.
+	// clusters, sharded maps above denseRouteLimit pair slots.
 	routeOnce       sync.Once
 	routeDense      []atomic.Pointer[PairRoute]
 	routeServerIdx  []int32
 	routeNumServers int
 	routeShards     []routeShard
-	unitShards      []routeShard
 
 	// routeStats stripes the pair-route hit/miss counters by source server
 	// so concurrent readers warming the cache don't serialize on two hot
@@ -202,14 +200,13 @@ func (o *Oracle) Epoch() uint64 {
 // the steady-state path pay one atomic load.
 //
 // Lock-order contract (proved by taalint's lockorder check): reviveMu is
-// the package's only outer lock — pairMu, typeMu and the route shard
-// stripes (the server-pair shards and the unit-route shards keyed by
-// access-switch pair, both reset by clearPairRoutes) nest strictly inside
-// it, one at a time, never inside each other. Readers publish unit routes
-// under a single stripe's write lock and read them under its read lock,
-// holding nothing else. Keep the pairMu and typeMu sections below
-// SEQUENTIAL; nesting one inside the other creates an acquisition edge
-// that closes a cycle with the read paths and is rejected at lint time.
+// the package's only outer lock — pairMu, typeMu and the server-pair route
+// shard stripes (reset by clearPairRoutes) nest strictly inside it, one at
+// a time, never inside each other. Readers publish pair routes under a
+// single stripe's write lock and read them under its read lock, holding
+// nothing else. Keep the pairMu and typeMu sections below SEQUENTIAL;
+// nesting one inside the other creates an acquisition edge that closes a
+// cycle with the read paths and is rejected at lint time.
 func (o *Oracle) ensureLive() {
 	lv := o.topo.LivenessVersion()
 	if o.liveSeen.Load() == lv {
@@ -277,6 +274,14 @@ func (o *Oracle) BindLoad(fn LoadFunc) {
 // parity tests compare structural answers against the reference.
 func (o *Oracle) structuralOK() bool {
 	return o.cached && o.topo.Structural() && o.topo.AllAlive()
+}
+
+// closedForm reports whether the per-pair closed forms answer right now:
+// the shared stage templates and topology.StageRoute. That takes
+// structuralOK on a fabric whose servers are single-homed — Tree, Fat-Tree
+// and VL2, not BCube.
+func (o *Oracle) closedForm() bool {
+	return o.structuralOK() && o.topo.ServersSingleHomed()
 }
 
 // computeDistRow runs a fresh BFS from src, traversing only live nodes
@@ -582,10 +587,16 @@ func (o *Oracle) ExpandRoute(route []topology.NodeID) ([]topology.NodeID, error)
 // shortest path between two nodes — the required policy template of a flow
 // between servers src and dst (w.type per hop). Empty (nil) for src == dst;
 // an error when disconnected. The returned slice is shared; callers must
-// not modify it.
+// not modify it. Server pairs of a healthy Tree, Fat-Tree or VL2 fabric
+// get the topology's per-class template without touching the pair map.
 func (o *Oracle) TypeTemplate(src, dst topology.NodeID) ([]string, error) {
 	if src == dst {
 		return nil, nil
+	}
+	if o.closedForm() {
+		if tmpl, ok := o.topo.StageTemplate(src, dst); ok {
+			return tmpl, nil
+		}
 	}
 	key := pairKey{src, dst}
 	if o.cached {

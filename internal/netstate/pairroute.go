@@ -25,33 +25,39 @@
 //     lists — a strictly stronger condition than epoch equality — is what
 //     gates reuse.
 //
-// # Rate-free access-pair routes
+// # Closed-form routes
 //
-// On a healthy single-homed fabric — generator-built, every server's one
-// neighbour its access switch, no node dead — a full solve does not depend
-// on the rate at all, so it is keyed by the two endpoints' access switches
-// instead of the server pair and the rate. The entry holds the unit route:
-// the route solveStages returns at rate = unit cost = 1, where every
-// segment cost and partial sum is an exact small integer. A flow's cost is
-// then c := rate × unit added len(stages)+1 times, left to right, which is
+// On a healthy single-homed fabric — generator-built Tree, Fat-Tree or VL2,
+// every server's one neighbour its access switch, no node dead — a full
+// solve does not depend on the rate at all, and its route has a closed
+// form: topology.StageRoute, the switches of the lowest-ID shortest path,
+// in O(tiers) with nothing stored. That is the route solveStages returns
+// at rate = unit cost = 1, where every segment cost and partial sum is an
+// exact small integer: the DP keeps the first (lowest-ID) index at every
+// tie, so walking back from the destination it picks, stage by stage, the
+// lowest-ID switch adjacent to the next one that an all-one-hop prefix
+// reaches — on these fabrics the lowest-ID shortest path
+// (TestUnitRouteExhaustive pins this for every access pair). A flow's cost
+// is c := rate × unit added len(stages)+1 times, left to right, which is
 // the float DP's own sum along that route. The answer is bit-identical to
 // a rate-keyed solve because of these guards:
 //
-//   - Both endpoints are single-homed servers, and no two adjacent stages
-//     share a switch type. Adjacent switch sets are then disjoint, so every
-//     segment is at least one hop.
-//   - The unit route costs exactly len(stages)+1, so every optimal route,
-//     and every optimal prefix, is all one-hop segments. Each such prefix
-//     costs c summed left to right, the same bits for every one, so at a
-//     tie the float DP keeps the first index, just as the integer DP does.
+//   - Both endpoints are single-homed servers, the stages have the types of
+//     the pair's template, and no two adjacent stages share a switch type.
+//     Adjacent switch sets are then disjoint, so every segment is at least
+//     one hop.
+//   - The closed-form route is all one-hop segments and costs exactly
+//     len(stages)+1, so every optimal route, and every optimal prefix, is
+//     all one-hop segments. Each such prefix costs c summed left to right,
+//     the same bits for every one, so at a tie the float DP keeps the first
+//     index, just as the integer DP does.
 //   - c is a normal float far from overflow. Every other candidate is then
 //     at least one whole hop (>= c) worse, which rounding cannot bridge.
 //
 // A query that fails a guard (filtered stages, a dead node, BCube's
-// multi-homed servers, a subnormal or huge c) takes the rate-keyed path.
-// Unit entries are dropped with the pair routes when liveness moves and
-// rebuilt after recovery; they count as hits and misses in PairRouteStats
-// like any other answer.
+// multi-homed servers, a tree of depth 4 or more whose template repeats
+// the aggregation type, a subnormal or huge c) takes the rate-keyed path.
+// Closed-form answers count as hits in PairRouteStats.
 //
 // Everywhere else rate and unit cost are part of the key (by Float64bits):
 // the arg-min route is mathematically rate-invariant, but float rounding of
@@ -60,10 +66,8 @@
 //
 // Storage follows the oracle's atomic-pointer pattern: a dense
 // (server × server) table of atomic pointers for small clusters, sharded
-// RWMutex maps above denseRouteLimit entries. Unit routes live in their own
-// sharded maps, which grow with the access pairs actually routed. Entries
-// are immutable after publication, so concurrent readers are safe
-// alongside a writer.
+// RWMutex maps above denseRouteLimit entries. Entries are immutable after
+// publication, so concurrent readers are safe alongside a writer.
 package netstate
 
 import (
@@ -91,9 +95,9 @@ type RouteQuery struct {
 	Stages [][]topology.NodeID
 	// Full declares that Stages is exactly the unfiltered per-type
 	// candidate lists of the pair's template (StagesForTemplate output).
-	// Full solves cache without any revalidation, per access pair where
-	// the unit route applies; non-full solves revalidate by stage-list
-	// equality.
+	// Full solves are answered in closed form where the guards allow and
+	// otherwise cache without any revalidation; non-full solves revalidate
+	// by stage-list equality.
 	Full bool
 }
 
@@ -154,9 +158,9 @@ func (sh *routeShard) reset() {
 	sh.mu.Unlock()
 }
 
-// routeInit lazily builds the pair-route storage (dense table when the
+// routeInit lazily builds the pair-route storage: dense table when the
 // server count allows, shard maps always, as the fallback for non-server
-// endpoints) and the unit-route shards.
+// endpoints.
 func (o *Oracle) routeInit() {
 	o.routeOnce.Do(func() {
 		servers := o.topo.Servers()
@@ -172,12 +176,11 @@ func (o *Oracle) routeInit() {
 		if n := len(servers) * len(servers); n > 0 && n <= denseRouteLimit {
 			o.routeDense = make([]atomic.Pointer[PairRoute], n)
 		}
-		routes, units := make([]routeShard, routeShardCount), make([]routeShard, routeShardCount)
+		routes := make([]routeShard, routeShardCount)
 		for i := range routes {
 			routes[i].m = make(map[pairKey]*PairRoute)
-			units[i].m = make(map[pairKey]*PairRoute)
 		}
-		o.routeShards, o.unitShards = routes, units
+		o.routeShards = routes
 	})
 }
 
@@ -187,19 +190,15 @@ func routeShardOf(src, dst topology.NodeID) int {
 	return int(h % routeShardCount)
 }
 
-// clearPairRoutes drops every memoized pair solve, unit routes included.
-// Called by ensureLive when node liveness changes: stage lists and hop
-// distances both shift, so no entry — full or filtered — remains valid. A
-// no-op before routeInit.
+// clearPairRoutes drops every memoized pair solve. Called by ensureLive
+// when node liveness changes: stage lists and hop distances both shift, so
+// no entry — full or filtered — remains valid. A no-op before routeInit.
 func (o *Oracle) clearPairRoutes() {
 	for i := range o.routeDense {
 		o.routeDense[i].Store(nil)
 	}
 	for i := range o.routeShards {
 		o.routeShards[i].reset()
-	}
-	for i := range o.unitShards {
-		o.unitShards[i].reset()
 	}
 }
 
@@ -255,8 +254,8 @@ func stagesEqual(a, b [][]topology.NodeID) bool {
 }
 
 // BestRoute returns the minimum-cost switch choice per stage for a flow
-// between two servers — Algorithm 1's layered DP — memoized per access
-// pair or per ordered server pair under the validity contract in the
+// between two servers — Algorithm 1's layered DP — in closed form or
+// memoized per ordered server pair under the validity contract in the
 // package comment. The returned list is shared; callers must not modify
 // it. ok is false when no stage assignment yields a finite cost. On an
 // uncached oracle every call solves fresh (the parity reference).
@@ -268,16 +267,12 @@ func (o *Oracle) BestRoute(src, dst topology.NodeID, q RouteQuery) (list []topol
 	unitBits := math.Float64bits(q.UnitCost)
 	if o.cached {
 		o.ensureLive()
-		o.routeInit()
 		st := &o.routeStats[int(src)&(routeStatStripes-1)]
-		if ul, uc, hit, uok := o.unitRoute(src, dst, &q); uok {
-			if hit {
-				st.hits.Add(1)
-			} else {
-				st.misses.Add(1)
-			}
-			return ul, uc, hit, true
+		if ul, uc, uok := o.unitRoute(src, dst, &q); uok {
+			st.hits.Add(1)
+			return ul, uc, true, true
 		}
+		o.routeInit()
 		if e := o.routeLoad(src, dst); e != nil && e.matches(&q, rateBits, unitBits) {
 			st.hits.Add(1)
 			return e.List, e.Cost, true, true
@@ -299,7 +294,7 @@ func (o *Oracle) BestRoute(src, dst topology.NodeID, q RouteQuery) (list []topol
 	return list, cost, false, true
 }
 
-// Bounds on c = rate × unit for the unit-route path. The lower one is the
+// Bounds on c = rate × unit for the closed-form path. The lower one is the
 // smallest normal float64: below it c*d loses relative precision. The upper
 // one keeps (len(stages)+1)·c far from overflow for any stage count a
 // fabric can have.
@@ -308,60 +303,32 @@ const (
 	maxUnitScale = 0x1p1000
 )
 
-// unitRejected marks an access pair whose unit route failed a guard; its
-// queries take the rate-keyed path.
-var unitRejected = &PairRoute{}
-
-// unitRoute answers a full-stage query from the access-pair table of unit
-// routes (see the package comment). ok=false sends the query to the
-// rate-keyed path: the query is not a full-stage solve between two servers
-// of a healthy single-homed fabric, or a guard failed.
-func (o *Oracle) unitRoute(src, dst topology.NodeID, q *RouteQuery) (list []topology.NodeID, cost float64, hit, ok bool) {
+// unitRoute answers a full-stage query from topology.StageRoute (see the
+// package comment), allocating only the returned list. ok=false sends the
+// query to the rate-keyed path: it is not a full-stage solve between two
+// servers of a healthy single-homed fabric over the pair's template, or a
+// guard failed.
+func (o *Oracle) unitRoute(src, dst topology.NodeID, q *RouteQuery) (list []topology.NodeID, cost float64, ok bool) {
 	c := q.Rate * q.UnitCost
-	if !q.Full || !(c >= minUnitScale && c <= maxUnitScale) || !o.structuralOK() {
-		return nil, 0, false, false
+	if !q.Full || !(c >= minUnitScale && c <= maxUnitScale) || !o.closedForm() {
+		return nil, 0, false
 	}
-	rk := o.Racks()
-	if rk == nil || rk.Of[src] < 0 || rk.Of[dst] < 0 {
-		return nil, 0, false, false
+	tmpl, ok := o.topo.StageTemplate(src, dst)
+	if !ok || len(tmpl) != len(q.Stages) {
+		return nil, 0, false
 	}
-	k := pairKey{rk.Switches[rk.Of[src]], rk.Switches[rk.Of[dst]]}
-	sh := &o.unitShards[routeShardOf(k.src, k.dst)]
-	e := sh.load(k)
-	hit = e != nil
-	if !hit {
-		e = o.solveUnit(src, dst, q.Stages)
-		sh.store(k, e)
+	for i, s := range q.Stages {
+		if len(s) == 0 || o.topo.Node(s[0]).Type != tmpl[i] || (i > 0 && tmpl[i] == tmpl[i-1]) {
+			return nil, 0, false
+		}
 	}
-	if e == unitRejected {
-		return nil, 0, false, false
+	if list, ok = o.topo.StageRoute(src, dst); !ok {
+		return nil, 0, false
 	}
 	for range len(q.Stages) + 1 {
 		cost += c
 	}
-	return e.List, cost, hit, true
-}
-
-// solveUnit runs the layered DP at rate = unit cost = 1 and returns the
-// unit route, or unitRejected when the guards in the package comment do
-// not hold: an empty stage, two adjacent stages of one switch type, no
-// finite route, or a route that is not all one-hop segments.
-func (o *Oracle) solveUnit(src, dst topology.NodeID, stages [][]topology.NodeID) *PairRoute {
-	for i, s := range stages {
-		if len(s) == 0 || (i > 0 && o.topo.Node(s[0]).Type == o.topo.Node(stages[i-1][0]).Type) {
-			return unitRejected
-		}
-	}
-	list, cost, ok := o.solveStages(1, 1, src, dst, stages)
-	// At rate = unit cost = 1 every segment cost and partial sum is a small
-	// integer, held exactly, so int(cost) is the route's hop count.
-	if !ok || int(cost) != len(stages)+1 {
-		return unitRejected
-	}
-	return &PairRoute{
-		RateBits: math.Float64bits(1), UnitBits: math.Float64bits(1), Full: true,
-		List: list, Cost: cost, Epoch: o.Epoch(),
-	}
+	return list, cost, true
 }
 
 // RouteCost returns only the objective of BestRoute's solve for the pair.

@@ -90,9 +90,13 @@ func TestBestRouteCachedUncachedParity(t *testing.T) {
 
 // TestBestRouteFullSurvivesEpochBump asserts the load-independence
 // contract: a full-stage entry keeps hitting after epoch bumps, because
-// switch load never enters the objective.
+// switch load never enters the objective. BCube's multi-homed servers keep
+// the query on the rate-keyed path, where the entry is stored.
 func TestBestRouteFullSurvivesEpochBump(t *testing.T) {
-	topo := buildTree(t, 3, 2)
+	topo, err := topology.NewBCube(3, 1, topology.LinkParams{Bandwidth: 10, Latency: 0.1, SwitchCapacity: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := netstate.New(topo)
 	servers := topo.Servers()
 	a, b := servers[0], servers[len(servers)-1]
@@ -211,7 +215,9 @@ func TestBestRouteRateKeying(t *testing.T) {
 }
 
 // TestPairRouteStats checks hit/miss accounting and the empty-stages and
-// RouteCost edge cases.
+// RouteCost edge cases. Full-stage queries on the healthy tree are answered
+// in closed form, and every such answer counts as a hit; a filtered query
+// misses once, then hits.
 func TestPairRouteStats(t *testing.T) {
 	topo := buildTree(t, 3, 2)
 	o := netstate.New(topo)
@@ -237,16 +243,22 @@ func TestPairRouteStats(t *testing.T) {
 	}
 	o.BestRoute(a, b, q)
 	o.BestRoute(b, a, netstate.RouteQuery{Rate: 1, UnitCost: 1, Stages: stagesFor(t, o, b, a), Full: true})
-	if h, m := o.PairRouteStats(); h != 1 || m != 2 {
-		t.Fatalf("stats: %d hits, %d misses, want 1 hit 2 misses", h, m)
+	if h, m := o.PairRouteStats(); h != 3 || m != 0 {
+		t.Fatalf("stats: %d hits, %d misses, want 3 closed-form hits and no miss", h, m)
+	}
+	filtered := netstate.RouteQuery{Rate: 1, UnitCost: 1, Stages: filteredStages(stages)}
+	o.BestRoute(a, b, filtered)
+	o.BestRoute(a, b, filtered)
+	if h, m := o.PairRouteStats(); h != 4 || m != 1 {
+		t.Fatalf("stats: %d hits, %d misses, want 4 hits 1 miss", h, m)
 	}
 
 	c2, ok2 := o.RouteCost(a, b, q)
 	if !ok2 || math.Float64bits(c2) != math.Float64bits(cost) {
 		t.Fatalf("RouteCost %v (ok=%v), want %v", c2, ok2, cost)
 	}
-	if h, _ := o.PairRouteStats(); h != 2 {
-		t.Fatalf("RouteCost did not hit the cache: %d hits", h)
+	if h, _ := o.PairRouteStats(); h != 5 {
+		t.Fatalf("RouteCost did not hit: %d hits", h)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-// unitFabric is one healthy single-homed fabric the unit route serves,
+// unitFabric is one healthy single-homed fabric the closed form serves,
 // with the number of server pairs to sample per distance class (the
 // uncached reference runs a BFS per segment, so big fabrics sample few).
 type unitFabric struct {
@@ -92,13 +92,13 @@ func checkRoute(t *testing.T, o, ref *netstate.Oracle, a, b topology.NodeID, q n
 	return hit
 }
 
-// TestUnitRouteMatchesUncached is the exactness property of the rate-free
-// access-pair routes: on every healthy single-homed fabric, for server
+// TestUnitRouteMatchesUncached is the exactness property of the
+// closed-form routes: on every healthy single-homed fabric, for server
 // pairs in the same rack, the same pod and across the core, and for rates
 // from tiny to huge (including one-ulp perturbations), the cached answer is
-// bit-identical to a fresh solve at the flow's own rate. Once an access
-// pair's unit route exists, every normal rate is answered from it; a
-// subnormal rate×unit must fall back to the rate-keyed path.
+// bit-identical to a fresh solve at the flow's own rate. Every normal
+// rate×unit is answered in closed form; a subnormal one must fall back to
+// the rate-keyed path.
 func TestUnitRouteMatchesUncached(t *testing.T) {
 	for _, fab := range unitFabrics(t) {
 		t.Run(fab.name, func(t *testing.T) {
@@ -119,7 +119,7 @@ func TestUnitRouteMatchesUncached(t *testing.T) {
 						1e-300, 1e300, rng.Float64() * 64, rng.ExpFloat64(),
 					} {
 						if !checkRoute(t, o, ref, a, b, q(rate, unit)) {
-							t.Fatalf("pair %d-%d rate %v unit %v: missed the unit route", a, b, rate, unit)
+							t.Fatalf("pair %d-%d rate %v unit %v: missed the closed form", a, b, rate, unit)
 						}
 					}
 					for _, rate := range []float64{5e-324, 1e-310} {
@@ -134,10 +134,10 @@ func TestUnitRouteMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestUnitRouteFallbacks covers the fabrics the unit route must not serve:
-// BCube's multi-homed servers and a fat-tree with a dead switch both take
-// the rate-keyed path (a one-ulp rate change misses). After recovery the
-// unit route answers again.
+// TestUnitRouteFallbacks covers the fabrics the closed form must not
+// serve: BCube's multi-homed servers and a fat-tree with a dead switch both
+// take the rate-keyed path (a one-ulp rate change misses). After recovery
+// the closed form answers again.
 func TestUnitRouteFallbacks(t *testing.T) {
 	p := topology.LinkParams{Bandwidth: 10, Latency: 0.1, SwitchCapacity: 100}
 	rateKeyed := func(t *testing.T, o, ref *netstate.Oracle, pairs [][2]topology.NodeID) {
@@ -167,18 +167,17 @@ func TestUnitRouteFallbacks(t *testing.T) {
 		o := netstate.New(topo)
 		ref := netstate.NewUncached(topo)
 		pairs := samplePairs(topo, rand.New(rand.NewSource(5)), 8)
-		// Warm the unit routes on the healthy fabric.
+		// Route every pair on the healthy fabric.
 		for _, pr := range pairs {
 			checkRoute(t, o, ref, pr[0], pr[1], netstate.RouteQuery{
 				Rate: 1, UnitCost: 1, Stages: stagesFor(t, o, pr[0], pr[1]), Full: true,
 			})
 		}
 		victim := hottestMidSwitch(t, topo, o)
-		// Every server pair has been routed: the memory census holds one
-		// unit route per ordered pair of the 8 racks and no server-pair
-		// entry.
-		if ms := o.MemoryStats(); ms.RoutesSharded != 64 || ms.RoutesDense != 0 {
-			t.Fatalf("route census %d sharded, %d dense; want 64 unit routes and no server-pair entries",
+		// The closed form answered every one: the memory census holds no
+		// stored entry.
+		if ms := o.MemoryStats(); ms.RoutesSharded != 0 || ms.RoutesDense != 0 {
+			t.Fatalf("route census %d sharded, %d dense after the healthy warm-up; want no stored entry",
 				ms.RoutesSharded, ms.RoutesDense)
 		}
 		if err := topo.SetNodeAlive(victim, false); err != nil {
@@ -193,7 +192,7 @@ func TestUnitRouteFallbacks(t *testing.T) {
 			stages := stagesFor(t, o, a, b)
 			checkRoute(t, o, ref, a, b, netstate.RouteQuery{Rate: 3, UnitCost: 1, Stages: stages, Full: true})
 			if !checkRoute(t, o, ref, a, b, netstate.RouteQuery{Rate: math.Nextafter(3, 4), UnitCost: 1, Stages: stages, Full: true}) {
-				t.Fatalf("pair %d-%d after recovery: perturbed rate missed, want the unit route", a, b)
+				t.Fatalf("pair %d-%d after recovery: perturbed rate missed, want the closed form", a, b)
 			}
 		}
 	})
@@ -213,10 +212,10 @@ func sameDistPair(t *testing.T, topo *topology.Topology, d int) (topology.NodeID
 	return topology.None, topology.None
 }
 
-// TestUnitRouteGuards pins the two structural guards with full-stage
-// queries built to break the exactness argument. Each runs many rates on
-// one oracle, so a guard that lets the unit route answer is caught by a
-// cost that differs from the fresh solve.
+// TestUnitRouteGuards pins the structural guards with full-stage queries
+// built to break the exactness argument. Each runs many rates on one
+// oracle, so a guard that lets the closed form answer is caught by a cost
+// that differs from the fresh solve.
 func TestUnitRouteGuards(t *testing.T) {
 	topo := buildTree(t, 3, 2)
 	rates := make([]float64, 400)
@@ -225,11 +224,13 @@ func TestUnitRouteGuards(t *testing.T) {
 		rates[i] = math.Exp(rng.Float64()*8 - 4)
 	}
 
-	// Five core stages between servers of one rack: the unit route sits on
+	// Five core stages between servers of one rack: the DP's route sits on
 	// the core switch with segments 3+0+0+0+0+3, which totals
 	// len(stages)+1 but is not all one-hop, and 2·fl(3c) differs from c
-	// summed six times for about half of all c. Only the adjacent-type
-	// guard keeps the unit route out.
+	// summed six times for about half of all c. The pair's template has
+	// one stage, so the template guard keeps the closed form out; the
+	// depth-4 tree of TestUnitRouteExhaustive covers the adjacent-type
+	// guard.
 	t.Run("adjacent-types", func(t *testing.T) {
 		o, ref := netstate.New(topo), netstate.NewUncached(topo)
 		a, b := sameDistPair(t, topo, 2)
@@ -240,8 +241,9 @@ func TestUnitRouteGuards(t *testing.T) {
 		}
 	})
 
-	// One core stage between servers of one rack: the unit route costs
-	// 3+3 hops, not len(stages)+1. Only the unit-cost guard keeps it out.
+	// One core stage between servers of one rack: the DP's route costs
+	// 3+3 hops, not len(stages)+1. The template guard keeps the closed
+	// form out.
 	t.Run("unit-cost", func(t *testing.T) {
 		o, ref := netstate.New(topo), netstate.NewUncached(topo)
 		a, b := sameDistPair(t, topo, 2)
@@ -250,4 +252,177 @@ func TestUnitRouteGuards(t *testing.T) {
 			checkRoute(t, o, ref, a, b, netstate.RouteQuery{Rate: r, UnitCost: 1, Stages: stages, Full: true})
 		}
 	})
+}
+
+// refUnitDP is the layered DP of Algorithm 1 at rate = unit cost = 1, in
+// integer hops over BFS distance rows (row(x)[y] is the hop distance from
+// x to y), keeping the first index at every tie exactly as the oracle's
+// DP does. It returns the route and its hop count.
+func refUnitDP(row func(topology.NodeID) []int32, src, dst topology.NodeID, stages [][]topology.NodeID) ([]topology.NodeID, int) {
+	cost := make([]int, len(stages[0]))
+	for i, w := range stages[0] {
+		cost[i] = int(row(src)[w])
+	}
+	prev := make([][]int, len(stages))
+	for s := 1; s < len(stages); s++ {
+		next := make([]int, len(stages[s]))
+		prev[s] = make([]int, len(stages[s]))
+		for j, w := range stages[s] {
+			best := math.MaxInt
+			for k, v := range stages[s-1] {
+				if c := cost[k] + int(row(v)[w]); c < best {
+					best, prev[s][j] = c, k
+				}
+			}
+			next[j] = best
+		}
+		cost = next
+	}
+	best, j := math.MaxInt, -1
+	for i, w := range stages[len(stages)-1] {
+		if c := cost[i] + int(row(w)[dst]); c < best {
+			best, j = c, i
+		}
+	}
+	list := make([]topology.NodeID, len(stages))
+	for s := len(stages) - 1; s >= 0; s-- {
+		list[s] = stages[s][j]
+		if s > 0 {
+			j = prev[s][j]
+		}
+	}
+	return list, best
+}
+
+// TestUnitRouteExhaustive proves the closed form against the DP on every
+// ordered pair of access switches (one server per rack, and a rack with
+// itself where it holds two servers) of small Tree, Fat-Tree and VL2
+// fabrics and of the 10,000-server rack tree. Each pair's first query on
+// a cached oracle, at rate = unit cost = 1, must agree with refUnitDP over
+// NewUncached's BFS rows in route, cost and accept/reject: the closed form
+// answers (a hit) exactly when the DP's rule for a rate-free route holds —
+// no two adjacent stages of one switch type and a route of len(stages)+1
+// hops — and a rejected pair misses and takes the DP. On fabrics of at
+// most 128 nodes, NewUncached's own BestRoute is checked against refUnitDP
+// too; on the two larger ones its per-segment BFS would take minutes.
+func TestUnitRouteExhaustive(t *testing.T) {
+	p := topology.LinkParams{Bandwidth: 10, Latency: 0.1, SwitchCapacity: 100}
+	type fabric struct {
+		name    string
+		build   func() (*topology.Topology, error)
+		rejects int
+	}
+	fabrics := []fabric{
+		{"paper-tree", func() (*topology.Topology, error) { return topology.NewPaperTree(p) }, 0},
+		{"case-study", func() (*topology.Topology, error) {
+			topo, _, err := topology.NewCaseStudyTree(p)
+			return topo, err
+		}, 0},
+		{"tree-2-3", func() (*topology.Topology, error) { return topology.NewTree(2, 3, p) }, 0},
+		{"racks-3-3-4", func() (*topology.Topology, error) { return topology.NewTreeWithRacks(3, 3, 4, p) }, 0},
+		{"racks-3-10-100", func() (*topology.Topology, error) { return topology.NewTreeWithRacks(3, 10, 100, p) }, 0},
+		// Depth 4: a pair that crosses two aggregation tiers has adjacent
+		// aggregation stages, which the DP may fill with one switch twice.
+		{"tree-4-2", func() (*topology.Topology, error) { return topology.NewTree(4, 2, p) }, 48},
+	}
+	for _, k := range []int{2, 4, 6, 8} {
+		fabrics = append(fabrics, fabric{fmt.Sprintf("fattree-%d", k), func() (*topology.Topology, error) { return topology.NewFatTree(k, p) }, 0})
+	}
+	for _, c := range [][4]int{{2, 1, 1, 2}, {4, 2, 2, 3}, {3, 2, 2, 2}, {6, 4, 3, 2}, {5, 3, 4, 1}} {
+		fabrics = append(fabrics, fabric{fmt.Sprintf("vl2-%d-%d-%d-%d", c[0], c[1], c[2], c[3]), func() (*topology.Topology, error) {
+			return topology.NewVL2(c[0], c[1], c[2], c[3], p)
+		}, 0})
+	}
+	for _, fab := range fabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			topo, err := fab.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, ref := netstate.New(topo), netstate.NewUncached(topo)
+			rows := make([][]int32, topo.NumNodes())
+			row := func(x topology.NodeID) []int32 {
+				if rows[x] == nil {
+					rows[x] = ref.DistRow(x)
+				}
+				return rows[x]
+			}
+			// The first two servers of every rack, in rack order.
+			var racks [][]topology.NodeID
+			rackOf := make(map[topology.NodeID]int)
+			for _, s := range topo.Servers() {
+				acc := topo.AccessSwitch(s)
+				r, seen := rackOf[acc]
+				if !seen {
+					r = len(racks)
+					rackOf[acc] = r
+					racks = append(racks, nil)
+				}
+				if len(racks[r]) < 2 {
+					racks[r] = append(racks[r], s)
+				}
+			}
+			pairs, rejects := 0, 0
+			for _, ra := range racks {
+				for _, rb := range racks {
+					a, b := ra[0], rb[0]
+					if a == b {
+						if len(ra) < 2 {
+							continue
+						}
+						b = ra[1]
+					}
+					pairs++
+					stages := stagesFor(t, o, a, b)
+					want, hops := refUnitDP(row, a, b, stages)
+					accept := hops == len(stages)+1
+					for i := 1; i < len(stages); i++ {
+						if topo.Node(stages[i][0]).Type == topo.Node(stages[i-1][0]).Type {
+							accept = false
+						}
+					}
+					if !accept {
+						rejects++
+					}
+					q := netstate.RouteQuery{Rate: 1, UnitCost: 1, Stages: stages, Full: true}
+					got, cost, hit, ok := o.BestRoute(a, b, q)
+					if !ok || hit != accept || fmt.Sprint(got) != fmt.Sprint(want) || cost != float64(hops) {
+						t.Fatalf("pair %d-%d: route %v cost %v closed form %v ok %v; DP route %v hops %d accept %v",
+							a, b, got, cost, hit, ok, want, hops, accept)
+					}
+					if topo.NumNodes() <= 128 {
+						if rl, rc, _, rok := ref.BestRoute(a, b, q); !rok || fmt.Sprint(rl) != fmt.Sprint(want) || rc != float64(hops) {
+							t.Fatalf("pair %d-%d: NewUncached route %v cost %v, refUnitDP %v hops %d", a, b, rl, rc, want, hops)
+						}
+					}
+				}
+			}
+			if rejects != fab.rejects {
+				t.Fatalf("%d of %d pairs rejected, want %d", rejects, pairs, fab.rejects)
+			}
+		})
+	}
+}
+
+// TestUnitRouteAllocs pins the closed form's cost: one allocation, the
+// returned list, per answer on a healthy tree, Fat-Tree and VL2, and none
+// for the per-class type template.
+func TestUnitRouteAllocs(t *testing.T) {
+	for _, fab := range unitFabrics(t) {
+		t.Run(fab.name, func(t *testing.T) {
+			o := netstate.New(fab.topo)
+			srv := fab.topo.Servers()
+			a, b := srv[0], srv[len(srv)-1]
+			q := netstate.RouteQuery{Rate: 0.7, UnitCost: 1, Stages: stagesFor(t, o, a, b), Full: true}
+			if _, _, hit, ok := o.BestRoute(a, b, q); !ok || !hit {
+				t.Fatalf("pair %d-%d: ok %v closed form %v", a, b, ok, hit)
+			}
+			if n := testing.AllocsPerRun(100, func() { o.BestRoute(a, b, q) }); n != 1 {
+				t.Fatalf("BestRoute allocates %v times per closed-form answer, want 1", n)
+			}
+			if n := testing.AllocsPerRun(100, func() { o.TypeTemplate(a, b) }); n != 0 {
+				t.Fatalf("TypeTemplate allocates %v times per call, want 0", n)
+			}
+		})
+	}
 }

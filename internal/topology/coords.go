@@ -1,10 +1,11 @@
 // Structural coordinate oracle: the four built-in architectures (Tree,
 // Fat-Tree, VL2, BCube) are regular enough that hop distances, the tier of
 // the highest switch on a shortest path, and the switch-type template of the
-// lowest-ID shortest path all have closed forms over per-node coordinates.
-// The generators emit those coordinates plus an architecture descriptor at
-// construction time; the helpers below answer in O(1) (O(tiers) for trees,
-// O(digits) for BCube) without touching the BFS machinery.
+// lowest-ID shortest path all have closed forms over per-node coordinates,
+// and so, except on BCube, do that path's switches. The generators emit
+// those coordinates plus an architecture descriptor at construction time;
+// the helpers below answer in O(1) (O(tiers) for trees, O(digits) for
+// BCube) without touching the BFS machinery.
 //
 // The closed forms describe the HEALTHY graph only. Every helper refuses —
 // returns ok=false — while any node is crashed (numDead > 0) or when the
@@ -75,8 +76,18 @@ type structure struct {
 	// types[t] is the switch type at tier t (all families; BCube level types).
 	types []string
 
+	// templates[c] is the stage template every server pair of lowest
+	// common tier c shares: types[0..c] climbing, then back down. Built by
+	// setStructure for Tree, Fat-Tree and VL2; nil for BCube, whose
+	// templates depend on which address digits differ.
+	templates [][]string
+
 	// Tree: fan[t] = children per tier-t switch (t >= 1); len(fan) = depth.
 	fan []int
+	// Tree: anc[a*depth+t] is the tier-t ancestor of access switch a (the
+	// switch itself at t = 0), filled by setStructure from the switch
+	// coordinates.
+	anc []NodeID
 
 	// Fat-Tree: half = k/2.
 	half int
@@ -147,10 +158,8 @@ func (t *Topology) LowestCommonTier(a, b NodeID) (int, bool) {
 	ca, cb := t.coords[a], t.coords[b]
 	switch t.arch.family {
 	case FamilyTree:
-		tier, ia, ib := 0, int(ca.pod), int(cb.pod)
-		for ia != ib {
-			ia /= t.arch.fan[tier+1]
-			ib /= t.arch.fan[tier+1]
+		tier, ra, rb := 0, t.treeAnc(ca.pod), t.treeAnc(cb.pod)
+		for ra[tier] != rb[tier] {
 			tier++
 		}
 		return tier, true
@@ -167,7 +176,7 @@ func (t *Topology) LowestCommonTier(a, b NodeID) (int, bool) {
 		switch {
 		case ca.pod == cb.pod:
 			return 0, true
-		case t.vl2RacksShareAgg(int(ca.pod), int(cb.pod)):
+		case t.vl2SharedAgg(int(ca.pod), int(cb.pod)) >= 0:
 			return 1, true
 		default:
 			return 2, true
@@ -191,60 +200,98 @@ func (t *Topology) LowestCommonTier(a, b NodeID) (int, bool) {
 // path between two SERVERS — exactly the types of the interior nodes of
 // ShortestPath(a, b), without materializing the path. nil (ok=true) when
 // a == b. ok=false for non-servers, irregular topologies, or degraded graphs.
+//
+// On Tree, Fat-Tree and VL2 the template depends only on the pair's lowest
+// common tier, so every pair of one class gets the same slice, built with
+// the topology: it is shared, and callers must not modify it. BCube
+// templates are allocated per call.
 func (t *Topology) StageTemplate(a, b NodeID) ([]string, bool) {
-	if t.arch.family == FamilyIrregular || t.numDead > 0 ||
-		!t.Valid(a) || !t.Valid(b) || !t.nodes[a].IsServer() || !t.nodes[b].IsServer() {
+	top, ok := t.LowestCommonTier(a, b)
+	if !ok || top < 0 {
+		return nil, ok
+	}
+	if t.arch.family != FamilyBCube {
+		return t.arch.templates[top], true
+	}
+	// The lowest-ID shortest path corrects differing digits in ascending
+	// level order: at every server hop, the adjacent switches that reduce
+	// distance are exactly those at still-differing levels, and level-l
+	// switch IDs strictly precede level-(l+1) IDs.
+	var tmpl []string
+	x, y := int(t.coords[a].idx), int(t.coords[b].idx)
+	for l := 0; l < t.arch.levels; l++ {
+		if x%t.arch.n != y%t.arch.n {
+			tmpl = append(tmpl, t.arch.types[l])
+		}
+		x /= t.arch.n
+		y /= t.arch.n
+	}
+	return tmpl, true
+}
+
+// StageRoute returns the switches of the lowest-ID shortest path between
+// two SERVERS, one per entry of StageTemplate(a, b) — exactly the interior
+// nodes of ShortestPath(a, b) — in O(tiers), as a fresh slice. nil (ok=true)
+// when a == b. ok=false for BCube (its shortest paths relay through
+// servers), non-servers, irregular topologies, or degraded graphs.
+//
+// The route climbs from each server's access switch to the pair's lowest
+// common tier c and takes the lowest ID wherever the shortest paths branch:
+//
+//	Tree:     the two access switches' ancestor chains up to tier c (no
+//	          branching: every switch has one parent).
+//	Fat-Tree: aggregation position 0 of each pod, and core 0 between pods.
+//	VL2:      the lowest-index aggregation switch both racks share; else
+//	          each rack's lower-index aggregation switch and intermediate 0.
+func (t *Topology) StageRoute(a, b NodeID) ([]NodeID, bool) {
+	top, ok := t.LowestCommonTier(a, b)
+	if !ok || t.arch.family == FamilyBCube {
 		return nil, false
 	}
-	if a == b {
+	if top < 0 {
 		return nil, true
 	}
-	types := t.arch.types
+	route := make([]NodeID, 2*top+1)
+	last := len(route) - 1
 	ca, cb := t.coords[a], t.coords[b]
 	switch t.arch.family {
 	case FamilyTree:
-		top, _ := t.LowestCommonTier(a, b)
-		tmpl := make([]string, 2*top+1)
-		for i := 0; i <= top; i++ {
-			tmpl[i] = types[i]
-			tmpl[len(tmpl)-1-i] = types[i]
+		ra, rb := t.treeAnc(ca.pod), t.treeAnc(cb.pod)
+		for tier := 0; tier <= top; tier++ {
+			route[tier], route[last-tier] = ra[tier], rb[tier]
 		}
-		return tmpl, true
 	case FamilyFatTree:
-		switch {
-		case ca.pod == cb.pod && ca.idx/int32(t.arch.half) == cb.idx/int32(t.arch.half):
-			return []string{types[0]}, true
-		case ca.pod == cb.pod:
-			return []string{types[0], types[1], types[0]}, true
-		default:
-			return []string{types[0], types[1], types[2], types[1], types[0]}, true
+		half := t.arch.half
+		pa, pb := t.fatTreePod(int(ca.pod)), t.fatTreePod(int(cb.pod))
+		// Edge idx/half follows the pod's aggregation switches and the
+		// earlier edges, each with its servers.
+		route[0] = pa + NodeID(half+int(ca.idx)/half*(1+half))
+		route[last] = pb + NodeID(half+int(cb.idx)/half*(1+half))
+		if top > 0 {
+			route[1], route[last-1] = pa, pb
+		}
+		if top > 1 {
+			route[2] = 0 // core 0: the generator adds the cores first
 		}
 	case FamilyVL2:
-		switch {
-		case ca.pod == cb.pod:
-			return []string{types[0]}, true
-		case t.vl2RacksShareAgg(int(ca.pod), int(cb.pod)):
-			return []string{types[0], types[1], types[0]}, true
-		default:
-			return []string{types[0], types[1], types[2], types[1], types[0]}, true
+		ra, rb := int(ca.pod), int(cb.pod)
+		route[0], route[last] = t.torOf(ra), t.torOf(rb)
+		switch top {
+		case 1:
+			route[1] = t.vl2Agg(t.vl2SharedAgg(ra, rb))
+		case 2:
+			route[1], route[3] = t.vl2Agg(t.vl2LowAgg(ra)), t.vl2Agg(t.vl2LowAgg(rb))
+			route[2] = 0 // intermediate 0: the generator adds them first
 		}
-	case FamilyBCube:
-		// The lowest-ID shortest path corrects differing digits in ascending
-		// level order: at every server hop, the adjacent switches that reduce
-		// distance are exactly those at still-differing levels, and level-l
-		// switch IDs strictly precede level-(l+1) IDs.
-		var tmpl []string
-		x, y := int(ca.idx), int(cb.idx)
-		for l := 0; l < t.arch.levels; l++ {
-			if x%t.arch.n != y%t.arch.n {
-				tmpl = append(tmpl, types[l])
-			}
-			x /= t.arch.n
-			y /= t.arch.n
-		}
-		return tmpl, true
 	}
-	return nil, false
+	return route, true
+}
+
+// treeAnc returns the ancestor chain of tree access switch a, from a itself
+// up to the root.
+func (t *Topology) treeAnc(a int32) []NodeID {
+	d := len(t.arch.types)
+	return t.arch.anc[int(a)*d : (int(a)+1)*d]
 }
 
 // treeLift maps a node to (tier, index-within-tier, hops spent): servers
@@ -345,13 +392,23 @@ func (t *Topology) fatTreeDist(a, b NodeID) int {
 	}
 }
 
-// vl2RacksShareAgg reports whether racks r1 and r2 home to a common
-// aggregation switch (rack r homes to aggs r%dA and (r+1)%dA).
-func (t *Topology) vl2RacksShareAgg(r1, r2 int) bool {
+// vl2SharedAgg returns the lowest index of an aggregation switch racks r1
+// and r2 both home to (rack r homes to aggs r%dA and (r+1)%dA), or -1 when
+// they share none.
+func (t *Topology) vl2SharedAgg(r1, r2 int) int {
 	dA := t.arch.dA
-	a1, b1 := r1%dA, (r1+1)%dA
-	a2, b2 := r2%dA, (r2+1)%dA
-	return a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2
+	shared := -1
+	for _, x := range [2]int{r1 % dA, (r1 + 1) % dA} {
+		if (x == r2%dA || x == (r2+1)%dA) && (shared < 0 || x < shared) {
+			shared = x
+		}
+	}
+	return shared
+}
+
+// vl2LowAgg returns the lower index of rack r's two aggregation switches.
+func (t *Topology) vl2LowAgg(r int) int {
+	return min(r%t.arch.dA, (r+1)%t.arch.dA)
 }
 
 // vl2TorDist is the distance from ToR of rack r to a non-server node x.
@@ -363,7 +420,7 @@ func (t *Topology) vl2TorDist(r int, x NodeID) int {
 		switch {
 		case r == r2:
 			return 0
-		case t.vl2RacksShareAgg(r, r2):
+		case t.vl2SharedAgg(r, r2) >= 0:
 			return 2
 		default:
 			return 4
@@ -413,6 +470,21 @@ func (t *Topology) vl2Dist(a, b NodeID) int {
 // spt servers.
 func (t *Topology) torOf(r int) NodeID {
 	return NodeID(t.arch.vl2Base + r*(1+t.arch.spt))
+}
+
+// vl2Agg returns the ID of VL2 aggregation switch i, from the same layout:
+// the dA aggregation switches end just before rack 0's ToR.
+func (t *Topology) vl2Agg(i int) NodeID {
+	return NodeID(t.arch.vl2Base - t.arch.dA + i)
+}
+
+// fatTreePod returns the ID of pod p's first aggregation switch, from the
+// construction layout: half² cores, then per pod its half aggregation
+// switches followed by half edge switches, each edge followed by its half
+// servers.
+func (t *Topology) fatTreePod(p int) NodeID {
+	h := t.arch.half
+	return NodeID(h*h + p*(h+h*(1+h)))
 }
 
 // bcubeDigits expands x into base-n digits, least-significant first.

@@ -24,6 +24,8 @@ func structuralCases(t *testing.T) map[string]*Topology {
 			add(fmt.Sprintf("tree_d%d_f%d", d, f), topo, err)
 		}
 	}
+	deep, err := NewTree(4, 2, p)
+	add("tree_d4_f2", deep, err)
 	rack, err := NewTreeWithRacks(3, 2, 5, p)
 	add("tree_rack_d3_f2_s5", rack, err)
 	rack2, err := NewTreeWithRacks(2, 3, 1, p)
@@ -120,7 +122,8 @@ func TestLowestCommonTierParity(t *testing.T) {
 }
 
 // TestStageTemplateParity checks StageTemplate against the interior types of
-// the lowest-ID shortest path, for every server pair.
+// the lowest-ID shortest path, and StageRoute against its interior switches,
+// for every server pair. StageRoute refuses on BCube.
 func TestStageTemplateParity(t *testing.T) {
 	cases := structuralCases(t)
 	for _, name := range sortedCaseNames(cases) {
@@ -150,7 +153,56 @@ func TestStageTemplateParity(t *testing.T) {
 							t.Fatalf("StageTemplate(%d,%d)=%v, path types=%v", a, b, got, want)
 						}
 					}
+					route, ok := topo.StageRoute(a, b)
+					if topo.Family() == FamilyBCube {
+						if ok {
+							t.Fatalf("StageRoute(%d,%d) answered on BCube", a, b)
+						}
+						continue
+					}
+					var path []NodeID
+					if a != b {
+						path = topo.ShortestPath(a, b)
+						path = path[1 : len(path)-1]
+					}
+					if !ok || fmt.Sprint(route) != fmt.Sprint(path) {
+						t.Fatalf("StageRoute(%d,%d)=%v,%v, path switches=%v", a, b, route, ok, path)
+					}
 				}
+			}
+		})
+	}
+}
+
+// TestStageTemplateShared pins the satellite contract of the per-class
+// templates: on Tree, Fat-Tree and VL2, StageTemplate allocates nothing and
+// hands every pair of one lowest common tier the same slice.
+func TestStageTemplateShared(t *testing.T) {
+	cases := structuralCases(t)
+	for _, name := range sortedCaseNames(cases) {
+		topo := cases[name]
+		if topo.Family() == FamilyBCube {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			byTier := make(map[int][]string)
+			for _, a := range topo.Servers() {
+				for _, b := range topo.Servers() {
+					tier, _ := topo.LowestCommonTier(a, b)
+					got, _ := topo.StageTemplate(a, b)
+					if a == b {
+						continue
+					}
+					if first, seen := byTier[tier]; seen && &first[0] != &got[0] {
+						t.Fatalf("StageTemplate(%d,%d): tier %d template not shared", a, b, tier)
+					}
+					byTier[tier] = got
+				}
+			}
+			srv := topo.Servers()
+			a, b := srv[0], srv[len(srv)-1]
+			if n := testing.AllocsPerRun(100, func() { topo.StageTemplate(a, b) }); n != 0 {
+				t.Fatalf("StageTemplate allocates %v times per call", n)
 			}
 		})
 	}
@@ -198,6 +250,9 @@ func TestStructuralRefusals(t *testing.T) {
 	}
 	if _, ok := topo.StageTemplate(srv[0], srv[1]); ok {
 		t.Fatal("StageTemplate answered on a degraded graph")
+	}
+	if _, ok := topo.StageRoute(srv[0], srv[1]); ok {
+		t.Fatal("StageRoute answered on a degraded graph")
 	}
 	if err := topo.SetNodeAlive(srv[2], true); err != nil {
 		t.Fatal(err)

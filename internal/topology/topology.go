@@ -536,8 +536,42 @@ func (b *Builder) setCoord(id NodeID, pod, idx int) {
 }
 
 // setStructure records the architecture descriptor; only the architecture
-// generators call it.
-func (b *Builder) setStructure(s structure) { b.t.arch = s }
+// generators call it, after every node has its coordinate. It adds the
+// shared per-class stage templates and, for trees, each access switch's
+// ancestor chain.
+func (b *Builder) setStructure(s structure) {
+	if s.family != FamilyBCube {
+		s.templates = make([][]string, len(s.types))
+		for c := range s.templates {
+			tmpl := make([]string, 2*c+1)
+			for i := 0; i <= c; i++ {
+				tmpl[i], tmpl[2*c-i] = s.types[i], s.types[i]
+			}
+			s.templates[c] = tmpl
+		}
+	}
+	if s.family == FamilyTree {
+		depth := len(s.types)
+		byTier := make([][]NodeID, depth) // [tier][index] → switch
+		for _, id := range b.t.switches {
+			tier, idx := b.t.nodes[id].Tier, int(b.t.coords[id].idx)
+			for len(byTier[tier]) <= idx {
+				byTier[tier] = append(byTier[tier], None)
+			}
+			byTier[tier][idx] = id
+		}
+		s.anc = make([]NodeID, len(byTier[0])*depth)
+		for a := range byTier[0] {
+			for tier, i := 0, a; tier < depth; tier++ {
+				if tier > 0 {
+					i /= s.fan[tier]
+				}
+				s.anc[a*depth+tier] = byTier[tier][i]
+			}
+		}
+	}
+	b.t.arch = s
+}
 
 // AddSwitch appends a switch node with the given type, tier and capacity and
 // returns its ID. Pass math.Inf(1) for an unconstrained switch.
