@@ -51,16 +51,18 @@ bench:
 
 # BENCH_PKGS and BENCH_NAMES select the gated benchmarks: the root
 # package's scalability/oracle families, netsim's fair share and fluid
-# simulation, and one cold Algorithm-1 wave at 10k servers in the
-# controller.
-BENCH_PKGS = . ./internal/netsim ./internal/controller
-BENCH_NAMES = HitScalability|PathOracle|FairShare64Flows|Simulate64Flows|SimulateTestbed1024|Alg1ColdWave
+# simulation, one cold Algorithm-1 wave at 10k servers in the
+# controller, and one run of each sim wave loop (legacy on the testbed
+# tree, fault on a crash-heavy fat-tree). They are listed here only: CI's
+# benchmark smoke job runs them through bench-json.
+BENCH_PKGS = . ./internal/netsim ./internal/controller ./internal/sim
+BENCH_NAMES = HitScalability|PathOracle|FairShare64Flows|Simulate64Flows|SimulateTestbed1024|Alg1ColdWave|SimLegacyTestbed|SimFaultFatTree
 
-# bench-json runs the gated benchmarks once each and archives one
-# machine-readable BENCH_local.json (CI emits BENCH_<sha>.json per commit,
-# forming the benchmark trajectory).
+# bench-json runs the gated benchmarks once each, keeps the raw output in
+# bench.txt and archives one machine-readable BENCH_local.json (CI renames
+# it BENCH_<sha>.json per commit, forming the benchmark trajectory).
 bench-json:
-	$(GO) test -run XXX -bench '$(BENCH_NAMES)' -benchtime 1x $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_local.json
+	$(GO) test -run XXX -bench '$(BENCH_NAMES)' -benchtime 1x $(BENCH_PKGS) | tee bench.txt | $(GO) run ./cmd/benchjson -o BENCH_local.json
 
 # bench-gate is the regression gate: a fresh run is diffed against the
 # committed BENCH_baseline.json and any benchmark past its per-metric

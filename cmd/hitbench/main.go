@@ -3,23 +3,42 @@
 //
 // Usage:
 //
-//	hitbench [-exp all|table1|fig1|fig3|fig6|fig7|fig8a|fig8b|fig9|fig10|ablation]
-//	         [-seed N] [-repeats N] [-quick] [-cdf]
+//	hitbench [-exp all|table1|fig1|fig3|fig6|fig7|fig7p|fig8a|fig8b|fig9|fig10|
+//	               online|baselines|quality|failure|failsweep|ablation[,...]]
+//	         [-seed N] [-repeats N] [-quick] [-cdf] [-csv DIR]
+//
+// Exit codes: 0 on success, 1 when an experiment fails, 2 for a usage
+// error (an unknown experiment name or a negative -repeats).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
+// experimentNames lists every -exp name besides "all", in run order.
+var experimentNames = []string{
+	"table1", "fig1", "fig3", "fig6", "fig7", "fig7p", "fig8a", "fig8b", "fig9", "fig10",
+	"online", "baselines", "quality", "failure", "failsweep", "ablation",
+}
+
+// usageError marks a bad flag value, as opposed to a run failure; main
+// maps it to exit 2.
+type usageError struct{ err error }
+
+func (u usageError) Error() string { return u.err.Error() }
+func (u usageError) Unwrap() error { return u.err }
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig3, fig6, fig7, fig7p, fig8a, fig8b, fig9, fig10, baselines, online, quality, failure, failsweep, ablation)")
+	exp := flag.String("exp", "all", "comma-separated experiments to run: all, "+strings.Join(experimentNames, ", "))
 	seed := flag.Int64("seed", 1, "base random seed")
 	repeats := flag.Int("repeats", 0, "seeds averaged per data point (0 = default)")
 	quick := flag.Bool("quick", false, "shrink workloads and sweeps for a fast pass")
@@ -29,6 +48,9 @@ func main() {
 
 	if err := run(os.Stdout, *exp, *seed, *repeats, *quick, *cdf, *csvDir); err != nil {
 		fmt.Fprintf(os.Stderr, "hitbench: %v\n", err)
+		if errors.As(err, &usageError{}) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -42,8 +64,16 @@ type result interface {
 // run executes the selected experiments, writing tables to w and, when
 // csvDir is non-empty, plot-ready CSV files alongside.
 func run(w io.Writer, exp string, seed int64, repeats int, quick, cdf bool, csvDir string) error {
-	cfg := experiments.Config{Seed: seed, Repeats: repeats, Quick: quick}
+	if repeats < 0 {
+		return usageError{fmt.Errorf("-repeats must be non-negative, got %d", repeats)}
+	}
 	selected := strings.Split(exp, ",")
+	for _, s := range selected {
+		if s != "all" && !slices.Contains(experimentNames, s) {
+			return usageError{fmt.Errorf("unknown experiment %q", s)}
+		}
+	}
+	cfg := experiments.Config{Seed: seed, Repeats: repeats, Quick: quick}
 	want := func(name string) bool {
 		for _, s := range selected {
 			if s == "all" || s == name {
@@ -53,7 +83,6 @@ func run(w io.Writer, exp string, seed int64, repeats int, quick, cdf bool, csvD
 		return false
 	}
 
-	ran := 0
 	var firstErr error
 	fail := func(name string, err error) {
 		if firstErr == nil {
@@ -70,7 +99,6 @@ func run(w io.Writer, exp string, seed int64, repeats int, quick, cdf bool, csvD
 			}
 			fmt.Fprintf(w, "(csv written to %s)\n\n", path)
 		}
-		ran++
 	}
 
 	if want("table1") {
@@ -196,11 +224,5 @@ func run(w io.Writer, exp string, seed int64, repeats int, quick, cdf bool, csvD
 			emit("ablation", r)
 		}
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	return nil
+	return firstErr
 }

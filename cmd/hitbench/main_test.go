@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,10 +33,37 @@ func TestRunFig6WithCDF(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment checks that a bad -exp or -repeats is a usage
+// error (exit 2), raised before any experiment prints.
 func TestRunUnknownExperiment(t *testing.T) {
+	for _, tc := range []struct {
+		exp     string
+		repeats int
+	}{
+		{"bogus", 1},
+		{"table1,bogus", 1},
+		{"all,fig6x", 1},
+		{"", 1},
+		{"table1", -2},
+	} {
+		var buf bytes.Buffer
+		err := run(&buf, tc.exp, 1, tc.repeats, true, false, "")
+		if !errors.As(err, &usageError{}) {
+			t.Errorf("-exp %q -repeats %d: err = %v, want a usage error", tc.exp, tc.repeats, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-exp %q -repeats %d: printed %q before rejecting", tc.exp, tc.repeats, buf.String())
+		}
+	}
+}
+
+// TestRunFailureIsNotUsage checks that a failing experiment stays a run
+// failure (exit 1), not a usage error.
+func TestRunFailureIsNotUsage(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "bogus", 1, 1, true, false, ""); err == nil {
-		t.Error("unknown experiment accepted")
+	err := run(&buf, "table1", 1, 0, true, false, "/nonexistent-dir-xyz")
+	if err == nil || errors.As(err, &usageError{}) {
+		t.Errorf("err = %v, want a run failure", err)
 	}
 }
 

@@ -33,11 +33,9 @@ var puRoots = map[string]bool{
 	"netstate.(Oracle).Dist":          true,
 	"netstate.(Oracle).DistRow":       true,
 	"netstate.(Oracle).ShortestPath":  true,
-	"netstate.(Oracle).PathDAG":       true,
 	"netstate.(Oracle).NearestByDist": true,
 	"netstate.(Oracle).TypeTemplate":  true,
 	"netstate.(Oracle).BestRoute":     true,
-	"netstate.(Oracle).RouteCost":     true,
 	"netstate.(Oracle).Headroom":      true,
 }
 
@@ -80,7 +78,6 @@ var puBlessed = map[string]map[string]bool{
 	"netstate.(Oracle).ensureLive": {
 		"netstate.Oracle.distRows":  true,
 		"netstate.Oracle.paths":     true,
-		"netstate.Oracle.dags":      true,
 		"netstate.Oracle.templates": true,
 		"netstate.Oracle.bands":     true,
 		"netstate.Oracle.byType":    true,
@@ -92,7 +89,6 @@ var puBlessed = map[string]map[string]bool{
 	"netstate.(Oracle).DistRow": {"netstate.Oracle.distRows": true},
 	// Pair-keyed memo maps, filled under pairMu.
 	"netstate.(Oracle).ShortestPath":  {"netstate.Oracle.paths": true},
-	"netstate.(Oracle).PathDAG":       {"netstate.Oracle.dags": true},
 	"netstate.(Oracle).TypeTemplate":  {"netstate.Oracle.templates": true},
 	"netstate.(Oracle).PathBandwidth": {"netstate.Oracle.bands": true},
 	// Type-keyed memo maps, filled under typeMu.

@@ -62,11 +62,9 @@ var sfSources = map[string]bool{
 	"(Oracle).Dist":              true,
 	"(Oracle).DistRow":           true,
 	"(Oracle).ShortestPath":      true,
-	"(Oracle).PathDAG":           true,
 	"(Oracle).NearestByDist":     true,
 	"(Oracle).TypeTemplate":      true,
 	"(Oracle).BestRoute":         true,
-	"(Oracle).RouteCost":         true,
 	"(Oracle).Headroom":          true,
 	"(Oracle).Load":              true,
 	"(Oracle).SwitchesOfType":    true,

@@ -102,8 +102,8 @@ func TestLockOrderHammer(t *testing.T) {
 					if _, _, _, ok := o.BestRoute(a, b, q); !ok {
 						t.Errorf("BestRoute(%d,%d) infeasible on a healthy fat-tree", a, b)
 					}
-					if _, ok := o.RouteCost(a, b, q); !ok {
-						t.Errorf("RouteCost(%d,%d) infeasible", a, b)
+					if _, _, _, ok := o.BestRoute(a, b, q); !ok {
+						t.Errorf("repeat BestRoute(%d,%d) infeasible", a, b)
 					}
 					// headMu domain.
 					_ = o.Headroom(servers[(seed+i)%len(servers)])

@@ -13,8 +13,8 @@ type MemoryStats struct {
 	// their backing storage. Zero in structural mode.
 	DistRows     int
 	DistRowBytes int64
-	// Paths/DAGs/Templates/Bands count (src,dst)-keyed entries.
-	Paths, DAGs, Templates, Bands int
+	// Paths/Templates/Bands count (src,dst)-keyed entries.
+	Paths, Templates, Bands int
 	// TypeLists and StageLists count the per-type and per-template caches.
 	TypeLists, StageLists int
 	// AccessEntries is the size of the access-switch table (0 or NumNodes).
@@ -54,21 +54,12 @@ func (o *Oracle) MemoryStats() MemoryStats {
 	for _, p := range o.paths {
 		s.ApproxBytes += int64(len(p)) * nodeIDSize
 	}
-	s.DAGs = len(o.dags)
-	for _, d := range o.dags {
-		if d == nil {
-			continue
-		}
-		for _, st := range d.Stages {
-			s.ApproxBytes += int64(len(st)) * nodeIDSize
-		}
-	}
 	s.Templates = len(o.templates)
 	for _, t := range o.templates {
 		s.ApproxBytes += int64(len(t)) * 16 // string headers
 	}
 	s.Bands = len(o.bands)
-	s.ApproxBytes += int64(s.Paths+s.DAGs+s.Templates+s.Bands) * 32 // map overhead
+	s.ApproxBytes += int64(s.Paths+s.Templates+s.Bands) * 32 // map overhead
 	o.pairMu.RUnlock()
 
 	o.typeMu.RLock()

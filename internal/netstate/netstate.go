@@ -16,8 +16,8 @@
 //
 // The oracle distinguishes two kinds of cached state:
 //
-//   - Structure-derived state (distances, shortest paths, path DAGs, type
-//     templates, per-type switch lists, access switches): the topology
+//   - Structure-derived state (distances, shortest paths, type templates,
+//     per-type switch lists, access switches): the topology
 //     graph is immutable after Build, so these invalidate only when node
 //     LIVENESS changes (fault injection crashing or recovering a switch).
 //     Every cached reader first calls ensureLive, which compares the
@@ -90,7 +90,6 @@ type Oracle struct {
 	// pairMu guards the (src,dst)-keyed caches below.
 	pairMu    sync.RWMutex
 	paths     map[pairKey][]topology.NodeID
-	dags      map[pairKey]*topology.PathDAG
 	templates map[pairKey][]string
 	bands     map[pairKey]bandEntry
 
@@ -170,7 +169,6 @@ func newOracle(topo *topology.Topology) *Oracle {
 		topo:      topo,
 		distRows:  make([]atomic.Pointer[[]int32], topo.NumNodes()),
 		paths:     make(map[pairKey][]topology.NodeID),
-		dags:      make(map[pairKey]*topology.PathDAG),
 		templates: make(map[pairKey][]string),
 		bands:     make(map[pairKey]bandEntry),
 		byType:    make(map[string][]topology.NodeID),
@@ -180,9 +178,6 @@ func newOracle(topo *topology.Topology) *Oracle {
 
 // Topology returns the underlying graph.
 func (o *Oracle) Topology() *topology.Topology { return o.topo }
-
-// Cached reports whether the oracle memoizes (false for NewUncached).
-func (o *Oracle) Cached() bool { return o.cached }
 
 // Epoch returns the snapshot version: the topology's parameter-mutation
 // version plus its liveness version plus the controller-driven counter.
@@ -194,8 +189,8 @@ func (o *Oracle) Epoch() uint64 {
 
 // ensureLive folds the topology's current liveness version into the
 // structure caches: on the first query after a node crashed or recovered,
-// every structure-derived cache (distances, paths, DAGs, templates, type
-// lists, access switches, bottleneck bandwidths and the pair-route table)
+// every structure-derived cache (distances, paths, templates, type lists,
+// access switches, bottleneck bandwidths and the pair-route table)
 // is dropped and rebuilt lazily against the new alive-mask. Callers on
 // the steady-state path pay one atomic load.
 //
@@ -222,7 +217,6 @@ func (o *Oracle) ensureLive() {
 	}
 	o.pairMu.Lock()
 	o.paths = make(map[pairKey][]topology.NodeID)
-	o.dags = make(map[pairKey]*topology.PathDAG)
 	o.templates = make(map[pairKey][]string)
 	o.bands = make(map[pairKey]bandEntry)
 	o.pairMu.Unlock()
@@ -456,56 +450,6 @@ func (o *Oracle) buildPathStructural(src, dst topology.NodeID) ([]topology.NodeI
 		rem--
 	}
 	return path, true
-}
-
-// PathDAG returns the all-shortest-paths DAG between src and dst (nil when
-// disconnected). The returned DAG is shared; callers must not modify it.
-func (o *Oracle) PathDAG(src, dst topology.NodeID) *topology.PathDAG {
-	key := pairKey{src, dst}
-	if o.cached {
-		o.ensureLive()
-		o.pairMu.RLock()
-		d, ok := o.dags[key]
-		o.pairMu.RUnlock()
-		if ok {
-			return d
-		}
-	}
-	d := o.computeDAG(src, dst)
-	if o.cached {
-		o.pairMu.Lock()
-		o.dags[key] = d
-		o.pairMu.Unlock()
-	}
-	return d
-}
-
-// computeDAG mirrors topology.ShortestPathDAG. In structural mode the two
-// distance rows come from coordinates (fresh, O(V), nothing retained) so
-// layered-DAG stage construction never grows the topology's BFS cache.
-func (o *Oracle) computeDAG(src, dst topology.NodeID) *topology.PathDAG {
-	if !o.structuralOK() {
-		return o.topo.ShortestPathDAG(src, dst)
-	}
-	ds, ok1 := o.structuralRow(src)
-	dd, ok2 := o.structuralRow(dst)
-	if !ok1 || !ok2 {
-		return o.topo.ShortestPathDAG(src, dst)
-	}
-	total := ds[dst]
-	if total < 0 {
-		return nil
-	}
-	dag := &topology.PathDAG{Src: src, Dst: dst, Stages: make([][]topology.NodeID, total+1)}
-	for id := 0; id < o.topo.NumNodes(); id++ {
-		n := topology.NodeID(id)
-		// Ascending id iteration appends each stage already sorted, exactly
-		// as topology.ShortestPathDAG leaves it.
-		if ds[n] >= 0 && dd[n] >= 0 && ds[n]+dd[n] == total {
-			dag.Stages[ds[n]] = append(dag.Stages[ds[n]], n)
-		}
-	}
-	return dag
 }
 
 // NearestByDist returns the candidate closest to src by hop distance,

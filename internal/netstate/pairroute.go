@@ -331,12 +331,6 @@ func (o *Oracle) unitRoute(src, dst topology.NodeID, q *RouteQuery) (list []topo
 	return list, cost, true
 }
 
-// RouteCost returns only the objective of BestRoute's solve for the pair.
-func (o *Oracle) RouteCost(src, dst topology.NodeID, q RouteQuery) (float64, bool) {
-	_, cost, _, ok := o.BestRoute(src, dst, q)
-	return cost, ok
-}
-
 // PairRouteStats reports cache hits and misses since construction. The
 // counters are striped by source server (concurrent readers bump disjoint
 // cache lines); the merge walks stripes in fixed index order, so for any

@@ -214,8 +214,8 @@ func TestBestRouteRateKeying(t *testing.T) {
 	}
 }
 
-// TestPairRouteStats checks hit/miss accounting and the empty-stages and
-// RouteCost edge cases. Full-stage queries on the healthy tree are answered
+// TestPairRouteStats checks hit/miss accounting, the empty-stages edge case
+// and a repeat query's cost. Full-stage queries on the healthy tree are answered
 // in closed form, and every such answer counts as a hit; a filtered query
 // misses once, then hits.
 func TestPairRouteStats(t *testing.T) {
@@ -253,12 +253,12 @@ func TestPairRouteStats(t *testing.T) {
 		t.Fatalf("stats: %d hits, %d misses, want 4 hits 1 miss", h, m)
 	}
 
-	c2, ok2 := o.RouteCost(a, b, q)
+	_, c2, _, ok2 := o.BestRoute(a, b, q)
 	if !ok2 || math.Float64bits(c2) != math.Float64bits(cost) {
-		t.Fatalf("RouteCost %v (ok=%v), want %v", c2, ok2, cost)
+		t.Fatalf("repeat BestRoute cost %v (ok=%v), want %v", c2, ok2, cost)
 	}
 	if h, _ := o.PairRouteStats(); h != 5 {
-		t.Fatalf("RouteCost did not hit: %d hits", h)
+		t.Fatalf("repeat BestRoute did not hit: %d hits", h)
 	}
 }
 

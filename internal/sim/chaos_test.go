@@ -54,8 +54,11 @@ func resultFingerprint(res *Result) []uint64 {
 	addInt(res.NumFlows)
 	for _, js := range res.Jobs {
 		addInt(js.JobID)
+		add(js.Arrival)
 		add(js.Completion)
 		add(js.TrafficCost)
+		add(js.DelayCost)
+		add(js.RemoteMapGB)
 		add(js.ShuffleBytes)
 		addInt(js.MapWaves)
 		if js.Failed {

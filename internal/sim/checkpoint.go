@@ -135,16 +135,16 @@ func (e *Engine) configDigest(jobs []*workload.Job, arrivals []float64) uint64 {
 	word(uint64(e.topo.NumServers()))
 	word(uint64(e.topo.NumSwitches()))
 	word(uint64(e.opts.Seed))
-	word(uint64(e.opts.ContainerDemand.CPU))
-	word(uint64(e.opts.ContainerDemand.Memory))
-	float(e.opts.MapFetchBandwidth)
-	float(e.opts.StragglerProb)
-	float(e.opts.StragglerFactor)
-	speculation := uint64(0)
-	if e.opts.Speculation {
-		speculation = 1
-	}
-	word(speculation)
+	// Words of options since fixed: the container demand (1 CPU, 1024 MB),
+	// the map fetch bandwidth 1, and the straggler probability 0, factor 3
+	// and speculation flag 0 of the retired straggler model. Kept so
+	// earlier checkpoints still resume.
+	word(1)
+	word(1024)
+	float(1)
+	float(0)
+	float(3)
+	word(0)
 	word(uint64(len(jobs)))
 	for _, j := range jobs {
 		word(uint64(j.ID))
@@ -264,9 +264,8 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	demand := e.opts.ContainerDemand
 	for _, rec := range all {
-		ct, err := e.cl.NewContainer(demand)
+		ct, err := e.cl.NewContainer(containerDemand)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -283,15 +282,10 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 	states := make([]*jobState, len(jobs))
 	for i, job := range jobs {
 		jc := &ck.Jobs[i]
-		st := &jobState{
-			job:       job,
-			arrival:   arrivals[i],
-			nextMap:   jc.NextMap,
-			numWaves:  jc.NumWaves,
-			mapWaveOf: append([]int(nil), jc.MapWaveOf...),
-			prevWave:  append([]cluster.ContainerID(nil), jc.PrevWave...),
-			mapCts:    make([]cluster.ContainerID, job.NumMaps),
-		}
+		st := newJobState(job, arrivals[i])
+		st.nextMap, st.numWaves = jc.NextMap, jc.NumWaves
+		copy(st.mapWaveOf, jc.MapWaveOf)
+		st.prevWave = append([]cluster.ContainerID(nil), jc.PrevWave...)
 		for m, mk := range jc.MapCts {
 			st.mapCts[m] = mk.ID
 		}
@@ -304,7 +298,7 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 				Src: fc.Src, Dst: fc.Dst, SizeGB: fc.SizeGB, Rate: fc.Rate,
 			}
 			st.flows = append(st.flows, &flowRecord{
-				flow: fl, job: job,
+				flow:  fl,
 				route: append([]topology.NodeID(nil), fc.Route...),
 				hops:  fc.Hops, cost: fc.Cost, delay: fc.Delay, latT: fc.LatT,
 			})

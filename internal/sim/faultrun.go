@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/flow"
-	"repro/internal/netsim"
 	"repro/internal/scheduler"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -52,33 +51,6 @@ type RunReport struct {
 	ReactedFaults      int
 }
 
-// faultJob tracks one job through the fault-aware wave loop.
-type faultJob struct {
-	job       *workload.Job
-	arrival   float64
-	reduceCts []cluster.ContainerID
-	mapCts    []cluster.ContainerID
-	mapWaveOf []int
-	attempts  []int     // attempts consumed per map
-	readyAt   []float64 // earliest re-schedulable time per map (backoff)
-	done      []bool
-	mapTimes  []float64
-	flows     []*flowRecord
-	prevWave  []cluster.ContainerID
-	failed    bool
-	remoteGB  float64
-	numWaves  int
-}
-
-func (st *faultJob) mapsDone() bool {
-	for _, d := range st.done {
-		if !d {
-			return false
-		}
-	}
-	return true
-}
-
 // runFaulty executes the workload against a fault plan. Unlike the legacy
 // path, time is wave-synchronous on a single global clock: wave w spans
 // [T_w, T_w + max attempt duration); fabric events fire at the boundary of
@@ -88,9 +60,6 @@ func (st *faultJob) mapsDone() bool {
 func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64) (*Result, error) {
 	if e.opts.NameNode != nil {
 		return nil, fmt.Errorf("sim: fault injection does not support HDFS block placement")
-	}
-	if e.opts.StragglerProb > 0 {
-		return nil, fmt.Errorf("sim: set stragglers via Faults.Tasks in fault mode, not Options.StragglerProb")
 	}
 	plan := e.opts.Faults
 	model := plan.Tasks
@@ -104,37 +73,22 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 	faults.SortEvents(events)
 	nextEv := 0
 	loc := flow.ClusterLocator(e.cl)
-	demand := e.opts.ContainerDemand
 	nextFlowID := flow.ID(0)
 
-	states := make([]*faultJob, len(jobs))
+	states := make([]*jobState, len(jobs))
 	for i, job := range jobs {
-		st := &faultJob{
-			job:       job,
-			arrival:   arrivals[i],
-			mapCts:    make([]cluster.ContainerID, job.NumMaps),
-			mapWaveOf: make([]int, job.NumMaps),
-			attempts:  make([]int, job.NumMaps),
-			readyAt:   make([]float64, job.NumMaps),
-			done:      make([]bool, job.NumMaps),
-			mapTimes:  make([]float64, job.NumMaps),
+		st, err := e.newJob(job, arrivals[i])
+		if err != nil {
+			return nil, err
 		}
-		for m := range st.mapCts {
-			st.mapCts[m] = cluster.NoContainer
-		}
-		for r := 0; r < job.NumReduces; r++ {
-			ct, err := e.cl.NewContainer(demand)
-			if err != nil {
-				return nil, err
-			}
-			st.reduceCts = append(st.reduceCts, ct.ID)
-		}
+		n := job.NumMaps
+		st.attempts, st.readyAt, st.done = make([]int, n), make([]float64, n), make([]bool, n)
 		states[i] = st
 	}
 
 	// unplacedReduces lists a job's reduce containers needing (re)placement —
 	// initially all of them, later any evicted by a server crash.
-	unplacedReduces := func(st *faultJob) []cluster.ContainerID {
+	unplacedReduces := func(st *jobState) []cluster.ContainerID {
 		var out []cluster.ContainerID
 		for _, c := range st.reduceCts {
 			if e.cl.Container(c).Server() == topology.None {
@@ -142,6 +96,23 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 			}
 		}
 		return out
+	}
+	// settled reports a job that needs no more placements: it failed, or
+	// every map is done and every reduce placed.
+	settled := func(st *jobState) bool {
+		if st.failed {
+			return true
+		}
+		for _, d := range st.done {
+			if !d {
+				return false
+			}
+		}
+		return len(unplacedReduces(st)) == 0
+	}
+	// retryable reports a map that is not done and has attempts left.
+	retryable := func(st *jobState, m int) bool {
+		return !st.done[m] && st.attempts[m] < model.RetryBudget
 	}
 
 	// applyEventsUntil applies every fabric event with Time <= until, then —
@@ -225,81 +196,32 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 			st.prevWave = nil
 		}
 
-		// Pending and eligible work.
+		// Pending work: every unsettled job shares the free slots, and the
+		// unplaced reduces of jobs that have arrived are held back first.
 		remaining := 0
 		reducesPending := 0
-		anyEligible := false
 		for _, st := range states {
-			if st.failed || (st.mapsDone() && len(unplacedReduces(st)) == 0) {
+			if settled(st) {
 				continue
 			}
 			remaining++
-			if st.arrival > simNow {
-				continue
-			}
-			ur := len(unplacedReduces(st))
-			reducesPending += ur
-			if ur > 0 {
-				anyEligible = true
-				continue
-			}
-			for m := range st.done {
-				if !st.done[m] && st.attempts[m] < model.RetryBudget && st.readyAt[m] <= simNow {
-					anyEligible = true
-					break
-				}
+			if st.arrival <= simNow {
+				reducesPending += len(unplacedReduces(st))
 			}
 		}
 		if remaining == 0 {
 			break
 		}
-		if !anyEligible {
-			// Nothing can run now: advance to the next wakeup — an event, a
-			// retry backoff expiring, or a job arrival.
-			next := math.Inf(1)
-			if nextEv < len(events) {
-				next = events[nextEv].Time
-			}
-			for _, st := range states {
-				if st.failed {
-					continue
-				}
-				if st.arrival > simNow && st.arrival < next {
-					next = st.arrival
-				}
-				for m := range st.done {
-					if !st.done[m] && st.attempts[m] < model.RetryBudget &&
-						st.readyAt[m] > simNow && st.readyAt[m] < next {
-						next = st.readyAt[m]
-					}
-				}
-			}
-			if math.IsInf(next, 1) {
-				// Stuck for good: no event or backoff can unblock the rest.
-				for _, st := range states {
-					if !st.failed && (!st.mapsDone() || len(unplacedReduces(st)) > 0) {
-						st.failed = true
-					}
-				}
-				break
-			}
-			simNow = next
-			if _, _, err := applyEventsUntil(simNow, nil); err != nil {
-				return nil, err
-			}
-			continue
-		}
 
-		quota := (e.cl.TotalFreeSlots(demand) - reducesPending) / remaining
+		quota := (e.cl.TotalFreeSlots(containerDemand) - reducesPending) / remaining
 		if quota < 1 {
 			quota = 1
 		}
 		wave := len(waveEnds)
 
 		type waveFlow struct {
-			st     *faultJob
-			fl     *flow.Flow
-			record bool // successful attempt: snapshot + transfer
+			st *jobState
+			fl *flow.Flow
 		}
 		var waveFlows []waveFlow
 		var waveEps []faults.FlowEndpoints
@@ -317,7 +239,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 				if len(batch) >= quota {
 					break
 				}
-				if !st.done[m] && st.attempts[m] < model.RetryBudget && st.readyAt[m] <= simNow {
+				if retryable(st, m) && st.readyAt[m] <= simNow {
 					batch = append(batch, m)
 				}
 			}
@@ -349,7 +271,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 			}
 			for _, m := range batch {
 				if st.mapCts[m] == cluster.NoContainer {
-					ct, err := e.cl.NewContainer(demand)
+					ct, err := e.cl.NewContainer(containerDemand)
 					if err != nil {
 						return nil, err
 					}
@@ -360,19 +282,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 				})
 			}
 			for _, m := range batch {
-				for r := 0; r < st.job.NumReduces; r++ {
-					size := st.job.Shuffle[m][r]
-					if size <= 0 {
-						continue
-					}
-					fl := &flow.Flow{
-						ID: nextFlowID, JobID: st.job.ID, MapIndex: m, ReduceIndex: r,
-						Src: st.mapCts[m], Dst: st.reduceCts[r],
-						SizeGB: size, Rate: size,
-					}
-					nextFlowID++
-					req.Flows = append(req.Flows, fl)
-				}
+				st.addFlows(req, m, &nextFlowID)
 			}
 
 			if err := e.sched.Schedule(req); err != nil {
@@ -393,10 +303,8 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 				rep.DroppedFlows = append(rep.DroppedFlows, id)
 			}
 
-			statFetch := 0.0
-			if st.job.NumMaps > 0 {
-				statFetch = st.job.RemoteMapGB / float64(st.job.NumMaps) / e.opts.MapFetchBandwidth
-			}
+			// A map fetches its share of remote input at 1 GB per time unit.
+			perMap := st.job.RemoteMapGB / float64(st.job.NumMaps)
 			succeeded := make(map[int]bool, len(batch))
 			var placedCts []cluster.ContainerID
 			for _, m := range batch {
@@ -407,7 +315,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 				ranAny = true
 				attempt := st.attempts[m]
 				st.attempts[m]++
-				d := st.job.MapComputeSec[m] + statFetch
+				d := st.job.MapComputeSec[m] + perMap
 				dur, _, launched, won := model.AttemptDuration(d, st.job.ID, m, attempt)
 				if launched {
 					rep.SpeculativeLaunched++
@@ -435,7 +343,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 				st.done[m] = true
 				st.mapTimes[m] = dur
 				st.mapWaveOf[m] = wave
-				st.remoteGB += st.job.RemoteMapGB / float64(st.job.NumMaps)
+				st.remoteGB += perMap
 			}
 			if len(succeeded) > 0 && wave+1 > st.numWaves {
 				st.numWaves = wave + 1
@@ -453,7 +361,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 					e.ctl.Uninstall(fl.ID)
 					continue
 				}
-				waveFlows = append(waveFlows, waveFlow{st: st, fl: fl, record: true})
+				waveFlows = append(waveFlows, waveFlow{st: st, fl: fl})
 				waveEps = append(waveEps, faults.FlowEndpoints{
 					Flow: fl, Src: loc.ServerOf(fl.Src), Dst: loc.ServerOf(fl.Dst),
 				})
@@ -467,10 +375,12 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 				// placed): loop again at the same instant to schedule them.
 				continue
 			}
-			// Placements deferred across the board (e.g. capacity lost to a
-			// crash): progress needs an event, a backoff expiry, or an
-			// arrival. Advance like the idle branch; if time cannot move,
-			// fail what is stuck rather than spin.
+			// Nothing ran: every job waits on an arrival or a retry backoff,
+			// or its placements were deferred (e.g. capacity lost to a
+			// crash). Advance to the next wakeup — an event, a backoff
+			// expiring, or a job arrival. If time cannot move, no event or
+			// backoff can unblock the rest: fail what is stuck rather than
+			// spin.
 			next := math.Inf(1)
 			if nextEv < len(events) {
 				next = events[nextEv].Time
@@ -483,15 +393,14 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 					next = st.arrival
 				}
 				for m := range st.done {
-					if !st.done[m] && st.attempts[m] < model.RetryBudget &&
-						st.readyAt[m] > simNow && st.readyAt[m] < next {
+					if retryable(st, m) && st.readyAt[m] > simNow && st.readyAt[m] < next {
 						next = st.readyAt[m]
 					}
 				}
 			}
 			if math.IsInf(next, 1) {
 				for _, st := range states {
-					if !st.failed && (!st.mapsDone() || len(unplacedReduces(st)) > 0) {
+					if !settled(st) {
 						st.failed = true
 					}
 				}
@@ -533,7 +442,6 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 			}
 		}
 
-		cm := e.ctl.CostModel()
 		for _, wf := range waveFlows {
 			if droppedNow[wf.fl.ID] {
 				continue // shed by the reactor; accounted in DroppedFlows
@@ -551,33 +459,9 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 				rep.DroppedFlows = append(rep.DroppedFlows, wf.fl.ID)
 				continue
 			}
-			pol := e.ctl.Policy(wf.fl.ID)
-			if pol == nil {
-				return nil, fmt.Errorf("sim: flow %d lost its policy mid-wave", wf.fl.ID)
-			}
-			route, err := cm.RouteNodes(wf.fl, pol, loc)
-			if err != nil {
+			if err := e.record(wf.st, wf.fl, loc); err != nil {
 				return nil, err
 			}
-			hops, err := cm.RouteHops(wf.fl, pol, loc)
-			if err != nil {
-				return nil, err
-			}
-			cost, err := cm.FlowCost(wf.fl, pol, loc)
-			if err != nil {
-				return nil, err
-			}
-			walk, err := e.net.ExpandRoute(route)
-			if err != nil {
-				return nil, err
-			}
-			latT := e.ctl.Oracle().PathLatency(walk)
-			wf.st.flows = append(wf.st.flows, &flowRecord{
-				flow: wf.fl, job: wf.st.job,
-				route: route, hops: hops, cost: cost,
-				delay: wf.fl.SizeGB * latT, latT: latT,
-				startHint: waveEnd,
-			})
 		}
 		for _, wf := range waveFlows {
 			e.ctl.Uninstall(wf.fl.ID)
@@ -599,122 +483,32 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 		return nil, err
 	}
 
-	// Stats + shuffle, mirroring the legacy path's aggregation.
-	var transfers []*netsim.Transfer
+	// A completed job's map waves end at the wave clock's marks: every map
+	// of it is done, so each mapWaveOf entry names the wave it ran in, and
+	// a recorded flow's map ran in the wave that recorded it. Every flow
+	// starts when its map's wave ends.
 	for _, st := range states {
-		js := &JobStats{
-			JobID:       st.job.ID,
-			Benchmark:   st.job.Benchmark,
-			Class:       st.job.Class,
-			Arrival:     st.arrival,
-			MapWaves:    st.numWaves,
-			RemoteMapGB: st.remoteGB,
-			Failed:      st.failed,
-		}
-		res.Jobs = append(res.Jobs, js)
 		if st.failed {
 			rep.FailedJobs = append(rep.FailedJobs, st.job.ID)
 			continue
 		}
-		js.MapTimes = append([]float64(nil), st.mapTimes...)
+		st.firstEnd, st.lastEnd = math.Inf(1), st.arrival
+		for m := range st.done {
+			end := waveEnds[st.mapWaveOf[m]]
+			if end > st.lastEnd {
+				st.lastEnd = end
+			}
+			if end < st.firstEnd {
+				st.firstEnd = end
+			}
+		}
+		if math.IsInf(st.firstEnd, 1) {
+			st.firstEnd = st.arrival
+		}
 		for _, fr := range st.flows {
-			transfers = append(transfers, &netsim.Transfer{
-				ID:    fr.flow.ID,
-				Route: fr.route,
-				Bytes: fr.flow.SizeGB,
-				Start: fr.startHint,
-			})
+			fr.startHint = waveEnds[st.mapWaveOf[fr.flow.MapIndex]]
 		}
 	}
 	sort.Ints(rep.FailedJobs)
-	net, err := e.net.Simulate(transfers)
-	if err != nil {
-		return nil, err
-	}
-
-	var hopSum, delaySum, xferSum float64
-	var flowCount int
-	var totalBytes float64
-	for ji, st := range states {
-		if st.failed {
-			continue
-		}
-		js := res.Jobs[ji]
-		firstEnd, lastEnd := math.Inf(1), st.arrival
-		for m := range st.done {
-			end := waveEnds[st.mapWaveOf[m]]
-			if end > lastEnd {
-				lastEnd = end
-			}
-			if end < firstEnd {
-				firstEnd = end
-			}
-		}
-		if math.IsInf(firstEnd, 1) {
-			firstEnd = st.arrival
-		}
-		reduceReady := make([]float64, st.job.NumReduces)
-		for r := range reduceReady {
-			reduceReady[r] = lastEnd
-		}
-		for _, fr := range st.flows {
-			fs := net.Flows[fr.flow.ID]
-			if fs == nil {
-				return nil, fmt.Errorf("sim: flow %d missing from network result", fr.flow.ID)
-			}
-			if fs.Finish > reduceReady[fr.flow.ReduceIndex] {
-				reduceReady[fr.flow.ReduceIndex] = fs.Finish
-			}
-			js.ShuffleBytes += fr.flow.SizeGB
-			js.TrafficCost += fr.cost
-			js.DelayCost += fr.delay
-			hopSum += float64(fr.hops)
-			delaySum += fr.latT
-			xferSum += fs.TransferTime
-			flowCount++
-			totalBytes += fr.flow.SizeGB
-		}
-		js.ReduceTimes = make([]float64, st.job.NumReduces)
-		jct := lastEnd
-		for r := 0; r < st.job.NumReduces; r++ {
-			finish := reduceReady[r] + st.job.ReduceComputeSec[r]
-			js.ReduceTimes[r] = finish - firstEnd
-			if finish > jct {
-				jct = finish
-			}
-		}
-		js.Completion = jct - st.arrival
-		res.JCT.Add(jct)
-		res.MapTime.AddAll(js.MapTimes)
-		res.ReduceTime.AddAll(js.ReduceTimes)
-		res.TotalTrafficCost += js.TrafficCost
-		res.TotalDelayCost += js.DelayCost
-	}
-	if flowCount > 0 {
-		res.AvgRouteHops = hopSum / float64(flowCount)
-		res.AvgShuffleDelayT = delaySum / float64(flowCount)
-		res.AvgFlowTransferTime = xferSum / float64(flowCount)
-	}
-	res.NumFlows = flowCount
-	res.ShuffleMakespan = net.Makespan
-	if net.Makespan > 0 {
-		res.ShuffleThroughput = totalBytes / net.Makespan
-	}
-
-	for _, st := range states {
-		for _, c := range st.reduceCts {
-			if err := e.cl.Unplace(c); err != nil {
-				return nil, err
-			}
-		}
-		for _, c := range st.mapCts {
-			if c == cluster.NoContainer {
-				continue
-			}
-			if err := e.cl.Unplace(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return res, nil
+	return e.finish(res, states)
 }

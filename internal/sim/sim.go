@@ -39,27 +39,12 @@ import (
 
 // Options tunes the engine.
 type Options struct {
-	// ContainerDemand is the per-task resource ask (default 1 CPU / 1024 MB).
-	ContainerDemand cluster.Resources
-	// MapFetchBandwidth is the effective bandwidth (GB per time unit) at
-	// which a map pulls remote input; zero defaults to 1.0.
-	MapFetchBandwidth float64
 	// NameNode, when set, materializes each job's input as HDFS blocks with
 	// rack-aware replica placement; per-map remote-input traffic then
 	// depends on where the scheduler lands each map (instead of the job's
 	// statistical RemoteMapGB), and locality-aware schedulers can consult
 	// Request.BlockOf.
 	NameNode *hdfs.NameNode
-	// StragglerProb makes each map task a straggler with this probability
-	// (heterogeneous clusters, the setting of the LATE work the paper
-	// cites); stragglers run StragglerFactor times longer.
-	StragglerProb float64
-	// StragglerFactor is the straggler slowdown multiplier (default 3).
-	StragglerFactor float64
-	// Speculation enables LATE-style backup tasks: a straggling map is
-	// re-executed elsewhere, capping its effective duration at the wave's
-	// non-straggler estimate plus one restart of the same length.
-	Speculation bool
 	// Seed drives every stochastic choice (generator-independent).
 	Seed int64
 	// Faults, when non-nil and non-empty, switches the run onto the
@@ -86,18 +71,8 @@ type Options struct {
 	HaltAfterWave int
 }
 
-func (o Options) withDefaults() Options {
-	if o.ContainerDemand.CPU == 0 && o.ContainerDemand.Memory == 0 {
-		o.ContainerDemand = cluster.Resources{CPU: 1, Memory: 1024}
-	}
-	if o.MapFetchBandwidth <= 0 {
-		o.MapFetchBandwidth = 1
-	}
-	if o.StragglerFactor <= 0 {
-		o.StragglerFactor = 3
-	}
-	return o
-}
+// containerDemand is every task's resource ask: one CPU and 1024 MB.
+var containerDemand = cluster.Resources{CPU: 1, Memory: 1024}
 
 // Engine runs workloads against one topology + scheduler combination.
 type Engine struct {
@@ -120,7 +95,6 @@ func New(topo *topology.Topology, serverRes cluster.Resources, sched scheduler.S
 	if sched == nil {
 		return nil, fmt.Errorf("sim: nil scheduler")
 	}
-	opts = opts.withDefaults()
 	cl, err := cluster.New(topo, serverRes)
 	if err != nil {
 		return nil, err
@@ -151,31 +125,123 @@ func (e *Engine) Controller() *controller.Controller { return e.ctl }
 // flowRecord snapshots one shuffle flow after scheduling.
 type flowRecord struct {
 	flow      *flow.Flow
-	job       *workload.Job
 	route     []topology.NodeID
 	hops      int
 	cost      float64 // rate x hops (Eq. 2)
 	delay     float64 // size x route latency, GB·T
 	latT      float64 // route latency in T
-	startHint float64
+	startHint float64 // when the producing map's wave ends
 }
 
-// jobState is one job's progress through the wave loop. It lives at
-// package scope (rather than inside RunWithArrivals) so checkpoint.go can
-// serialize and rebuild it at wave boundaries.
+// jobState is one job's progress through either wave loop. It lives at
+// package scope so checkpoint.go can serialize and rebuild it at wave
+// boundaries. Whichever loop ran leaves the outcome fields filled for
+// finish, which reads nothing else of how the maps were run.
 type jobState struct {
 	job       *workload.Job
 	arrival   float64
 	reduceCts []cluster.ContainerID
 	mapCts    []cluster.ContainerID // index by map task
 	mapWaveOf []int
-	waveEnd   []float64 // map wave end times
 	numWaves  int
-	nextMap   int
 	prevWave  []cluster.ContainerID // containers of the previous map wave
 	flows     []*flowRecord
-	file      *hdfs.File // input blocks when HDFS is enabled
-	mapFetch  []float64  // per-map remote-read bytes (HDFS mode)
+
+	// Outcome: map durations, remote input read, whether the job was
+	// aborted, and when its first and last map waves ended.
+	mapTimes          []float64
+	remoteGB          float64
+	failed            bool
+	firstEnd, lastEnd float64
+
+	// Legacy loop: the next map to place and the HDFS input.
+	nextMap  int
+	file     *hdfs.File // input blocks when HDFS is enabled
+	mapFetch []float64  // per-map remote-read bytes (HDFS mode)
+
+	// Fault loop: per-map attempts consumed, earliest re-schedulable time
+	// (retry backoff) and completion.
+	attempts []int
+	readyAt  []float64
+	done     []bool
+}
+
+// newJobState returns job's record with no map container created yet.
+func newJobState(job *workload.Job, arrival float64) *jobState {
+	st := &jobState{
+		job:       job,
+		arrival:   arrival,
+		mapCts:    make([]cluster.ContainerID, job.NumMaps),
+		mapWaveOf: make([]int, job.NumMaps),
+		mapTimes:  make([]float64, job.NumMaps),
+	}
+	for m := range st.mapCts {
+		st.mapCts[m] = cluster.NoContainer
+	}
+	return st
+}
+
+// newJob returns job's record with its reduce containers created,
+// unplaced.
+func (e *Engine) newJob(job *workload.Job, arrival float64) (*jobState, error) {
+	st := newJobState(job, arrival)
+	for r := 0; r < job.NumReduces; r++ {
+		ct, err := e.cl.NewContainer(containerDemand)
+		if err != nil {
+			return nil, err
+		}
+		st.reduceCts = append(st.reduceCts, ct.ID)
+	}
+	return st, nil
+}
+
+// addFlows appends to req one flow from map m to every reduce it feeds,
+// numbering them on from *next.
+func (st *jobState) addFlows(req *scheduler.Request, m int, next *flow.ID) {
+	for r := 0; r < st.job.NumReduces; r++ {
+		size := st.job.Shuffle[m][r]
+		if size <= 0 {
+			continue
+		}
+		req.Flows = append(req.Flows, &flow.Flow{
+			ID: *next, JobID: st.job.ID, MapIndex: m, ReduceIndex: r,
+			Src: st.mapCts[m], Dst: st.reduceCts[r],
+			SizeGB: size, Rate: size,
+		})
+		*next++
+	}
+}
+
+// record snapshots fl's installed route into st before anything moves:
+// the route's nodes, hops, Eq. 2 cost and latency.
+func (e *Engine) record(st *jobState, fl *flow.Flow, loc flow.Locator) error {
+	pol := e.ctl.Policy(fl.ID)
+	if pol == nil {
+		return fmt.Errorf("sim: flow %d has no policy after %s", fl.ID, e.sched.Name())
+	}
+	cm := e.ctl.CostModel()
+	route, err := cm.RouteNodes(fl, pol, loc)
+	if err != nil {
+		return err
+	}
+	hops, err := cm.RouteHops(fl, pol, loc)
+	if err != nil {
+		return err
+	}
+	cost, err := cm.FlowCost(fl, pol, loc)
+	if err != nil {
+		return err
+	}
+	walk, err := e.net.ExpandRoute(route)
+	if err != nil {
+		return err
+	}
+	latT := e.ctl.Oracle().PathLatency(walk)
+	st.flows = append(st.flows, &flowRecord{
+		flow: fl, route: route, hops: hops, cost: cost,
+		delay: fl.SizeGB * latT, latT: latT,
+	})
+	return nil
 }
 
 // JobStats aggregates one job's outcome.
@@ -286,7 +352,6 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 
 	states := make([]*jobState, len(jobs))
 	nextFlowID := flow.ID(0)
-	demand := e.opts.ContainerDemand
 	wave := 0
 
 	if ck := e.opts.Resume; ck != nil {
@@ -298,35 +363,19 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 	} else {
 		// Round 0: place all reduces plus the first map wave of every job.
 		for i, job := range jobs {
-			st := &jobState{
-				job:       job,
-				arrival:   arrivals[i],
-				mapCts:    make([]cluster.ContainerID, job.NumMaps),
-				mapWaveOf: make([]int, job.NumMaps),
-			}
-			for m := range st.mapCts {
-				st.mapCts[m] = cluster.NoContainer
+			st, err := e.newJob(job, arrivals[i])
+			if err != nil {
+				return nil, err
 			}
 			if e.opts.NameNode != nil {
 				blockGB := job.InputGB / float64(job.NumMaps)
 				name := fmt.Sprintf("run%d-job%d-input", e.runSeq, job.ID)
-				file, err := e.opts.NameNode.Create(name, job.InputGB, blockGB)
-				if err != nil {
+				if st.file, err = e.opts.NameNode.Create(name, job.InputGB, blockGB); err != nil {
 					return nil, err
 				}
-				st.file = file
 				st.mapFetch = make([]float64, job.NumMaps)
 			}
 			states[i] = st
-
-			// Reduce containers.
-			for r := 0; r < job.NumReduces; r++ {
-				ct, err := e.cl.NewContainer(demand)
-				if err != nil {
-					return nil, err
-				}
-				st.reduceCts = append(st.reduceCts, ct.ID)
-			}
 		}
 	}
 
@@ -357,7 +406,7 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 		if remaining == 0 {
 			break
 		}
-		quota := (e.cl.TotalFreeSlots(demand) - reducesPending) / remaining
+		quota := (e.cl.TotalFreeSlots(containerDemand) - reducesPending) / remaining
 		if quota < 1 {
 			quota = 1
 		}
@@ -395,9 +444,8 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 				batch = quota
 			}
 			var batchCts []cluster.ContainerID
-			for k := 0; k < batch; k++ {
-				m := st.nextMap + k
-				ct, err := e.cl.NewContainer(demand)
+			for m := st.nextMap; m < st.nextMap+batch; m++ {
+				ct, err := e.cl.NewContainer(containerDemand)
 				if err != nil {
 					return nil, err
 				}
@@ -415,23 +463,8 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 					req.BlockOf[ct.ID] = st.file.Blocks[bi]
 				}
 			}
-
-			// Flows from this wave's maps to every reduce.
-			for k := 0; k < batch; k++ {
-				m := st.nextMap + k
-				for r := 0; r < st.job.NumReduces; r++ {
-					size := st.job.Shuffle[m][r]
-					if size <= 0 {
-						continue
-					}
-					fl := &flow.Flow{
-						ID: nextFlowID, JobID: st.job.ID, MapIndex: m, ReduceIndex: r,
-						Src: st.mapCts[m], Dst: st.reduceCts[r],
-						SizeGB: size, Rate: size,
-					}
-					nextFlowID++
-					req.Flows = append(req.Flows, fl)
-				}
+			for m := st.nextMap; m < st.nextMap+batch; m++ {
+				st.addFlows(req, m, &nextFlowID)
 			}
 
 			if err := e.sched.Schedule(req); err != nil {
@@ -440,40 +473,15 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 
 			// Snapshot routes before anything moves.
 			loc := req.Locator()
-			cm := e.ctl.CostModel()
 			for _, fl := range req.Flows {
-				pol := e.ctl.Policy(fl.ID)
-				if pol == nil {
-					return nil, fmt.Errorf("sim: flow %d has no policy after %s", fl.ID, e.sched.Name())
-				}
-				route, err := cm.RouteNodes(fl, pol, loc)
-				if err != nil {
+				if err := e.record(st, fl, loc); err != nil {
 					return nil, err
 				}
-				hops, err := cm.RouteHops(fl, pol, loc)
-				if err != nil {
-					return nil, err
-				}
-				cost, err := cm.FlowCost(fl, pol, loc)
-				if err != nil {
-					return nil, err
-				}
-				walk, err := e.net.ExpandRoute(route)
-				if err != nil {
-					return nil, err
-				}
-				latT := e.ctl.Oracle().PathLatency(walk)
-				st.flows = append(st.flows, &flowRecord{
-					flow: fl, job: st.job,
-					route: route, hops: hops, cost: cost,
-					delay: fl.SizeGB * latT, latT: latT,
-				})
 			}
 			// With HDFS enabled, measure each placed map's remote input read
 			// from its nearest replica.
 			if st.file != nil {
-				for k := 0; k < batch; k++ {
-					m := st.nextMap + k
+				for m := st.nextMap; m < st.nextMap+batch; m++ {
 					srv := e.cl.Container(st.mapCts[m]).Server()
 					gb, err := e.opts.NameNode.RemoteReadGB(st.file, req.BlockOf[st.mapCts[m]], srv)
 					if err != nil {
@@ -515,79 +523,75 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 		}
 	}
 
-	// Timeline: map wave ends per job. Without HDFS, remote input is the
-	// job's statistical RemoteMapGB spread over its maps; with HDFS, it is
-	// each map's measured nearest-replica read.
+	// Timeline: each job's map waves run back to back from its arrival.
+	// Without HDFS, remote input is the job's statistical RemoteMapGB
+	// spread over its maps; with HDFS, it is each map's measured
+	// nearest-replica read. A map fetches at 1 GB per time unit, so its
+	// fetch time is its remote GB. Every flow starts when its map's wave
+	// ends.
 	for _, st := range states {
-		st.waveEnd = make([]float64, st.numWaves)
-		statFetch := 0.0
-		if st.job.NumMaps > 0 {
-			statFetch = st.job.RemoteMapGB / float64(st.job.NumMaps) / e.opts.MapFetchBandwidth
-		}
-		prevEnd := st.arrival
-		mapTimes := make([]float64, st.job.NumMaps)
-		var remoteGB float64
-		for w := 0; w < st.numWaves; w++ {
+		perMap := st.job.RemoteMapGB / float64(st.job.NumMaps)
+		waveEnd := make([]float64, st.numWaves)
+		st.firstEnd, st.lastEnd = st.arrival, st.arrival
+		for w := range waveEnd {
 			waveMax := 0.0
 			for m := 0; m < st.job.NumMaps; m++ {
 				if st.mapWaveOf[m] != w || st.mapCts[m] == cluster.NoContainer {
 					continue
 				}
-				fetch := statFetch
+				fetch := perMap
 				if st.file != nil {
-					fetch = st.mapFetch[m] / e.opts.MapFetchBandwidth
-					remoteGB += st.mapFetch[m]
-				} else {
-					remoteGB += st.job.RemoteMapGB / float64(st.job.NumMaps)
+					fetch = st.mapFetch[m]
 				}
-				d := st.job.MapComputeSec[m] + fetch
-				if e.opts.StragglerProb > 0 && e.rng.Float64() < e.opts.StragglerProb {
-					straggled := d * e.opts.StragglerFactor
-					if e.opts.Speculation {
-						// LATE: a backup launches once the task exceeds its
-						// estimate; the winner finishes around two nominal
-						// durations.
-						capped := 2 * d
-						if straggled < capped {
-							capped = straggled
-						}
-						d = capped
-					} else {
-						d = straggled
-					}
-				}
-				mapTimes[m] = d
-				if d > waveMax {
-					waveMax = d
+				st.remoteGB += fetch
+				st.mapTimes[m] = st.job.MapComputeSec[m] + fetch
+				if st.mapTimes[m] > waveMax {
+					waveMax = st.mapTimes[m]
 				}
 			}
-			st.waveEnd[w] = prevEnd + waveMax
-			prevEnd = st.waveEnd[w]
+			st.lastEnd += waveMax
+			waveEnd[w] = st.lastEnd
+			if w == 0 {
+				st.firstEnd = st.lastEnd
+			}
 		}
+		for _, fr := range st.flows {
+			fr.startHint = waveEnd[st.mapWaveOf[fr.flow.MapIndex]]
+		}
+	}
+	return e.finish(res, states)
+}
+
+// finish is the tail both wave loops share. Every recorded flow of a job
+// that did not fail becomes a transfer starting when its map's wave
+// ended; all of them share the network in one fluid simulation. A reduce
+// is ready when its last inbound flow lands, but never before the job's
+// last map wave ends, and its task time runs from the first map-wave end,
+// when reducers begin pulling. The run's aggregates follow, and every
+// container the run placed is released so the engine can be reused.
+func (e *Engine) finish(res *Result, states []*jobState) (*Result, error) {
+	var transfers []*netsim.Transfer
+	for _, st := range states {
 		js := &JobStats{
 			JobID:       st.job.ID,
 			Benchmark:   st.job.Benchmark,
 			Class:       st.job.Class,
 			Arrival:     st.arrival,
-			MapTimes:    mapTimes,
 			MapWaves:    st.numWaves,
-			RemoteMapGB: remoteGB,
+			RemoteMapGB: st.remoteGB,
+			Failed:      st.failed,
 		}
 		res.Jobs = append(res.Jobs, js)
-	}
-
-	// Shuffle phase: every flow becomes a transfer starting at its map
-	// wave's end.
-	var transfers []*netsim.Transfer
-	for _, st := range states {
+		if st.failed {
+			continue
+		}
+		js.MapTimes = st.mapTimes
 		for _, fr := range st.flows {
-			start := st.waveEnd[st.mapWaveOf[fr.flow.MapIndex]]
-			fr.startHint = start
 			transfers = append(transfers, &netsim.Transfer{
 				ID:    fr.flow.ID,
 				Route: fr.route,
 				Bytes: fr.flow.SizeGB,
-				Start: start,
+				Start: fr.startHint,
 			})
 		}
 	}
@@ -596,20 +600,17 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 		return nil, err
 	}
 
-	// Reduce completions and job stats.
 	var hopSum, delaySum, xferSum float64
 	var flowCount int
 	var totalBytes float64
 	for ji, st := range states {
+		if st.failed {
+			continue
+		}
 		js := res.Jobs[ji]
 		reduceReady := make([]float64, st.job.NumReduces)
-		// A reduce cannot finish before the maps complete even with no data.
-		lastWaveEnd := 0.0
-		if st.numWaves > 0 {
-			lastWaveEnd = st.waveEnd[st.numWaves-1]
-		}
 		for r := range reduceReady {
-			reduceReady[r] = lastWaveEnd
+			reduceReady[r] = st.lastEnd
 		}
 		for _, fr := range st.flows {
 			fs := net.Flows[fr.flow.ID]
@@ -629,16 +630,10 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 			totalBytes += fr.flow.SizeGB
 		}
 		js.ReduceTimes = make([]float64, st.job.NumReduces)
-		jct := lastWaveEnd
+		jct := st.lastEnd
 		for r := 0; r < st.job.NumReduces; r++ {
 			finish := reduceReady[r] + st.job.ReduceComputeSec[r]
-			// The reduce "task time" spans from shuffle start (first wave
-			// end, when reducers begin pulling) to its completion.
-			start := st.arrival
-			if st.numWaves > 0 {
-				start = st.waveEnd[0]
-			}
-			js.ReduceTimes[r] = finish - start
+			js.ReduceTimes[r] = finish - st.firstEnd
 			if finish > jct {
 				jct = finish
 			}
@@ -661,8 +656,6 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 		res.ShuffleThroughput = totalBytes / net.Makespan
 	}
 
-	// The run is over: release every container it placed so the engine can
-	// be reused for further runs against the same cluster.
 	for _, st := range states {
 		for _, c := range st.reduceCts {
 			if err := e.cl.Unplace(c); err != nil {

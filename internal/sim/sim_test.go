@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/hdfs"
 	"repro/internal/scheduler"
 	"repro/internal/topology"
@@ -420,23 +421,26 @@ func TestRenderGantt(t *testing.T) {
 	}
 }
 
+// TestStragglersAndSpeculation drives faults.TaskModel, the engine's one
+// straggler model: straggling maps run StragglerFactor times longer, and
+// with SpeculationThreshold 1 a backup caps a straggler at two nominal
+// durations.
 func TestStragglersAndSpeculation(t *testing.T) {
-	jobs := func() []*workload.Job { return genJobs(t, 3, 55) }
-	runWith := func(opts Options) float64 {
+	runWith := func(tasks faults.TaskModel) float64 {
 		topo := paperTopo(t)
-		eng, err := New(topo, cluster.Resources{CPU: 4, Memory: 8192}, scheduler.Capacity{}, opts)
+		eng, err := New(topo, cluster.Resources{CPU: 4, Memory: 8192}, scheduler.Capacity{}, Options{Seed: 4, Faults: &faults.Plan{Tasks: tasks}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(jobs())
+		res, err := eng.Run(genJobs(t, 3, 55))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.MapTime.Mean()
 	}
-	base := runWith(Options{Seed: 4})
-	straggled := runWith(Options{Seed: 4, StragglerProb: 0.3, StragglerFactor: 4})
-	speculated := runWith(Options{Seed: 4, StragglerProb: 0.3, StragglerFactor: 4, Speculation: true})
+	base := runWith(faults.TaskModel{})
+	straggled := runWith(faults.TaskModel{StragglerProb: 0.3, StragglerFactor: 4, Seed: 4})
+	speculated := runWith(faults.TaskModel{StragglerProb: 0.3, StragglerFactor: 4, Speculation: true, SpeculationThreshold: 1, Seed: 4})
 	if straggled <= base {
 		t.Errorf("stragglers did not raise map times: %v <= %v", straggled, base)
 	}
