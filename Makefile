@@ -1,6 +1,7 @@
 # Developer entry points. CI and the roadmap's tier-1 gate are
 # `make verify`; `make race` is the concurrency gate for the parallel
-# preference-matrix build and the netstate oracle's concurrent readers;
+# preference-matrix build, whose workers must never call the netstate
+# oracle (it is not safe for concurrent use);
 # `make lint` runs taalint, the repo's own determinism / oracle-usage
 # static analysis (also enforced by the selfscan test); `make shuffle`
 # re-runs the tests in random order to keep them state-independent.
@@ -17,12 +18,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the fifteen taalint checks (maporder, floateq, rngsource,
-# wallclock, oraclebypass, epochbump, atomicguard, errcompare, mergeorder,
-# purity, publishfreeze, poolescape, panicpath, lockorder, snapshotfreeze)
-# over every non-test package, fails on any unsuppressed finding, and with
-# -prune also fails on stale //taalint: suppressions. Checks run one
-# after another over one shared dataflow index.
+# lint runs the eleven taalint checks (maporder, floateq, rngsource,
+# wallclock, oraclebypass, epochbump, errcompare, mergeorder, poolescape,
+# panicpath, snapshotfreeze) over every non-test package, fails on any
+# unsuppressed finding, and with -prune also fails on stale //taalint:
+# suppressions. Checks run one after another over one shared dataflow
+# index.
 lint:
 	$(GO) run ./cmd/taalint -prune
 

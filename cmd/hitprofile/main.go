@@ -96,7 +96,7 @@ func run(nJobs int, seed int64, out string) error {
 	ms := eng.Controller().Oracle().MemoryStats()
 	fmt.Printf("oracle caches: structural=%v approx %.2f MB (dist rows %d, routes %d+%d, switch-pair slots %d)\n",
 		ms.Structural, float64(ms.ApproxBytes)/1e6,
-		ms.DistRows, ms.RoutesDense, ms.RoutesSharded, ms.SwitchPairEntries)
+		ms.DistRows, ms.RoutesDense, ms.RoutesMap, ms.SwitchPairEntries)
 	if rss, ok := procstat.PeakRSSBytes(); ok {
 		fmt.Printf("process peak RSS: %.2f MB\n", float64(rss)/1e6)
 	} else {

@@ -5,22 +5,18 @@
 // Usage:
 //
 //	taalint [-checks maporder,epochbump,...] [-suppressed] [-prune]
-//	        [-format text|json] [-lockgraph file]
-//	        [-cpuprofile file] [-list] [dir]
+//	        [-format text|json] [-cpuprofile file] [-list] [dir]
 //
 // With no directory argument the module containing the current working
 // directory is scanned. -prune additionally fails on stale //taalint:
 // suppressions that no longer cover any finding. -format=json emits one
 // machine-readable document (findings with file/line/check/message/
 // suppressed records, stale suppressions, plus the check phase's
-// wall-clock) for the CI audit artifact. -lockgraph writes the static
-// lock-acquisition graph the lockorder check verifies as Graphviz DOT —
-// the proven lock order, shipped as a CI artifact beside the findings.
-// Checks run one after another in suite order; output is position-sorted
-// and deterministic. -cpuprofile writes a pprof CPU
-// profile of the scan for lint perf work. `make lint` is the canonical
-// invocation; the selfscan test in internal/analysis keeps the gate even
-// when make isn't run.
+// wall-clock) for the CI audit artifact. Checks run one after another in
+// suite order; output is position-sorted and deterministic. -cpuprofile
+// writes a pprof CPU profile of the scan for lint perf work. `make lint`
+// is the canonical invocation; the selfscan test in internal/analysis
+// keeps the gate even when make isn't run.
 //
 // Exit codes: 0 clean, 1 findings (or stale suppressions under -prune),
 // 2 usage or load error (including a nonexistent directory argument).
@@ -54,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	prune := fs.Bool("prune", false, "fail on stale //taalint: suppressions that cover no finding")
 	list := fs.Bool("list", false, "list available checks and exit")
 	format := fs.String("format", "text", "output format: text or json")
-	lockgraph := fs.String("lockgraph", "", "write the static lock-acquisition graph (Graphviz DOT) to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the scan to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -117,20 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pkgs, err := loader.LoadModule(root)
 	if err != nil {
 		return fatal(stderr, err)
-	}
-
-	if *lockgraph != "" {
-		f, err := os.Create(*lockgraph)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		if err := analysis.BuildLockGraph(pkgs).WriteDOT(f); err != nil {
-			f.Close()
-			return fatal(stderr, err)
-		}
-		if err := f.Close(); err != nil {
-			return fatal(stderr, err)
-		}
 	}
 
 	scanStart := time.Now()

@@ -8,19 +8,22 @@
 // the netstate path/cost oracle is only a win if no consumer silently
 // reintroduces ad-hoc BFS or topology scans behind its back — or mutates
 // cached-over state without bumping the epoch that invalidates those
-// caches. v1 shipped five per-package AST checks (maporder, floateq,
-// rngsource, wallclock, oraclebypass). v2 adds a module-level dataflow
-// layer — a lightweight call graph and field-access index (index.go) —
-// and four checks on top of it: epochbump, atomicguard, errcompare and
-// mergeorder. v3 adds an interprocedural effects layer (effects.go) —
-// per-function write-effect summaries fixed-pointed over the call graph —
-// and three concurrency-readiness checks: purity, publishfreeze and
-// poolescape. panicpath, lockorder and snapshotfreeze guard the
-// concurrency that remains: internal/parallel fan-outs and the netstate
-// and controller locks (see each check's file for the precise rules).
+// caches. Eleven checks in all. v1 shipped five per-package AST checks
+// (maporder, floateq, rngsource, wallclock, oraclebypass). v2 adds a
+// module-level dataflow layer — a lightweight call graph and field-access
+// index (index.go) — and three checks on top of it: epochbump, errcompare
+// and mergeorder. v3 adds poolescape and an interprocedural effects
+// layer (effects.go) — per-function parameter write-through summaries
+// fixed-pointed over the call graph — that snapshotfreeze reads.
+// panicpath and snapshotfreeze guard the one concurrency that remains,
+// the internal/parallel fan-out of the preference build: no naked
+// goroutines in decision packages, and no worker writes through a row
+// the oracle returned (see each check's file for the precise rules). The
+// netstate oracle itself has one owner and holds no lock; the race
+// detector, not a check, keeps workers off it.
 // The module checks share one dataflow substrate (flow.go): a path
-// walker, an lvalue-spine helper, a taint evaluator, a call-graph flood
-// and a set-closure fixpoint.
+// walker, an lvalue-spine helper, a taint evaluator and a call-graph
+// flood.
 //
 // A finding on a given line is suppressed by a comment of the form
 //
@@ -132,8 +135,8 @@ type PackageCheck interface {
 
 // ModuleCheck inspects the whole module at once through the dataflow
 // index — required when the invariant spans packages (a mutator in
-// topology proven to bump the epoch consumed in netstate, a field written
-// plainly here and atomically there).
+// topology proven to bump the epoch consumed in netstate, a worker three
+// calls away writing a row the oracle returned).
 type ModuleCheck interface {
 	Check
 	RunModule(mp *ModulePass)
@@ -148,14 +151,10 @@ func All() []Check {
 		WallClock{},
 		OracleBypass{},
 		EpochBump{},
-		AtomicGuard{},
 		ErrCompare{},
 		MergeOrder{},
-		Purity{},
-		PublishFreeze{},
 		PoolEscape{},
 		PanicPath{},
-		LockOrder{},
 		SnapshotFreeze{},
 	}
 }

@@ -7,44 +7,23 @@ import (
 )
 
 // This file is taalint v3's interprocedural effects layer: a per-function
-// write-effect summary computed once over the module index and shared by
-// the purity, publishfreeze and poolescape checks.
+// summary computed once over the module index and read by snapshotfreeze.
 //
 // For every declared function the engine records
 //
-//   - Writes: each direct store to a named struct field anywhere in the
-//     body, including nested function literals and deferred calls (a write
-//     inside a defer or a closure is still a write this function may
-//     perform), classified plain vs atomic. Unlike index.go's field-access
-//     classification, an atomic mutator called on an ELEMENT reached
-//     through a field — o.distRows[src].Store(&d) — is recorded here as an
-//     atomic write to the field (distRows), because the effects questions
-//     ("does this function mutate oracle state?") care about the spine,
-//     not just the exact selector.
-//   - FieldWrites: the transitive closure of Writes over the static call
-//     graph, iterated to a true fixpoint by the shared set closure
-//     (flow.go closeSets; the epochbump interpreter's optimistic busy-map
-//     would under-approximate here: a summary consumed mid-cycle must not
-//     be frozen before the cycle stabilizes).
+//   - Calls: each statically resolvable call with its ident-rooted
+//     argument bindings;
 //   - ParamWrites: per formal slot (receiver first, then parameters),
 //     whether the function may write THROUGH that slot — a deref, index or
-//     field store whose lvalue spine is rooted at the formal, directly or
-//     via a callee that writes through the matching parameter. Only
-//     ident-rooted arguments propagate (x or &x); everything else is
-//     invisible, which is the same fail-safe stance index.go takes for
-//     dynamic calls.
+//     field store (or a sync/atomic mutation) whose lvalue spine is rooted
+//     at the formal, including inside nested function literals and
+//     deferred calls, directly or via a callee that writes through the
+//     matching parameter. Only ident-rooted arguments propagate (x or &x);
+//     everything else is invisible, which is the same fail-safe stance
+//     index.go takes for dynamic calls.
 //
 // Unresolved callees (interface methods, function values, stdlib) are
-// assumed write-free. That is sound for the monitored state because every
-// monitored field is unexported: only module code, which IS indexed, can
-// name it.
-
-// WriteEffect is one direct store to a named struct field.
-type WriteEffect struct {
-	Field  string // full index key: "pkg/path.Struct.field"
-	Pos    token.Pos
-	Atomic bool // performed through sync/atomic (mutator method or pkg func)
-}
+// assumed write-free.
 
 // effCall is one resolvable call site with its ident-rooted argument
 // bindings: Args[i] is the types.Object passed in the callee's formal slot
@@ -58,12 +37,8 @@ type effCall struct {
 
 // FuncEffects is the write-effect summary of one declared function.
 type FuncEffects struct {
-	Key    FuncKey
-	Writes []WriteEffect
-	Calls  []effCall
-	// FieldWrites is the set of field keys this function may write,
-	// directly or transitively through module callees.
-	FieldWrites map[string]bool
+	Key   FuncKey
+	Calls []effCall
 	// ParamWrites[i] reports a possible write through formal slot i
 	// (receiver first). Slots without a name are tracked but never match.
 	ParamWrites []bool
@@ -100,7 +75,7 @@ func buildEffects(idx *Index) *Effects {
 // collectEffects gathers the direct (intraprocedural) summary of one
 // function declaration.
 func collectEffects(pkg *Package, key FuncKey, fd *ast.FuncDecl) *FuncEffects {
-	fe := &FuncEffects{Key: key, FieldWrites: make(map[string]bool)}
+	fe := &FuncEffects{Key: key}
 
 	// Formal slots: receiver first, then parameters (variadic included).
 	addFormal := func(names []*ast.Ident) {
@@ -122,22 +97,11 @@ func collectEffects(pkg *Package, key FuncKey, fd *ast.FuncDecl) *FuncEffects {
 	}
 	fe.ParamWrites = make([]bool, len(fe.formals))
 
-	// addWrite records a field write for every selection on the lvalue (or
-	// receiver) spine, and a param write-through when the spine is
-	// non-trivial and rooted at a formal. A trivial spine (`p = x`) rebinds
-	// the local and has no external effect.
-	addWrite := func(e ast.Expr, atomic bool) {
-		sp := spineOf(pkg, e)
-		for _, x := range sp.fields() {
-			if owner, field := fieldOf(pkg, x); field != nil {
-				fe.Writes = append(fe.Writes, WriteEffect{
-					Field:  fieldAccessKey(owner, field),
-					Pos:    x.Sel.Pos(),
-					Atomic: atomic,
-				})
-			}
-		}
-		if len(sp.layers) > 0 {
+	// addWrite records a param write-through when the lvalue (or
+	// receiver) spine is non-trivial and rooted at a formal. A trivial
+	// spine (`p = x`) rebinds the local and has no external effect.
+	addWrite := func(e ast.Expr) {
+		if sp := spineOf(pkg, e); len(sp.layers) > 0 {
 			fe.writeThrough(sp.root)
 		}
 	}
@@ -146,20 +110,19 @@ func collectEffects(pkg *Package, key FuncKey, fd *ast.FuncDecl) *FuncEffects {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
-				addWrite(lhs, false)
+				addWrite(lhs)
 			}
 		case *ast.IncDecStmt:
-			addWrite(s.X, false)
+			addWrite(s.X)
 		case *ast.CallExpr:
 			if builtinName(pkg, s.Fun) == "delete" && len(s.Args) > 0 {
-				addWrite(s.Args[0], false)
+				addWrite(s.Args[0])
 			}
-			// atomic.StoreUint64(&o.f, x), o.epoch.Add(1),
-			// o.distRows[i].Store(&d): an atomic write whose operand spine
-			// passes through fields writes them.
+			// atomic.StoreInt32(&row[0], x), p.n.Add(1): an atomic
+			// mutation writes through its operand's spine.
 			if ops, writes := atomicOperands(pkg, s); writes {
 				for _, op := range ops {
-					addWrite(op, true)
+					addWrite(op)
 				}
 			}
 			// Record ident-rooted argument bindings for resolvable calls.
@@ -173,10 +136,6 @@ func collectEffects(pkg *Package, key FuncKey, fd *ast.FuncDecl) *FuncEffects {
 		}
 		return true
 	})
-
-	for _, w := range fe.Writes {
-		fe.FieldWrites[w.Field] = true
-	}
 	return fe
 }
 
@@ -209,22 +168,11 @@ func rootIdentObject(pkg *Package, e ast.Expr) types.Object {
 	return nil
 }
 
-// fixpoint closes FieldWrites over the call graph, then ParamWrites
-// through each call's argument bindings: a callee writing through its
-// formal i makes the caller write through whichever of its own formals it
-// passed in slot i. Both iterate to a true fixpoint, so mutual recursion
-// converges.
+// fixpoint closes ParamWrites through each call's argument bindings: a
+// callee writing through its formal i makes the caller write through
+// whichever of its own formals it passed in slot i. It iterates to a true
+// fixpoint, so mutual recursion converges.
 func (e *Effects) fixpoint() {
-	sets := make(map[FuncKey]map[string]bool, len(e.fns))
-	callees := make(map[FuncKey][]FuncKey, len(e.fns))
-	for k, fe := range e.fns {
-		sets[k] = fe.FieldWrites
-		for _, c := range fe.Calls {
-			callees[k] = append(callees[k], c.Callee)
-		}
-	}
-	closeSets(sets, callees)
-
 	keys := sortedKeys(e.fns)
 	for changed := true; changed; {
 		changed = false

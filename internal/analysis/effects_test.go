@@ -8,9 +8,8 @@ import (
 )
 
 // TestEffectsEngine checks the v3 summary fixpoint on the effects
-// fixture: transitive field writes through mutual recursion, parameter
-// write-through propagation along call chains, deferred writes, and the
-// rebind non-write.
+// fixture: parameter write-through through mutual recursion and along
+// call chains, deferred writes, and the rebind non-write.
 func TestEffectsEngine(t *testing.T) {
 	loader := analysis.NewLoader()
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "effects"), "fixture/effects")
@@ -20,36 +19,25 @@ func TestEffectsEngine(t *testing.T) {
 	idx := analysis.BuildIndex([]*analysis.Package{pkg})
 	eff := idx.Effects()
 
-	want := map[string]struct {
-		fieldWrites []string
-		paramWrite0 bool
-	}{
-		"fixture/effects.ping":          {[]string{"fixture/effects.counter.n"}, true},
-		"fixture/effects.pong":          {[]string{"fixture/effects.counter.n"}, true},
-		"fixture/effects.writeThrough":  {nil, true},
-		"fixture/effects.via":           {nil, true},
-		"fixture/effects.pure":          {nil, false},
-		"fixture/effects.deferredWrite": {[]string{"fixture/effects.counter.hits"}, true},
-		"fixture/effects.rebind":        {nil, false},
+	want := map[string]bool{ // key -> ParamWrites[0]
+		"fixture/effects.ping":          true,
+		"fixture/effects.pong":          true,
+		"fixture/effects.writeThrough":  true,
+		"fixture/effects.via":           true,
+		"fixture/effects.pure":          false,
+		"fixture/effects.deferredWrite": true,
+		"fixture/effects.rebind":        false,
 	}
-	for key, w := range want {
+	for key, paramWrite0 := range want {
 		fe := eff.Of(key)
 		if fe == nil {
 			t.Fatalf("no summary for %s", key)
 		}
-		for _, f := range w.fieldWrites {
-			if !fe.FieldWrites[f] {
-				t.Errorf("%s: FieldWrites missing %s (got %v)", key, f, fe.FieldWrites)
-			}
-		}
-		if len(w.fieldWrites) == 0 && len(fe.FieldWrites) != 0 {
-			t.Errorf("%s: want no field writes, got %v", key, fe.FieldWrites)
-		}
 		if len(fe.ParamWrites) == 0 {
 			t.Fatalf("%s: no formal slots recorded", key)
 		}
-		if fe.ParamWrites[0] != w.paramWrite0 {
-			t.Errorf("%s: ParamWrites[0] = %v, want %v", key, fe.ParamWrites[0], w.paramWrite0)
+		if fe.ParamWrites[0] != paramWrite0 {
+			t.Errorf("%s: ParamWrites[0] = %v, want %v", key, fe.ParamWrites[0], paramWrite0)
 		}
 	}
 }

@@ -82,7 +82,7 @@ var ebBlessed = map[string]ebRule{
 	// Cluster allocation bookkeeping (uncached; see exempt doc above).
 	"cluster.(Cluster).SetServerCapacity": {exempt: true},
 	"cluster.(Cluster).Place":             {exempt: true},
-	"cluster.(Cluster).unplaceLocked":     {exempt: true},
+	"cluster.(Cluster).unplace":           {exempt: true},
 }
 
 // ebMonitored is the cache-relevant field set, keyed by
@@ -109,18 +109,12 @@ var ebMonitored = map[string]bool{
 	"cluster.Container.server":       true,
 }
 
-// ebEpochFields are the version counters whose increment constitutes a
-// bump: a direct write/IncDec, or a sync/atomic mutation of the field.
+// ebEpochFields are the version counters whose increment (a write or
+// IncDec) constitutes a bump.
 var ebEpochFields = map[string]bool{
 	"topology.Topology.version":     true,
 	"topology.Topology.liveVersion": true,
 	"netstate.Oracle.epoch":         true,
-}
-
-// ebAtomicMutators are the sync/atomic method names that modify the
-// receiver; calling one on an epoch-counter field is a bump.
-var ebAtomicMutators = map[string]bool{
-	"Add": true, "Store": true, "Swap": true, "CompareAndSwap": true,
 }
 
 // RunModule implements ModuleCheck.
@@ -331,9 +325,7 @@ func (w *ebWalk) expr(e ast.Expr, st ebState) ebState {
 		if !ok {
 			return true
 		}
-		if w.callBumps(call) {
-			st.bumped, st.dirty = true, false
-		} else if builtinName(w.pkg, call.Fun) == "delete" {
+		if builtinName(w.pkg, call.Fun) == "delete" {
 			if len(call.Args) > 0 {
 				st = w.lvalue(call.Args[0], st)
 			}
@@ -359,31 +351,11 @@ func (w *ebWalk) lvalue(e ast.Expr, st ebState) ebState {
 	return st
 }
 
-// callSummary resolves the effect of a deferred call: a direct
-// epoch-field mutation, a known callee's summary, or an inline literal's
-// body interpreted as its own function.
+// callSummary resolves the effect of a deferred call: a known callee's
+// summary, or an inline literal's body interpreted as its own function.
 func (w *ebWalk) callSummary(call *ast.CallExpr) ebSummary {
-	if w.callBumps(call) {
-		return ebSummary{alwaysBumps: true}
-	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return w.eng.bodySummary(w.pkg, lit.Body)
 	}
 	return w.eng.summary(resolveCall(w.pkg, call))
-}
-
-// callBumps recognizes a direct epoch bump: an ebAtomicMutators method on
-// an epoch-counter field (o.epoch.Add(1)) or an epoch-counter field's
-// address passed to a sync/atomic function.
-func (w *ebWalk) callBumps(call *ast.CallExpr) bool {
-	ops, _ := atomicOperands(w.pkg, call)
-	if len(ops) == 0 || !isAtomicPkgFunc(w.pkg, call.Fun) && !ebAtomicMutators[ast.Unparen(call.Fun).(*ast.SelectorExpr).Sel.Name] {
-		return false
-	}
-	for _, op := range ops {
-		if sel, ok := ast.Unparen(op).(*ast.SelectorExpr); ok && ebEpochFields[fieldKey(w.pkg, sel)] {
-			return true
-		}
-	}
-	return false
 }

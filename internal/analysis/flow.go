@@ -17,7 +17,6 @@ import (
 //   - spineOf, which takes an lvalue apart;
 //   - reaches, the expression-taint evaluator over a caller's seed;
 //   - Index.flood, the call-graph flood that records provenance;
-//   - closeSets, the set-closure fixpoint over callee lists;
 //   - builtinName, isNamed, refLike and sortedKeys.
 
 // forEachFunc calls fn for every function declaration with a body, in
@@ -48,7 +47,7 @@ type pathFlow[S any] interface {
 	// still to run.
 	exit(st S)
 	// stmt applies a simple statement: an assignment, expression,
-	// inc/dec, send, declaration, go or branch statement.
+	// inc/dec, send, declaration, go, goto or fallthrough statement.
 	stmt(s ast.Stmt, st S) S
 	// expr applies an expression the walker evaluates: an if or loop
 	// condition, a switch tag, a range operand or a return result.
@@ -69,15 +68,18 @@ type pathFlow[S any] interface {
 //     only when there is no default;
 //   - select runs each clause's comm statement, then its body, and never
 //     falls past;
+//   - break, plain or labeled, ends its path and joins the exit of its
+//     loop, switch or select; continue ends its path and joins the end of
+//     its loop's pass, before the post statement and condition;
 //   - return and builtin panic exit with the defers registered on their
 //     path and end it, so statements after them are dead;
-//   - go, break, continue, goto and every other simple statement go to
-//     the check's stmt transfer and do not move control; function
-//     literals are never walked inline.
+//   - go, goto, fallthrough and every other simple statement go to the
+//     check's stmt transfer and do not move control; function literals
+//     are never walked inline.
 //
 // The end of the body, when reachable, is an exit too.
 func walkBody[S any](pkg *Package, f pathFlow[S], body *ast.BlockStmt, entry S) {
-	if st, live := (walker[S]{pkg, f}).list(body.List, entry); live {
+	if st, live := (&walker[S]{pkg: pkg, f: f}).list(body.List, entry); live {
 		f.exit(st)
 	}
 }
@@ -85,10 +87,24 @@ func walkBody[S any](pkg *Package, f pathFlow[S], body *ast.BlockStmt, entry S) 
 type walker[S any] struct {
 	pkg *Package
 	f   pathFlow[S]
+	// frames are the enclosing break and continue targets, innermost
+	// last; label is the label of the statement about to be walked.
+	frames []*jumpFrame[S]
+	label  string
+}
+
+// jumpFrame is one loop, switch or select that break (and, for a loop,
+// continue) can leave: the states of the paths that jumped to its exit
+// and to the end of its current pass.
+type jumpFrame[S any] struct {
+	label             string
+	loop              bool
+	brk, cont         S
+	brkLive, contLive bool
 }
 
 // list walks statements in order; live is false once the path has ended.
-func (w walker[S]) list(list []ast.Stmt, st S) (_ S, live bool) {
+func (w *walker[S]) list(list []ast.Stmt, st S) (_ S, live bool) {
 	for _, s := range list {
 		if st, live = w.stmt(s, st); !live {
 			return st, false
@@ -98,7 +114,7 @@ func (w walker[S]) list(list []ast.Stmt, st S) (_ S, live bool) {
 }
 
 // join merges two paths, either of which may have ended.
-func (w walker[S]) join(a S, aLive bool, b S, bLive bool) (S, bool) {
+func (w *walker[S]) join(a S, aLive bool, b S, bLive bool) (S, bool) {
 	switch {
 	case aLive && bLive:
 		return w.f.join(a, b), true
@@ -108,12 +124,15 @@ func (w walker[S]) join(a S, aLive bool, b S, bLive bool) (S, bool) {
 	return b, bLive
 }
 
-func (w walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
+func (w *walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 	f := w.f
+	label := w.label
+	w.label = ""
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		return w.list(s.List, st)
 	case *ast.LabeledStmt:
+		w.label = s.Label.Name
 		return w.stmt(s.Stmt, st)
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -133,18 +152,17 @@ func (w walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if s.Cond != nil {
 			st = f.expr(s.Cond, st)
 		}
-		return w.loop(st, func(st S) (S, bool) {
-			st, live := w.list(s.Body.List, st)
-			if live && s.Post != nil {
+		return w.loop(label, st, s.Body, func(st S) S {
+			if s.Post != nil {
 				st = f.stmt(s.Post, st)
 			}
-			if live && s.Cond != nil {
+			if s.Cond != nil {
 				st = f.expr(s.Cond, st)
 			}
-			return st, live
+			return st
 		})
 	case *ast.RangeStmt:
-		return w.loop(f.expr(s.X, st), func(st S) (S, bool) { return w.list(s.Body.List, st) })
+		return w.loop(label, f.expr(s.X, st), s.Body, func(st S) S { return st })
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			st = f.stmt(s.Init, st)
@@ -152,14 +170,23 @@ func (w walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if s.Tag != nil {
 			st = f.expr(s.Tag, st)
 		}
-		return w.clauses(s.Body, st, true)
+		return w.clauses(label, s.Body, st, true)
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			st = f.stmt(s.Init, st)
 		}
-		return w.clauses(s.Body, f.stmt(s.Assign, st), true)
+		return w.clauses(label, s.Body, f.stmt(s.Assign, st), true)
 	case *ast.SelectStmt:
-		return w.clauses(s.Body, st, false)
+		return w.clauses(label, s.Body, st, false)
+	case *ast.BranchStmt:
+		if fr := w.target(s); fr != nil {
+			if s.Tok == token.BREAK {
+				fr.brk, fr.brkLive = w.join(fr.brk, fr.brkLive, st, true)
+			} else {
+				fr.cont, fr.contLive = w.join(fr.cont, fr.contLive, st, true)
+			}
+			return st, false
+		}
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			st = f.expr(r, st)
@@ -179,21 +206,67 @@ func (w walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 	return f.stmt(s, st), true
 }
 
-// loop walks a loop body twice — from st, then from the first pass's
-// end — and joins both passes with the zero-trip path st.
-func (w walker[S]) loop(st S, pass func(S) (S, bool)) (S, bool) {
-	once, live := pass(w.f.copy(st))
-	if !live {
-		return st, true
+// target returns the frame a break or continue jumps to: the one its
+// label names, else the innermost frame (a loop, for continue). Goto and
+// fallthrough have none.
+func (w *walker[S]) target(s *ast.BranchStmt) *jumpFrame[S] {
+	if s.Tok != token.BREAK && s.Tok != token.CONTINUE {
+		return nil
 	}
-	twice, twiceLive := pass(w.f.copy(once))
-	return w.join(w.f.join(st, once), true, twice, twiceLive)
+	for i := len(w.frames) - 1; i >= 0; i-- {
+		fr := w.frames[i]
+		if s.Label != nil {
+			if fr.label == s.Label.Name {
+				return fr
+			}
+		} else if s.Tok == token.BREAK || fr.loop {
+			return fr
+		}
+	}
+	return nil
+}
+
+// push opens a jump frame for the statement being walked; pop closes it
+// and joins the paths that broke out of it into the statement's exit.
+func (w *walker[S]) push(label string, loop bool) *jumpFrame[S] {
+	fr := &jumpFrame[S]{label: label, loop: loop}
+	w.frames = append(w.frames, fr)
+	return fr
+}
+
+func (w *walker[S]) pop(fr *jumpFrame[S], st S, live bool) (S, bool) {
+	w.frames = w.frames[:len(w.frames)-1]
+	return w.join(st, live, fr.brk, fr.brkLive)
+}
+
+// loop walks a loop body twice — from st, then from the first pass's
+// end — and joins both passes with the zero-trip path st. A pass ends
+// where the body falls off or continues, and then runs next.
+func (w *walker[S]) loop(label string, st S, body *ast.BlockStmt, next func(S) S) (S, bool) {
+	fr := w.push(label, true)
+	pass := func(st S) (S, bool) {
+		st, live := w.list(body.List, st)
+		st, live = w.join(st, live, fr.cont, fr.contLive)
+		var zero S
+		fr.cont, fr.contLive = zero, false
+		if live {
+			st = next(st)
+		}
+		return st, live
+	}
+	out, live := st, true
+	if once, onceLive := pass(w.f.copy(st)); onceLive {
+		twice, twiceLive := pass(w.f.copy(once))
+		out, live = w.join(w.f.join(st, once), true, twice, twiceLive)
+	}
+	return w.pop(fr, out, live)
 }
 
 // clauses walks every case or comm clause from st and joins them. A
 // switch without a default also falls past every case; a select never
 // does.
-func (w walker[S]) clauses(body *ast.BlockStmt, st S, isSwitch bool) (S, bool) {
+func (w *walker[S]) clauses(label string, body *ast.BlockStmt, st S, isSwitch bool) (S, bool) {
+	fr := w.push(label, false)
 	var out S
 	live, fallPast := false, isSwitch
 	for _, c := range body.List {
@@ -213,9 +286,9 @@ func (w walker[S]) clauses(body *ast.BlockStmt, st S, isSwitch bool) (S, bool) {
 		out, live = w.join(out, live, br, brLive)
 	}
 	if fallPast {
-		return w.join(out, live, st, true)
+		out, live = w.join(out, live, st, true)
 	}
-	return out, live
+	return w.pop(fr, out, live)
 }
 
 // lvalueSpine is an lvalue (or a call receiver) taken apart: the layers
@@ -395,26 +468,6 @@ func (idx *Index) flood(seeds []floodSeed) (order []FuncKey, via map[FuncKey]str
 	return order, via
 }
 
-// closeSets closes per-function sets over the call graph: each set grows
-// by its callees' sets until nothing changes, so recursion converges.
-// Callees without a set (unresolved, external) contribute nothing.
-func closeSets(sets map[FuncKey]map[string]bool, callees map[FuncKey][]FuncKey) {
-	keys := sortedKeys(sets)
-	for changed := true; changed; {
-		changed = false
-		for _, k := range keys {
-			for _, c := range callees[k] {
-				for x := range sets[c] {
-					if !sets[k][x] {
-						sets[k][x] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-}
-
 // sortedKeys returns m's keys in ascending order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
@@ -447,10 +500,6 @@ func isNamed(t types.Type, path string, names ...string) bool {
 	}
 	return len(names) == 0 || slices.Contains(names, named.Obj().Name())
 }
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (or a
-// pointer to one).
-func isMutexType(t types.Type) bool { return isNamed(t, "sync", "Mutex", "RWMutex") }
 
 // isAtomicType reports whether t is one of sync/atomic's named types
 // (Bool, Int32..Uint64, Uintptr, Pointer[T], Value).

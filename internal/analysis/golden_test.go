@@ -27,27 +27,20 @@ var goldenFixtures = []struct {
 	{"rngsource", "rngsource", "fixture/rngsource"},
 	{"wallclock", "wallclock", "fixture/sim"},
 	{"oraclebypass", "oraclebypass", "fixture/consumer"},
-	// v2 dataflow checks. The import paths matter doubly here: epochbump's
-	// blessed/monitored tables and atomicguard's stripe rule key on the
-	// package base, so the fixtures masquerade as topology/netstate/....
+	// v2 dataflow checks. The import paths matter doubly here:
+	// epochbump's blessed/monitored tables key on the package base, so
+	// the fixtures masquerade as topology, scheduler and core.
 	{"epochbump", "epochbump", "fixture/topology"},
-	{"atomicguard", "atomicguard", "fixture/netstate"},
 	{"errcompare", "errcompare", "fixture/scheduler"},
 	{"mergeorder", "mergeorder", "fixture/core"},
-	// v3 effects-layer checks. purity's blessed table and poolescape's
-	// slab-field registry key on package-base names, so the fixtures
-	// masquerade as netstate and stablematch.
-	{"purity", "purity", "fixture/netstate"},
-	{"publishfreeze", "publishfreeze", "fixture/netstate"},
+	// poolescape's slab-field registry keys on package-base names, so the
+	// fixture masquerades as stablematch.
 	{"poolescape", "poolescape", "fixture/stablematch"},
 	// panicpath is purely syntactic but scoped to decision packages, so
 	// the fixture masquerades as sim.
 	{"panicpath", "panicpath", "fixture/sim"},
-	// v4 concurrency-soundness checks. lockorder tracks mutexes owned by
-	// the concurrent packages and snapshotfreeze's source table keys on
-	// "(Oracle).Method" gated by the netstate base, so both fixtures
-	// masquerade as netstate.
-	{"lockorder", "lockorder", "fixture/netstate"},
+	// snapshotfreeze's source table keys on "(Oracle).Method" gated by
+	// the netstate base, so the fixture masquerades as netstate.
 	{"snapshotfreeze", "snapshotfreeze", "fixture/netstate"},
 }
 

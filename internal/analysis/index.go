@@ -9,11 +9,10 @@ import (
 
 // This file is taalint v2's module-level index: a lightweight call graph
 // plus a field-access index built once over every loaded package (the
-// dataflow helpers the checks share over it live in flow.go). The per-file AST checks of v1 cannot see that a controller
-// mutation three calls away fails to bump the netstate epoch, or that a
-// field written plainly in one package is read through sync/atomic in
-// another; module checks (epochbump, atomicguard) consult this index
-// instead of re-walking the world.
+// dataflow helpers the checks share over it live in flow.go). The
+// per-file AST checks of v1 cannot see that a controller mutation three
+// calls away fails to bump the netstate epoch; module checks (epochbump)
+// consult this index instead of re-walking the world.
 //
 // Functions are keyed by strings — "pkg/path.Name" for package functions,
 // "pkg/path.(Recv).Name" for methods, pointer receivers normalized away —
@@ -50,11 +49,10 @@ type FuncInfo struct {
 
 // FieldAccess is one syntactic access to a named struct field.
 type FieldAccess struct {
-	Fn     FuncKey // enclosing declared function ("" at package scope)
-	Pkg    *Package
-	Pos    token.Pos
-	Write  bool // the access is (part of) an lvalue being assigned
-	Atomic bool // accessed through sync/atomic (function or typed method)
+	Fn    FuncKey // enclosing declared function ("" at package scope)
+	Pkg   *Package
+	Pos   token.Pos
+	Write bool // the access is (part of) an lvalue being assigned
 }
 
 // Index is the module-wide dataflow index shared by all module checks.
@@ -246,29 +244,19 @@ func fieldKey(p *Package, sel *ast.SelectorExpr) string {
 }
 
 // collectFieldAccesses walks one function body recording every struct
-// field access with write/atomic classification:
-//
-//   - Write: the selector appears in the lvalue chain of an assignment,
-//     IncDec or delete() — t.nodes[i].Capacity = x marks both
-//     Topology.nodes and Node.Capacity written, because the mutation is
-//     observable through either.
-//   - Atomic: the selector is the receiver of a method on a sync/atomic
-//     type (o.epoch.Add(1)) or its address is passed to a sync/atomic
-//     function (atomic.AddUint64(&s.seq, 1)).
-//   - Plain read otherwise.
+// field access, classified as a write when the selector appears in the
+// lvalue chain of an assignment, IncDec or delete() — t.nodes[i].Capacity
+// = x marks both Topology.nodes and Node.Capacity written, because the
+// mutation is observable through either — and as a plain read otherwise.
 func collectFieldAccesses(idx *Index, pkg *Package, fn FuncKey, body ast.Node) {
-	// Pre-pass: classify selector nodes that are written or atomic, then a
-	// single walk emits every field selection with its classification.
+	// Pre-pass: mark the written selector nodes, then a single walk emits
+	// every field selection with its classification.
 	written := make(map[*ast.SelectorExpr]bool)
-	atomicSel := make(map[*ast.SelectorExpr]bool)
-
 	markLvalue := func(e ast.Expr) {
-		// Every field selection along the lvalue spine is written through.
 		for _, sel := range spineOf(pkg, e).fields() {
 			written[sel] = true
 		}
 	}
-
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
@@ -280,16 +268,6 @@ func collectFieldAccesses(idx *Index, pkg *Package, fn FuncKey, body ast.Node) {
 		case *ast.CallExpr:
 			if builtinName(pkg, s.Fun) == "delete" && len(s.Args) > 0 {
 				markLvalue(s.Args[0])
-			}
-			// atomic.AddUint64(&x.f, 1), o.epoch.Add(1): only an exact field
-			// selector counts — o.rows[i].Store(x) goes through an atomic
-			// ELEMENT, which says nothing about how the rows header itself
-			// may be accessed.
-			ops, _ := atomicOperands(pkg, s)
-			for _, op := range ops {
-				if sel, ok := ast.Unparen(op).(*ast.SelectorExpr); ok {
-					atomicSel[sel] = true
-				}
 			}
 		}
 		return true
@@ -306,11 +284,10 @@ func collectFieldAccesses(idx *Index, pkg *Package, fn FuncKey, body ast.Node) {
 		}
 		key := fieldAccessKey(ownerKey, field)
 		idx.Fields[key] = append(idx.Fields[key], FieldAccess{
-			Fn:     fn,
-			Pkg:    pkg,
-			Pos:    sel.Sel.Pos(),
-			Write:  written[sel],
-			Atomic: atomicSel[sel],
+			Fn:    fn,
+			Pkg:   pkg,
+			Pos:   sel.Sel.Pos(),
+			Write: written[sel],
 		})
 		return true
 	})

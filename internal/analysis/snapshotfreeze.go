@@ -15,13 +15,10 @@ import (
 // The oracle's read API (DistRow, ShortestPath, TypeTemplate, BestRoute,
 // StagesForTemplate, ...) deliberately returns SHARED cache-resident
 // slices — "callers must not modify" is in every doc comment, and the
-// preference build's workers rely on it: they read the same distance
-// rows concurrently, so one worker writing a row corrupts every other
+// preference build's workers rely on it: the oracle has one owner and
+// the workers never call it, but they read the rows fetched before the
+// fan-out concurrently, so one worker writing a row corrupts every other
 // worker's reads.
-// publishfreeze proves the PRODUCER side (published values immutable
-// after the atomic store); this check proves the CONSUMER side across
-// goroutine boundaries, extending the same freeze discipline to every
-// capture.
 //
 // Scope: code that runs on a worker goroutine — the body of every
 // `go func(){...}`, every function literal passed to a pool entry point

@@ -7,8 +7,8 @@ type counter struct {
 	hits int
 }
 
-// ping/pong are mutually recursive; the fixpoint must land counter.n in
-// both transitive write sets.
+// ping/pong are mutually recursive; the fixpoint must mark both as
+// writing through c.
 func ping(c *counter, depth int) {
 	if depth == 0 {
 		c.n = 0

@@ -179,3 +179,42 @@ outer:
 }
 
 func (t *Topology) bumpLive() { t.liveVersion++ }
+
+// selectComm bumps, then writes in a send clause's value: the walker runs
+// a select's comm statements, so that path exits dirty. Dirty.
+func (t *Topology) selectComm(in, out chan int) {
+	t.liveVersion++
+	select {
+	case <-in:
+	case out <- t.crippled():
+	}
+}
+
+func (t *Topology) crippled() int {
+	t.Cripple()
+	return 0
+}
+
+// breakSkipsBump writes, then leaves the loop with a break before the
+// bump: the break path reaches the loop's exit dirty. Dirty.
+func (t *Topology) breakSkipsBump() {
+	for i := range t.links {
+		t.Cripple()
+		if i > 0 {
+			break
+		}
+		t.liveVersion++
+	}
+}
+
+// continueSkipsBump writes, then skips the bump with a continue: the
+// path that continues ends its pass, and then the loop, dirty. Dirty.
+func (t *Topology) continueSkipsBump() {
+	for i := range t.links {
+		t.Cripple()
+		if i > 0 {
+			continue
+		}
+		t.liveVersion++
+	}
+}

@@ -197,3 +197,27 @@ outer:
 		scratchPool.Put(sl)
 	}
 }
+
+// BreakSkipsPut draws scratch per row and leaves the loop with a break
+// before the row's Put (trigger).
+func BreakSkipsPut(rows [][]int) {
+	for _, row := range rows {
+		sk := scratchPool.Get().(*scratch)
+		if len(row) == 0 {
+			break
+		}
+		scratchPool.Put(sk)
+	}
+}
+
+// ContinueSkipsPut skips the row's Put with a continue, so that pass
+// ends with the scratch out of the pool (trigger).
+func ContinueSkipsPut(rows [][]int) {
+	for _, row := range rows {
+		sc := scratchPool.Get().(*scratch)
+		if len(row) == 0 {
+			continue
+		}
+		scratchPool.Put(sc)
+	}
+}

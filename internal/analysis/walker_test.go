@@ -8,16 +8,16 @@ import (
 )
 
 // TestWalkerRules pins the shared path walker's control-flow rules on the
-// cases the epochbump, poolescape and lockorder fixtures carry for them
-// (DESIGN.md §6.1): a switch with a default and a select never fall past
-// their clauses, select comm statements run, code after a return is
-// dead, return and panic exit through the defers registered on their
-// path, a defer on one branch covers only that branch, and labeled
-// branch statements inside a twice-walked loop keep the loop's answer.
-// Each check reads the rules through its own lattice: epochbump's verdict
-// is whether a blessed mutator with the case's body would be reported,
-// poolescape's whether the case's Get is reported, and lockorder's
-// whether the case's lock is held where it takes probe.
+// cases the epochbump and poolescape fixtures carry for them (DESIGN.md
+// §6.1): a switch with a default and a select never fall past their
+// clauses, select comm statements run, code after a return is dead,
+// return and panic exit through the defers registered on their path, a
+// defer on one branch covers only that branch, labeled branch statements
+// inside a twice-walked loop keep the loop's answer, a break joins its
+// loop's exit and a continue the end of its loop's pass. Each check reads
+// the rules through its own lattice: epochbump's verdict is whether a
+// blessed mutator with the case's body would be reported, poolescape's
+// whether the case's Get is reported.
 func TestWalkerRules(t *testing.T) {
 	loader := NewLoader()
 	load := func(dir, path string) *Package {
@@ -32,14 +32,17 @@ func TestWalkerRules(t *testing.T) {
 		pkg := load("epochbump", "fixture/topology")
 		eng := &ebEngine{idx: BuildIndex([]*Package{pkg}), memo: make(map[FuncKey]ebSummary), busy: make(map[FuncKey]bool)}
 		for name, wantDirty := range map[string]bool{
-			"switchDefault":    false,
-			"selectDefault":    false,
-			"selectBlocking":   false,
-			"afterReturn":      false,
-			"panicDeferred":    false,
-			"panicBeforeDefer": true,
-			"deferOneBranch":   true,
-			"labeledLoop":      false,
+			"switchDefault":     false,
+			"selectDefault":     false,
+			"selectBlocking":    false,
+			"afterReturn":       false,
+			"panicDeferred":     false,
+			"panicBeforeDefer":  true,
+			"deferOneBranch":    true,
+			"labeledLoop":       false,
+			"selectComm":        true,
+			"breakSkipsBump":    true,
+			"continueSkipsBump": true,
 		} {
 			if got := eng.summary("fixture/topology.(Topology)." + name).mayExitDirty; got != wantDirty {
 				t.Errorf("%s: may exit dirty = %v, want %v", name, got, wantDirty)
@@ -56,39 +59,18 @@ func TestWalkerRules(t *testing.T) {
 			}
 		}
 		for name, wantLeak := range map[string]bool{
-			"SwitchDefault":  false,
-			"SelectDefault":  false,
-			"SelectBlocking": false,
-			"AfterReturn":    false,
-			"PanicDeferred":  false,
-			"DeferOneBranch": true,
-			"LabeledLoop":    false,
+			"SwitchDefault":    false,
+			"SelectDefault":    false,
+			"SelectBlocking":   false,
+			"AfterReturn":      false,
+			"PanicDeferred":    false,
+			"DeferOneBranch":   true,
+			"LabeledLoop":      false,
+			"BreakSkipsPut":    true,
+			"ContinueSkipsPut": true,
 		} {
 			if leaks[name] != wantLeak {
 				t.Errorf("%s: Get reported = %v, want %v", name, leaks[name], wantLeak)
-			}
-		}
-	})
-
-	t.Run("lockorder", func(t *testing.T) {
-		pkg := load("lockorder", "fixture/netstate")
-		edges := make(map[string]bool)
-		for _, e := range BuildLockGraph([]*Package{pkg}).Edges {
-			if e.To == "netstate.cases.probe" {
-				edges[strings.TrimPrefix(e.From, "netstate.cases.")] = true
-			}
-		}
-		for lock, wantEdge := range map[string]bool{
-			"sw":   false,
-			"sel":  false,
-			"selb": true,
-			"ret":  false,
-			"pan":  true,
-			"def":  true,
-			"loop": false,
-		} {
-			if edges[lock] != wantEdge {
-				t.Errorf("%s -> probe: edge = %v, want %v", lock, edges[lock], wantEdge)
 			}
 		}
 	})

@@ -225,7 +225,7 @@ func (c *Cluster) Place(id ContainerID, s topology.NodeID) error {
 			s, id, st.used, ct.Demand, st.capacity)
 	}
 	if ct.server != topology.None {
-		c.unplaceLocked(ct)
+		c.unplace(ct)
 	}
 	ct.server = s
 	st.used = st.used.Add(ct.Demand)
@@ -240,14 +240,14 @@ func (c *Cluster) Unplace(id ContainerID) error {
 		return fmt.Errorf("cluster: unknown container %d", id)
 	}
 	if ct.server != topology.None {
-		c.unplaceLocked(ct)
+		c.unplace(ct)
 	}
 	return nil
 }
 
-// unplaceLocked releases ct's server-side accounting. Blessed (exempt)
+// unplace releases ct's server-side accounting. Blessed (exempt)
 // epochbump mutator: see SetServerCapacity.
-func (c *Cluster) unplaceLocked(ct *Container) {
+func (c *Cluster) unplace(ct *Container) {
 	st := c.state(ct.server)
 	st.used = st.used.Sub(ct.Demand)
 	if i := slices.Index(st.containers, ct.ID); i >= 0 {
@@ -366,7 +366,7 @@ func (c *Cluster) Snapshot() map[ContainerID]topology.NodeID {
 func (c *Cluster) Restore(snap map[ContainerID]topology.NodeID) error {
 	for _, ct := range c.containers {
 		if ct.server != topology.None {
-			c.unplaceLocked(ct)
+			c.unplace(ct)
 		}
 	}
 	for id, s := range snap {

@@ -34,9 +34,9 @@ var (
 	ErrNoFeasibleRoute = errors.New("no feasible route")
 )
 
-// Controller is the centralized policy manager. Mutations (Install,
-// Uninstall, Reset) are single-goroutine, as the simulator drives them;
-// read-only queries may run concurrently through the shared oracle.
+// Controller is the centralized policy manager. Like the oracle it owns,
+// a Controller is not safe for concurrent use: one goroutine, the one
+// that drives the scheduler, makes every call.
 type Controller struct {
 	topo     *topology.Topology
 	oracle   *netstate.Oracle

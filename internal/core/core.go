@@ -289,7 +289,7 @@ type prefRow struct {
 
 // runState is the dirty-set bookkeeping for ONE Schedule call. It lives on
 // the stack of the call, never on the HitScheduler, so a scheduler value
-// can be reused across requests (and concurrently) exactly as before.
+// can be reused across requests exactly as before.
 type runState struct {
 	solves map[flow.ID]*flowSolve
 	prefs  map[cluster.ContainerID]*prefRow
@@ -941,6 +941,10 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	// grade rows below happens column-by-column with no shared writes. The
 	// shared tables above (rows, rb, classes, original) are read-only
 	// during the fan-out, and st.prefs is written only after it returns.
+	// The workers never call the oracle, which is not safe for concurrent
+	// use: every row they read was fetched above. A worker that called it
+	// would race on the oracle's caches, which
+	// `go test -race -run TestRackRowWave10k ./internal/core` reports.
 	//
 	// Cost sums always accumulate in flow order, keeping the floats
 	// bit-identical to the ungrouped per-flow loop.

@@ -251,8 +251,8 @@ func TestHitIncrementalParity(t *testing.T) {
 // TestHitParallelPreferenceBuildParity runs Hit-Scheduler on a cluster large
 // enough (512 servers) that the preference-matrix build fans out across
 // containers, and asserts placements match the uncached (and therefore
-// sequential-equivalent) run exactly. Under -race this also exercises the
-// concurrent oracle readers.
+// sequential-equivalent) run exactly. Under -race it also catches a worker
+// that calls the oracle, which is not safe for concurrent use.
 func TestHitParallelPreferenceBuildParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-server parity run skipped in -short mode")

@@ -284,6 +284,16 @@ func TestTaskModelHashDraws(t *testing.T) {
 	}
 }
 
+// TestTaskModelBudget pins the retry-budget default: a zero or negative
+// RetryBudget selects 3, any positive one is kept.
+func TestTaskModelBudget(t *testing.T) {
+	for _, tc := range []struct{ set, want int }{{0, 3}, {-1, 3}, {5, 5}} {
+		if got := (TaskModel{RetryBudget: tc.set}).Budget(); got != tc.want {
+			t.Errorf("TaskModel{RetryBudget: %d}.Budget() = %d, want %d", tc.set, got, tc.want)
+		}
+	}
+}
+
 func TestPlanEmptyAndKindString(t *testing.T) {
 	var p *Plan
 	if !p.Empty() {

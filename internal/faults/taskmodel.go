@@ -34,7 +34,9 @@ func (m TaskModel) Inert() bool {
 	return m.FailureProb <= 0 && m.StragglerProb <= 0
 }
 
-func (m TaskModel) retryBudget() int {
+// Budget is the retry budget in force: RetryBudget, or 3 when that is
+// zero or negative.
+func (m TaskModel) Budget() int {
 	if m.RetryBudget <= 0 {
 		return 3
 	}

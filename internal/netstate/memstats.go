@@ -22,34 +22,33 @@ type MemoryStats struct {
 	// SwitchPairEntries is the size of the dense switch-pair distance
 	// table (S², capped at maxSwitchPairSlots; 0 when unbuilt or disabled).
 	SwitchPairEntries int
-	// RoutesDense/RoutesSharded count pair-route cache entries by storage.
-	RoutesDense, RoutesSharded int
+	// RoutesDense and RoutesMap count pair-route cache entries in the
+	// dense table and in the route map.
+	RoutesDense, RoutesMap int
 	// ApproxBytes estimates the resident heap of everything counted above.
 	ApproxBytes int64
 }
 
 const (
-	ptrSize    = 8
-	nodeIDSize = 8 // topology.NodeID is int
+	ptrSize      = 8
+	sliceHdrSize = 24
+	nodeIDSize   = 8 // topology.NodeID is int
 )
 
-// MemoryStats reports the oracle's current cache footprint. It takes the
-// same locks the caches use, so it is safe alongside concurrent readers;
-// call it between scheduling waves, not inside one, to avoid skew.
+// MemoryStats reports the oracle's current cache footprint.
 func (o *Oracle) MemoryStats() MemoryStats {
 	var s MemoryStats
 	s.Structural = o.structuralOK()
 
-	for i := range o.distRows {
-		if row := o.distRows[i].Load(); row != nil {
+	for _, row := range o.distRows {
+		if row != nil {
 			s.DistRows++
-			s.DistRowBytes += int64(len(*row)) * 4
+			s.DistRowBytes += int64(len(row)) * 4
 		}
 	}
-	// The atomic-pointer spine itself is O(V) and permanent.
-	s.ApproxBytes += int64(len(o.distRows))*ptrSize + s.DistRowBytes
+	// The spine is O(V) once the first BFS fallback has allocated it.
+	s.ApproxBytes += int64(len(o.distRows))*sliceHdrSize + s.DistRowBytes
 
-	o.pairMu.RLock()
 	s.Paths = len(o.paths)
 	for _, p := range o.paths {
 		s.ApproxBytes += int64(len(p)) * nodeIDSize
@@ -60,47 +59,31 @@ func (o *Oracle) MemoryStats() MemoryStats {
 	}
 	s.Bands = len(o.bands)
 	s.ApproxBytes += int64(s.Paths+s.Templates+s.Bands) * 32 // map overhead
-	o.pairMu.RUnlock()
 
-	o.typeMu.RLock()
 	s.TypeLists = len(o.byType)
 	for _, l := range o.byType {
 		s.ApproxBytes += int64(len(l)) * nodeIDSize
 	}
 	s.StageLists = len(o.stages)
-	o.typeMu.RUnlock()
 
-	if acc := o.access.Load(); acc != nil {
-		s.AccessEntries = len(*acc)
-		s.ApproxBytes += int64(len(*acc)) * nodeIDSize
-	}
+	s.AccessEntries = len(o.access)
+	s.ApproxBytes += int64(len(o.access)) * nodeIDSize
 
-	if t := o.swTab.Load(); t.enabled() {
+	if t := o.swTab; t.enabled() {
 		s.SwitchPairEntries = len(t.dist)
 		s.ApproxBytes += int64(len(t.dist))*4 + int64(len(t.idx))*4
 	}
 
-	s.RoutesDense, s.RoutesSharded = o.routeCensus()
+	for _, e := range o.routeDense {
+		if e != nil {
+			s.RoutesDense++
+		}
+	}
+	s.RoutesMap = len(o.routeMap)
 	s.ApproxBytes += int64(len(o.routeDense)) * ptrSize
-	s.ApproxBytes += int64(s.RoutesDense+s.RoutesSharded) * routeEntryBytes
+	s.ApproxBytes += int64(s.RoutesDense+s.RoutesMap) * routeEntryBytes
 	return s
 }
 
 // routeEntryBytes approximates one PairRoute entry plus its List slice.
 const routeEntryBytes = 96
-
-// routeCensus counts pair-route entries in both storages.
-func (o *Oracle) routeCensus() (dense, sharded int) {
-	for i := range o.routeDense {
-		if o.routeDense[i].Load() != nil {
-			dense++
-		}
-	}
-	for i := range o.routeShards {
-		sh := &o.routeShards[i]
-		sh.mu.RLock()
-		sharded += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return dense, sharded
-}

@@ -23,8 +23,9 @@
 //     Every cached reader first calls ensureLive, which compares the
 //     topology's liveness version against the last one this oracle folded
 //     in and, on mismatch, drops every structure-derived cache — including
-//     the pair-route table (pairroute.go), whose full-stage solves would
-//     otherwise survive forever and could name a dead switch.
+//     the pair-route cache (pairroute.go: a dense server × server table on
+//     small fabrics plus one map), whose full-stage solves would otherwise
+//     survive forever and could name a dead switch.
 //   - Parameter-derived state (switch headroom, bottleneck path bandwidth):
 //     valid only for one epoch. Epoch() is the sum of the topology's
 //     mutation version (bumped by SetSwitchCapacity / SetLinkBandwidth),
@@ -33,18 +34,18 @@
 //     Install / Uninstall / Reset via BumpEpoch(). Any cached view tagged
 //     with an older epoch is recomputed on next access.
 //
-// Writers (controller mutations, topology parameter changes) are expected
-// to run single-threaded, as throughout this repository; concurrent READERS
-// are fully supported — distance rows are published through atomic
-// pointers and the remaining caches take short locks — so the parallel
-// preference-matrix build in internal/core can fan out across containers.
+// An Oracle is not safe for concurrent use, like most standard-library
+// types: it has one owner, the scheduling goroutine that drives the
+// controller, and every cache is a plain field. Fan-outs that need
+// oracle answers (the preference build in internal/core) fetch them
+// before they fan out and share only the returned rows, which are never
+// written after they are returned; the race detector catches a worker
+// that calls an oracle method.
 package netstate
 
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -65,86 +66,64 @@ type bandEntry struct {
 
 // Oracle is the shared path/cost oracle over one topology. Obtain one with
 // New (memoizing) or NewUncached (same API, every query computed fresh —
-// the reference implementation parity tests compare against).
+// the reference implementation parity tests compare against). An Oracle
+// is not safe for concurrent use (see the package comment).
 type Oracle struct {
 	topo   *topology.Topology
 	cached bool
 
 	// epoch counts controller-state mutations; Epoch() adds the topology's
 	// own version so either kind of mutation invalidates parameter caches.
-	epoch atomic.Uint64
+	epoch uint64
 	load  LoadFunc
 
 	// liveSeen is the topology liveness version the structure caches were
-	// built against; reviveMu serializes the (rare) cache teardown when a
-	// node crashes or recovers.
-	liveSeen atomic.Uint64
-	reviveMu sync.Mutex
+	// built against.
+	liveSeen uint64
 
-	// distRows holds one BFS distance table per source node, published via
-	// atomic pointers so concurrent readers never lock. distMu serializes
-	// builders only.
-	distRows []atomic.Pointer[[]int32]
-	distMu   sync.Mutex
+	// distRows holds one BFS distance row per source node. The spine is
+	// allocated on the first BFS fallback: structural fabrics never need
+	// it.
+	distRows [][]int32
 
-	// pairMu guards the (src,dst)-keyed caches below.
-	pairMu    sync.RWMutex
+	// (src,dst)-keyed caches.
 	paths     map[pairKey][]topology.NodeID
 	templates map[pairKey][]string
 	bands     map[pairKey]bandEntry
 
-	// typeMu guards the per-type and per-template candidate caches.
-	typeMu sync.RWMutex
+	// Per-type and per-template candidate caches.
 	byType map[string][]topology.NodeID
 	stages map[string][][]topology.NodeID
 
-	// access caches each server's access switch (None for non-servers),
-	// published via an atomic pointer so revive can drop it.
-	access atomic.Pointer[[]topology.NodeID]
+	// access caches each server's access switch (None for non-servers);
+	// ensureLive drops it.
+	access []topology.NodeID
 
 	// swTab is the dense switch-pair distance table (swdist.go): built once
 	// from healthy-graph closed forms, consulted only while structuralOK(),
-	// never invalidated. swMu serializes the one-time build.
-	swTab atomic.Pointer[swDistTab]
-	swMu  sync.Mutex
+	// never invalidated.
+	swTab *swDistTab
 
 	// racks is the single-homed rack grouping (swdist.go), built on first
 	// use and never invalidated: it depends on edges, not liveness.
-	racks atomic.Pointer[RackTable]
+	racks *RackTable
 
-	// headMu guards the epoch-tagged headroom view.
-	headMu       sync.Mutex
+	// The epoch-tagged headroom view.
 	headEpoch    uint64
 	headValid    bool
 	headroom     []float64
 	loadSnapshot []float64
 
-	// Server-pair route cache (pairroute.go): dense atomic table for small
-	// clusters, sharded maps above denseRouteLimit pair slots.
-	routeOnce       sync.Once
-	routeDense      []atomic.Pointer[PairRoute]
+	// Server-pair route cache (pairroute.go): a dense table for small
+	// clusters, one map above denseRouteLimit pair slots and for
+	// non-server endpoints. routeServerIdx is nil until first use.
+	routeDense      []*PairRoute
 	routeServerIdx  []int32
 	routeNumServers int
-	routeShards     []routeShard
+	routeMap        map[pairKey]*PairRoute
 
-	// routeStats stripes the pair-route hit/miss counters by source server
-	// so concurrent readers warming the cache don't serialize on two hot
-	// cache lines. PairRouteStats sums in fixed stripe order.
-	routeStats [routeStatStripes]routeStatStripe
-}
-
-// routeStatStripes is the stripe count for Oracle.routeStats. A power of
-// two so the stripe pick is a mask; eight comfortably covers the reader
-// goroutines of a small host.
-const routeStatStripes = 8
-
-// routeStatStripe is one padded hit/miss counter pair. The tail pads the
-// struct to a 64-byte cache line so workers bumping neighbouring stripes
-// do not false-share.
-type routeStatStripe struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	_      [48]byte
+	// routeHits and routeMisses count pair-route lookups (PairRouteStats).
+	routeHits, routeMisses uint64
 }
 
 // New returns a memoizing oracle over the topology.
@@ -167,7 +146,6 @@ func newOracle(topo *topology.Topology) *Oracle {
 	}
 	return &Oracle{
 		topo:      topo,
-		distRows:  make([]atomic.Pointer[[]int32], topo.NumNodes()),
 		paths:     make(map[pairKey][]topology.NodeID),
 		templates: make(map[pairKey][]string),
 		bands:     make(map[pairKey]bandEntry),
@@ -184,7 +162,7 @@ func (o *Oracle) Topology() *topology.Topology { return o.topo }
 // All three only ever increase, so the sum strictly increases on any
 // mutation — including a node crash or recovery.
 func (o *Oracle) Epoch() uint64 {
-	return o.epoch.Load() + o.topo.Version() + o.topo.LivenessVersion()
+	return o.epoch + o.topo.Version() + o.topo.LivenessVersion()
 }
 
 // ensureLive folds the topology's current liveness version into the
@@ -192,41 +170,21 @@ func (o *Oracle) Epoch() uint64 {
 // every structure-derived cache (distances, paths, templates, type lists,
 // access switches, bottleneck bandwidths and the pair-route table)
 // is dropped and rebuilt lazily against the new alive-mask. Callers on
-// the steady-state path pay one atomic load.
-//
-// Lock-order contract (proved by taalint's lockorder check): reviveMu is
-// the package's only outer lock — pairMu, typeMu and the server-pair route
-// shard stripes (reset by clearPairRoutes) nest strictly inside it, one at
-// a time, never inside each other. Readers publish pair routes under a
-// single stripe's write lock and read them under its read lock, holding
-// nothing else. Keep the pairMu and typeMu sections below SEQUENTIAL;
-// nesting one inside the other creates an acquisition edge that closes a
-// cycle with the read paths and is rejected at lint time.
+// the steady-state path pay one compare.
 func (o *Oracle) ensureLive() {
 	lv := o.topo.LivenessVersion()
-	if o.liveSeen.Load() == lv {
+	if o.liveSeen == lv {
 		return
 	}
-	o.reviveMu.Lock()
-	defer o.reviveMu.Unlock()
-	if o.liveSeen.Load() == lv {
-		return
-	}
-	for i := range o.distRows {
-		o.distRows[i].Store(nil)
-	}
-	o.pairMu.Lock()
+	clear(o.distRows)
 	o.paths = make(map[pairKey][]topology.NodeID)
 	o.templates = make(map[pairKey][]string)
 	o.bands = make(map[pairKey]bandEntry)
-	o.pairMu.Unlock()
-	o.typeMu.Lock()
 	o.byType = make(map[string][]topology.NodeID)
 	o.stages = make(map[string][][]topology.NodeID)
-	o.typeMu.Unlock()
-	o.access.Store(nil)
+	o.access = nil
 	o.clearPairRoutes()
-	o.liveSeen.Store(lv)
+	o.liveSeen = lv
 }
 
 // BumpEpoch invalidates every parameter-derived cache. The policy
@@ -234,16 +192,10 @@ func (o *Oracle) ensureLive() {
 // Reset). The epoch counter is one of taalint's recognized bump targets:
 // a blessed mutator calling BumpEpoch (directly or transitively) on every
 // mutating path discharges its epochbump proof obligation.
-func (o *Oracle) BumpEpoch() { o.epoch.Add(1) }
+func (o *Oracle) BumpEpoch() { o.epoch++ }
 
 // BindLoad attaches the switch-load source (the controller's Load method).
 // An unbound oracle sees zero load everywhere.
-//
-// Contract: fn is invoked with oracle locks held and must not re-enter
-// the oracle's locking API (BestRoute, TypeTemplate, DistRow, ...). This
-// is the lockorder check's one dynamic-call blind spot — the static lock
-// graph cannot see through a function value — so the freedom the checker
-// cannot verify is pinned here instead: fn must be a pure load lookup.
 func (o *Oracle) BindLoad(fn LoadFunc) {
 	o.load = fn
 	o.BumpEpoch()
@@ -335,16 +287,14 @@ func (o *Oracle) DistRow(src topology.NodeID) []int32 {
 		}
 	}
 	o.ensureLive()
-	if row := o.distRows[src].Load(); row != nil {
-		return *row
+	if o.distRows == nil {
+		o.distRows = make([][]int32, o.topo.NumNodes())
 	}
-	o.distMu.Lock()
-	defer o.distMu.Unlock()
-	if row := o.distRows[src].Load(); row != nil {
-		return *row
+	if row := o.distRows[src]; row != nil {
+		return row
 	}
 	d := o.computeDistRow(src)
-	o.distRows[src].Store(&d)
+	o.distRows[src] = d
 	return d
 }
 
@@ -370,18 +320,13 @@ func (o *Oracle) ShortestPath(src, dst topology.NodeID) []topology.NodeID {
 	key := pairKey{src, dst}
 	if o.cached {
 		o.ensureLive()
-		o.pairMu.RLock()
-		p, ok := o.paths[key]
-		o.pairMu.RUnlock()
-		if ok {
+		if p, ok := o.paths[key]; ok {
 			return p
 		}
 	}
 	p := o.buildPath(src, dst)
 	if o.cached {
-		o.pairMu.Lock()
 		o.paths[key] = p
-		o.pairMu.Unlock()
 	}
 	return p
 }
@@ -545,10 +490,7 @@ func (o *Oracle) TypeTemplate(src, dst topology.NodeID) ([]string, error) {
 	key := pairKey{src, dst}
 	if o.cached {
 		o.ensureLive()
-		o.pairMu.RLock()
-		t, ok := o.templates[key]
-		o.pairMu.RUnlock()
-		if ok {
+		if t, ok := o.templates[key]; ok {
 			return t, nil
 		}
 	}
@@ -568,9 +510,7 @@ func (o *Oracle) TypeTemplate(src, dst topology.NodeID) ([]string, error) {
 		}
 	}
 	if o.cached {
-		o.pairMu.Lock()
 		o.templates[key] = types
-		o.pairMu.Unlock()
 	}
 	return types, nil
 }
@@ -591,19 +531,11 @@ func (o *Oracle) SwitchesOfType(typ string) []topology.NodeID {
 		return o.topo.SwitchesOfType(typ)
 	}
 	o.ensureLive()
-	o.typeMu.RLock()
 	s, ok := o.byType[typ]
-	o.typeMu.RUnlock()
-	if ok {
-		return s
+	if !ok {
+		s = o.topo.SwitchesOfType(typ)
+		o.byType[typ] = s
 	}
-	o.typeMu.Lock()
-	defer o.typeMu.Unlock()
-	if s, ok := o.byType[typ]; ok {
-		return s
-	}
-	s = o.topo.SwitchesOfType(typ)
-	o.byType[typ] = s
 	return s
 }
 
@@ -625,19 +557,14 @@ func (o *Oracle) StagesForTemplate(types []string) [][]topology.NodeID {
 	}
 	key := strings.Join(types, "\x1f")
 	o.ensureLive()
-	o.typeMu.RLock()
-	s, ok := o.stages[key]
-	o.typeMu.RUnlock()
-	if ok {
+	if s, ok := o.stages[key]; ok {
 		return s
 	}
 	stages := make([][]topology.NodeID, len(types))
 	for i, typ := range types {
 		stages[i] = o.SwitchesOfType(typ)
 	}
-	o.typeMu.Lock()
 	o.stages[key] = stages
-	o.typeMu.Unlock()
 	return stages
 }
 
@@ -648,19 +575,16 @@ func (o *Oracle) AccessSwitch(server topology.NodeID) topology.NodeID {
 		return o.topo.AccessSwitch(server)
 	}
 	o.ensureLive()
-	acc := o.access.Load()
-	if acc == nil {
-		a := make([]topology.NodeID, o.topo.NumNodes())
-		for i := range a {
-			a[i] = o.topo.AccessSwitch(topology.NodeID(i))
+	if o.access == nil {
+		o.access = make([]topology.NodeID, o.topo.NumNodes())
+		for i := range o.access {
+			o.access[i] = o.topo.AccessSwitch(topology.NodeID(i))
 		}
-		o.access.Store(&a)
-		acc = &a
 	}
 	if !o.topo.Valid(server) {
 		return topology.None
 	}
-	return (*acc)[server]
+	return o.access[server]
 }
 
 // ---------------------------------------------------------------------------
@@ -674,9 +598,12 @@ func (o *Oracle) loadOf(w topology.NodeID) float64 {
 	return o.load(w)
 }
 
-// refreshHeadroomLocked rebuilds the per-switch load/headroom snapshot for
-// the current epoch. Caller holds headMu.
-func (o *Oracle) refreshHeadroomLocked(epoch uint64) {
+// refreshHeadroom rebuilds the per-switch load/headroom snapshot for the
+// given epoch unless it already holds that epoch's view.
+func (o *Oracle) refreshHeadroom(epoch uint64) {
+	if o.headValid && o.headEpoch == epoch {
+		return
+	}
 	n := o.topo.NumNodes()
 	if o.headroom == nil {
 		o.headroom = make([]float64, n)
@@ -697,14 +624,8 @@ func (o *Oracle) Headroom(w topology.NodeID) float64 {
 	if !o.cached {
 		return o.topo.Node(w).Capacity - o.loadOf(w)
 	}
-	epoch := o.Epoch()
-	o.headMu.Lock()
-	if !o.headValid || o.headEpoch != epoch {
-		o.refreshHeadroomLocked(epoch)
-	}
-	v := o.headroom[w]
-	o.headMu.Unlock()
-	return v
+	o.refreshHeadroom(o.Epoch())
+	return o.headroom[w]
 }
 
 // Load returns the aggregate rate routed through switch w as of the current
@@ -713,14 +634,8 @@ func (o *Oracle) Load(w topology.NodeID) float64 {
 	if !o.cached {
 		return o.loadOf(w)
 	}
-	epoch := o.Epoch()
-	o.headMu.Lock()
-	if !o.headValid || o.headEpoch != epoch {
-		o.refreshHeadroomLocked(epoch)
-	}
-	v := o.loadSnapshot[w]
-	o.headMu.Unlock()
-	return v
+	o.refreshHeadroom(o.Epoch())
+	return o.loadSnapshot[w]
 }
 
 // PathBandwidth returns the bottleneck link bandwidth along the lowest-ID
@@ -735,10 +650,7 @@ func (o *Oracle) PathBandwidth(src, dst topology.NodeID) (float64, error) {
 	key := pairKey{src, dst}
 	if o.cached {
 		o.ensureLive()
-		o.pairMu.RLock()
-		e, ok := o.bands[key]
-		o.pairMu.RUnlock()
-		if ok && e.version == version {
+		if e, ok := o.bands[key]; ok && e.version == version {
 			return e.bandwidth, nil
 		}
 	}
@@ -757,9 +669,7 @@ func (o *Oracle) PathBandwidth(src, dst topology.NodeID) (float64, error) {
 		}
 	}
 	if o.cached {
-		o.pairMu.Lock()
 		o.bands[key] = bandEntry{version: version, bandwidth: min}
-		o.pairMu.Unlock()
 	}
 	return min, nil
 }

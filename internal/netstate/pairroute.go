@@ -64,17 +64,16 @@
 // mathematically tied routes is not, and cached results must be
 // bit-identical to a fresh solve.
 //
-// Storage follows the oracle's atomic-pointer pattern: a dense
-// (server × server) table of atomic pointers for small clusters, sharded
-// RWMutex maps above denseRouteLimit entries. Entries are immutable after
-// publication, so concurrent readers are safe alongside a writer.
+// Storage is a dense (server × server) table of entry pointers for small
+// clusters and one map above denseRouteLimit pair slots. The choice is by
+// server count: the 216-server sweeps stay dense, the 10,000-server rack
+// tree uses the map. Entries are immutable once stored.
 package netstate
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -101,7 +100,7 @@ type RouteQuery struct {
 	Full bool
 }
 
-// PairRoute is one memoized solve. Entries are immutable once published;
+// PairRoute is one memoized solve. Entries are immutable once stored;
 // callers must not modify any field.
 type PairRoute struct {
 	// RateBits and UnitBits key the entry by the exact float bit patterns
@@ -121,106 +120,67 @@ type PairRoute struct {
 	Epoch uint64
 }
 
-const (
-	// denseRouteLimit bounds the dense (server × server) table: above this
-	// many pair slots the cache switches to sharded maps. 216-server
-	// sweeps stay dense; the 512-server evaluation fabrics go sharded.
-	denseRouteLimit = 1 << 17
-	// routeShardCount is the number of lock-striped map shards.
-	routeShardCount = 32
-)
+// denseRouteLimit bounds the dense (server × server) table: above this
+// many pair slots the cache uses the route map. 216-server sweeps stay
+// dense; the 512-server evaluation fabrics use the map.
+const denseRouteLimit = 1 << 17
 
-// routeShard is one lock stripe of the sharded pair-route map. The m
-// field is under taalint's atomicguard stripe rule: every access must be
-// preceded by a Lock/RLock on the same variable in the enclosing function
-// (or the function named *Locked, or the shard slice still function-local).
-type routeShard struct {
-	mu sync.RWMutex
-	m  map[pairKey]*PairRoute
-}
-
-func (sh *routeShard) load(k pairKey) *PairRoute {
-	sh.mu.RLock()
-	e := sh.m[k]
-	sh.mu.RUnlock()
-	return e
-}
-
-func (sh *routeShard) store(k pairKey, e *PairRoute) {
-	sh.mu.Lock()
-	sh.m[k] = e
-	sh.mu.Unlock()
-}
-
-func (sh *routeShard) reset() {
-	sh.mu.Lock()
-	sh.m = make(map[pairKey]*PairRoute)
-	sh.mu.Unlock()
-}
-
-// routeInit lazily builds the pair-route storage: dense table when the
-// server count allows, shard maps always, as the fallback for non-server
-// endpoints.
+// routeInit builds the pair-route storage on first use: the dense table
+// when the server count allows, and the map, which also holds pairs with
+// a non-server endpoint.
 func (o *Oracle) routeInit() {
-	o.routeOnce.Do(func() {
-		servers := o.topo.Servers()
-		idx := make([]int32, o.topo.NumNodes())
-		for i := range idx {
-			idx[i] = -1
-		}
-		for i, s := range servers {
-			idx[s] = int32(i)
-		}
-		o.routeServerIdx = idx
-		o.routeNumServers = len(servers)
-		if n := len(servers) * len(servers); n > 0 && n <= denseRouteLimit {
-			o.routeDense = make([]atomic.Pointer[PairRoute], n)
-		}
-		routes := make([]routeShard, routeShardCount)
-		for i := range routes {
-			routes[i].m = make(map[pairKey]*PairRoute)
-		}
-		o.routeShards = routes
-	})
-}
-
-func routeShardOf(src, dst topology.NodeID) int {
-	h := uint64(src)*0x9e3779b97f4a7c15 + uint64(dst)
-	h ^= h >> 29
-	return int(h % routeShardCount)
+	if o.routeServerIdx != nil {
+		return
+	}
+	servers := o.topo.Servers()
+	idx := make([]int32, o.topo.NumNodes())
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, s := range servers {
+		idx[s] = int32(i)
+	}
+	o.routeServerIdx = idx
+	o.routeNumServers = len(servers)
+	if n := len(servers) * len(servers); n > 0 && n <= denseRouteLimit {
+		o.routeDense = make([]*PairRoute, n)
+	}
+	o.routeMap = make(map[pairKey]*PairRoute)
 }
 
 // clearPairRoutes drops every memoized pair solve. Called by ensureLive
 // when node liveness changes: stage lists and hop distances both shift, so
 // no entry — full or filtered — remains valid. A no-op before routeInit.
 func (o *Oracle) clearPairRoutes() {
-	for i := range o.routeDense {
-		o.routeDense[i].Store(nil)
+	clear(o.routeDense)
+	clear(o.routeMap)
+}
+
+// routeSlot returns the dense-table index of an ordered server pair, or
+// -1 when the pair lives in the route map.
+func (o *Oracle) routeSlot(src, dst topology.NodeID) int {
+	if o.routeDense != nil {
+		si, di := o.routeServerIdx[src], o.routeServerIdx[dst]
+		if si >= 0 && di >= 0 {
+			return int(si)*o.routeNumServers + int(di)
+		}
 	}
-	for i := range o.routeShards {
-		o.routeShards[i].reset()
-	}
+	return -1
 }
 
 func (o *Oracle) routeLoad(src, dst topology.NodeID) *PairRoute {
-	if o.routeDense != nil {
-		si, di := o.routeServerIdx[src], o.routeServerIdx[dst]
-		if si >= 0 && di >= 0 {
-			return o.routeDense[int(si)*o.routeNumServers+int(di)].Load()
-		}
+	if i := o.routeSlot(src, dst); i >= 0 {
+		return o.routeDense[i]
 	}
-	return o.routeShards[routeShardOf(src, dst)].load(pairKey{src, dst})
+	return o.routeMap[pairKey{src, dst}]
 }
 
 func (o *Oracle) routeStore(src, dst topology.NodeID, e *PairRoute) {
-	if o.routeDense != nil {
-		si, di := o.routeServerIdx[src], o.routeServerIdx[dst]
-		if si >= 0 && di >= 0 {
-			o.routeDense[int(si)*o.routeNumServers+int(di)].Store(e)
-			return
-		}
+	if i := o.routeSlot(src, dst); i >= 0 {
+		o.routeDense[i] = e
+		return
 	}
-	o.routeShards[routeShardOf(src, dst)].store(pairKey{src, dst}, e)
+	o.routeMap[pairKey{src, dst}] = e
 }
 
 // matches reports whether a cached entry answers the query under the
@@ -267,17 +227,16 @@ func (o *Oracle) BestRoute(src, dst topology.NodeID, q RouteQuery) (list []topol
 	unitBits := math.Float64bits(q.UnitCost)
 	if o.cached {
 		o.ensureLive()
-		st := &o.routeStats[int(src)&(routeStatStripes-1)]
 		if ul, uc, uok := o.unitRoute(src, dst, &q); uok {
-			st.hits.Add(1)
+			o.routeHits++
 			return ul, uc, true, true
 		}
 		o.routeInit()
 		if e := o.routeLoad(src, dst); e != nil && e.matches(&q, rateBits, unitBits) {
-			st.hits.Add(1)
+			o.routeHits++
 			return e.List, e.Cost, true, true
 		}
-		st.misses.Add(1)
+		o.routeMisses++
 	}
 	list, cost, ok = o.solveStages(q.Rate, q.UnitCost, src, dst, q.Stages)
 	if !ok || !o.cached {
@@ -331,16 +290,9 @@ func (o *Oracle) unitRoute(src, dst topology.NodeID, q *RouteQuery) (list []topo
 	return list, cost, true
 }
 
-// PairRouteStats reports cache hits and misses since construction. The
-// counters are striped by source server (concurrent readers bump disjoint
-// cache lines); the merge walks stripes in fixed index order, so for any
-// fixed multiset of recorded events the totals are deterministic.
+// PairRouteStats reports cache hits and misses since construction.
 func (o *Oracle) PairRouteStats() (hits, misses uint64) {
-	for i := range o.routeStats {
-		hits += o.routeStats[i].hits.Load()
-		misses += o.routeStats[i].misses.Load()
-	}
-	return hits, misses
+	return o.routeHits, o.routeMisses
 }
 
 // dpScratch holds one solve's DP buffers (two cost columns plus the

@@ -262,11 +262,11 @@ func TestPairRouteStats(t *testing.T) {
 	}
 }
 
-// TestBestRouteShardedFallback drives the sharded-map path: a 512-server
-// fabric exceeds denseRouteLimit (512² > 2¹⁷), so entries land in the
-// lock-striped shards. Random pairs must still hit on re-query and agree
-// with an uncached solve. Filtered stages keep the queries on the
-// server-pair store.
+// TestBestRouteShardedFallback drives the route-map path: a 512-server
+// fabric exceeds denseRouteLimit (512² > 2¹⁷), so entries land in the one
+// route map, not the dense table. Random pairs must still hit on re-query
+// and agree with an uncached solve. Filtered stages keep the queries on
+// the server-pair store.
 func TestBestRouteShardedFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-server cache test skipped in -short mode")
@@ -276,7 +276,7 @@ func TestBestRouteShardedFallback(t *testing.T) {
 	fresh := netstate.NewUncached(topo)
 	servers := topo.Servers()
 	if n := len(servers); n*n <= 1<<17 {
-		t.Fatalf("topology too small to exercise the sharded path: %d servers", n)
+		t.Fatalf("topology too small to exercise the route map: %d servers", n)
 	}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 40; i++ {
@@ -303,5 +303,8 @@ func TestBestRouteShardedFallback(t *testing.T) {
 				t.Fatalf("pair %d-%d: lists %v/%v, fresh %v", a, b, l1, l2, fl)
 			}
 		}
+	}
+	if ms := o.MemoryStats(); ms.RoutesDense != 0 || ms.RoutesMap == 0 {
+		t.Fatalf("route census %d dense, %d mapped; want every entry in the route map", ms.RoutesDense, ms.RoutesMap)
 	}
 }

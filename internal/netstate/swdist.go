@@ -37,22 +37,12 @@ type swDistTab struct {
 }
 
 // switchTable returns the lazily built table. Callers must hold
-// structuralOK() == true; a nil return means a concurrent crash interrupted
-// the build and the caller should use the per-pair path this round.
+// structuralOK() == true.
 func (o *Oracle) switchTable() *swDistTab {
-	if t := o.swTab.Load(); t != nil {
-		return t
+	if o.swTab == nil {
+		o.swTab = o.buildSwitchTable()
 	}
-	o.swMu.Lock()
-	defer o.swMu.Unlock()
-	if t := o.swTab.Load(); t != nil {
-		return t
-	}
-	t := o.buildSwitchTable()
-	if t != nil {
-		o.swTab.Store(t)
-	}
-	return t
+	return o.swTab
 }
 
 func (o *Oracle) buildSwitchTable() *swDistTab {
@@ -75,12 +65,7 @@ func (o *Oracle) buildSwitchTable() *swDistTab {
 	for i, a := range sw {
 		row := t.dist[i*s : (i+1)*s]
 		for j, b := range sw {
-			d, ok := o.topo.StructuralDist(a, b)
-			if !ok {
-				// A node died mid-build; leave the table unbuilt so the
-				// next healthy query retries.
-				return nil
-			}
+			d, _ := o.topo.StructuralDist(a, b) // answers while structuralOK holds
 			row[j] = int32(d)
 		}
 	}
@@ -130,12 +115,10 @@ func (o *Oracle) Racks() *RackTable {
 	if !o.cached {
 		return o.buildRacks()
 	}
-	if t := o.racks.Load(); t != nil {
-		return t
+	if o.racks == nil {
+		o.racks = o.buildRacks()
 	}
-	t := o.buildRacks()
-	o.racks.CompareAndSwap(nil, t)
-	return o.racks.Load()
+	return o.racks
 }
 
 func (o *Oracle) buildRacks() *RackTable {

@@ -136,8 +136,10 @@ func TestUnitRouteMatchesUncached(t *testing.T) {
 
 // TestUnitRouteFallbacks covers the fabrics the closed form must not
 // serve: BCube's multi-homed servers and a fat-tree with a dead switch both
-// take the rate-keyed path (a one-ulp rate change misses). After recovery
-// the closed form answers again.
+// take the rate-keyed path (a one-ulp rate change misses). After the
+// liveness flip and recovery, every ordered pair of racks answers in
+// closed form again, bit-identical to an uncached solve at a perturbed
+// rate.
 func TestUnitRouteFallbacks(t *testing.T) {
 	p := topology.LinkParams{Bandwidth: 10, Latency: 0.1, SwitchCapacity: 100}
 	rateKeyed := func(t *testing.T, o, ref *netstate.Oracle, pairs [][2]topology.NodeID) {
@@ -166,7 +168,7 @@ func TestUnitRouteFallbacks(t *testing.T) {
 		topo := buildFatTree(t)
 		o := netstate.New(topo)
 		ref := netstate.NewUncached(topo)
-		pairs := samplePairs(topo, rand.New(rand.NewSource(5)), 8)
+		pairs := rackPairs(topo)
 		// Route every pair on the healthy fabric.
 		for _, pr := range pairs {
 			checkRoute(t, o, ref, pr[0], pr[1], netstate.RouteQuery{
@@ -176,9 +178,9 @@ func TestUnitRouteFallbacks(t *testing.T) {
 		victim := hottestMidSwitch(t, topo, o)
 		// The closed form answered every one: the memory census holds no
 		// stored entry.
-		if ms := o.MemoryStats(); ms.RoutesSharded != 0 || ms.RoutesDense != 0 {
-			t.Fatalf("route census %d sharded, %d dense after the healthy warm-up; want no stored entry",
-				ms.RoutesSharded, ms.RoutesDense)
+		if ms := o.MemoryStats(); ms.RoutesMap != 0 || ms.RoutesDense != 0 {
+			t.Fatalf("route census %d mapped, %d dense after the healthy warm-up; want no stored entry",
+				ms.RoutesMap, ms.RoutesDense)
 		}
 		if err := topo.SetNodeAlive(victim, false); err != nil {
 			t.Fatal(err)
@@ -196,6 +198,29 @@ func TestUnitRouteFallbacks(t *testing.T) {
 			}
 		}
 	})
+}
+
+// rackPairs returns every ordered pair of distinct racks, each rack
+// represented by its lowest-ID server: one pair per ordered access-switch
+// pair.
+func rackPairs(topo *topology.Topology) [][2]topology.NodeID {
+	var reps []topology.NodeID
+	seen := make(map[topology.NodeID]bool)
+	for _, s := range topo.Servers() {
+		if acc := topo.AccessSwitch(s); !seen[acc] {
+			seen[acc] = true
+			reps = append(reps, s)
+		}
+	}
+	var out [][2]topology.NodeID
+	for _, a := range reps {
+		for _, b := range reps {
+			if a != b {
+				out = append(out, [2]topology.NodeID{a, b})
+			}
+		}
+	}
+	return out
 }
 
 // sameDistPair returns the first ordered server pair at hop distance d.

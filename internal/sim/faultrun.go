@@ -63,9 +63,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 	}
 	plan := e.opts.Faults
 	model := plan.Tasks
-	if model.RetryBudget <= 0 {
-		model.RetryBudget = 3 // the TaskModel default, needed raw below
-	}
+	budget := model.Budget()
 	rep := &RunReport{}
 	res.Report = rep
 	inj := faults.NewInjector(e.topo, e.cl)
@@ -112,7 +110,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 	}
 	// retryable reports a map that is not done and has attempts left.
 	retryable := func(st *jobState, m int) bool {
-		return !st.done[m] && st.attempts[m] < model.RetryBudget
+		return !st.done[m] && st.attempts[m] < budget
 	}
 
 	// applyEventsUntil applies every fabric event with Time <= until, then —
@@ -328,7 +326,7 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 				}
 				if model.AttemptFails(st.job.ID, m, attempt) {
 					rep.TaskFailures++
-					if st.attempts[m] >= model.RetryBudget {
+					if st.attempts[m] >= budget {
 						rep.FailedTasks++
 						st.failed = true
 					} else {

@@ -2,10 +2,13 @@
 # lint-teeth: prove the taalint gates bite on the real module, not just on
 # fixtures. For every patch in internal/analysis/testdata/teeth/ this script
 # checks out a snapshot of the working tree into a throwaway git worktree,
-# applies the deliberate mutation (drop a pool Put, write a published row,
-# dirty a read path, skip an epoch bump), runs only the check named by the
-# patch file's basename, and asserts taalint exits with code 1 — findings,
-# not a crash (2) and not a pass (0). Any toothless check fails the script.
+# applies the deliberate mutation, runs only the check named by the patch
+# file's basename, and asserts taalint exits with code 1 — findings, not a
+# crash (2) and not a pass (0). Any toothless check fails the script. The
+# four patches: epochbump (skip an epoch bump in SetNodeAlive), panicpath
+# (launch a naked goroutine in the preference build), poolescape (drop the
+# pool Put in solveStages) and snapshotfreeze (write through a captured
+# distance row in a preference-build worker).
 #
 # The snapshot is HEAD plus every tracked, staged and untracked non-ignored
 # change, so an edited check or teeth patch is proven before it is
