@@ -1,109 +1,18 @@
-// Package netstate is the lockorder golden fixture: a miniature oracle
-// whose three lock domains form a deliberate acquisition cycle
-// (pairMu -> typeMu -> swMu -> pairMu), plus the near misses the check
-// must not flag — sequential (non-nested) acquisition, an acyclic
-// nesting, and a goroutine boundary.
+// Package netstate is the walker-rules fixture read through a lock-order
+// lattice (DESIGN.md §6.1): the set of locks that may be held at each
+// point. No check runs on it; TestWalkerRules/lockorder drives the shared
+// path walker over it with a held-set flow of its own.
 package netstate
 
 import "sync"
 
-// Oracle carries the fixture's tracked locks. reviveMu participates in
-// an acyclic nesting only, so it must never be reported.
-type Oracle struct {
-	reviveMu sync.Mutex
-	pairMu   sync.RWMutex
-	typeMu   sync.RWMutex
-	swMu     sync.Mutex
-
-	pairs map[int]int
-	types []string
-	sw    int
-}
-
-// RefreshPairs holds pairMu while refreshing the type table through a
-// helper that acquires typeMu itself: the pairMu -> typeMu edge of the
-// cycle, discovered through the call graph. TRIGGER.
-func (o *Oracle) RefreshPairs() {
-	o.pairMu.Lock()
-	defer o.pairMu.Unlock()
-	o.pairs[0] = 1
-	o.reloadTypes()
-}
-
-// reloadTypes acquires typeMu; with pairMu held at the call site above,
-// its transitive acquire set turns the call into a nesting edge.
-func (o *Oracle) reloadTypes() {
-	o.typeMu.Lock()
-	o.types = append(o.types, "agg")
-	o.typeMu.Unlock()
-}
-
-// RefreshTypes nests swMu directly under typeMu: the typeMu -> swMu
-// edge of the cycle. TRIGGER.
-func (o *Oracle) RefreshTypes() {
-	o.typeMu.Lock()
-	defer o.typeMu.Unlock()
-	o.swMu.Lock()
-	o.sw++
-	o.swMu.Unlock()
-}
-
-// CountPairs nests pairMu under swMu, closing the cycle; this edge is
-// the fixture's deliberately suppressed finding — the escape hatch
-// under test.
-func (o *Oracle) CountPairs() int {
-	o.swMu.Lock()
-	defer o.swMu.Unlock()
-	o.pairMu.RLock() //taalint:lockorder fixture: demonstrates the escape hatch on one edge of the cycle
-	defer o.pairMu.RUnlock()
-	return len(o.pairs) + o.sw
-}
-
-// EnsureLive nests pairMu under reviveMu — a real edge, but an acyclic
-// one (nothing acquires reviveMu while holding another lock), so it is
-// not a finding. NEAR MISS.
-func (o *Oracle) EnsureLive() {
-	o.reviveMu.Lock()
-	defer o.reviveMu.Unlock()
-	o.pairMu.Lock()
-	o.pairs = map[int]int{}
-	o.pairMu.Unlock()
-}
-
-// RebuildSequential takes two cycle locks one after the other — never
-// nested, so no edge at all. NEAR MISS.
-func (o *Oracle) RebuildSequential() {
-	o.pairMu.Lock()
-	o.pairs[1] = 2
-	o.pairMu.Unlock()
-	o.typeMu.Lock()
-	o.types = o.types[:0]
-	o.typeMu.Unlock()
-}
-
-// SpawnStats holds reviveMu while LAUNCHING a goroutine that takes
-// typeMu; starting a goroutine is not nesting — the worker begins with
-// an empty held set — so no reviveMu -> typeMu edge. NEAR MISS.
-func (o *Oracle) SpawnStats(done chan struct{}) {
-	o.reviveMu.Lock()
-	defer o.reviveMu.Unlock()
-	o.sw++
-	go func() {
-		o.typeMu.RLock()
-		_ = len(o.types)
-		o.typeMu.RUnlock()
-		close(done)
-	}()
-}
-
-// cases pins the shared path walker's control-flow rules (DESIGN.md
-// §6.1): each method takes its own lock, runs one control-flow shape and
-// then takes probe, so the graph has an edge from the case's lock to
-// probe exactly when the walker finds the lock held there. probe is never
-// held while another lock is taken, so no case closes a cycle.
+// cases pins the shared path walker's control-flow rules: each method
+// takes its own lock, runs one control-flow shape and then takes probe,
+// so the lock-order graph has an edge from the case's lock to probe
+// exactly when the walker finds the lock held there.
 type cases struct {
-	sw, sel, selb, ret, pan, def, loop sync.Mutex
-	probe                              sync.Mutex
+	sw, sel, selb, ret, pan, def, loop, brk, cont sync.Mutex
+	probe                                         sync.Mutex
 }
 
 func (c *cases) probed() int {
@@ -198,4 +107,30 @@ outer:
 		c.loop.Unlock()
 		c.probed()
 	}
+}
+
+// BreakHoldsLock leaves its loop with a break before the unlock: the
+// break joins the loop's exit with brk held (edge brk -> probe).
+func (c *cases) BreakHoldsLock(rows []int) {
+	for _, v := range rows {
+		c.brk.Lock()
+		if v < 0 {
+			break
+		}
+		c.brk.Unlock()
+	}
+	c.probed()
+}
+
+// ContinueHoldsLock skips the unlock with a continue, so that pass ends
+// with cont held and the loop's exit sees it (edge cont -> probe).
+func (c *cases) ContinueHoldsLock(rows []int) {
+	for _, v := range rows {
+		c.cont.Lock()
+		if v < 0 {
+			continue
+		}
+		c.cont.Unlock()
+	}
+	c.probed()
 }
