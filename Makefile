@@ -1,5 +1,6 @@
 # Developer entry points. CI and the roadmap's tier-1 gate are
-# `make verify`; `make race` is the concurrency gate for the parallel
+# `make verify` (build, vet, lint, test, and a run of every example
+# program); `make race` is the concurrency gate for the parallel
 # preference-matrix build, whose workers must never call the netstate
 # oracle (it is not safe for concurrent use);
 # `make lint` runs taalint, the repo's own determinism / oracle-usage
@@ -8,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint teeth test race shuffle bench bench-json bench-gate bench-baseline chaos perfbench-smoke verify
+.PHONY: all build vet lint teeth test examples race shuffle bench bench-json bench-gate bench-baseline chaos perfbench-smoke verify
 
 all: verify
 
@@ -37,6 +38,17 @@ teeth:
 
 test:
 	$(GO) test ./...
+
+# examples runs every program under examples/, which `go build ./...`
+# only compiles, and fails on the first non-zero exit. Their output is
+# discarded; a failing program's stderr is what shows.
+EXAMPLES = $(sort $(dir $(wildcard examples/*/main.go)))
+
+examples:
+	for e in $(EXAMPLES); do \
+		echo "$(GO) run ./$$e"; \
+		$(GO) run ./$$e > /dev/null || exit 1; \
+	done
 
 race:
 	$(GO) test -race ./...
@@ -103,4 +115,4 @@ perfbench-smoke:
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
 
-verify: build vet lint test
+verify: build vet lint test examples

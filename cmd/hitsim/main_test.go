@@ -146,4 +146,22 @@ func TestRunCheckpointMismatchSurfaces(t *testing.T) {
 	if err := run(bad, io.Discard); !errors.Is(err, sim.ErrCheckpointMismatch) {
 		t.Fatalf("want ErrCheckpointMismatch, got %v", err)
 	}
+
+	// A corrupted file under the matching configuration: a map's wave index
+	// past the job's waves is a mismatch (exit 3), not an index panic.
+	ck, err := loadCheckpoint(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Jobs[0].MapWaveOf[0] = 99
+	corrupt := filepath.Join(dir, "corrupt.ck")
+	if err := checkpointSink(corrupt)(ck); err != nil {
+		t.Fatal(err)
+	}
+	same := base()
+	same.nJobs, same.seed = 2, 7
+	same.resume = corrupt
+	if err := run(same, io.Discard); !errors.Is(err, sim.ErrCheckpointMismatch) {
+		t.Fatalf("corrupt checkpoint: want ErrCheckpointMismatch, got %v", err)
+	}
 }

@@ -12,7 +12,7 @@ import (
 // the binary — one extra draw anywhere perturbs every downstream decision,
 // and rand.Seed has been a no-op-with-warning since Go 1.20. Every
 // randomized component in this repository takes an injected seeded
-// *rand.Rand (see scheduler.Request.Rand, hdfs.NewNameNode,
+// *rand.Rand (see scheduler.Request.Rand, faults.GenerateTimeline,
 // workload generators); constructing one via rand.New(rand.NewSource(seed))
 // is the allowed path.
 type RNGSource struct{}

@@ -4,8 +4,8 @@
 //
 // Before this package existed, every consumer — Algorithm 1 in
 // internal/controller, the preference-matrix build in internal/core, the
-// PNA/CAM/DelayScheduling baselines, the YARN DelayFetcher and the
-// flow-level simulator — independently re-ran BFS and re-scanned the switch
+// PNA and CAM baselines, the YARN DelayFetcher and the flow-level
+// simulator — independently re-ran BFS and re-scanned the switch
 // inventory on every query, making the hot scheduling paths
 // O(containers × servers × flows × BFS). The Oracle computes each
 // per-source BFS distance table, shortest path, switch-type template,

@@ -19,7 +19,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/flow"
-	"repro/internal/hdfs"
 	"repro/internal/netstate"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -49,10 +48,6 @@ type Request struct {
 	// (e.g. the single reduce wave while later map waves are scheduled,
 	// §5.3.2).
 	Fixed map[cluster.ContainerID]bool
-	// BlockOf records each map container's HDFS input block, when the
-	// workload carries real block placements (see AssignJobBlocks). Only
-	// locality-aware schedulers consult it.
-	BlockOf map[cluster.ContainerID]hdfs.BlockID
 	// Rand drives any stochastic choices. Required.
 	Rand *rand.Rand
 	// Degraded opts into graceful degradation: on infeasibility the

@@ -419,7 +419,6 @@ func TestSchedulerNames(t *testing.T) {
 		"pna":        PNA{},
 		"bruteforce": BruteForce{},
 		"cam":        CAM{},
-		"delaysched": DelayScheduling{},
 	}
 	for want, s := range names {
 		if got := s.Name(); got != want {

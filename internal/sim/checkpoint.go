@@ -44,7 +44,8 @@ var (
 	ErrHalted = errors.New("sim: run halted at wave boundary")
 	// ErrCheckpointMismatch marks a resume whose checkpoint was taken
 	// under a different configuration (scheduler, topology, seed,
-	// workload, arrivals) than the resuming engine's.
+	// workload, arrivals) than the resuming engine's, or whose recorded
+	// indices and placements do not fit that configuration.
 	ErrCheckpointMismatch = errors.New("sim: checkpoint does not match run configuration")
 )
 
@@ -176,16 +177,13 @@ func (e *Engine) configDigest(jobs []*workload.Job, arrivals []float64) uint64 {
 
 // checkpointable rejects run modes the checkpoint format does not cover:
 // fault injection re-randomizes at boundaries the checkpoint cannot see,
-// HDFS mode carries NameNode block state outside the engine, and a reused
-// engine starts from a non-pristine RNG/cluster.
+// and a used engine starts from a non-pristine RNG/cluster.
 func (e *Engine) checkpointable() error {
 	switch {
 	case !e.opts.Faults.Empty():
 		return fmt.Errorf("sim: checkpoint/restore is incompatible with fault injection")
-	case e.opts.NameNode != nil:
-		return fmt.Errorf("sim: checkpoint/restore is incompatible with HDFS mode")
-	case e.runSeq != 1:
-		return fmt.Errorf("sim: checkpoint/restore requires a fresh engine (run %d)", e.runSeq)
+	case e.used:
+		return fmt.Errorf("sim: checkpoint/restore requires a fresh engine")
 	}
 	return nil
 }
@@ -246,6 +244,9 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 	if len(ck.Jobs) != len(jobs) {
 		return nil, 0, 0, fmt.Errorf("sim: checkpoint has %d jobs, run has %d: %w", len(ck.Jobs), len(jobs), ErrCheckpointMismatch)
 	}
+	if ck.Wave < 0 {
+		return nil, 0, 0, fmt.Errorf("sim: checkpoint wave %d is negative: %w", ck.Wave, ErrCheckpointMismatch)
+	}
 
 	// Recreate every recorded container in ascending ID order so the
 	// sequential NewContainer counter reproduces each recorded ID exactly;
@@ -253,8 +254,8 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 	var all []ContainerCK
 	for i := range ck.Jobs {
 		jc := &ck.Jobs[i]
-		if len(jc.MapCts) != jobs[i].NumMaps || len(jc.MapWaveOf) != jobs[i].NumMaps || len(jc.ReduceCts) != jobs[i].NumReduces {
-			return nil, 0, 0, fmt.Errorf("sim: checkpoint job %d shape does not match workload: %w", i, ErrCheckpointMismatch)
+		if err := e.checkJob(jc, jobs[i]); err != nil {
+			return nil, 0, 0, fmt.Errorf("sim: checkpoint job %d: %v: %w", i, err, ErrCheckpointMismatch)
 		}
 		all = append(all, jc.ReduceCts...)
 		for _, mk := range jc.MapCts {
@@ -274,7 +275,7 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 		}
 		if rec.Server != topology.None {
 			if err := e.cl.Place(rec.ID, rec.Server); err != nil {
-				return nil, 0, 0, err
+				return nil, 0, 0, fmt.Errorf("sim: restoring container %d: %v: %w", rec.ID, err, ErrCheckpointMismatch)
 			}
 		}
 	}
@@ -311,4 +312,46 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 	}
 	e.rngSrc.FastForward(ck.RNGDraws)
 	return states, ck.NextFlowID, ck.Wave + 1, nil
+}
+
+// checkJob rejects a job record whose indices the resumed loop cannot
+// trust: each one later indexes a slice sized by the workload, by the
+// job's waves or by the fabric.
+func (e *Engine) checkJob(jc *JobCheckpoint, job *workload.Job) error {
+	if len(jc.MapCts) != job.NumMaps || len(jc.MapWaveOf) != job.NumMaps || len(jc.ReduceCts) != job.NumReduces {
+		return fmt.Errorf("shape does not match workload")
+	}
+	if jc.NextMap < 0 || jc.NextMap > job.NumMaps {
+		return fmt.Errorf("NextMap %d outside [0, %d]", jc.NextMap, job.NumMaps)
+	}
+	// A job takes one or more maps in every wave it joins.
+	if jc.NumWaves < 0 || jc.NumWaves > job.NumMaps {
+		return fmt.Errorf("NumWaves %d outside [0, %d]", jc.NumWaves, job.NumMaps)
+	}
+	for m, mk := range jc.MapCts {
+		if (mk.ID != cluster.NoContainer) != (m < jc.NextMap) {
+			return fmt.Errorf("map %d has container %d with NextMap %d", m, mk.ID, jc.NextMap)
+		}
+		if w := jc.MapWaveOf[m]; m < jc.NextMap && (w < 0 || w >= jc.NumWaves) {
+			return fmt.Errorf("map %d MapWaveOf %d outside [0, %d)", m, w, jc.NumWaves)
+		}
+	}
+	for _, fc := range jc.Flows {
+		switch {
+		case fc.MapIndex < 0 || fc.MapIndex >= jc.NextMap:
+			return fmt.Errorf("flow %d MapIndex %d outside [0, %d)", fc.ID, fc.MapIndex, jc.NextMap)
+		case fc.ReduceIndex < 0 || fc.ReduceIndex >= job.NumReduces:
+			return fmt.Errorf("flow %d ReduceIndex %d outside [0, %d)", fc.ID, fc.ReduceIndex, job.NumReduces)
+		case fc.Src != jc.MapCts[fc.MapIndex].ID:
+			return fmt.Errorf("flow %d Src %d is not map %d's container", fc.ID, fc.Src, fc.MapIndex)
+		case fc.Dst != jc.ReduceCts[fc.ReduceIndex].ID:
+			return fmt.Errorf("flow %d Dst %d is not reduce %d's container", fc.ID, fc.Dst, fc.ReduceIndex)
+		}
+		for _, n := range fc.Route {
+			if !e.topo.Valid(n) {
+				return fmt.Errorf("flow %d route node %d is not in the fabric", fc.ID, n)
+			}
+		}
+	}
+	return nil
 }

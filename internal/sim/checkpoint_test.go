@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -156,6 +157,71 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestCheckpointCorruptionRejected: a checkpoint whose indices do not fit
+// the workload or the fabric fails with ErrCheckpointMismatch before the
+// resumed loop reads them, one rule per case; none may panic.
+func TestCheckpointCorruptionRejected(t *testing.T) {
+	jobs := ckJobs(t, 3)
+	_, cks := runUninterrupted(t, 3, jobs)
+	// partial is a job with maps still unplaced at the first boundary.
+	partial := -1
+	for i, jc := range cks[0].Jobs {
+		if jc.NextMap < jobs[i].NumMaps && len(jc.Flows) > 0 {
+			partial = i
+			break
+		}
+	}
+	if partial < 0 {
+		t.Fatal("no job left maps for a later wave; workload too small")
+	}
+	for _, tc := range []struct {
+		name   string
+		want   string
+		mutate func(ck *Checkpoint, jc *JobCheckpoint)
+	}{
+		{"wave-negative", "wave", func(ck *Checkpoint, _ *JobCheckpoint) { ck.Wave = -5 }},
+		{"next-map-negative", "NextMap", func(_ *Checkpoint, jc *JobCheckpoint) { jc.NextMap = -3 }},
+		{"next-map-past-maps", "NextMap", func(_ *Checkpoint, jc *JobCheckpoint) { jc.NextMap = jobs[partial].NumMaps + 1 }},
+		{"num-waves-negative", "NumWaves", func(_ *Checkpoint, jc *JobCheckpoint) { jc.NumWaves = -1 }},
+		{"num-waves-past-maps", "NumWaves", func(_ *Checkpoint, jc *JobCheckpoint) { jc.NumWaves = jobs[partial].NumMaps + 1 }},
+		{"map-container-missing", "has container", func(_ *Checkpoint, jc *JobCheckpoint) { jc.MapCts[0].ID = cluster.NoContainer }},
+		{"map-container-past-next-map", "has container", func(_ *Checkpoint, jc *JobCheckpoint) { jc.MapCts[jc.NextMap].ID = 999 }},
+		{"map-wave-past-waves", "MapWaveOf", func(_ *Checkpoint, jc *JobCheckpoint) { jc.MapWaveOf[0] = 99 }},
+		{"map-wave-negative", "MapWaveOf", func(_ *Checkpoint, jc *JobCheckpoint) { jc.MapWaveOf[0] = -1 }},
+		{"flow-map-past-next-map", "MapIndex", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].MapIndex = jc.NextMap }},
+		{"flow-map-negative", "MapIndex", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].MapIndex = -1 }},
+		{"flow-reduce-past-reduces", "ReduceIndex", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].ReduceIndex = 99 }},
+		{"flow-reduce-negative", "ReduceIndex", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].ReduceIndex = -1 }},
+		{"flow-src-not-its-map", "Src", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].Src = jc.Flows[0].Dst }},
+		{"flow-dst-not-its-reduce", "Dst", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].Dst = jc.Flows[0].Src }},
+		{"route-node-unknown", "route node", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].Route[0] = 99999 }},
+		{"route-node-negative", "route node", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].Route[0] = -2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := cks[0].Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := LoadCheckpoint(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(ck, &ck.Jobs[partial])
+			eng, err := New(chaosTopo(t), ckRes(), &core.HitScheduler{}, Options{Seed: 3, Resume: ck})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = eng.Run(jobs)
+			if !errors.Is(err, ErrCheckpointMismatch) {
+				t.Fatalf("want ErrCheckpointMismatch, got %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestCheckpointRefusesUncoveredModes: fault injection and engine reuse
 // carry state the checkpoint format does not capture, so enabling
 // checkpointing there must error out rather than write resumable lies.
@@ -184,6 +250,35 @@ func TestCheckpointRefusesUncoveredModes(t *testing.T) {
 	}
 	if _, err := reused.Run(jobs); err == nil {
 		t.Error("checkpointing a reused engine did not error")
+	}
+}
+
+// TestRejectedRunKeepsEngineFresh: a call refused before it touches the
+// cluster or the RNG leaves the engine fresh, so a checkpointed run on it
+// still runs, bit-identical to one on a new engine.
+func TestRejectedRunKeepsEngineFresh(t *testing.T) {
+	jobs := ckJobs(t, 4)
+	want, wantCks := runUninterrupted(t, 4, jobs)
+	var cks []*Checkpoint
+	eng, err := New(chaosTopo(t), ckRes(), &core.HitScheduler{}, Options{
+		Seed:           4,
+		CheckpointSink: func(c *Checkpoint) error { cks = append(cks, c); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunWithArrivals(jobs, []float64{0}); err == nil {
+		t.Fatal("arrivals of the wrong length accepted")
+	}
+	got, err := eng.Run(jobs)
+	if err != nil {
+		t.Fatalf("checkpointed run after a rejected call: %v", err)
+	}
+	if !reflect.DeepEqual(resultFingerprint(want), resultFingerprint(got)) {
+		t.Error("run after a rejected call diverges from a fresh engine's")
+	}
+	if !reflect.DeepEqual(wantCks, cks) {
+		t.Error("checkpoints after a rejected call differ from a fresh engine's")
 	}
 }
 

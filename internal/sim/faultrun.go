@@ -58,9 +58,6 @@ type RunReport struct {
 // reactor restores the no-dead-switch / no-overload invariants before the
 // wave's shuffle routes are snapshot. Jobs gate on their arrival time.
 func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64) (*Result, error) {
-	if e.opts.NameNode != nil {
-		return nil, fmt.Errorf("sim: fault injection does not support HDFS block placement")
-	}
 	plan := e.opts.Faults
 	model := plan.Tasks
 	budget := model.Budget()

@@ -29,7 +29,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/faults"
 	"repro/internal/flow"
-	"repro/internal/hdfs"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/scheduler"
@@ -39,12 +38,6 @@ import (
 
 // Options tunes the engine.
 type Options struct {
-	// NameNode, when set, materializes each job's input as HDFS blocks with
-	// rack-aware replica placement; per-map remote-input traffic then
-	// depends on where the scheduler lands each map (instead of the job's
-	// statistical RemoteMapGB), and locality-aware schedulers can consult
-	// Request.BlockOf.
-	NameNode *hdfs.NameNode
 	// Seed drives every stochastic choice (generator-independent).
 	Seed int64
 	// Faults, when non-nil and non-empty, switches the run onto the
@@ -55,8 +48,8 @@ type Options struct {
 	Faults *faults.Plan
 	// CheckpointSink, when non-nil, receives the joint-loop run state at
 	// every wave boundary (checkpoint.go). Checkpointing is restricted to
-	// fault-free, non-HDFS runs on a fresh engine — the only modes whose
-	// full state the format captures.
+	// fault-free runs on a fresh engine — the only mode whose full state
+	// the format captures.
 	CheckpointSink func(*Checkpoint) error
 	// Resume, when non-nil, restores the run from a wave-boundary
 	// checkpoint instead of starting at round 0; the resumed run's output
@@ -84,7 +77,9 @@ type Engine struct {
 	opts   Options
 	rng    *rand.Rand
 	rngSrc *CountingSource
-	runSeq int
+	// used marks an engine that has started a run: a run with jobs that
+	// passed validation. Only a fresh engine may checkpoint or resume.
+	used bool
 }
 
 // New builds an engine over topo with per-server resources serverRes.
@@ -154,10 +149,8 @@ type jobState struct {
 	failed            bool
 	firstEnd, lastEnd float64
 
-	// Legacy loop: the next map to place and the HDFS input.
-	nextMap  int
-	file     *hdfs.File // input blocks when HDFS is enabled
-	mapFetch []float64  // per-map remote-read bytes (HDFS mode)
+	// Legacy loop: the next map to place.
+	nextMap int
 
 	// Fault loop: per-map attempts consumed, earliest re-schedulable time
 	// (retry backoff) and completion.
@@ -264,9 +257,8 @@ type JobStats struct {
 	TrafficCost float64
 	// DelayCost is the §2.3 GB·T metric (size × route latency summed).
 	DelayCost float64
-	// RemoteMapGB is the map-input bytes read across the network — measured
-	// from HDFS replica placement when a NameNode is configured, the job's
-	// statistical value otherwise.
+	// RemoteMapGB is the map-input bytes read across the network: an equal
+	// share of the job's statistical RemoteMapGB per completed map.
 	RemoteMapGB float64
 	// MapWaves is how many scheduling waves the maps needed.
 	MapWaves int
@@ -320,7 +312,6 @@ func (e *Engine) Run(jobs []*workload.Job) (*Result, error) {
 // network.
 func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Result, error) {
 	res := &Result{Scheduler: e.sched.Name()}
-	e.runSeq++
 	if len(jobs) == 0 {
 		return res, nil
 	}
@@ -346,6 +337,7 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 			return nil, err
 		}
 	}
+	e.used = true
 	if !e.opts.Faults.Empty() {
 		return e.runFaulty(res, jobs, arrivals)
 	}
@@ -366,14 +358,6 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 			st, err := e.newJob(job, arrivals[i])
 			if err != nil {
 				return nil, err
-			}
-			if e.opts.NameNode != nil {
-				blockGB := job.InputGB / float64(job.NumMaps)
-				name := fmt.Sprintf("run%d-job%d-input", e.runSeq, job.ID)
-				if st.file, err = e.opts.NameNode.Create(name, job.InputGB, blockGB); err != nil {
-					return nil, err
-				}
-				st.mapFetch = make([]float64, job.NumMaps)
 			}
 			states[i] = st
 		}
@@ -424,9 +408,6 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 				Fixed:      make(map[cluster.ContainerID]bool),
 				Rand:       e.rng,
 			}
-			if st.file != nil {
-				req.BlockOf = make(map[cluster.ContainerID]hdfs.BlockID)
-			}
 			if wave == 0 {
 				for r, c := range st.reduceCts {
 					req.Tasks = append(req.Tasks, scheduler.Task{
@@ -455,13 +436,6 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 				req.Tasks = append(req.Tasks, scheduler.Task{
 					Job: st.job, Kind: workload.MapTask, Index: m, Container: ct.ID,
 				})
-				if st.file != nil {
-					bi := m
-					if bi >= len(st.file.Blocks) {
-						bi = len(st.file.Blocks) - 1
-					}
-					req.BlockOf[ct.ID] = st.file.Blocks[bi]
-				}
 			}
 			for m := st.nextMap; m < st.nextMap+batch; m++ {
 				st.addFlows(req, m, &nextFlowID)
@@ -478,19 +452,6 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 					return nil, err
 				}
 			}
-			// With HDFS enabled, measure each placed map's remote input read
-			// from its nearest replica.
-			if st.file != nil {
-				for m := st.nextMap; m < st.nextMap+batch; m++ {
-					srv := e.cl.Container(st.mapCts[m]).Server()
-					gb, err := e.opts.NameNode.RemoteReadGB(st.file, req.BlockOf[st.mapCts[m]], srv)
-					if err != nil {
-						return nil, err
-					}
-					st.mapFetch[m] = gb
-				}
-			}
-
 			// Release this wave's flow policies once recorded; their switch
 			// load should not constrain later waves (they run earlier in
 			// time).
@@ -524,11 +485,9 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 	}
 
 	// Timeline: each job's map waves run back to back from its arrival.
-	// Without HDFS, remote input is the job's statistical RemoteMapGB
-	// spread over its maps; with HDFS, it is each map's measured
-	// nearest-replica read. A map fetches at 1 GB per time unit, so its
-	// fetch time is its remote GB. Every flow starts when its map's wave
-	// ends.
+	// Every map fetches an equal share of the job's statistical
+	// RemoteMapGB at 1 GB per time unit, so its fetch time is its remote
+	// GB. Every flow starts when its map's wave ends.
 	for _, st := range states {
 		perMap := st.job.RemoteMapGB / float64(st.job.NumMaps)
 		waveEnd := make([]float64, st.numWaves)
@@ -539,12 +498,8 @@ func (e *Engine) RunWithArrivals(jobs []*workload.Job, arrivals []float64) (*Res
 				if st.mapWaveOf[m] != w || st.mapCts[m] == cluster.NoContainer {
 					continue
 				}
-				fetch := perMap
-				if st.file != nil {
-					fetch = st.mapFetch[m]
-				}
-				st.remoteGB += fetch
-				st.mapTimes[m] = st.job.MapComputeSec[m] + fetch
+				st.remoteGB += perMap
+				st.mapTimes[m] = st.job.MapComputeSec[m] + perMap
 				if st.mapTimes[m] > waveMax {
 					waveMax = st.mapTimes[m]
 				}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/hdfs"
 	"repro/internal/scheduler"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -240,81 +239,6 @@ func TestEngineAccessors(t *testing.T) {
 	}
 	if eng.Cluster().Topology() != topo {
 		t.Error("topology mismatch")
-	}
-}
-
-func TestRunWithHDFSMeasuresRemoteMapTraffic(t *testing.T) {
-	topo := paperTopo(t)
-	nn, err := hdfs.NewNameNode(topo, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := genJobs(t, 2, 31)
-	eng, err := New(topo, cluster.Resources{CPU: 4, Memory: 8192}, scheduler.DelayScheduling{NameNode: nn, SkipBudget: 3},
-		Options{Seed: 8, NameNode: nn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Remote map traffic is measured, not statistical: with delay scheduling
-	// and 3 replicas it should be far below the total input.
-	var input, remote float64
-	for i, js := range res.Jobs {
-		input += jobs[i].InputGB
-		remote += js.RemoteMapGB
-	}
-	if remote < 0 || remote >= input {
-		t.Errorf("remote map GB = %v for %v GB input", remote, input)
-	}
-	// Delay scheduling should read less remotely than Random on the same
-	// workload.
-	topo2 := paperTopo(t)
-	nn2, err := hdfs.NewNameNode(topo2, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs2 := genJobs(t, 2, 31)
-	eng2, err := New(topo2, cluster.Resources{CPU: 4, Memory: 8192}, scheduler.Random{}, Options{Seed: 8, NameNode: nn2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := eng2.Run(jobs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var remoteRnd float64
-	for _, js := range res2.Jobs {
-		remoteRnd += js.RemoteMapGB
-	}
-	if remote >= remoteRnd {
-		t.Errorf("delaysched remote %v >= random remote %v", remote, remoteRnd)
-	}
-	t.Logf("remote map GB: delaysched=%.2f random=%.2f (input %.1f)", remote, remoteRnd, input)
-}
-
-func TestRunWithHDFSRepeatedRunsDistinctFiles(t *testing.T) {
-	topo := paperTopo(t)
-	nn, err := hdfs.NewNameNode(topo, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(topo, cluster.Resources{CPU: 4, Memory: 8192}, scheduler.Capacity{}, Options{Seed: 2, NameNode: nn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := genJobs(t, 1, 9)
-	if _, err := eng.Run(jobs); err != nil {
-		t.Fatal(err)
-	}
-	// A second Run must not collide on HDFS file names. Note containers from
-	// the first run still occupy the cluster only if unreleased; maps were
-	// released per wave and reduces remain — use fresh jobs small enough.
-	jobs2 := genJobs(t, 1, 10)
-	if _, err := eng.Run(jobs2); err != nil {
-		t.Fatalf("second run: %v", err)
 	}
 }
 

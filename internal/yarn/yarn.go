@@ -83,7 +83,6 @@ type pendingRequest struct {
 type appState struct {
 	id          AppID
 	name        string
-	queue       string // "" when queues are not configured
 	pending     []*pendingRequest
 	allocations []Allocation
 	containers  map[cluster.ContainerID]bool
@@ -109,8 +108,6 @@ type ResourceManager struct {
 	// RelaxAfter is the scheduling-opportunity budget before locality
 	// relaxation; defaults to the server count (one full sweep).
 	RelaxAfter int
-	// queueShare holds normalized leaf-queue shares (nil = no queues).
-	queueShare map[string]float64
 }
 
 // NewResourceManager wraps a cluster.
@@ -316,7 +313,7 @@ func (rm *ResourceManager) Heartbeat(node topology.NodeID) (int, error) {
 		return 0, fmt.Errorf("yarn: heartbeat from non-server node %d", node)
 	}
 	granted := 0
-	for _, id := range rm.appOrder() {
+	for _, id := range rm.order {
 		st := rm.apps[id]
 		// Grant host-preferring requests first, then rack, then any.
 		for _, level := range []matchLevel{matchHost, matchRack, matchAny} {
