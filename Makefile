@@ -104,15 +104,19 @@ chaos:
 
 # perfbench-smoke runs the repository benchmark's own checks, which the
 # root `go test ./...` does not reach (perfbench is its own module): the
-# module's tests, then a short run of every workload. Each run fails (exit
-# 1) on any output check — §3 type templates, stablematch.IsStable on the
-# probe matchings, and the Float64bits determinism guard over every op.
+# module's tests, then a short run of every workload, untraced and then
+# traced. The traced run drives the per-layer probes, which alone call
+# BestRoute twice per pair and read the oracle's MemoryStats. Each run
+# fails (exit 1) on any output check — §3 type templates,
+# stablematch.IsStable on the probe matchings, and the Float64bits
+# determinism guard over every op.
 PERFBENCH_WORKLOADS = testbed-fig6 rack10k-plan fattree-faults
 
 perfbench-smoke:
 	cd perfbench && $(GO) test .
 	for w in $(PERFBENCH_WORKLOADS); do \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; \
 	done
 
 verify: build vet lint test examples

@@ -94,9 +94,8 @@ func run(nJobs int, seed int64, out string) error {
 	// structural mode) and the process peak RSS, printed next to the
 	// learned profiles so capacity planning sees memory with accuracy.
 	ms := eng.Controller().Oracle().MemoryStats()
-	fmt.Printf("oracle caches: structural=%v approx %.2f MB (dist rows %d, routes %d+%d, switch-pair slots %d)\n",
-		ms.Structural, float64(ms.ApproxBytes)/1e6,
-		ms.DistRows, ms.RoutesDense, ms.RoutesMap, ms.SwitchPairEntries)
+	fmt.Printf("oracle caches: structural=%v approx %.2f MB (dist rows %d, switch-pair slots %d)\n",
+		ms.Structural, float64(ms.ApproxBytes)/1e6, ms.DistRows, ms.SwitchPairEntries)
 	if rss, ok := procstat.PeakRSSBytes(); ok {
 		fmt.Printf("process peak RSS: %.2f MB\n", float64(rss)/1e6)
 	} else {

@@ -12,13 +12,11 @@
 // Every placement layer (controller, Hit-Scheduler core, the baselines, the
 // YARN fetcher and the network simulator) queries one shared path/cost
 // oracle, internal/netstate, instead of re-running BFS per decision. The
-// oracle follows an epoch-invalidation contract: structure-derived caches
-// (distances, paths, type templates, candidate stages) never expire because
-// the graph is immutable after Build, while parameter-derived views (switch
-// headroom, bottleneck bandwidths) are valid only for the epoch — bumped by
-// controller Install/Uninstall/Reset and by topology capacity/bandwidth
-// changes — at which they were computed. See internal/netstate's package
-// documentation for the full contract.
+// oracle memoizes only structure-derived answers (distances, paths, type
+// templates, candidate stages): the graph is immutable after Build, so they
+// expire only when a node crashes or recovers, and nothing it keeps depends
+// on switch load, capacity or link bandwidth. See internal/netstate's
+// package documentation for the full contract.
 //
 // The library lives under internal/; executables under cmd/ (hitsim,
 // hitbench, topoviz) and runnable examples under examples/ exercise it. The

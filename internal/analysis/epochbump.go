@@ -4,23 +4,23 @@ import (
 	"go/ast"
 )
 
-// EpochBump enforces the netstate epoch-invalidation contract at the
-// source level. Two rules:
+// EpochBump enforces the topology's version contract at the source
+// level. Two rules:
 //
 //  1. Write containment: any assignment to a cache-relevant field —
-//     topology node/link/liveness state, controller policy/rate/load
-//     state, cluster allocation state — outside the blessed mutator set
-//     below is an error. The pair-route cache (PR 3) and the liveness
-//     layer (PR 4) are only correct because every such mutation flows
-//     through a setter that bumps the matching version counter; a stray
+//     topology node/link/liveness state, cluster allocation state —
+//     outside the blessed mutator set below is an error. The netstate
+//     oracle's liveness contract and the controller's capacity bound are
+//     only correct because every such mutation flows through a setter
+//     that bumps the matching version counter; a stray
 //     `t.alive[i] = false` serves stale routes until the next unrelated
 //     bump.
 //
 //  2. Bump proof: every blessed mutator that is not construction-exempt
 //     must be proven — by abstract interpretation over the module call
-//     graph — to bump an epoch counter (Topology.version,
-//     Topology.liveVersion or Oracle.epoch, directly or via a callee such
-//     as Oracle.BumpEpoch) on EVERY path that performs a monitored write.
+//     graph — to bump a version counter (Topology.version or
+//     Topology.liveVersion, directly or via a callee) on EVERY path that
+//     performs a monitored write.
 //     Paths that return without writing (validation failures, no-op
 //     flips) carry no obligation; paths that write and return without a
 //     bump are findings.
@@ -46,7 +46,7 @@ func (EpochBump) Name() string { return "epochbump" }
 
 // Doc implements Check.
 func (EpochBump) Doc() string {
-	return "cache-relevant topology/controller/cluster fields may only be written by blessed mutators, which must bump an epoch on every mutating path"
+	return "cache-relevant topology/cluster fields may only be written by blessed mutators, which must bump an epoch on every mutating path"
 }
 
 // ebRule describes one blessed mutator.
@@ -75,10 +75,6 @@ var ebBlessed = map[string]ebRule{
 	"topology.(Builder).AddSwitch": {exempt: true},
 	"topology.(Builder).Connect":   {exempt: true},
 	"topology.(Builder).Build":     {exempt: true},
-	// Controller state mutations: each must end in Oracle.BumpEpoch.
-	"controller.(Controller).Install":   {},
-	"controller.(Controller).Uninstall": {},
-	"controller.(Controller).Reset":     {},
 	// Cluster allocation bookkeeping (uncached; see exempt doc above).
 	"cluster.(Cluster).SetServerCapacity": {exempt: true},
 	"cluster.(Cluster).Place":             {exempt: true},
@@ -99,10 +95,6 @@ var ebMonitored = map[string]bool{
 	"topology.Topology.alive":    true,
 	"topology.Topology.numDead":  true,
 
-	"controller.Controller.policies": true,
-	"controller.Controller.rates":    true,
-	"controller.Controller.load":     true,
-
 	"cluster.serverState.capacity":   true,
 	"cluster.serverState.used":       true,
 	"cluster.serverState.containers": true,
@@ -114,7 +106,6 @@ var ebMonitored = map[string]bool{
 var ebEpochFields = map[string]bool{
 	"topology.Topology.version":     true,
 	"topology.Topology.liveVersion": true,
-	"netstate.Oracle.epoch":         true,
 }
 
 // RunModule implements ModuleCheck.

@@ -10,16 +10,16 @@ import (
 // This file is taalint v2's module-level index: a lightweight call graph
 // plus a field-access index built once over every loaded package (the
 // dataflow helpers the checks share over it live in flow.go). The
-// per-file AST checks of v1 cannot see that a controller mutation three
-// calls away fails to bump the netstate epoch; module checks (epochbump)
-// consult this index instead of re-walking the world.
+// per-file AST checks of v1 cannot see that a topology mutation three
+// calls away fails to bump the liveness version; module checks
+// (epochbump) consult this index instead of re-walking the world.
 //
 // Functions are keyed by strings — "pkg/path.Name" for package functions,
 // "pkg/path.(Recv).Name" for methods, pointer receivers normalized away —
 // because the loader type-checks each package independently: the
-// *types.Func object for netstate.BumpEpoch seen from a directly loaded
-// internal/netstate is NOT identical to the one controller sees through
-// the source importer, but both render to the same key.
+// *types.Func object for netstate.(Oracle).BestRoute seen from a directly
+// loaded internal/netstate is NOT identical to the one controller sees
+// through the source importer, but both render to the same key.
 //
 // The call graph is static and best-effort: direct calls and method calls
 // with a concrete receiver resolve; calls through interfaces, function

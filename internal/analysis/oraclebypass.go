@@ -7,11 +7,10 @@ import (
 
 // OracleBypass enforces the PR 1 invariant behind internal/netstate: all
 // path, BFS-distance and switch-inventory queries go through the shared
-// epoch-versioned oracle. Calling the raw *topology.Topology query methods
+// liveness-aware oracle. Calling the raw *topology.Topology query methods
 // from a consumer package silently reintroduces the O(containers × servers
-// × flows × BFS) behavior the oracle removed, and — because the raw
-// methods know nothing about the controller's epoch — can disagree with
-// what every other layer sees after a capacity or bandwidth mutation.
+// × flows × BFS) behavior the oracle removed, and the raw closed forms
+// below answer for the healthy graph even after a switch has crashed.
 //
 // Forbidden outside internal/netstate (and internal/topology itself):
 // Topology.Dist, ShortestPath, ShortestPathDAG, PathLatency, AccessSwitch

@@ -62,8 +62,6 @@ var sfSources = map[string]bool{
 	"(Oracle).NearestByDist":     true,
 	"(Oracle).TypeTemplate":      true,
 	"(Oracle).BestRoute":         true,
-	"(Oracle).Headroom":          true,
-	"(Oracle).Load":              true,
 	"(Oracle).SwitchesOfType":    true,
 	"(Oracle).StagesForTemplate": true,
 	"(Oracle).AccessSwitch":      true,

@@ -64,12 +64,9 @@ func New(topo *topology.Topology) *Controller {
 	return NewWithOracle(topo, netstate.New(topo))
 }
 
-// NewWithOracle returns an empty controller sharing the given oracle. The
-// controller binds its switch-load view to the oracle and bumps the
-// oracle's epoch on every state mutation, upholding the netstate
-// epoch-invalidation contract.
+// NewWithOracle returns an empty controller sharing the given oracle.
 func NewWithOracle(topo *topology.Topology, o *netstate.Oracle) *Controller {
-	c := &Controller{
+	return &Controller{
 		topo:     topo,
 		oracle:   o,
 		cost:     flow.NewCostModelWithOracle(o),
@@ -77,8 +74,6 @@ func NewWithOracle(topo *topology.Topology, o *netstate.Oracle) *Controller {
 		rates:    make(map[flow.ID]float64),
 		load:     make([]float64, topo.NumNodes()),
 	}
-	o.BindLoad(c.loadAt)
-	return c
 }
 
 // Topology returns the managed topology.
@@ -100,22 +95,12 @@ func (c *Controller) Policies() map[flow.ID]*flow.Policy { return c.policies }
 func (c *Controller) NumPolicies() int { return len(c.policies) }
 
 // Load returns the aggregate rate currently routed through switch w
-// (Σ_{p_k ∈ A(w)} f_k.rate).
-func (c *Controller) Load(w topology.NodeID) float64 { return c.loadAt(w) }
-
-// loadAt is Load with a bounds guard, so unknown node IDs read as zero
-// (matching the historical map semantics).
-func (c *Controller) loadAt(w topology.NodeID) float64 {
+// (Σ_{p_k ∈ A(w)} f_k.rate). Unknown node IDs read as zero.
+func (c *Controller) Load(w topology.NodeID) float64 {
 	if w < 0 || int(w) >= len(c.load) {
 		return 0
 	}
 	return c.load[w]
-}
-
-// Headroom returns a switch's remaining capacity, via the oracle's
-// epoch-cached headroom view.
-func (c *Controller) Headroom(w topology.NodeID) float64 {
-	return c.oracle.Headroom(w)
 }
 
 // selfLoad returns the rate flow id already contributes to switch w, so
@@ -217,9 +202,7 @@ func (c *Controller) FitsEverywhere(rate float64) bool {
 // Install validates and installs a policy for f, replacing any previous
 // policy of the same flow and updating switch loads. Installation fails if
 // the policy is not satisfied (type/order check) or any switch lacks
-// capacity; on failure the previous policy remains installed. Blessed
-// epochbump mutator: taalint proves the oracle epoch bump on every path
-// that touches policies/rates/load.
+// capacity; on failure the previous policy remains installed.
 func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 	if err := f.Validate(); err != nil {
 		return err
@@ -286,12 +269,11 @@ func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 			c.loadHigh = l
 		}
 	}
-	c.oracle.BumpEpoch()
 	return nil
 }
 
 // Uninstall removes a flow's policy and releases its switch load. Unknown
-// flows are ignored. Blessed epochbump mutator: see Install.
+// flows are ignored.
 func (c *Controller) Uninstall(id flow.ID) {
 	p, ok := c.policies[id]
 	if !ok {
@@ -305,16 +287,14 @@ func (c *Controller) Uninstall(id flow.ID) {
 	}
 	delete(c.policies, id)
 	delete(c.rates, id)
-	c.oracle.BumpEpoch()
 }
 
-// Reset removes every policy. Blessed epochbump mutator: see Install.
+// Reset removes every policy.
 func (c *Controller) Reset() {
 	c.policies = make(map[flow.ID]*flow.Policy)
 	c.rates = make(map[flow.ID]float64)
 	c.load = make([]float64, c.topo.NumNodes())
 	c.loadHigh = 0
-	c.oracle.BumpEpoch()
 }
 
 // Candidates implements Eq. 4: the switches that could replace position i of
@@ -442,9 +422,6 @@ type SolveInfo struct {
 	// cost — it stays valid across any load change that keeps the fabric
 	// uncongested for that rate (see FitsEverywhere).
 	FullStages bool
-	// CacheHit reports the oracle answered from its pair-route cache
-	// instead of running the DP.
-	CacheHit bool
 }
 
 // OptimizePolicy is Algorithm 1 for one flow: construct the layered
@@ -456,8 +433,9 @@ type SolveInfo struct {
 // saturated switches exactly as Figure 2 illustrates. The optimized policy
 // is NOT installed; callers install it when adopting the result.
 //
-// The DP itself runs in the oracle's server-pair route cache
-// (netstate.BestRoute), so flows sharing an endpoint pair solve once.
+// The solve itself is the oracle's netstate.BestRoute, which answers
+// full-stage queries on healthy Tree, Fat-Tree and VL2 fabrics in closed
+// form and runs the DP otherwise.
 func (c *Controller) OptimizePolicy(f *flow.Flow, loc flow.Locator) (*flow.Policy, error) {
 	p, _, err := c.OptimizePolicyDetailed(f, loc)
 	return p, err
@@ -505,27 +483,25 @@ func (c *Controller) optimizeBetween(f *flow.Flow, src, dst topology.NodeID) (*f
 	// The load bound, or failing it one feasibility pass over the oracle's
 	// cached stage candidates, decides whether the capacity filter bites
 	// at all. In the common uncongested case it does not, and the solve
-	// runs over the shared unfiltered lists — which the oracle answers
-	// from its pair cache after the first flow between these racks pays
-	// for the DP.
+	// runs over the shared unfiltered lists — which the oracle answers in
+	// closed form where the fabric allows.
 	full := c.oracle.StagesForTemplate(types)
 	stages, allFit, err := c.feasibleStages(f, types, full)
 	if err != nil {
 		return nil, info, err
 	}
 	info.FullStages = allFit
-	list, _, hit, ok := c.oracle.BestRoute(src, dst, netstate.RouteQuery{
+	list, _, _, ok := c.oracle.BestRoute(src, dst, netstate.RouteQuery{
 		Rate:     f.Rate,
 		UnitCost: c.cost.UnitCost,
 		Stages:   stages,
 		Full:     allFit,
 	})
-	info.CacheHit = hit
 	if !ok {
 		return nil, info, fmt.Errorf("controller: %w for flow %d", ErrNoFeasibleRoute, f.ID)
 	}
-	// The cached list is shared across flows; clone so callers may mutate
-	// the policy (e.g. flow.ApplySwap) without corrupting the cache.
+	// BestRoute's list is read-only; clone so callers may mutate the
+	// policy (e.g. flow.ApplySwap).
 	return &flow.Policy{
 		Flow:  f.ID,
 		List:  append([]topology.NodeID(nil), list...),
@@ -583,16 +559,10 @@ func errNoFeasibleSwitch(typ string, id flow.ID) error {
 	return fmt.Errorf("controller: %w of type %q for flow %d", ErrNoFeasibleSwitch, typ, id)
 }
 
-// OptimizeInstalled reruns Algorithm 1 for an installed flow and reinstalls
-// the better policy if it strictly reduces the flow's cost. It returns the
-// achieved utility (cost reduction, >= 0).
-func (c *Controller) OptimizeInstalled(f *flow.Flow, loc flow.Locator) (float64, error) {
-	u, _, _, err := c.OptimizeInstalledDetailed(f, loc)
-	return u, err
-}
-
-// OptimizeInstalledDetailed is OptimizeInstalled plus the solve's output
-// policy (whether or not it was adopted) and metadata, so incremental
+// OptimizeInstalledDetailed reruns Algorithm 1 for an installed flow and
+// reinstalls the better policy if it strictly reduces the flow's cost. It
+// returns the achieved utility (cost reduction, >= 0), the solve's output
+// policy (whether or not it was adopted) and its metadata, so incremental
 // callers can replay the decision without re-solving.
 func (c *Controller) OptimizeInstalledDetailed(f *flow.Flow, loc flow.Locator) (float64, *flow.Policy, SolveInfo, error) {
 	old, ok := c.policies[f.ID]
@@ -696,99 +666,4 @@ func (c *Controller) RebalanceOverloaded(flows []*flow.Flow, loc flow.Locator) (
 		moved++
 	}
 	return moved, fmt.Errorf("controller: rebalance did not converge")
-}
-
-// UtilizationStats summarizes switch load across the fabric.
-type UtilizationStats struct {
-	// Loaded counts switches carrying any flow.
-	Loaded int
-	// MeanLoad and MaxLoad are over ALL switches (absolute rate units).
-	MeanLoad, MaxLoad float64
-	// MeanUtil and MaxUtil are load/capacity over capacity-limited switches.
-	MeanUtil, MaxUtil float64
-}
-
-// Utilization computes fabric-wide switch load statistics — the evenness of
-// the policy layer's traffic spreading.
-func (c *Controller) Utilization() UtilizationStats {
-	var st UtilizationStats
-	switches := c.topo.Switches()
-	if len(switches) == 0 {
-		return st
-	}
-	var loadSum, utilSum float64
-	capped := 0
-	for _, w := range switches {
-		l := c.load[w]
-		if l > 0 {
-			st.Loaded++
-		}
-		loadSum += l
-		if l > st.MaxLoad {
-			st.MaxLoad = l
-		}
-		cap := c.topo.Node(w).Capacity
-		if !math.IsInf(cap, 1) && cap > 0 {
-			u := l / cap
-			utilSum += u
-			capped++
-			if u > st.MaxUtil {
-				st.MaxUtil = u
-			}
-		}
-	}
-	st.MeanLoad = loadSum / float64(len(switches))
-	if capped > 0 {
-		st.MeanUtil = utilSum / float64(capped)
-	}
-	return st
-}
-
-// UtilizationByType groups Utilization per switch type (access,
-// aggregation, core, ...), exposing which tier carries the pressure.
-func (c *Controller) UtilizationByType() map[string]UtilizationStats {
-	out := make(map[string]UtilizationStats)
-	byType := make(map[string][]topology.NodeID)
-	for _, w := range c.topo.Switches() {
-		t := c.topo.Node(w).Type
-		byType[t] = append(byType[t], w)
-	}
-	// Aggregate per type in name order: the float sums below must
-	// accumulate in a fixed order to stay bit-reproducible.
-	typeNames := make([]string, 0, len(byType))
-	for t := range byType {
-		typeNames = append(typeNames, t)
-	}
-	sort.Strings(typeNames)
-	for _, t := range typeNames {
-		ws := byType[t]
-		var st UtilizationStats
-		var loadSum, utilSum float64
-		capped := 0
-		for _, w := range ws {
-			l := c.load[w]
-			if l > 0 {
-				st.Loaded++
-			}
-			loadSum += l
-			if l > st.MaxLoad {
-				st.MaxLoad = l
-			}
-			cap := c.topo.Node(w).Capacity
-			if !math.IsInf(cap, 1) && cap > 0 {
-				u := l / cap
-				utilSum += u
-				capped++
-				if u > st.MaxUtil {
-					st.MaxUtil = u
-				}
-			}
-		}
-		st.MeanLoad = loadSum / float64(len(ws))
-		if capped > 0 {
-			st.MeanUtil = utilSum / float64(capped)
-		}
-		out[t] = st
-	}
-	return out
 }

@@ -299,7 +299,7 @@ func TestOptimizeInstalledImprovesRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, _ := cm.FlowCost(f, rp, loc)
-		u, err := e.ctl.OptimizeInstalled(f, loc)
+		u, _, _, err := e.ctl.OptimizeInstalledDetailed(f, loc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestOptimizeInstalledImprovesRandom(t *testing.T) {
 func TestOptimizeInstalledUnknownFlow(t *testing.T) {
 	e := newEnv(t, topology.LinkParams{})
 	f := &flow.Flow{ID: 42, Src: 1, Dst: 2, SizeGB: 1, Rate: 1}
-	if _, err := e.ctl.OptimizeInstalled(f, e.locator()); err == nil {
+	if _, _, _, err := e.ctl.OptimizeInstalledDetailed(f, e.locator()); err == nil {
 		t.Error("unknown flow accepted")
 	}
 }
@@ -458,9 +458,6 @@ func TestOverloadedSwitches(t *testing.T) {
 	}
 	if got := e.ctl.OverloadedSwitches(); len(got) != 0 {
 		t.Errorf("unexpected overloads %v", got)
-	}
-	if got := e.ctl.Headroom(p.List[0]); got != 2 {
-		t.Errorf("headroom = %v, want 2", got)
 	}
 }
 
@@ -661,55 +658,6 @@ func TestSetSwitchCapacityErrors(t *testing.T) {
 	}
 	if got, _ := e.topo.Link(l.A, l.B); got.Bandwidth != 0.5 {
 		t.Errorf("bandwidth = %v after change", got.Bandwidth)
-	}
-}
-
-func TestUtilizationStats(t *testing.T) {
-	e := newEnv(t, topology.LinkParams{Bandwidth: 1, SwitchCapacity: 10})
-	srv := e.topo.Servers()
-	loc := e.locator()
-
-	// Empty fabric.
-	st := e.ctl.Utilization()
-	if st.Loaded != 0 || st.MaxLoad != 0 || st.MeanUtil != 0 {
-		t.Errorf("empty utilization = %+v", st)
-	}
-
-	f := e.flowBetween(0, 1, 2, srv[0], srv[15], 4)
-	p, err := e.ctl.OptimizePolicy(f, loc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ctl.Install(f, p); err != nil {
-		t.Fatal(err)
-	}
-	st = e.ctl.Utilization()
-	if st.Loaded != p.Len() {
-		t.Errorf("loaded = %d, want %d", st.Loaded, p.Len())
-	}
-	if st.MaxLoad != 4 {
-		t.Errorf("max load = %v, want 4", st.MaxLoad)
-	}
-	if st.MaxUtil != 0.4 {
-		t.Errorf("max util = %v, want 0.4", st.MaxUtil)
-	}
-	if st.MeanLoad <= 0 || st.MeanLoad > st.MaxLoad {
-		t.Errorf("mean load = %v", st.MeanLoad)
-	}
-
-	byType := e.ctl.UtilizationByType()
-	// An inter-pod fat-tree route touches access, aggregation and core tiers.
-	for _, typ := range []string{topology.TypeAccess, topology.TypeAggregation, topology.TypeCore} {
-		if byType[typ].Loaded == 0 {
-			t.Errorf("type %s shows no load", typ)
-		}
-	}
-	var totalLoaded int
-	for _, s := range byType {
-		totalLoaded += s.Loaded
-	}
-	if totalLoaded != st.Loaded {
-		t.Errorf("per-type loaded sums to %d, want %d", totalLoaded, st.Loaded)
 	}
 }
 

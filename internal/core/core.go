@@ -344,10 +344,10 @@ func (st *runState) record(f *flow.Flow, loc flow.Locator, p *flow.Policy, info 
 // both endpoints still sit on the servers that solve saw, and the fabric
 // currently has headroom for f.Rate on every switch — so a fresh solve
 // would see identical unfiltered stages and return the identical route,
-// and OptimizeInstalled would decline to act exactly as it did before.
-// Segment cost being load-independent (Eq. 2) is what makes the proof go
-// through: load changes can only alter a solve through the feasibility
-// filter, which FitsEverywhere shows is inert for this rate.
+// and OptimizeInstalledDetailed would decline to act exactly as it did
+// before. Segment cost being load-independent (Eq. 2) is what makes the
+// proof go through: load changes can only alter a solve through the
+// feasibility filter, which FitsEverywhere shows is inert for this rate.
 func (st *runState) cleanFlow(req *scheduler.Request, f *flow.Flow, loc flow.Locator) bool {
 	rec := st.solves[f.ID]
 	if rec == nil || !rec.full {

@@ -77,7 +77,7 @@ func benchPhaseRequest(b *testing.B, fanout, maps, reduces int) (*scheduler.Requ
 // BenchmarkPolicyOptimization measures one Algorithm-1 sweep over every
 // flow (phase 1 of the joint loop). The first sweep pays for the DAG
 // solves; later sweeps exercise the steady-state cost — feasibility scans,
-// cost evaluation, and pair-cache hits.
+// cost evaluation, and closed-form routes.
 func BenchmarkPolicyOptimization(b *testing.B) {
 	for _, size := range []struct{ fanout, maps, reduces int }{{4, 32, 16}, {6, 108, 54}} {
 		b.Run(fmt.Sprintf("servers=%d", size.fanout*size.fanout*size.fanout), func(b *testing.B) {
@@ -87,7 +87,7 @@ func BenchmarkPolicyOptimization(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, f := range req.Flows {
-					if _, err := req.Controller.OptimizeInstalled(f, loc); err != nil {
+					if _, _, _, err := req.Controller.OptimizeInstalledDetailed(f, loc); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -132,7 +132,7 @@ func ClusterLocator(cl *cluster.Cluster) Locator {
 // topology. UnitCost is c_s in Eq. 2 — the cost per unit rate per hop.
 // Every hop-distance and latency query goes through a netstate.Oracle —
 // never the raw topology — so all consumers share one set of memoized BFS
-// tables and one epoch-consistent view (the oraclebypass lint enforces
+// tables and one liveness-consistent view (the oraclebypass lint enforces
 // this repository-wide).
 type CostModel struct {
 	oracle   *netstate.Oracle

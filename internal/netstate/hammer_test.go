@@ -20,10 +20,10 @@ import (
 // that entries one reader fills are read back by the next. The wave's
 // first call finds the liveness version stale, so ensureLive drops every
 // structure cache, and the readers refill the dist-row, path,
-// type-template, stage, route and headroom caches it dropped; a repeat of
-// a route query must then hit. Every reader also sweeps every ordered
-// pair of racks at its own rates: rate-keyed routes while the switch is
-// dead, closed-form routes while the fabric is healthy. After the final
+// type-template and stage caches it dropped. Every route query, and a
+// repeat of it, must come from the closed form while the fabric is
+// healthy and from the DP while the switch is dead. Every reader also
+// sweeps every ordered pair of racks at its own rates. After the final
 // recovery each pair must answer in closed form again, bit-identical to
 // an uncached solve.
 func TestLockOrderHammer(t *testing.T) {
@@ -81,12 +81,8 @@ func TestLockOrderHammer(t *testing.T) {
 		if _, _, _, ok := o.BestRoute(a, b, q); !ok {
 			t.Fatalf("BestRoute(%d,%d) infeasible on a fat-tree with at most one dead switch", a, b)
 		}
-		if !checkRoute(t, o, ref, a, b, q) {
-			t.Fatalf("repeat BestRoute(%d,%d) missed", a, b)
-		}
-		w := servers[(seed+i)%len(servers)]
-		if h, want := o.Headroom(w), ref.Headroom(w); math.Float64bits(h) != math.Float64bits(want) {
-			t.Fatalf("Headroom(%d) = %v, uncached %v", w, h, want)
+		if closed := checkRoute(t, o, ref, a, b, q); closed != topo.AllAlive() {
+			t.Fatalf("repeat BestRoute(%d,%d): closed form %v with all alive %v", a, b, closed, topo.AllAlive())
 		}
 		if n, want := o.NearestByDist(a, servers), ref.NearestByDist(a, servers); n != want {
 			t.Fatalf("NearestByDist(%d) = %d, uncached %d", a, n, want)
@@ -104,8 +100,8 @@ func TestLockOrderHammer(t *testing.T) {
 				query(r, i)
 			}
 		}
-		// Every access pair: rate-keyed routes while a switch is dead,
-		// closed-form answers while the fabric is healthy.
+		// Every access pair: DP solves while a switch is dead, closed-form
+		// answers while the fabric is healthy.
 		for r := 0; r < readers; r++ {
 			for k, pr := range pairs {
 				types, err := o.TypeTemplate(pr[0], pr[1])

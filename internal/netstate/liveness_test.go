@@ -23,8 +23,8 @@ func buildFatTree(t testing.TB) *topology.Topology {
 }
 
 // hottestMidSwitch picks a non-access switch that appears on the most
-// warm-cache BestRoute lists — the victim whose crash must invalidate the
-// largest number of cached entries.
+// healthy-fabric BestRoute lists — the victim whose crash must reroute the
+// largest number of server pairs.
 func hottestMidSwitch(t *testing.T, topo *topology.Topology, o *netstate.Oracle) topology.NodeID {
 	t.Helper()
 	uses := make(map[topology.NodeID]int)
@@ -54,17 +54,15 @@ func hottestMidSwitch(t *testing.T, topo *topology.Topology, o *netstate.Oracle)
 		}
 	}
 	if victim == topology.None {
-		t.Fatal("no non-access switch appears on any cached route")
+		t.Fatal("no non-access switch appears on any route")
 	}
 	return victim
 }
 
-// TestChaosBestRouteNeverNamesDeadSwitch is the cache-staleness regression
-// for liveness changes: warm the pair-route cache with full-stage solves,
-// crash the most-used non-access switch mid-run, and assert no subsequent
-// BestRoute answer names it. Against the pre-liveness cache this fails —
-// full solves survived every epoch bump by design, so the dead switch kept
-// being served from the warm entries.
+// TestChaosBestRouteNeverNamesDeadSwitch is the staleness regression for
+// liveness changes: route every pair on the healthy fabric, crash the
+// most-used non-access switch mid-run, and assert that neither the
+// memoized stage lists nor any subsequent BestRoute answer names it.
 func TestChaosBestRouteNeverNamesDeadSwitch(t *testing.T) {
 	topo := buildFatTree(t)
 	o := netstate.New(topo)
@@ -147,12 +145,8 @@ func TestChaosLivenessParityWithUncached(t *testing.T) {
 	}
 
 	check("healthy")
-	e0 := cached.Epoch()
 	if err := topo.SetNodeAlive(victim, false); err != nil {
 		t.Fatal(err)
-	}
-	if e1 := cached.Epoch(); e1 <= e0 {
-		t.Fatalf("Epoch did not advance on crash: %d -> %d", e0, e1)
 	}
 	check("crashed")
 	if err := topo.SetNodeAlive(victim, true); err != nil {

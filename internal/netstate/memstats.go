@@ -13,8 +13,8 @@ type MemoryStats struct {
 	// their backing storage. Zero in structural mode.
 	DistRows     int
 	DistRowBytes int64
-	// Paths/Templates/Bands count (src,dst)-keyed entries.
-	Paths, Templates, Bands int
+	// Paths and Templates count (src,dst)-keyed entries.
+	Paths, Templates int
 	// TypeLists and StageLists count the per-type and per-template caches.
 	TypeLists, StageLists int
 	// AccessEntries is the size of the access-switch table (0 or NumNodes).
@@ -22,15 +22,11 @@ type MemoryStats struct {
 	// SwitchPairEntries is the size of the dense switch-pair distance
 	// table (S², capped at maxSwitchPairSlots; 0 when unbuilt or disabled).
 	SwitchPairEntries int
-	// RoutesDense and RoutesMap count pair-route cache entries in the
-	// dense table and in the route map.
-	RoutesDense, RoutesMap int
 	// ApproxBytes estimates the resident heap of everything counted above.
 	ApproxBytes int64
 }
 
 const (
-	ptrSize      = 8
 	sliceHdrSize = 24
 	nodeIDSize   = 8 // topology.NodeID is int
 )
@@ -57,8 +53,7 @@ func (o *Oracle) MemoryStats() MemoryStats {
 	for _, t := range o.templates {
 		s.ApproxBytes += int64(len(t)) * 16 // string headers
 	}
-	s.Bands = len(o.bands)
-	s.ApproxBytes += int64(s.Paths+s.Templates+s.Bands) * 32 // map overhead
+	s.ApproxBytes += int64(s.Paths+s.Templates) * 32 // map overhead
 
 	s.TypeLists = len(o.byType)
 	for _, l := range o.byType {
@@ -73,17 +68,5 @@ func (o *Oracle) MemoryStats() MemoryStats {
 		s.SwitchPairEntries = len(t.dist)
 		s.ApproxBytes += int64(len(t.dist))*4 + int64(len(t.idx))*4
 	}
-
-	for _, e := range o.routeDense {
-		if e != nil {
-			s.RoutesDense++
-		}
-	}
-	s.RoutesMap = len(o.routeMap)
-	s.ApproxBytes += int64(len(o.routeDense)) * ptrSize
-	s.ApproxBytes += int64(s.RoutesDense+s.RoutesMap) * routeEntryBytes
 	return s
 }
-
-// routeEntryBytes approximates one PairRoute entry plus its List slice.
-const routeEntryBytes = 96

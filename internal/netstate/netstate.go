@@ -1,6 +1,5 @@
-// Package netstate provides the shared, epoch-versioned view of the network
-// that every placement layer queries: a memoized path/cost oracle over one
-// topology plus the controller's switch-load state.
+// Package netstate provides the shared view of the network that every
+// placement layer queries: a memoized path/cost oracle over one topology.
 //
 // Before this package existed, every consumer — Algorithm 1 in
 // internal/controller, the preference-matrix build in internal/core, the
@@ -8,31 +7,26 @@
 // simulator — independently re-ran BFS and re-scanned the switch
 // inventory on every query, making the hot scheduling paths
 // O(containers × servers × flows × BFS). The Oracle computes each
-// per-source BFS distance table, shortest path, switch-type template,
-// layered-DAG candidate stage list and bottleneck path bandwidth at most
-// once and shares the result across all consumers.
+// per-source BFS distance table, shortest path, switch-type template and
+// layered-DAG candidate stage list at most once and shares the result
+// across all consumers.
 //
-// # Epoch-invalidation contract
+// # Liveness contract
 //
-// The oracle distinguishes two kinds of cached state:
-//
-//   - Structure-derived state (distances, shortest paths, type templates,
-//     per-type switch lists, access switches): the topology
-//     graph is immutable after Build, so these invalidate only when node
-//     LIVENESS changes (fault injection crashing or recovering a switch).
-//     Every cached reader first calls ensureLive, which compares the
-//     topology's liveness version against the last one this oracle folded
-//     in and, on mismatch, drops every structure-derived cache — including
-//     the pair-route cache (pairroute.go: a dense server × server table on
-//     small fabrics plus one map), whose full-stage solves would otherwise
-//     survive forever and could name a dead switch.
-//   - Parameter-derived state (switch headroom, bottleneck path bandwidth):
-//     valid only for one epoch. Epoch() is the sum of the topology's
-//     mutation version (bumped by SetSwitchCapacity / SetLinkBandwidth),
-//     the topology's liveness version (bumped by SetNodeAlive), and the
-//     oracle's own counter, which the policy controller bumps on every
-//     Install / Uninstall / Reset via BumpEpoch(). Any cached view tagged
-//     with an older epoch is recomputed on next access.
+// Everything the oracle memoizes is structure-derived: distance rows,
+// shortest paths, type templates, per-type switch lists, candidate stage
+// lists and access switches. The topology graph is immutable after Build,
+// so these invalidate only when node LIVENESS changes (fault injection
+// crashing or recovering a switch). Every cached reader first calls
+// ensureLive, which compares the topology's liveness version against the
+// last one this oracle folded in and, on mismatch, drops every one of
+// them; each is rebuilt lazily against the new alive-mask. The two tables
+// of swdist.go are never dropped: the switch-pair distances are consulted
+// only while no node is dead, and the rack grouping depends on edges
+// alone. Nothing the oracle keeps depends on switch load, capacity or link
+// bandwidth: Algorithm 1's segment cost (Eq. 2) is rate × hops, load only
+// gates which switches the caller passes in, and PathBandwidth reads the
+// links on every call.
 //
 // An Oracle is not safe for concurrent use, like most standard-library
 // types: it has one owner, the scheduling goroutine that drives the
@@ -50,19 +44,8 @@ import (
 	"repro/internal/topology"
 )
 
-// LoadFunc reports the aggregate flow rate currently routed through a
-// switch. The policy controller binds its own load view here.
-type LoadFunc func(topology.NodeID) float64
-
 // pairKey identifies an ordered (src, dst) node pair.
 type pairKey struct{ src, dst topology.NodeID }
-
-// bandEntry is a bottleneck-bandwidth cache entry, valid for one topology
-// version only (link bandwidths may change under failure injection).
-type bandEntry struct {
-	version   uint64
-	bandwidth float64
-}
 
 // Oracle is the shared path/cost oracle over one topology. Obtain one with
 // New (memoizing) or NewUncached (same API, every query computed fresh —
@@ -71,11 +54,6 @@ type bandEntry struct {
 type Oracle struct {
 	topo   *topology.Topology
 	cached bool
-
-	// epoch counts controller-state mutations; Epoch() adds the topology's
-	// own version so either kind of mutation invalidates parameter caches.
-	epoch uint64
-	load  LoadFunc
 
 	// liveSeen is the topology liveness version the structure caches were
 	// built against.
@@ -89,7 +67,6 @@ type Oracle struct {
 	// (src,dst)-keyed caches.
 	paths     map[pairKey][]topology.NodeID
 	templates map[pairKey][]string
-	bands     map[pairKey]bandEntry
 
 	// Per-type and per-template candidate caches.
 	byType map[string][]topology.NodeID
@@ -108,21 +85,8 @@ type Oracle struct {
 	// use and never invalidated: it depends on edges, not liveness.
 	racks *RackTable
 
-	// The epoch-tagged headroom view.
-	headEpoch    uint64
-	headValid    bool
-	headroom     []float64
-	loadSnapshot []float64
-
-	// Server-pair route cache (pairroute.go): a dense table for small
-	// clusters, one map above denseRouteLimit pair slots and for
-	// non-server endpoints. routeServerIdx is nil until first use.
-	routeDense      []*PairRoute
-	routeServerIdx  []int32
-	routeNumServers int
-	routeMap        map[pairKey]*PairRoute
-
-	// routeHits and routeMisses count pair-route lookups (PairRouteStats).
+	// routeHits counts BestRoute's closed-form answers and routeMisses its
+	// DP solves (PairRouteStats).
 	routeHits, routeMisses uint64
 }
 
@@ -148,7 +112,6 @@ func newOracle(topo *topology.Topology) *Oracle {
 		topo:      topo,
 		paths:     make(map[pairKey][]topology.NodeID),
 		templates: make(map[pairKey][]string),
-		bands:     make(map[pairKey]bandEntry),
 		byType:    make(map[string][]topology.NodeID),
 		stages:    make(map[string][][]topology.NodeID),
 	}
@@ -157,20 +120,11 @@ func newOracle(topo *topology.Topology) *Oracle {
 // Topology returns the underlying graph.
 func (o *Oracle) Topology() *topology.Topology { return o.topo }
 
-// Epoch returns the snapshot version: the topology's parameter-mutation
-// version plus its liveness version plus the controller-driven counter.
-// All three only ever increase, so the sum strictly increases on any
-// mutation — including a node crash or recovery.
-func (o *Oracle) Epoch() uint64 {
-	return o.epoch + o.topo.Version() + o.topo.LivenessVersion()
-}
-
 // ensureLive folds the topology's current liveness version into the
 // structure caches: on the first query after a node crashed or recovered,
-// every structure-derived cache (distances, paths, templates, type lists,
-// access switches, bottleneck bandwidths and the pair-route table)
-// is dropped and rebuilt lazily against the new alive-mask. Callers on
-// the steady-state path pay one compare.
+// every memoized answer (distances, paths, templates, type lists, stage
+// lists and access switches) is dropped and rebuilt lazily against the
+// new alive-mask. Callers on the steady-state path pay one compare.
 func (o *Oracle) ensureLive() {
 	lv := o.topo.LivenessVersion()
 	if o.liveSeen == lv {
@@ -179,26 +133,10 @@ func (o *Oracle) ensureLive() {
 	clear(o.distRows)
 	o.paths = make(map[pairKey][]topology.NodeID)
 	o.templates = make(map[pairKey][]string)
-	o.bands = make(map[pairKey]bandEntry)
 	o.byType = make(map[string][]topology.NodeID)
 	o.stages = make(map[string][][]topology.NodeID)
 	o.access = nil
-	o.clearPairRoutes()
 	o.liveSeen = lv
-}
-
-// BumpEpoch invalidates every parameter-derived cache. The policy
-// controller calls it whenever switch loads change (Install, Uninstall,
-// Reset). The epoch counter is one of taalint's recognized bump targets:
-// a blessed mutator calling BumpEpoch (directly or transitively) on every
-// mutating path discharges its epochbump proof obligation.
-func (o *Oracle) BumpEpoch() { o.epoch++ }
-
-// BindLoad attaches the switch-load source (the controller's Load method).
-// An unbound oracle sees zero load everywhere.
-func (o *Oracle) BindLoad(fn LoadFunc) {
-	o.load = fn
-	o.BumpEpoch()
 }
 
 // ---------------------------------------------------------------------------
@@ -543,7 +481,7 @@ func (o *Oracle) SwitchesOfType(typ string) []topology.NodeID {
 // lists of a layered flow-path graph: stage i holds every switch whose type
 // matches types[i]. Both the outer and inner slices are shared; callers
 // must not modify them. Capacity feasibility is a per-query, per-flow
-// concern and is filtered by the caller against the current epoch's loads.
+// concern and is filtered by the caller against the current switch loads.
 func (o *Oracle) StagesForTemplate(types []string) [][]topology.NodeID {
 	if len(types) == 0 {
 		return nil
@@ -587,72 +525,13 @@ func (o *Oracle) AccessSwitch(server topology.NodeID) topology.NodeID {
 	return o.access[server]
 }
 
-// ---------------------------------------------------------------------------
-// Parameter-derived views (epoch-gated)
-// ---------------------------------------------------------------------------
-
-func (o *Oracle) loadOf(w topology.NodeID) float64 {
-	if o.load == nil {
-		return 0
-	}
-	return o.load(w)
-}
-
-// refreshHeadroom rebuilds the per-switch load/headroom snapshot for the
-// given epoch unless it already holds that epoch's view.
-func (o *Oracle) refreshHeadroom(epoch uint64) {
-	if o.headValid && o.headEpoch == epoch {
-		return
-	}
-	n := o.topo.NumNodes()
-	if o.headroom == nil {
-		o.headroom = make([]float64, n)
-		o.loadSnapshot = make([]float64, n)
-	}
-	for _, w := range o.topo.Switches() {
-		l := o.loadOf(w)
-		o.loadSnapshot[w] = l
-		o.headroom[w] = o.topo.Node(w).Capacity - l
-	}
-	o.headEpoch = epoch
-	o.headValid = true
-}
-
-// Headroom returns a switch's remaining processing capacity
-// (capacity − load) as of the current epoch.
-func (o *Oracle) Headroom(w topology.NodeID) float64 {
-	if !o.cached {
-		return o.topo.Node(w).Capacity - o.loadOf(w)
-	}
-	o.refreshHeadroom(o.Epoch())
-	return o.headroom[w]
-}
-
-// Load returns the aggregate rate routed through switch w as of the current
-// epoch.
-func (o *Oracle) Load(w topology.NodeID) float64 {
-	if !o.cached {
-		return o.loadOf(w)
-	}
-	o.refreshHeadroom(o.Epoch())
-	return o.loadSnapshot[w]
-}
-
 // PathBandwidth returns the bottleneck link bandwidth along the lowest-ID
-// shortest path between src and dst (B_ij in §6.1), cached per topology
-// version so failure-injected bandwidth changes invalidate it. It returns
-// an error for same-node pairs and disconnected pairs.
+// shortest path between src and dst (B_ij in §6.1), read off the path's
+// links on every call so a failure-injected bandwidth change shows at
+// once. It returns an error for same-node pairs and disconnected pairs.
 func (o *Oracle) PathBandwidth(src, dst topology.NodeID) (float64, error) {
 	if src == dst {
 		return 0, fmt.Errorf("netstate: same-node pair has no path bandwidth")
-	}
-	version := o.topo.Version()
-	key := pairKey{src, dst}
-	if o.cached {
-		o.ensureLive()
-		if e, ok := o.bands[key]; ok && e.version == version {
-			return e.bandwidth, nil
-		}
 	}
 	path := o.ShortestPath(src, dst)
 	if path == nil {
@@ -667,9 +546,6 @@ func (o *Oracle) PathBandwidth(src, dst topology.NodeID) (float64, error) {
 		if min < 0 || l.Bandwidth < min {
 			min = l.Bandwidth
 		}
-	}
-	if o.cached {
-		o.bands[key] = bandEntry{version: version, bandwidth: min}
 	}
 	return min, nil
 }

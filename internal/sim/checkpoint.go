@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -252,9 +253,10 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 	// sequential NewContainer counter reproduces each recorded ID exactly;
 	// a gap or duplicate means the checkpoint is corrupt.
 	var all []ContainerCK
+	flowIDs := make(map[flow.ID]bool)
 	for i := range ck.Jobs {
 		jc := &ck.Jobs[i]
-		if err := e.checkJob(jc, jobs[i]); err != nil {
+		if err := e.checkJob(jc, jobs[i], ck.NextFlowID, flowIDs); err != nil {
 			return nil, 0, 0, fmt.Errorf("sim: checkpoint job %d: %v: %w", i, err, ErrCheckpointMismatch)
 		}
 		all = append(all, jc.ReduceCts...)
@@ -316,8 +318,11 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 
 // checkJob rejects a job record whose indices the resumed loop cannot
 // trust: each one later indexes a slice sized by the workload, by the
-// job's waves or by the fabric.
-func (e *Engine) checkJob(jc *JobCheckpoint, job *workload.Job) error {
+// job's waves or by the fabric, names a container the next wave releases,
+// or becomes a netsim transfer. Flow IDs must lie below nextFlowID, which
+// the resumed loop hands out next, and appear once across the checkpoint;
+// seen collects them over the jobs.
+func (e *Engine) checkJob(jc *JobCheckpoint, job *workload.Job, nextFlowID flow.ID, seen map[flow.ID]bool) error {
 	if len(jc.MapCts) != job.NumMaps || len(jc.MapWaveOf) != job.NumMaps || len(jc.ReduceCts) != job.NumReduces {
 		return fmt.Errorf("shape does not match workload")
 	}
@@ -336,8 +341,19 @@ func (e *Engine) checkJob(jc *JobCheckpoint, job *workload.Job) error {
 			return fmt.Errorf("map %d MapWaveOf %d outside [0, %d)", m, w, jc.NumWaves)
 		}
 	}
+	for _, c := range jc.PrevWave {
+		if !slices.ContainsFunc(jc.MapCts[:jc.NextMap], func(mk ContainerCK) bool { return mk.ID == c }) {
+			return fmt.Errorf("PrevWave container %d is not one of the job's map containers", c)
+		}
+	}
 	for _, fc := range jc.Flows {
 		switch {
+		case fc.ID < 0 || fc.ID >= nextFlowID:
+			return fmt.Errorf("flow ID %d outside [0, NextFlowID %d)", fc.ID, nextFlowID)
+		case seen[fc.ID]:
+			return fmt.Errorf("flow ID %d recorded twice", fc.ID)
+		case len(fc.Route) == 0:
+			return fmt.Errorf("flow %d has an empty route", fc.ID)
 		case fc.MapIndex < 0 || fc.MapIndex >= jc.NextMap:
 			return fmt.Errorf("flow %d MapIndex %d outside [0, %d)", fc.ID, fc.MapIndex, jc.NextMap)
 		case fc.ReduceIndex < 0 || fc.ReduceIndex >= job.NumReduces:
@@ -352,6 +368,7 @@ func (e *Engine) checkJob(jc *JobCheckpoint, job *workload.Job) error {
 				return fmt.Errorf("flow %d route node %d is not in the fabric", fc.ID, n)
 			}
 		}
+		seen[fc.ID] = true
 	}
 	return nil
 }

@@ -196,6 +196,19 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 		{"flow-dst-not-its-reduce", "Dst", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].Dst = jc.Flows[0].Src }},
 		{"route-node-unknown", "route node", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].Route[0] = 99999 }},
 		{"route-node-negative", "route node", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].Route[0] = -2 }},
+		{"route-empty", "empty route", func(_ *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].Route = nil }},
+		{"prev-wave-unknown", "PrevWave", func(_ *Checkpoint, jc *JobCheckpoint) { jc.PrevWave = append(jc.PrevWave, 999) }},
+		{"flow-id-at-next", "flow ID", func(ck *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].ID = ck.NextFlowID }},
+		{"next-flow-id-rewound", "flow ID", func(ck *Checkpoint, _ *JobCheckpoint) { ck.NextFlowID = 0 }},
+		{"flow-id-repeated", "flow ID", func(ck *Checkpoint, jc *JobCheckpoint) {
+			for i := range ck.Jobs {
+				if other := &ck.Jobs[i]; other != jc && len(other.Flows) > 0 {
+					jc.Flows[0].ID = other.Flows[0].ID
+					return
+				}
+			}
+			t.Fatal("no other job recorded a flow")
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer

@@ -114,17 +114,17 @@ type Topology struct {
 	switches []NodeID         // sorted
 	dist     map[NodeID][]int // BFS distance cache, filled lazily per source
 	// version counts in-place mutations (switch capacity, link bandwidth).
-	// netstate snapshots fold it into their epoch so capacity-dependent
-	// caches invalidate; the graph structure itself never changes, so
-	// distance/path caches stay valid across versions.
+	// The controller's capacity bound refreshes when it moves; the graph
+	// structure itself never changes, so distance/path caches stay valid
+	// across versions.
 	version uint64
 	// alive is the liveness mask for failure injection: alive[i] == false
 	// means node i has crashed and must not appear on any path. nil means
 	// every node is alive (the common case; no per-hop overhead). Dead
 	// nodes change the EFFECTIVE structure — BFS, shortest paths, DAGs and
 	// type inventories all route around them — so liveness mutations get
-	// their own version counter, folded into netstate's Epoch, and clear
-	// the local BFS cache.
+	// their own version counter, which netstate's structure caches follow,
+	// and clear the local BFS cache.
 	alive       []bool
 	liveVersion uint64
 	numDead     int
@@ -162,10 +162,10 @@ func (t *Topology) NumSwitches() int { return len(t.switches) }
 func (t *Topology) NumLinks() int { return len(t.links) }
 
 // Version returns the mutation counter: it increments on every in-place
-// parameter change (SetSwitchCapacity, SetLinkBandwidth). Snapshot layers
-// (internal/netstate) fold it into their epoch to invalidate
-// capacity-dependent caches. The graph structure is immutable after Build,
-// so hop distances and shortest paths are version-independent.
+// parameter change (SetSwitchCapacity, SetLinkBandwidth). Capacity-derived
+// state (the controller's least-capacity bound) refreshes when it moves.
+// The graph structure is immutable after Build, so hop distances and
+// shortest paths are version-independent.
 func (t *Topology) Version() uint64 { return t.version }
 
 // Node returns the node with the given ID. It panics on out-of-range IDs.
@@ -240,7 +240,7 @@ func (t *Topology) AllAlive() bool { return t.numDead == 0 }
 // LivenessVersion counts liveness mutations (SetNodeAlive flips). Unlike
 // Version it signals EFFECTIVE STRUCTURE change: a dead node disappears
 // from paths, DAGs and type inventories, so structure-derived caches
-// (netstate distance rows, shortest paths, templates, pair routes) must be
+// (netstate distance rows, shortest paths, templates, stage lists) must be
 // rebuilt when it moves.
 func (t *Topology) LivenessVersion() uint64 { return t.liveVersion }
 
