@@ -65,11 +65,13 @@ bench:
 # BENCH_PKGS and BENCH_NAMES select the gated benchmarks: the root
 # package's scalability/oracle families, netsim's fair share and fluid
 # simulation, one cold Algorithm-1 wave at 10k servers in the
-# controller, and one run of each sim wave loop (legacy on the testbed
-# tree, fault on a crash-heavy fat-tree). They are listed here only: CI's
-# benchmark smoke job runs them through bench-json.
-BENCH_PKGS = . ./internal/netsim ./internal/controller ./internal/sim
-BENCH_NAMES = HitScalability|PathOracle|FairShare64Flows|Simulate64Flows|SimulateTestbed1024|Alg1ColdWave|SimLegacyTestbed|SimFaultFatTree
+# controller, one run of each sim wave loop (legacy on the testbed
+# tree, fault on a crash-heavy fat-tree), and the joint loop's two
+# phases in core (an Algorithm-1 sweep, a preference build plus
+# Algorithm 2) with stablematch's deferred acceptance. They are listed
+# here only: CI's benchmark smoke job runs them through bench-json.
+BENCH_PKGS = . ./internal/netsim ./internal/controller ./internal/sim ./internal/core ./internal/stablematch
+BENCH_NAMES = HitScalability|PathOracle|FairShare64Flows|Simulate64Flows|SimulateTestbed1024|Alg1ColdWave|SimLegacyTestbed|SimFaultFatTree|PolicyOptimization|PreferenceMatrix|Match
 
 # bench-json runs the gated benchmarks once each, keeps the raw output in
 # bench.txt and archives one machine-readable BENCH_local.json (CI renames
