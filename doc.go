@@ -9,8 +9,8 @@
 // max-min-fair network simulator, a discrete-event cluster simulator, and
 // the Capacity / Probabilistic Network-Aware baselines.
 //
-// Every placement layer (controller, Hit-Scheduler core, the baselines, the
-// YARN fetcher and the network simulator) queries one shared path/cost
+// Every placement layer (controller, Hit-Scheduler core, the baselines and
+// the network simulator) queries one shared path/cost
 // oracle, internal/netstate, instead of re-running BFS per decision. The
 // oracle memoizes only structure-derived answers (distances, paths, type
 // templates, candidate stages): the graph is immutable after Build, so they

@@ -12,7 +12,7 @@ import (
 // may read them forever, but a write through one is a data race against
 // every other worker sharing the same cached slice.
 //
-// The oracle's read API (DistRow, ShortestPath, TypeTemplate, BestRoute,
+// The oracle's read API (DistRow, ShortestPath, TypeTemplate,
 // StagesForTemplate, ...) deliberately returns SHARED cache-resident
 // slices — "callers must not modify" is in every doc comment, and the
 // preference build's workers rely on it: the oracle has one owner and
@@ -61,11 +61,9 @@ var sfSources = map[string]bool{
 	"(Oracle).ShortestPath":      true,
 	"(Oracle).NearestByDist":     true,
 	"(Oracle).TypeTemplate":      true,
-	"(Oracle).BestRoute":         true,
 	"(Oracle).SwitchesOfType":    true,
 	"(Oracle).StagesForTemplate": true,
 	"(Oracle).AccessSwitch":      true,
-	"(Oracle).PathBandwidth":     true,
 }
 
 // poolEntrypoints are the fan-out calls whose function-literal arguments

@@ -500,11 +500,10 @@ func (c *Controller) optimizeBetween(f *flow.Flow, src, dst topology.NodeID) (*f
 	if !ok {
 		return nil, info, fmt.Errorf("controller: %w for flow %d", ErrNoFeasibleRoute, f.ID)
 	}
-	// BestRoute's list is read-only; clone so callers may mutate the
-	// policy (e.g. flow.ApplySwap).
+	// BestRoute's list is fresh and the caller's, so the policy owns it.
 	return &flow.Policy{
 		Flow:  f.ID,
-		List:  append([]topology.NodeID(nil), list...),
+		List:  list,
 		Types: append([]string(nil), types...),
 	}, info, nil
 }

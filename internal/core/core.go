@@ -42,28 +42,30 @@ import (
 	"repro/internal/workload"
 )
 
+// maxIterations bounds the joint policy/assignment rounds, and the loop
+// stops early once a round improves the total cost by less than the
+// relative epsilon.
+const (
+	maxIterations = 4
+	epsilon       = 1e-6
+)
+
 // HitScheduler implements scheduler.Scheduler with the paper's joint
-// optimization. The zero value uses the defaults below; the ablation fields
+// optimization. The zero value is the full scheduler; the ablation fields
 // turn individual mechanisms off for the design-choice benchmarks.
 type HitScheduler struct {
-	// MaxIterations bounds the joint policy/assignment rounds. Zero selects
-	// the default of 4; negative values are rejected by Schedule.
-	MaxIterations int
-	// Epsilon is the relative cost-improvement threshold below which the
-	// loop stops. Zero selects the default of 1e-6; negative values are
-	// rejected by Schedule.
-	Epsilon float64
 	// DisablePolicyOpt skips Algorithm 1's per-flow route optimization
 	// (policies stay on their initial random routes). Ablation only.
 	DisablePolicyOpt bool
 	// DisableStableMatching replaces Algorithm 2 with per-container greedy
 	// best-utility moves. Ablation only.
 	DisableStableMatching bool
-	// DisableIncremental turns off the dirty-set reuse across joint
-	// iterations: every round then re-solves Algorithm 1 for every flow and
-	// rebuilds every preference row from scratch. Results are bit-identical
-	// either way (the incremental path only skips work it can prove is a
-	// no-op), so this switch exists for parity tests and perf comparison.
+	// DisableIncremental selects the reference mode: every round re-solves
+	// Algorithm 1 for every flow (no clean-flow skip), and every preference
+	// row comes from the per-server build, never the rack-bucket one.
+	// Results are bit-identical either way (the fast paths only skip work
+	// they can prove is a no-op), so this switch exists for parity tests
+	// and perf comparison.
 	DisableIncremental bool
 
 	// rowCap overrides the proposer-row cut of the rack-bucket build
@@ -78,37 +80,15 @@ type HitScheduler struct {
 // Name implements scheduler.Scheduler.
 func (h *HitScheduler) Name() string { return "hit" }
 
-func (h *HitScheduler) maxIterations() int {
-	if h.MaxIterations <= 0 {
-		return 4
-	}
-	return h.MaxIterations
-}
-
-func (h *HitScheduler) epsilon() float64 {
-	if h.Epsilon <= 0 {
-		return 1e-6
-	}
-	return h.Epsilon
-}
-
-// incremental reports whether the dirty-set reuse is active. It is off
+// incremental reports whether the clean-flow skip is active. It is off
 // under DisablePolicyOpt too: that ablation reinstalls random policies, and
 // skipping any of those draws would shift the shared RNG stream.
 func (h *HitScheduler) incremental() bool {
 	return !h.DisableIncremental && !h.DisablePolicyOpt
 }
 
-// Schedule implements scheduler.Scheduler. Negative MaxIterations or
-// Epsilon are configuration errors and are rejected up front; zero values
-// select the documented defaults (4 iterations, 1e-6).
+// Schedule implements scheduler.Scheduler.
 func (h *HitScheduler) Schedule(req *scheduler.Request) error {
-	if h.MaxIterations < 0 {
-		return fmt.Errorf("core: HitScheduler.MaxIterations must be non-negative, got %d (zero selects the default of 4)", h.MaxIterations)
-	}
-	if h.Epsilon < 0 {
-		return fmt.Errorf("core: HitScheduler.Epsilon must be non-negative, got %g (zero selects the default of 1e-6)", h.Epsilon)
-	}
 	if err := req.Validate(); err != nil {
 		return err
 	}
@@ -272,44 +252,22 @@ type flowSolve struct {
 	src, dst topology.NodeID
 }
 
-// prefRow memoizes one container's preference build in assignGroup: the
-// inputs it was derived from (original server, feasible server set,
-// anchored peer servers per incident flow) and the derived outputs. When
-// the inputs recur unchanged in a later iteration, the outputs are reused
-// verbatim — containers untouched by the previous round's matching cost
-// nothing to re-rank.
-type prefRow struct {
-	orig      topology.NodeID
-	feasible  []int
-	peerSrv   []topology.NodeID
-	propPrefs []int
-	truncated bool // propPrefs is a cut row (rackrows.go)
-	votes     []int
-}
-
-// runState is the dirty-set bookkeeping for ONE Schedule call. It lives on
+// runState is the per-call bookkeeping of ONE Schedule call. It lives on
 // the stack of the call, never on the HitScheduler, so a scheduler value
-// can be reused across requests exactly as before.
+// can be reused across requests exactly as before. Nothing in a call
+// changes the fabric's distances, so its caches need no version key.
 type runState struct {
 	solves map[flow.ID]*flowSolve
-	prefs  map[cluster.ContainerID]*prefRow
 	// matchers holds one slab-reusing stable matcher per container group
 	// (reduces, maps): successive iterations of the joint loop re-match the
-	// same group, so the dense scratch — and, when nothing changed, the
-	// previous matching itself — carries over. Only used when incremental()
-	// is on; the DisableIncremental parity path calls stablematch.Match
-	// directly every time.
-	matchers [2]*stablematch.Matcher
-	// rows caches per-peer-server distance rows across assignGroup calls.
-	// Rows are pure functions of (topology, liveness), so the cache is keyed
-	// by both versions and dropped whole on any change — the structural
-	// oracle recomputes a row per DistRow call (that is what keeps ITS
-	// footprint O(V)), so this call-scoped memo is what bounds the build at
-	// O(distinct peers × V) per Schedule instead of per group per iteration.
-	// Incremental-only: the DisableIncremental parity path refetches.
-	rows        map[topology.NodeID][]int32
-	rowsTopoVer uint64
-	rowsLiveVer uint64
+	// same group, so the dense scratch carries over.
+	matchers [2]stablematch.Matcher
+	// rows caches per-peer-server distance rows for the per-server build
+	// across assignGroup calls. The structural oracle recomputes a row per
+	// DistRow call (that is what keeps ITS footprint O(V)), so this memo is
+	// what bounds the build at O(distinct peers × V) per Schedule instead
+	// of per group per iteration.
+	rows map[topology.NodeID][]int32
 	// rackDists caches Oracle.RackDists rows per peer server for the
 	// rack-bucket build. That build runs only on healthy fabrics, whose
 	// distances never change, so the cache needs no version key.
@@ -321,8 +279,9 @@ type runState struct {
 
 func newRunState() *runState {
 	return &runState{
-		solves: make(map[flow.ID]*flowSolve),
-		prefs:  make(map[cluster.ContainerID]*prefRow),
+		solves:    make(map[flow.ID]*flowSolve),
+		rows:      make(map[topology.NodeID][]int32),
+		rackDists: make(map[topology.NodeID][]int32),
 	}
 }
 
@@ -370,7 +329,7 @@ func (h *HitScheduler) scheduleInitialWave(req *scheduler.Request, movable []sch
 	}
 	bestSnap := req.Cluster.Snapshot()
 
-	for iter := 0; iter < h.maxIterations(); iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		// Phase 1 — network policy optimization (Algorithm 1 per flow).
 		// From iteration 2 on, flows whose endpoints the matching did not
 		// move (and whose last solve was over unfiltered stages, still
@@ -405,7 +364,7 @@ func (h *HitScheduler) scheduleInitialWave(req *scheduler.Request, movable []sch
 		if err != nil {
 			return err
 		}
-		if cost < best*(1-h.epsilon()) {
+		if cost < best*(1-epsilon) {
 			best = cost
 			bestSnap = req.Cluster.Snapshot()
 			continue
@@ -666,50 +625,6 @@ func sortDescFallback(grades []float64, vals, out []int) {
 	}
 }
 
-// nearestByRow is netstate.(*Oracle).NearestByDist over an already-fetched
-// distance row: same compare, same unreachable skip, same lower-ID
-// tie-break. The incremental preference build uses it so one row fetch
-// serves both the anchored cost sums and the vote; the DisableIncremental
-// parity path keeps calling the oracle, pinning this replica against it.
-func nearestByRow(row []int32, cands []topology.NodeID) topology.NodeID {
-	best := topology.None
-	bestD := int32(-1)
-	for _, c := range cands {
-		d := row[c]
-		if d < 0 {
-			continue
-		}
-		if bestD == -1 || d < bestD || (d == bestD && c < best) {
-			bestD, best = d, c
-		}
-	}
-	return best
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalNodeIDs(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // assign performs one round of the Tasks Assignment Algorithm (Algorithm 2).
 //
 // Map and Reduce containers are matched in alternating sub-rounds — reduces
@@ -761,12 +676,6 @@ type demandClass struct {
 	// Rack-bucket build only (rackrows.go): feas grouped by rack.
 	rackOff []int32
 	rackSrv []int32
-
-	// seen/seenSame cache the last memoized feasible list compared against
-	// feas: a class's containers memoized one shared slice, so the O(V)
-	// compare runs once per group instead of once per container.
-	seen     []int
-	seenSame bool
 }
 
 func newDemandClass(clu *cluster.Cluster, rep cluster.ContainerID, rb *rackBuild) *demandClass {
@@ -786,20 +695,6 @@ func newDemandClass(clu *cluster.Cluster, rep cluster.ContainerID, rb *rackBuild
 		cl.cands[k] = servers[si]
 	}
 	return cl
-}
-
-// sameFeasible reports whether a memoized feasible list equals the class's.
-func (cl *demandClass) sameFeasible(prev []int) bool {
-	if len(prev) != len(cl.feas) {
-		return false
-	}
-	if len(prev) == 0 {
-		return true
-	}
-	if len(cl.seen) == 0 || &cl.seen[0] != &prev[0] {
-		cl.seen, cl.seenSame = prev, equalInts(prev, cl.feas)
-	}
-	return cl.seenSame
 }
 
 // assignGroup matches one kind-homogeneous container group onto servers.
@@ -867,50 +762,19 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		classOf[ci] = cl
 	}
 
-	// Dirty check (run before the shared tables are built, so a fully clean
-	// round pays for neither rows nor votes): a container whose original
-	// server, feasible set, and anchored peers all recur from the previous
-	// round would rebuild the exact same row — reuse it.
-	useMemo := h.incremental()
-	memoHit := make([]*prefRow, len(containers))
-
 	// Group-level shared tables, built sequentially (deterministic oracle
 	// call order) and only read by the fan-out below:
 	//   distances     — the rack-bucket build fetches one O(racks) row per
-	//                   distinct anchored peer server (memoized in st);
-	//                   the per-server build one O(V) DistRow, memoized
-	//                   across groups and iterations in st (keyed by
-	//                   topology/liveness version) on the incremental path;
+	//                   distinct anchored peer server, the per-server build
+	//                   one O(V) DistRow; both memoized in st for the call;
 	//   cl.votes[ps]  — the class's nearest-feasible vote for that peer
 	//                   (Algorithm 1 lines 11–13), a function of (peer,
 	//                   candidate list) only. The rack-bucket build reads
-	//                   it off the class's rack tables, the incremental
-	//                   per-server build off the fetched row with the
-	//                   oracle's own compare and lower-ID tie-break; the
-	//                   DisableIncremental parity path asks the oracle
-	//                   itself, pinning both replicas against NearestByDist.
-	var rows map[topology.NodeID][]int32
-	if rb == nil {
-		if useMemo {
-			tv, lv := topo.Version(), topo.LivenessVersion()
-			if st.rows == nil || st.rowsTopoVer != tv || st.rowsLiveVer != lv {
-				st.rows = make(map[topology.NodeID][]int32)
-				st.rowsTopoVer, st.rowsLiveVer = tv, lv
-			}
-			rows = st.rows
-		} else {
-			rows = make(map[topology.NodeID][]int32)
-		}
-	}
-	for ci, c := range containers {
+	//                   it off the class's rack tables; the per-server
+	//                   build asks the oracle's NearestByDist.
+	rows := st.rows
+	for ci := range containers {
 		cl := classOf[ci]
-		if useMemo {
-			if prev := st.prefs[c]; prev != nil && prev.orig == original[ci] &&
-				cl.sameFeasible(prev.feasible) && equalNodeIDs(prev.peerSrv, peerSrv[ci]) {
-				memoHit[ci] = prev
-				continue
-			}
-		}
 		for _, ps := range peerSrv[ci] {
 			if rb != nil {
 				rb.fetch(oracle, ps)
@@ -923,13 +787,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 				rows[ps] = oracle.DistRow(ps)
 			}
 			if _, ok := cl.votes[ps]; !ok {
-				var best topology.NodeID
-				if useMemo {
-					best = nearestByRow(rows[ps], cl.cands)
-				} else {
-					best = oracle.NearestByDist(ps, cl.cands)
-				}
-				cl.votes[ps] = clu.ServerIndex(best)
+				cl.votes[ps] = clu.ServerIndex(oracle.NearestByDist(ps, cl.cands))
 			}
 		}
 	}
@@ -940,10 +798,9 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	// the sequential loop regardless of worker count, and the merge into the
 	// grade rows below happens column-by-column with no shared writes. The
 	// shared tables above (rows, rb, classes, original) are read-only
-	// during the fan-out, and st.prefs is written only after it returns.
-	// The workers never call the oracle, which is not safe for concurrent
-	// use: every row they read was fetched above. A worker that called it
-	// would race on the oracle's caches, which
+	// during the fan-out. The workers never call the oracle, which is not
+	// safe for concurrent use: every row they read was fetched above. A
+	// worker that called it would race on the oracle's caches, which
 	// `go test -race -run TestRackRowWave10k ./internal/core` reports.
 	//
 	// Cost sums always accumulate in flow order, keeping the floats
@@ -951,7 +808,6 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	propPrefs := make([][]int, len(containers))
 	truncated := make([]bool, len(containers))
 	votes := make([][]int, len(containers)) // per incident flow: voted server index, -1 = none
-	prefRows := make([]*prefRow, len(containers))
 	limit := h.rowLimit()
 	workers := 0 // GOMAXPROCS
 	if len(containers)*len(servers) < parallelThreshold {
@@ -964,13 +820,6 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		cl := classOf[ci]
 		if len(cl.feas) == 0 {
 			return fmt.Errorf("core: %w for container %d", scheduler.ErrNoFeasibleServer, c)
-		}
-		if prev := memoHit[ci]; prev != nil {
-			propPrefs[ci] = prev.propPrefs
-			truncated[ci] = prev.truncated
-			votes[ci] = prev.votes
-			prefRows[ci] = prev
-			return nil
 		}
 
 		sc := assignScratchPool.Get().(*assignScratch)
@@ -992,28 +841,10 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 			vts[k] = cl.votes[ps]
 		}
 		votes[ci] = vts
-
-		if useMemo {
-			prefRows[ci] = &prefRow{
-				orig:      original[ci],
-				feasible:  cl.feas,
-				peerSrv:   peerSrv[ci],
-				propPrefs: prop,
-				truncated: truncated[ci],
-				votes:     vts,
-			}
-		}
 		return nil
 	})
 	if err != nil {
 		return err
-	}
-	if useMemo {
-		for ci, c := range containers {
-			if prefRows[ci] != nil {
-				st.prefs[c] = prefRows[ci]
-			}
-		}
 	}
 
 	// Deterministic merge of the votes into the host-preference grades.
@@ -1131,21 +962,9 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 			Load:          loads,
 			Capacity:      capacity,
 		}
-		// Incremental runs keep one Matcher per group alive for the whole
-		// Schedule call: scratch slabs carry over, and an iteration whose
-		// preference build fully memo-hit replays the previous stable
-		// matching (provably identical — deferred acceptance is
-		// deterministic). The DisableIncremental path matches from scratch;
-		// parity tests pin the two bit-equal.
-		var res *stablematch.Result
-		if h.incremental() {
-			if st.matchers[gi] == nil {
-				st.matchers[gi] = &stablematch.Matcher{}
-			}
-			res, err = st.matchers[gi].Match(inst)
-		} else {
-			res, err = stablematch.Match(inst)
-		}
+		// One Matcher per group lives for the whole Schedule call, so its
+		// scratch slabs carry over from one iteration to the next.
+		res, err := st.matchers[gi].Match(inst)
 		if err != nil {
 			return err
 		}
@@ -1177,15 +996,6 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		}
 		for _, ci := range redo {
 			propPrefs[ci], truncated[ci] = rb.row(sc, classOf[ci], incident[ci], peerSrv[ci], clu.ServerIndex(original[ci]), 0)
-			if useMemo {
-				st.prefs[containers[ci]] = &prefRow{
-					orig:      original[ci],
-					feasible:  classOf[ci].feas,
-					peerSrv:   peerSrv[ci],
-					propPrefs: propPrefs[ci],
-					votes:     votes[ci],
-				}
-			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -362,49 +361,10 @@ func TestHitCaseStudyScenario(t *testing.T) {
 	}
 }
 
-func TestHitOptionOverrides(t *testing.T) {
-	h := &HitScheduler{MaxIterations: 2, Epsilon: 0.5}
-	if h.maxIterations() != 2 || h.epsilon() != 0.5 {
-		t.Error("overrides ignored")
-	}
-	d := &HitScheduler{}
-	if d.maxIterations() != 4 || d.epsilon() != 1e-6 {
-		t.Error("defaults wrong")
-	}
-}
-
 func TestHitRejectsInvalidRequest(t *testing.T) {
 	if err := (&HitScheduler{}).Schedule(&scheduler.Request{}); err == nil {
 		t.Error("invalid request accepted")
 	}
-}
-
-func TestHitRejectsNegativeConfig(t *testing.T) {
-	cl, ctl := testEnv(t, 2, 2, cluster.Resources{CPU: 4, Memory: 4096})
-	jobs := []*workload.Job{uniformJob(t, 0, 2, 1, 1)}
-
-	req, _ := buildRequest(t, cl, ctl, jobs, 1)
-	err := (&HitScheduler{MaxIterations: -1}).Schedule(req)
-	if err == nil {
-		t.Fatal("negative MaxIterations accepted")
-	}
-	if got := err.Error(); !strings.Contains(got, "MaxIterations") {
-		t.Errorf("error %q does not name MaxIterations", got)
-	}
-
-	err = (&HitScheduler{Epsilon: -0.5}).Schedule(req)
-	if err == nil {
-		t.Fatal("negative Epsilon accepted")
-	}
-	if got := err.Error(); !strings.Contains(got, "Epsilon") {
-		t.Errorf("error %q does not name Epsilon", got)
-	}
-
-	// Zero still selects the documented defaults and schedules fine.
-	if err := (&HitScheduler{}).Schedule(req); err != nil {
-		t.Fatalf("zero-value scheduler failed: %v", err)
-	}
-	checkScheduled(t, req)
 }
 
 func TestHitNoFeasibleServer(t *testing.T) {
@@ -413,20 +373,6 @@ func TestHitNoFeasibleServer(t *testing.T) {
 	req, _ := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 2, 1, 1)}, 1)
 	if err := (&HitScheduler{}).Schedule(req); err == nil {
 		t.Error("infeasible request accepted")
-	}
-}
-
-func TestHitSingleIterationStillImproves(t *testing.T) {
-	jobs := func(t *testing.T) []*workload.Job {
-		return []*workload.Job{uniformJob(t, 0, 4, 2, 3)}
-	}
-	var one, capc float64
-	for seed := int64(0); seed < 4; seed++ {
-		one += runScheduler(t, &HitScheduler{MaxIterations: 1}, jobs, seed, 4)
-		capc += runScheduler(t, scheduler.Capacity{}, jobs, seed, 4)
-	}
-	if one >= capc {
-		t.Errorf("single-iteration hit %v >= capacity %v", one, capc)
 	}
 }
 

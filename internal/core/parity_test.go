@@ -128,14 +128,18 @@ func TestSchedulerOracleParity(t *testing.T) {
 	}
 }
 
-// TestHitIncrementalParity asserts the dirty-set incremental joint loop is
+// TestHitIncrementalParity asserts the fast paths of the joint loop are
 // invisible: with and without DisableIncremental, over multiple seeds and
 // both capacity regimes (tight caps exercise the filtered-stage path,
 // infinite caps the full-stage path), placements, routes, and total cost
-// are bit-identical (costs compared by Float64bits). The incremental run
-// must also issue strictly fewer pair-route queries than the full run —
-// clean flows skip the solver outright — otherwise this test would
-// vacuously compare two full recomputes.
+// are bit-identical (costs compared by Float64bits). It runs on two
+// fabrics: a depth-3 tree, whose rows come from the rack-bucket build and
+// whose full-stage routes from the closed form, and BCube(4, 1), whose
+// multi-homed servers take the per-server build and whose every route
+// comes from the DP. The incremental run must also issue strictly fewer
+// pair-route queries than the full run — clean flows skip the solver
+// outright — otherwise this test would vacuously compare two full
+// recomputes.
 func TestHitIncrementalParity(t *testing.T) {
 	type outcome struct {
 		placements []topology.NodeID
@@ -144,9 +148,9 @@ func TestHitIncrementalParity(t *testing.T) {
 		queries    uint64
 	}
 
-	run := func(t *testing.T, incremental bool, seed int64, switchCap float64) outcome {
+	run := func(t *testing.T, fabric func(topology.LinkParams) (*topology.Topology, error), incremental bool, seed int64, switchCap float64) outcome {
 		t.Helper()
-		topo, err := topology.NewTree(3, 3, topology.LinkParams{
+		topo, err := fabric(topology.LinkParams{
 			Bandwidth: 10, Latency: 0.1, SwitchCapacity: switchCap,
 		})
 		if err != nil {
@@ -201,6 +205,13 @@ func TestHitIncrementalParity(t *testing.T) {
 		return out
 	}
 
+	fabrics := []struct {
+		name  string
+		build func(topology.LinkParams) (*topology.Topology, error)
+	}{
+		{"tree", func(p topology.LinkParams) (*topology.Topology, error) { return topology.NewTree(3, 3, p) }},
+		{"bcube", func(p topology.LinkParams) (*topology.Topology, error) { return topology.NewBCube(4, 1, p) }},
+	}
 	for _, caps := range []struct {
 		name string
 		cap  float64
@@ -209,40 +220,44 @@ func TestHitIncrementalParity(t *testing.T) {
 		{"infinite-caps", topology.InfiniteCapacity},
 	} {
 		t.Run(caps.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				inc := run(t, true, seed, caps.cap)
-				full := run(t, false, seed, caps.cap)
-				if len(inc.placements) != len(full.placements) {
-					t.Fatalf("seed %d: placement count %d vs %d",
-						seed, len(inc.placements), len(full.placements))
-				}
-				for i := range inc.placements {
-					if inc.placements[i] != full.placements[i] {
-						t.Fatalf("seed %d: placement %d differs: incremental %d, full %d",
-							seed, i, inc.placements[i], full.placements[i])
-					}
-				}
-				for i := range inc.routes {
-					a, b := inc.routes[i], full.routes[i]
-					if len(a) != len(b) {
-						t.Fatalf("seed %d: route %d length %d vs %d", seed, i, len(a), len(b))
-					}
-					for k := range a {
-						if a[k] != b[k] {
-							t.Fatalf("seed %d: route %d differs at hop %d: %v vs %v",
-								seed, i, k, a, b)
+			for _, fab := range fabrics {
+				t.Run(fab.name, func(t *testing.T) {
+					for seed := int64(1); seed <= 4; seed++ {
+						inc := run(t, fab.build, true, seed, caps.cap)
+						full := run(t, fab.build, false, seed, caps.cap)
+						if len(inc.placements) != len(full.placements) {
+							t.Fatalf("seed %d: placement count %d vs %d",
+								seed, len(inc.placements), len(full.placements))
+						}
+						for i := range inc.placements {
+							if inc.placements[i] != full.placements[i] {
+								t.Fatalf("seed %d: placement %d differs: incremental %d, full %d",
+									seed, i, inc.placements[i], full.placements[i])
+							}
+						}
+						for i := range inc.routes {
+							a, b := inc.routes[i], full.routes[i]
+							if len(a) != len(b) {
+								t.Fatalf("seed %d: route %d length %d vs %d", seed, i, len(a), len(b))
+							}
+							for k := range a {
+								if a[k] != b[k] {
+									t.Fatalf("seed %d: route %d differs at hop %d: %v vs %v",
+										seed, i, k, a, b)
+								}
+							}
+						}
+						if math.Float64bits(inc.cost) != math.Float64bits(full.cost) {
+							t.Fatalf("seed %d: total cost incremental %v (bits %x), full %v (bits %x)",
+								seed, inc.cost, math.Float64bits(inc.cost),
+								full.cost, math.Float64bits(full.cost))
+						}
+						if inc.queries >= full.queries {
+							t.Fatalf("seed %d: incremental run issued %d pair-route queries, full run %d — dirty-set skipping never engaged",
+								seed, inc.queries, full.queries)
 						}
 					}
-				}
-				if math.Float64bits(inc.cost) != math.Float64bits(full.cost) {
-					t.Fatalf("seed %d: total cost incremental %v (bits %x), full %v (bits %x)",
-						seed, inc.cost, math.Float64bits(inc.cost),
-						full.cost, math.Float64bits(full.cost))
-				}
-				if inc.queries >= full.queries {
-					t.Fatalf("seed %d: incremental run issued %d pair-route queries, full run %d — dirty-set skipping never engaged",
-						seed, inc.queries, full.queries)
-				}
+				})
 			}
 		})
 	}

@@ -98,8 +98,8 @@ func BenchmarkPolicyOptimization(b *testing.B) {
 
 // BenchmarkPreferenceMatrix measures one full preference build + stable
 // matching for the reduce group (phase 2 of the joint loop). A fresh
-// runState per iteration forces the complete build — no dirty-set reuse —
-// so this tracks the un-memoized cost of the matrix.
+// runState per iteration starts with no cached distance rows and a cold
+// Matcher, so this tracks the whole cost of one group's build and match.
 func BenchmarkPreferenceMatrix(b *testing.B) {
 	for _, size := range []struct{ fanout, maps, reduces int }{{4, 32, 16}, {6, 108, 54}} {
 		b.Run(fmt.Sprintf("servers=%d", size.fanout*size.fanout*size.fanout), func(b *testing.B) {

@@ -58,9 +58,6 @@ type rackBuild struct {
 }
 
 func newRackBuild(clu *cluster.Cluster, racks *netstate.RackTable, st *runState) *rackBuild {
-	if st.rackDists == nil {
-		st.rackDists = make(map[topology.NodeID][]int32)
-	}
 	return &rackBuild{
 		clu:     clu,
 		servers: clu.Servers(),

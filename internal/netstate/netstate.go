@@ -3,8 +3,7 @@
 //
 // Before this package existed, every consumer — Algorithm 1 in
 // internal/controller, the preference-matrix build in internal/core, the
-// PNA and CAM baselines, the YARN DelayFetcher and the flow-level
-// simulator — independently re-ran BFS and re-scanned the switch
+// PNA and CAM baselines and the flow-level simulator — independently re-ran BFS and re-scanned the switch
 // inventory on every query, making the hot scheduling paths
 // O(containers × servers × flows × BFS). The Oracle computes each
 // per-source BFS distance table, shortest path, switch-type template and
@@ -24,9 +23,8 @@
 // of swdist.go are never dropped: the switch-pair distances are consulted
 // only while no node is dead, and the rack grouping depends on edges
 // alone. Nothing the oracle keeps depends on switch load, capacity or link
-// bandwidth: Algorithm 1's segment cost (Eq. 2) is rate × hops, load only
-// gates which switches the caller passes in, and PathBandwidth reads the
-// links on every call.
+// bandwidth: Algorithm 1's segment cost (Eq. 2) is rate × hops, and load
+// only gates which switches the caller passes in.
 //
 // An Oracle is not safe for concurrent use, like most standard-library
 // types: it has one owner, the scheduling goroutine that drives the
@@ -523,29 +521,4 @@ func (o *Oracle) AccessSwitch(server topology.NodeID) topology.NodeID {
 		return topology.None
 	}
 	return o.access[server]
-}
-
-// PathBandwidth returns the bottleneck link bandwidth along the lowest-ID
-// shortest path between src and dst (B_ij in §6.1), read off the path's
-// links on every call so a failure-injected bandwidth change shows at
-// once. It returns an error for same-node pairs and disconnected pairs.
-func (o *Oracle) PathBandwidth(src, dst topology.NodeID) (float64, error) {
-	if src == dst {
-		return 0, fmt.Errorf("netstate: same-node pair has no path bandwidth")
-	}
-	path := o.ShortestPath(src, dst)
-	if path == nil {
-		return 0, fmt.Errorf("netstate: no path between %d and %d", src, dst)
-	}
-	min := -1.0
-	for i := 1; i < len(path); i++ {
-		l, ok := o.topo.Link(path[i-1], path[i])
-		if !ok {
-			return 0, fmt.Errorf("netstate: missing link %d-%d", path[i-1], path[i])
-		}
-		if min < 0 || l.Bandwidth < min {
-			min = l.Bandwidth
-		}
-	}
-	return min, nil
 }

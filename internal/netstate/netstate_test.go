@@ -66,9 +66,7 @@ func TestOraclePropertyUnderMutation(t *testing.T) {
 			a := servers[rng.Intn(len(servers))]
 			b := servers[rng.Intn(len(servers))]
 			cached.Dist(a, b)
-			if a != b {
-				cached.PathBandwidth(a, b)
-			}
+			cached.ShortestPath(a, b)
 		}
 
 		for step := 0; step < 24; step++ {
@@ -100,15 +98,6 @@ func TestOraclePropertyUnderMutation(t *testing.T) {
 			for i := range cp {
 				if cp[i] != fp[i] {
 					t.Errorf("seed %d step %d: path %v vs %v", seed, step, cp, fp)
-					return false
-				}
-			}
-			if a != b {
-				cb, cerr := cached.PathBandwidth(a, b)
-				fb, ferr := fresh.PathBandwidth(a, b)
-				if (cerr == nil) != (ferr == nil) || cb != fb {
-					t.Errorf("seed %d step %d: PathBandwidth(%d,%d) cached %v,%v fresh %v,%v",
-						seed, step, a, b, cb, cerr, fb, ferr)
 					return false
 				}
 			}

@@ -74,7 +74,8 @@ type RouteQuery struct {
 // BestRoute returns the minimum-cost switch choice per stage for a flow
 // between two servers — Algorithm 1's layered DP — in closed form where
 // the guards in the file comment allow, and by a fresh DP solve
-// otherwise. The returned list must not be modified. closed reports
+// otherwise. The returned list is freshly allocated and belongs to the
+// caller, which may keep or modify it. closed reports
 // which path answered; ok is false when no stage assignment yields a
 // finite cost. An uncached oracle always runs the DP (the parity
 // reference).

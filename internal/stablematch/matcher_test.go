@@ -41,84 +41,91 @@ func TestMatcherParityWithMatch(t *testing.T) {
 	}
 }
 
-// TestMatcherReplay: a repeat of the previous instance replays the memoized
-// result (bit-identical) whether the rows are the same slices or fresh
-// content-equal copies, and any content change falls back to a full run.
-func TestMatcherReplay(t *testing.T) {
+// TestMatcherWarmStart pins what a warm Matcher saves and what it must
+// not share. A repeat Match on a warm Matcher allocates only what its
+// Result needs (the Result, HostOf, TenantsOf and one list per tenanted
+// host) plus Validate's two stamp arrays, and so fewer objects than the
+// one-shot Match, which also builds the slabs. Two successive Results
+// share no backing array, with each other or with the slabs.
+func TestMatcherWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	caps := []float64{2, 1, 2}
-	in := randInstance(rng, 7, 3, caps)
-	in.Load = []float64{1, 1, 2, 1, 1, 1, 2}
+	caps := make([]float64, 12)
+	for h := range caps {
+		caps[h] = 4
+	}
+	in := randInstance(rng, 40, 12, caps)
 
 	m := &Matcher{}
 	first, err := m.Match(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Same slices: pointer shortcut.
-	again, err := m.Match(in)
+	second, err := m.Match(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, first) {
-		t.Fatalf("replay (aliased rows) diverged: %+v vs %+v", again, first)
-	}
-	if again == first || &again.HostOf[0] == &first.HostOf[0] {
-		t.Fatal("replay returned an aliased Result; caller must own its copy")
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("warm repeat diverged: %+v vs %+v", second, first)
 	}
 
-	// Fresh content-equal copies: content comparison.
-	cp := &Instance{
-		NumProposers:  in.NumProposers,
-		NumHosts:      in.NumHosts,
-		ProposerPrefs: make([][]int, len(in.ProposerPrefs)),
-		HostPrefs:     make([][]int, len(in.HostPrefs)),
-		Load:          append([]float64(nil), in.Load...),
-		Capacity:      append([]float64(nil), in.Capacity...),
+	tenanted := 0
+	for _, ts := range first.TenantsOf {
+		if len(ts) > 0 {
+			tenanted++
+		}
 	}
-	for i, r := range in.ProposerPrefs {
-		cp.ProposerPrefs[i] = append([]int(nil), r...)
+	need := 3 + tenanted
+	warm := testing.AllocsPerRun(20, func() {
+		if _, err := m.Match(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cold := testing.AllocsPerRun(20, func() {
+		if _, err := Match(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm > float64(need+2) {
+		t.Errorf("warm Match allocates %v objects, want at most %d (Result needs %d, Validate 2)", warm, need+2, need)
 	}
-	for i, r := range in.HostPrefs {
-		cp.HostPrefs[i] = append([]int(nil), r...)
+	if warm >= cold {
+		t.Errorf("warm Match allocates %v objects, one-shot Match %v: the slabs are not reused", warm, cold)
 	}
-	again, err = m.Match(cp)
+
+	// Overwrite every entry of the second Result: the first must keep its
+	// values, and the next run must not write into the second's arrays.
+	want, err := Match(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, first) {
-		t.Fatalf("replay (copied rows) diverged: %+v vs %+v", again, first)
+	for p := range second.HostOf {
+		second.HostOf[p] = -2
 	}
-
-	// A capacity change must miss the memo and still agree with Match.
-	cp.Capacity = []float64{1, 1, 1}
-	want, err := Match(cp)
+	for _, ts := range second.TenantsOf {
+		for i := range ts {
+			ts[i] = -2
+		}
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatal("the first Result shares a backing array with the second")
+	}
+	third, err := m.Match(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Match(cp)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(third, want) {
+		t.Fatalf("third warm Match diverged: %+v vs %+v", third, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-change match diverged: %+v vs %+v", got, want)
+	for p, h := range second.HostOf {
+		if h != -2 {
+			t.Fatalf("the third run wrote HostOf[%d] of the second Result", p)
+		}
 	}
-
-	// Nil load vs explicit unit loads are different instances by contract
-	// (nil means defaults); the memo must not conflate them.
-	unit := &Instance{
-		NumProposers:  2,
-		NumHosts:      2,
-		ProposerPrefs: [][]int{{0, 1}, {0, 1}},
-		HostPrefs:     [][]int{{0, 1}, {0, 1}},
-	}
-	if _, err := m.Match(unit); err != nil {
-		t.Fatal(err)
-	}
-	withLoad := *unit
-	withLoad.Load = []float64{1, 1}
-	if _, err := m.Match(&withLoad); err != nil {
-		t.Fatal(err)
+	for h, ts := range second.TenantsOf {
+		for _, q := range ts {
+			if q != -2 {
+				t.Fatalf("the third run wrote TenantsOf[%d] of the second Result", h)
+			}
+		}
 	}
 }

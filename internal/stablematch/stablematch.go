@@ -7,6 +7,11 @@
 // Reduce tasks; *hosts* are servers. Each proposer is placed on at most one
 // host; a host accepts proposers until its capacity is exhausted, then
 // rejects its least-preferred tenants.
+//
+// Match solves one instance over freshly allocated scratch. A Matcher
+// keeps that scratch between calls, for callers that match many
+// similarly-shaped instances, and returns the same Result; every call
+// runs deferred acceptance in full.
 package stablematch
 
 import (
@@ -133,7 +138,7 @@ func (in *Instance) capacity(h int) float64 {
 //
 // Match allocates its dense scratch fresh every call; callers matching many
 // similarly-shaped instances should hold a Matcher instead, which reuses the
-// slabs and replays provably-identical instances.
+// slabs and returns the same Result.
 func Match(in *Instance) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -1,13 +1,10 @@
 package yarn
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/netsim"
-	"repro/internal/netstate"
 	"repro/internal/topology"
 )
 
@@ -315,62 +312,5 @@ func TestFIFOAcrossApplications(t *testing.T) {
 	}
 	if len(second.TakeAllocations()) != 0 {
 		t.Error("second app served out of order")
-	}
-}
-
-func TestDelayFetcher(t *testing.T) {
-	_, cl, topo := newRM(t, cluster.Resources{CPU: 1, Memory: 1})
-	f := NewDelayFetcher(topo)
-	srv := cl.Servers()
-
-	// Same server: free.
-	d, err := f.FetchDelay(srv[0], srv[0], 10)
-	if err != nil || d != 0 {
-		t.Errorf("same-server fetch = (%v, %v), want (0, nil)", d, err)
-	}
-	// Same rack: path bandwidth 2, 1 switch. Delay = 10/2 + 1 = 6.
-	d, err = f.FetchDelay(srv[0], srv[1], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-6) > 1e-9 {
-		t.Errorf("same-rack fetch delay = %v, want 6", d)
-	}
-	// Cross-rack: 3 switches. Delay = 10/2 + 3 = 8.
-	d, err = f.FetchDelay(srv[0], srv[15], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-8) > 1e-9 {
-		t.Errorf("cross-rack fetch delay = %v, want 8", d)
-	}
-	if _, err := f.FetchDelay(srv[0], srv[1], -1); err == nil {
-		t.Error("negative size accepted")
-	}
-	if _, err := f.PathBandwidth(srv[0], srv[0]); err == nil {
-		t.Error("same-server path bandwidth accepted")
-	}
-}
-
-func TestDelayFetcherMatchesNetsimSingleFlow(t *testing.T) {
-	// For a single uncontended flow, the fetcher's transfer estimate must
-	// equal the fluid simulator's completion time (the propagation term is
-	// reported separately by netsim).
-	_, cl, topo := newRM(t, cluster.Resources{CPU: 1, Memory: 1})
-	f := NewDelayFetcher(topo)
-	srv := cl.Servers()
-	size := 7.0
-	bw, err := f.PathBandwidth(srv[0], srv[15])
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := netsim.NewNetwork(netstate.New(topo)).Simulate([]*netsim.Transfer{{
-		ID: 0, Route: []topology.NodeID{srv[0], srv[15]}, Bytes: size,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.Flows[0].TransferTime, size/bw; math.Abs(got-want) > 1e-9 {
-		t.Errorf("netsim transfer %v != fetcher estimate %v", got, want)
 	}
 }
