@@ -99,12 +99,12 @@ func BenchmarkFigure6JCTCDF(b *testing.B) {
 // and shuffle delay). Paper: 6.5 -> 4.4 hops (~30%), 189 -> 131 us (~32%).
 func BenchmarkFigure7RouteAndDelay(b *testing.B) {
 	var r *experiments.Fig7Result
-	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.Figure7(benchCfg(i))
+		f6, err := experiments.Figure6(benchCfg(i))
 		if err != nil {
 			b.Fatal(err)
 		}
+		r = experiments.Fig7FromFig6(f6)
 	}
 	b.ReportMetric(r.HopsImprovement*100, "hops-improvement-%")
 	b.ReportMetric(r.DelayImprovement*100, "delay-improvement-%")
@@ -138,9 +138,14 @@ func BenchmarkFigure8aByJobType(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.Reduction(workload.ShuffleHeavy, "hit")*100, "hit-heavy-%")
-	b.ReportMetric(r.Reduction(workload.ShuffleHeavy, "pna")*100, "pna-heavy-%")
-	b.ReportMetric(r.Reduction(workload.ShuffleLight, "hit")*100, "hit-light-%")
+	for _, row := range r.Rows {
+		switch {
+		case row.Class == workload.ShuffleHeavy:
+			b.ReportMetric(row.CostReduction*100, row.Scheduler+"-heavy-%")
+		case row.Class == workload.ShuffleLight && row.Scheduler == "hit":
+			b.ReportMetric(row.CostReduction*100, "hit-light-%")
+		}
+	}
 }
 
 // BenchmarkFigure8bByArchitecture regenerates Figure 8(b) (shuffle cost

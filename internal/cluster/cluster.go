@@ -176,15 +176,7 @@ func (c *Cluster) Capacity(s topology.NodeID) Resources {
 	return Resources{}
 }
 
-// Used returns the resources currently consumed on server s.
-func (c *Cluster) Used(s topology.NodeID) Resources {
-	if st := c.state(s); st != nil {
-		return st.used
-	}
-	return Resources{}
-}
-
-// Free returns Capacity(s) - Used(s).
+// Free returns Capacity(s) minus the demands of the containers placed on s.
 func (c *Cluster) Free(s topology.NodeID) Resources {
 	if st := c.state(s); st != nil {
 		return st.capacity.Sub(st.used)

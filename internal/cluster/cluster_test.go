@@ -70,21 +70,21 @@ func TestPlaceUnplaceLifecycle(t *testing.T) {
 	if !ct.Placed() || ct.Server() != srv[0] {
 		t.Errorf("container on %d, want %d", ct.Server(), srv[0])
 	}
-	if got := c.Used(srv[0]); got != ct.Demand {
-		t.Errorf("Used = %v, want %v", got, ct.Demand)
+	if got := c.state(srv[0]).used; got != ct.Demand {
+		t.Errorf("used = %v, want %v", got, ct.Demand)
 	}
 	// Re-placing on the same server is a no-op.
 	if err := c.Place(ct.ID, srv[0]); err != nil {
 		t.Errorf("idempotent Place: %v", err)
 	}
-	if got := c.Used(srv[0]); got != ct.Demand {
-		t.Errorf("Used after idempotent place = %v, want %v", got, ct.Demand)
+	if got := c.state(srv[0]).used; got != ct.Demand {
+		t.Errorf("used after idempotent place = %v, want %v", got, ct.Demand)
 	}
 	// Moving frees the old server.
 	if err := c.Place(ct.ID, srv[1]); err != nil {
 		t.Fatalf("move: %v", err)
 	}
-	if got := c.Used(srv[0]); !got.IsZero() {
+	if got := c.state(srv[0]).used; !got.IsZero() {
 		t.Errorf("old server still used: %v", got)
 	}
 	if err := c.Unplace(ct.ID); err != nil {

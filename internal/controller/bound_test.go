@@ -107,7 +107,7 @@ func boundProbe(t *testing.T, e *env, f *flow.Flow, seed int64) bool {
 }
 
 // TestCapacityBoundMatchesScan drives a controller through random
-// installs, uninstalls, capacity changes and resets, with loads up to and
+// installs, uninstalls and capacity changes, with loads up to and
 // past capacity, and probes rates on both sides of the bound's edge and
 // of every switch's own slack, within the 1e-9 tolerance. Every answer
 // must equal the scan-only one, and the bound must both fire and decline.
@@ -122,8 +122,6 @@ func TestCapacityBoundMatchesScan(t *testing.T) {
 			fired, declined := 0, 0
 			for step := 0; step < 300; step++ {
 				switch k := rng.Intn(20); {
-				case k == 0:
-					e.ctl.Reset()
 				case k < 3:
 					w := sw[rng.Intn(len(sw))]
 					if err := e.topo.SetSwitchCapacity(w, rng.Float64()*12); err != nil {

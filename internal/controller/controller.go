@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/flow"
@@ -48,8 +47,8 @@ type Controller struct {
 	load []float64
 
 	// loadHigh is a high-water mark over every switch load: raised by
-	// Install, zeroed by Reset, kept by Uninstall (which only lowers
-	// loads). NaN once a NaN load appears, which disables roomEverywhere.
+	// Install, kept by Uninstall (which only lowers loads). NaN once a NaN
+	// load appears, which disables roomEverywhere.
 	loadHigh float64
 	// capMin is the least finite switch capacity (+Inf when none is
 	// finite, NaN when any is NaN) as of topology version capVersion.
@@ -263,8 +262,8 @@ func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 	c.rates[f.ID] = f.Rate
 	for _, w := range p.List {
 		c.load[w] += f.Rate
-		// A NaN load poisons the mark for good (until Reset): a NaN mark
-		// fails both tests and is never overwritten.
+		// A NaN load poisons the mark for good: a NaN mark fails both
+		// tests and is never overwritten.
 		if l := c.load[w]; l > c.loadHigh || math.IsNaN(l) {
 			c.loadHigh = l
 		}
@@ -287,14 +286,6 @@ func (c *Controller) Uninstall(id flow.ID) {
 	}
 	delete(c.policies, id)
 	delete(c.rates, id)
-}
-
-// Reset removes every policy.
-func (c *Controller) Reset() {
-	c.policies = make(map[flow.ID]*flow.Policy)
-	c.rates = make(map[flow.ID]float64)
-	c.load = make([]float64, c.topo.NumNodes())
-	c.loadHigh = 0
 }
 
 // Candidates implements Eq. 4: the switches that could replace position i of
@@ -605,64 +596,4 @@ func (c *Controller) OverloadedSwitches() []topology.NodeID {
 		}
 	}
 	return out
-}
-
-// RebalanceOverloaded restores feasibility after a capacity change (failure
-// injection): while any switch is overloaded, the controller picks the
-// largest-rate flow routed through it, uninstalls its policy, re-runs
-// Algorithm 1 against the degraded fabric and reinstalls the result. It
-// returns the number of flows rerouted, or an error when no feasible
-// rerouting exists. Flows not in the given set cannot be moved.
-func (c *Controller) RebalanceOverloaded(flows []*flow.Flow, loc flow.Locator) (int, error) {
-	byID := make(map[flow.ID]*flow.Flow, len(flows))
-	for _, f := range flows {
-		byID[f.ID] = f
-	}
-	moved := 0
-	for guard := 0; guard <= len(flows)+len(c.policies); guard++ {
-		over := c.OverloadedSwitches()
-		if len(over) == 0 {
-			return moved, nil
-		}
-		w := over[0]
-		// Largest-rate movable flow through w. Iterate policies in
-		// ascending flow-ID order so rate ties break toward the lowest ID
-		// instead of whatever the map yields this run.
-		ids := make([]flow.ID, 0, len(c.policies))
-		for id := range c.policies {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		var victim *flow.Flow
-		for _, id := range ids {
-			p := c.policies[id]
-			f, ok := byID[id]
-			if !ok {
-				continue
-			}
-			onW := false
-			for _, sw := range p.List {
-				if sw == w {
-					onW = true
-					break
-				}
-			}
-			if onW && (victim == nil || f.Rate > victim.Rate) {
-				victim = f
-			}
-		}
-		if victim == nil {
-			return moved, fmt.Errorf("controller: switch %d overloaded by immovable flows", w)
-		}
-		c.Uninstall(victim.ID)
-		opt, err := c.OptimizePolicy(victim, loc)
-		if err != nil {
-			return moved, fmt.Errorf("controller: rebalance flow %d: %w", victim.ID, err)
-		}
-		if err := c.Install(victim, opt); err != nil {
-			return moved, fmt.Errorf("controller: rebalance flow %d: %w", victim.ID, err)
-		}
-		moved++
-	}
-	return moved, fmt.Errorf("controller: rebalance did not converge")
 }

@@ -438,12 +438,9 @@ func TestTotalCostAndReset(t *testing.T) {
 	if total != 2 { // same edge switch: 2 hops at rate 1
 		t.Errorf("TotalCost = %v, want 2", total)
 	}
-	e.ctl.Reset()
-	if e.ctl.NumPolicies() != 0 {
-		t.Error("Reset left policies")
-	}
+	e.ctl.Uninstall(f.ID)
 	if _, err := e.ctl.TotalCost([]*flow.Flow{f}, loc); err == nil {
-		t.Error("TotalCost found policy after reset")
+		t.Error("TotalCost found policy after uninstall")
 	}
 }
 
@@ -556,85 +553,6 @@ func TestQuickLoadConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRebalanceOverloadedReroutesFlows(t *testing.T) {
-	e := newEnv(t, topology.LinkParams{Bandwidth: 1, SwitchCapacity: 10})
-	srv := e.topo.Servers()
-	loc := e.locator()
-
-	// Three inter-pod flows all optimized onto (initially roomy) switches.
-	var flows []*flow.Flow
-	for i := 0; i < 3; i++ {
-		f := e.flowBetween(flow.ID(i), cluster.ContainerID(2*i), cluster.ContainerID(2*i+1),
-			srv[0], srv[15], 2)
-		p, err := e.ctl.OptimizePolicy(f, loc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.ctl.Install(f, p); err != nil {
-			t.Fatal(err)
-		}
-		flows = append(flows, f)
-	}
-	// Degrade the hottest aggregation switch below its current load.
-	var hottest topology.NodeID = topology.None
-	var maxLoad float64
-	for _, w := range e.topo.SwitchesOfType(topology.TypeAggregation) {
-		if l := e.ctl.Load(w); l > maxLoad {
-			hottest, maxLoad = w, l
-		}
-	}
-	if hottest == topology.None || maxLoad == 0 {
-		t.Fatal("no loaded aggregation switch")
-	}
-	if err := e.topo.SetSwitchCapacity(hottest, maxLoad/2); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.ctl.OverloadedSwitches()) == 0 {
-		t.Fatal("degradation did not overload the switch")
-	}
-	moved, err := e.ctl.RebalanceOverloaded(flows, loc)
-	if err != nil {
-		t.Fatalf("RebalanceOverloaded: %v", err)
-	}
-	if moved == 0 {
-		t.Error("no flows moved")
-	}
-	if over := e.ctl.OverloadedSwitches(); len(over) != 0 {
-		t.Errorf("still overloaded: %v", over)
-	}
-	// Policies remain installed and satisfied.
-	for _, f := range flows {
-		p := e.ctl.Policy(f.ID)
-		if p == nil {
-			t.Errorf("flow %d lost its policy", f.ID)
-			continue
-		}
-		if err := p.Satisfied(e.topo); err != nil {
-			t.Errorf("flow %d: %v", f.ID, err)
-		}
-	}
-}
-
-func TestRebalanceOverloadedImmovable(t *testing.T) {
-	e := newEnv(t, topology.LinkParams{Bandwidth: 1, SwitchCapacity: 10})
-	srv := e.topo.Servers()
-	loc := e.locator()
-	f := e.flowBetween(0, 1, 2, srv[0], srv[1], 4)
-	p, _ := e.ctl.ShortestPolicy(f, loc)
-	if err := e.ctl.Install(f, p); err != nil {
-		t.Fatal(err)
-	}
-	// Degrade the (unique) edge switch; the flow cannot avoid it, and the
-	// rebalancer is not given the flow anyway.
-	edge := p.List[0]
-	if err := e.topo.SetSwitchCapacity(edge, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ctl.RebalanceOverloaded(nil, loc); err == nil {
-		t.Error("immovable overload not reported")
 	}
 }
 

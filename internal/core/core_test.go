@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/controller"
+	"repro/internal/reference"
 	"repro/internal/scheduler"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -133,7 +134,7 @@ func TestHitNearBruteForceOnTinyInstance(t *testing.T) {
 	var hit, opt float64
 	for seed := int64(0); seed < 6; seed++ {
 		hit += runScheduler(t, &HitScheduler{}, jobs, seed, 2)
-		opt += runScheduler(t, scheduler.BruteForce{}, jobs, seed, 2)
+		opt += runScheduler(t, reference.BruteForce{}, jobs, seed, 2)
 	}
 	if hit < opt-1e-9 {
 		t.Errorf("hit %v beat the exhaustive optimum %v: cost accounting broken", hit, opt)

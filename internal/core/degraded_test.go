@@ -45,7 +45,7 @@ func TestDegradedModeReportsUnplacedContainers(t *testing.T) {
 		t.Fatalf("degraded Schedule: %v", err)
 	}
 	rep := req.Report
-	if rep == nil || rep.Clean() {
+	if rep == nil || (len(rep.UnplacedContainers) == 0 && len(rep.UnroutableFlows) == 0) {
 		t.Fatalf("expected a non-clean report, got %+v", rep)
 	}
 	if got, want := len(rep.UnplacedContainers), 2; got != want {
@@ -139,7 +139,7 @@ func TestDegradedModeNoFaultBitIdentical(t *testing.T) {
 		if err := (&HitScheduler{}).Schedule(req); err != nil {
 			t.Fatal(err)
 		}
-		if degraded && !req.Report.Clean() {
+		if rep := req.Report; degraded && rep != nil && (len(rep.UnplacedContainers) > 0 || len(rep.UnroutableFlows) > 0) {
 			t.Fatalf("feasible request degraded: %+v", req.Report)
 		}
 		where := make(map[cluster.ContainerID]topology.NodeID)

@@ -115,10 +115,19 @@ func TestFigure8aShape(t *testing.T) {
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 (3 classes x 2 schedulers)", len(r.Rows))
 	}
+	reduction := func(class workload.Class, sched string) float64 {
+		for _, row := range r.Rows {
+			if row.Class == class && row.Scheduler == sched {
+				return row.CostReduction
+			}
+		}
+		t.Fatalf("no row for %v/%s", class, sched)
+		return 0
+	}
 	// Shape: hit's reduction on heavy workloads is positive and at least
 	// matches pna's.
-	hitHeavy := r.Reduction(workload.ShuffleHeavy, "hit")
-	pnaHeavy := r.Reduction(workload.ShuffleHeavy, "pna")
+	hitHeavy := reduction(workload.ShuffleHeavy, "hit")
+	pnaHeavy := reduction(workload.ShuffleHeavy, "pna")
 	if hitHeavy <= 0 {
 		t.Errorf("hit heavy reduction = %v, want > 0", hitHeavy)
 	}
@@ -126,8 +135,8 @@ func TestFigure8aShape(t *testing.T) {
 		t.Errorf("hit heavy reduction %v < pna %v", hitHeavy, pnaHeavy)
 	}
 	// Heavy gains meet or beat light gains for hit.
-	if hitHeavy < r.Reduction(workload.ShuffleLight, "hit")-0.05 {
-		t.Errorf("heavy reduction %v materially below light %v", hitHeavy, r.Reduction(workload.ShuffleLight, "hit"))
+	if hitLight := reduction(workload.ShuffleLight, "hit"); hitHeavy < hitLight-0.05 {
+		t.Errorf("heavy reduction %v materially below light %v", hitHeavy, hitLight)
 	}
 	if !strings.Contains(r.Render(), "shuffle-heavy") {
 		t.Error("render incomplete")

@@ -34,10 +34,12 @@ type FailureResult struct {
 }
 
 // FailureRecovery schedules a shuffle-heavy wave with Hit, halves the
-// capacity of the hottest aggregation-tier switch, and lets the controller
-// rebalance. Fat-tree fabrics always offer same-type alternatives, so
-// recovery must succeed with zero remaining overload and only a modest cost
-// increase.
+// capacity of the hottest aggregation-tier switch, and lets faults.React,
+// the one reroute path, shed the overload: the largest-rate flow through
+// the first overloaded switch moves first, re-solved by Algorithm 1 on the
+// degraded fabric. Fat-tree fabrics always offer same-type alternatives,
+// so recovery must succeed with zero remaining overload and only a modest
+// cost increase; a flow React has to drop is an error.
 func FailureRecovery(cfg Config) (*FailureResult, error) {
 	cfg = cfg.withDefaults()
 	nJobs := 4
@@ -102,10 +104,18 @@ func FailureRecovery(cfg Config) (*FailureResult, error) {
 	}
 	res.OverloadedAfterFailure = len(ctl.OverloadedSwitches())
 
-	res.FlowsRerouted, err = ctl.RebalanceOverloaded(req.Flows, loc)
+	eps := make([]faults.FlowEndpoints, len(req.Flows))
+	for i, f := range req.Flows {
+		eps[i] = faults.FlowEndpoints{Flow: f, Src: loc.ServerOf(f.Src), Dst: loc.ServerOf(f.Dst)}
+	}
+	react, err := faults.React(ctl, eps)
 	if err != nil {
 		return nil, err
 	}
+	if len(react.Dropped) > 0 {
+		return nil, fmt.Errorf("experiments: recovery dropped flows %v: no feasible reroute", react.Dropped)
+	}
+	res.FlowsRerouted = react.Rerouted
 	res.OverloadedAfterRecovery = len(ctl.OverloadedSwitches())
 	res.CostAfter, err = ctl.TotalCost(req.Flows, loc)
 	if err != nil {

@@ -140,15 +140,6 @@ type Fig7Result struct {
 	DelayImprovement float64
 }
 
-// Figure7 derives the Figure 7 metrics from the Figure 6 runs.
-func Figure7(cfg Config) (*Fig7Result, error) {
-	f6, err := Figure6(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Fig7FromFig6(f6), nil
-}
-
 // Fig7FromFig6 reuses already-collected Figure 6 runs.
 func Fig7FromFig6(f6 *Fig6Result) *Fig7Result {
 	res := &Fig7Result{Runs: f6.Runs}
@@ -234,16 +225,6 @@ func Figure8a(cfg Config) (*Fig8aResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Reduction returns the stored reduction for (class, scheduler).
-func (r *Fig8aResult) Reduction(class workload.Class, sched string) float64 {
-	for _, row := range r.Rows {
-		if row.Class == class && row.Scheduler == sched {
-			return row.CostReduction
-		}
-	}
-	return 0
 }
 
 // Render formats Figure 8(a).

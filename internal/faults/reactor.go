@@ -80,10 +80,11 @@ func React(ctl *controller.Controller, eps []FlowEndpoints) (ReactResult, error)
 		res.Rerouted++
 	}
 
-	// Pass 2: shed overload. Mirrors controller.RebalanceOverloaded's
-	// victim choice (largest rate through the first overloaded switch,
-	// flow-ID tie-break) but degrades to dropping the victim when no
-	// feasible reroute exists — the zero-overload guarantee.
+	// Pass 2: shed overload. The victim is the largest-rate flow through
+	// the first overloaded switch, the lowest flow ID at a rate tie; it is
+	// re-solved by Algorithm 1, or dropped when no feasible reroute exists
+	// — the zero-overload guarantee. This is the repository's one reroute
+	// path: the fault loop and experiments.FailureRecovery both call it.
 	for guard := 0; ; guard++ {
 		over := ctl.OverloadedSwitches()
 		if len(over) == 0 {

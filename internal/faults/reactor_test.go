@@ -153,6 +153,89 @@ func TestChaosReactorDropsUnroutableFlow(t *testing.T) {
 	assertInvariants(t, ctl, topo)
 }
 
+// TestChaosReactorRefusesImmovableOverload: an overload pinned in place
+// by an installed flow outside React's endpoint set cannot be shed, and
+// React must report it instead of returning a clean result.
+func TestChaosReactorRefusesImmovableOverload(t *testing.T) {
+	topo := testFatTree(t)
+	ctl := controller.New(topo)
+	srv := topo.Servers()
+	f := &flow.Flow{ID: 0, Src: 1, Dst: 2, SizeGB: 4, Rate: 4}
+	p, err := ctl.OptimizeBetween(f, srv[0], srv[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Install(f, p); err != nil {
+		t.Fatal(err)
+	}
+	// Degrade the flow's edge switch, which it cannot avoid; React is not
+	// given the flow anyway.
+	if err := topo.SetSwitchCapacity(p.List[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := React(ctl, nil); err == nil {
+		t.Error("immovable overload not reported")
+	}
+}
+
+// TestChaosReactorVictimRule pins the order in which React sheds an
+// overload, which experiments.FailureRecovery relies on: of the flows
+// through the first overloaded switch, the largest-rate one moves first,
+// and at a rate tie the lowest flow ID. Four flows with rates 2, 3, 3 and
+// 1 share one route, whose aggregation switch is degraded so that moving
+// one rate-3 flow clears it: exactly flow 1 must move.
+func TestChaosReactorVictimRule(t *testing.T) {
+	topo := testFatTree(t)
+	ctl := controller.New(topo)
+	srv := topo.Servers()
+	var eps []FlowEndpoints
+	for i, rate := range []float64{2, 3, 3, 1} {
+		f := &flow.Flow{ID: flow.ID(i), Src: 1, Dst: 2, SizeGB: rate, Rate: rate}
+		p, err := ctl.OptimizeBetween(f, srv[0], srv[15])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.Install(f, p); err != nil {
+			t.Fatal(err)
+		}
+		eps = append(eps, FlowEndpoints{Flow: f, Src: srv[0], Dst: srv[15]})
+	}
+	w := midSwitchOf(t, ctl, topo, 0)
+	through := func(id flow.ID) bool {
+		for _, sw := range ctl.Policy(id).List {
+			if sw == w {
+				return true
+			}
+		}
+		return false
+	}
+	for _, ep := range eps {
+		if !through(ep.Flow.ID) {
+			t.Fatalf("flow %d does not cross switch %d — test premise broken", ep.Flow.ID, w)
+		}
+	}
+	if err := topo.SetSwitchCapacity(w, 6.5); err != nil {
+		t.Fatal(err)
+	}
+	res, err := React(ctl, eps)
+	if err != nil {
+		t.Fatalf("React: %v", err)
+	}
+	if res.Rerouted != 1 || len(res.Dropped) != 0 {
+		t.Fatalf("React = %+v, want exactly one flow rerouted", res)
+	}
+	for _, ep := range eps {
+		if err := ctl.Policy(ep.Flow.ID).Satisfied(topo); err != nil {
+			t.Errorf("flow %d: %v", ep.Flow.ID, err)
+		}
+		if moved := !through(ep.Flow.ID); moved != (ep.Flow.ID == 1) {
+			t.Errorf("flow %d (rate %v): moved off switch %d = %v, want only flow 1 moved",
+				ep.Flow.ID, ep.Flow.Rate, w, moved)
+		}
+	}
+	assertInvariants(t, ctl, topo)
+}
+
 // TestChaosInjectorReplayBitIdentical drives a generated timeline through
 // two independent fabrics and demands bit-identical state at every step.
 func TestChaosInjectorReplayBitIdentical(t *testing.T) {

@@ -63,12 +63,3 @@ func BuildJobFlows(job *workload.Job, mapContainers, reduceContainers []cluster.
 	}
 	return out, nil
 }
-
-// TotalSizeGB sums flow sizes.
-func TotalSizeGB(flows []*Flow) float64 {
-	var sum float64
-	for _, f := range flows {
-		sum += f.SizeGB
-	}
-	return sum
-}

@@ -1,4 +1,4 @@
-package flow
+package flow_test
 
 import (
 	"math"
@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/flow"
+	"repro/internal/netstate"
+	"repro/internal/reference"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -19,8 +22,8 @@ type testEnv struct {
 	loc  map[cluster.ContainerID]topology.NodeID
 }
 
-func (e *testEnv) locator() Locator {
-	return LocatorFunc(func(c cluster.ContainerID) topology.NodeID {
+func (e *testEnv) locator() flow.Locator {
+	return flow.LocatorFunc(func(c cluster.ContainerID) topology.NodeID {
 		if s, ok := e.loc[c]; ok {
 			return s
 		}
@@ -53,7 +56,7 @@ func (e *testEnv) newContainer(t *testing.T, srv topology.NodeID) cluster.Contai
 
 // shortestPolicy builds the flow's policy from one shortest path between its
 // endpoints.
-func (e *testEnv) shortestPolicy(t *testing.T, f *Flow) *Policy {
+func (e *testEnv) shortestPolicy(t *testing.T, f *flow.Flow) *flow.Policy {
 	t.Helper()
 	src := e.loc[f.Src]
 	dst := e.loc[f.Dst]
@@ -61,18 +64,18 @@ func (e *testEnv) shortestPolicy(t *testing.T, f *Flow) *Policy {
 	if path == nil {
 		t.Fatalf("no path between %d and %d", src, dst)
 	}
-	return PolicyFromPath(e.topo, f.ID, path)
+	return flow.PolicyFromPath(e.topo, f.ID, path)
 }
 
 func TestFlowValidate(t *testing.T) {
-	f := &Flow{ID: 1, Src: 0, Dst: 1, SizeGB: 2, Rate: 2}
+	f := &flow.Flow{ID: 1, Src: 0, Dst: 1, SizeGB: 2, Rate: 2}
 	if err := f.Validate(); err != nil {
 		t.Errorf("valid flow rejected: %v", err)
 	}
-	if (&Flow{Src: 3, Dst: 3}).Validate() == nil {
+	if (&flow.Flow{Src: 3, Dst: 3}).Validate() == nil {
 		t.Error("self flow accepted")
 	}
-	if (&Flow{Src: 0, Dst: 1, SizeGB: -1}).Validate() == nil {
+	if (&flow.Flow{Src: 0, Dst: 1, SizeGB: -1}).Validate() == nil {
 		t.Error("negative size accepted")
 	}
 }
@@ -82,7 +85,7 @@ func TestPolicySatisfied(t *testing.T) {
 	srv := e.topo.Servers()
 	a := e.newContainer(t, srv[0])
 	b := e.newContainer(t, srv[15])
-	f := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1}
+	f := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1}
 	p := e.shortestPolicy(t, f)
 	if err := p.Satisfied(e.topo); err != nil {
 		t.Errorf("shortest-path policy unsatisfied: %v", err)
@@ -117,7 +120,7 @@ func TestPolicyFromPathExtractsSwitches(t *testing.T) {
 	e := newTestEnv(t)
 	srv := e.topo.Servers()
 	path := e.topo.ShortestPath(srv[0], srv[15])
-	p := PolicyFromPath(e.topo, 3, path)
+	p := flow.PolicyFromPath(e.topo, 3, path)
 	// Inter-pod fat-tree path: edge, agg, core, agg, edge = 5 switches.
 	if p.Len() != 5 {
 		t.Fatalf("policy len = %d, want 5 (%v)", p.Len(), p.List)
@@ -135,13 +138,13 @@ func TestPolicyFromPathExtractsSwitches(t *testing.T) {
 
 func TestFlowCostAndDelay(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
 	srv := e.topo.Servers()
 
 	// Same edge switch: 2-hop route, 1 switch.
 	a := e.newContainer(t, srv[0])
 	b := e.newContainer(t, srv[1])
-	f := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 4, Rate: 2}
+	f := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 4, Rate: 2}
 	p := e.shortestPolicy(t, f)
 	cost, err := cm.FlowCost(f, p, e.locator())
 	if err != nil {
@@ -167,7 +170,7 @@ func TestFlowCostAndDelay(t *testing.T) {
 
 	// Inter-pod: 6 hops, 5 switches.
 	c := e.newContainer(t, srv[15])
-	g := &Flow{ID: 1, Src: a, Dst: c, SizeGB: 4, Rate: 2}
+	g := &flow.Flow{ID: 1, Src: a, Dst: c, SizeGB: 4, Rate: 2}
 	pg := e.shortestPolicy(t, g)
 	cost, err = cm.FlowCost(g, pg, e.locator())
 	if err != nil {
@@ -184,9 +187,9 @@ func TestFlowCostAndDelay(t *testing.T) {
 
 func TestFlowCostUnplacedEndpoint(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
-	f := &Flow{ID: 0, Src: 100, Dst: 101, SizeGB: 1, Rate: 1}
-	p := &Policy{Flow: 0}
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
+	f := &flow.Flow{ID: 0, Src: 100, Dst: 101, SizeGB: 1, Rate: 1}
+	p := &flow.Policy{Flow: 0}
 	if _, err := cm.FlowCost(f, p, e.locator()); err == nil {
 		t.Error("unplaced endpoints accepted")
 	}
@@ -197,18 +200,18 @@ func TestFlowCostUnplacedEndpoint(t *testing.T) {
 
 func TestTotalCost(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
 	srv := e.topo.Servers()
 	a := e.newContainer(t, srv[0])
 	b := e.newContainer(t, srv[1])
 	c := e.newContainer(t, srv[2])
-	f1 := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1}
-	f2 := &Flow{ID: 1, Src: a, Dst: c, SizeGB: 1, Rate: 1}
-	pols := map[ID]*Policy{
+	f1 := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1}
+	f2 := &flow.Flow{ID: 1, Src: a, Dst: c, SizeGB: 1, Rate: 1}
+	pols := map[flow.ID]*flow.Policy{
 		0: e.shortestPolicy(t, f1),
 		1: e.shortestPolicy(t, f2),
 	}
-	total, err := cm.TotalCost([]*Flow{f1, f2}, pols, e.locator())
+	total, err := cm.TotalCost([]*flow.Flow{f1, f2}, pols, e.locator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,18 +220,18 @@ func TestTotalCost(t *testing.T) {
 		t.Errorf("total = %v, want 6", total)
 	}
 	delete(pols, 1)
-	if _, err := cm.TotalCost([]*Flow{f1, f2}, pols, e.locator()); err == nil {
+	if _, err := cm.TotalCost([]*flow.Flow{f1, f2}, pols, e.locator()); err == nil {
 		t.Error("missing policy accepted")
 	}
 }
 
 func TestSwapUtilityMatchesCostDelta(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
 	srv := e.topo.Servers()
 	a := e.newContainer(t, srv[0])
 	b := e.newContainer(t, srv[15])
-	f := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 3}
+	f := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 3}
 	p := e.shortestPolicy(t, f)
 	loc := e.locator()
 
@@ -242,13 +245,13 @@ func TestSwapUtilityMatchesCostDelta(t *testing.T) {
 				continue
 			}
 			found = true
-			u, err := cm.SwapUtility(f, p, i, w, loc)
+			u, err := reference.SwapUtility(cm, f, p, i, w, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			before, _ := cm.FlowCost(f, p, loc)
 			q := p.Clone()
-			if err := ApplySwap(e.topo, q, i, w); err != nil {
+			if err := reference.ApplySwap(e.topo, q, i, w); err != nil {
 				t.Fatalf("ApplySwap: %v", err)
 			}
 			after, _ := cm.FlowCost(f, q, loc)
@@ -261,10 +264,10 @@ func TestSwapUtilityMatchesCostDelta(t *testing.T) {
 		t.Fatal("fat-tree provided no alternative switches; test vacuous")
 	}
 	// Out of range.
-	if _, err := cm.SwapUtility(f, p, -1, 0, loc); err == nil {
+	if _, err := reference.SwapUtility(cm, f, p, -1, 0, loc); err == nil {
 		t.Error("negative position accepted")
 	}
-	if _, err := cm.SwapUtility(f, p, p.Len(), 0, loc); err == nil {
+	if _, err := reference.SwapUtility(cm, f, p, p.Len(), 0, loc); err == nil {
 		t.Error("overflow position accepted")
 	}
 }
@@ -274,36 +277,36 @@ func TestApplySwapTypeChecked(t *testing.T) {
 	srv := e.topo.Servers()
 	a := e.newContainer(t, srv[0])
 	b := e.newContainer(t, srv[15])
-	f := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1}
+	f := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1}
 	p := e.shortestPolicy(t, f)
 	core := e.topo.SwitchesOfType(topology.TypeCore)[0]
 	// Position 0 requires an access switch; a core switch must be rejected.
-	if err := ApplySwap(e.topo, p, 0, core); err == nil {
+	if err := reference.ApplySwap(e.topo, p, 0, core); err == nil {
 		t.Error("type-mismatched swap accepted")
 	}
-	if err := ApplySwap(e.topo, p, 0, srv[3]); err == nil {
+	if err := reference.ApplySwap(e.topo, p, 0, srv[3]); err == nil {
 		t.Error("server swap target accepted")
 	}
-	if err := ApplySwap(e.topo, p, 99, core); err == nil {
+	if err := reference.ApplySwap(e.topo, p, 99, core); err == nil {
 		t.Error("out-of-range swap accepted")
 	}
 }
 
 func TestMoveUtilityMatchesCostDelta(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
 	srv := e.topo.Servers()
 	a := e.newContainer(t, srv[0])
 	b := e.newContainer(t, srv[15])
 	c := e.newContainer(t, srv[8])
-	f1 := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 2}
-	f2 := &Flow{ID: 1, Src: a, Dst: c, SizeGB: 1, Rate: 1}
-	flows := []*Flow{f1, f2}
-	pols := map[ID]*Policy{0: e.shortestPolicy(t, f1), 1: e.shortestPolicy(t, f2)}
+	f1 := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 2}
+	f2 := &flow.Flow{ID: 1, Src: a, Dst: c, SizeGB: 1, Rate: 1}
+	flows := []*flow.Flow{f1, f2}
+	pols := map[flow.ID]*flow.Policy{0: e.shortestPolicy(t, f1), 1: e.shortestPolicy(t, f2)}
 	loc := e.locator()
 
 	for _, target := range []topology.NodeID{srv[1], srv[4], srv[12]} {
-		u, err := cm.MoveUtility(a, target, flows, pols, loc)
+		u, err := reference.MoveUtility(cm, a, target, flows, pols, loc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,15 +323,15 @@ func TestMoveUtilityMatchesCostDelta(t *testing.T) {
 
 func TestMoveUtilityEmptyPolicy(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
 	srv := e.topo.Servers()
 	a := e.newContainer(t, srv[0])
 	b := e.newContainer(t, srv[0]) // same server: empty policy
-	f := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 5}
-	pols := map[ID]*Policy{0: {Flow: 0}}
+	f := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 5}
+	pols := map[flow.ID]*flow.Policy{0: {Flow: 0}}
 	loc := e.locator()
 	// Moving a away from b costs dist(new, srv0) * 5.
-	u, err := cm.MoveUtility(a, srv[1], []*Flow{f}, pols, loc)
+	u, err := reference.MoveUtility(cm, a, srv[1], []*flow.Flow{f}, pols, loc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,17 +342,17 @@ func TestMoveUtilityEmptyPolicy(t *testing.T) {
 
 func TestMoveUtilityErrors(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
-	if _, err := cm.MoveUtility(999, e.topo.Servers()[0], nil, nil, e.locator()); err == nil {
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
+	if _, err := reference.MoveUtility(cm, 999, e.topo.Servers()[0], nil, nil, e.locator()); err == nil {
 		t.Error("unplaced container accepted")
 	}
 }
 
 func TestIncidentFlows(t *testing.T) {
-	f1 := &Flow{ID: 0, Src: 1, Dst: 2}
-	f2 := &Flow{ID: 1, Src: 3, Dst: 1}
-	f3 := &Flow{ID: 2, Src: 4, Dst: 5}
-	got := IncidentFlows(1, []*Flow{f1, f2, f3})
+	f1 := &flow.Flow{ID: 0, Src: 1, Dst: 2}
+	f2 := &flow.Flow{ID: 1, Src: 3, Dst: 1}
+	f3 := &flow.Flow{ID: 2, Src: 4, Dst: 5}
+	got := flow.IncidentFlows(1, []*flow.Flow{f1, f2, f3})
 	if len(got) != 2 {
 		t.Fatalf("incident = %d flows, want 2", len(got))
 	}
@@ -361,7 +364,7 @@ func TestClusterLocator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc := ClusterLocator(e.cl)
+	loc := flow.ClusterLocator(e.cl)
 	if got := loc.ServerOf(ct.ID); got != topology.None {
 		t.Errorf("unplaced container server = %d, want None", got)
 	}
@@ -382,7 +385,7 @@ func TestClusterLocator(t *testing.T) {
 // utilities (their affected segments are disjoint).
 func TestQuickSeparabilityNonAdjacentSwaps(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
 	srv := e.topo.Servers()
 	rng := rand.New(rand.NewSource(2))
 
@@ -394,15 +397,15 @@ func TestQuickSeparabilityNonAdjacentSwaps(t *testing.T) {
 		}
 		a := cluster.ContainerID(1000 + int(srcIdx))
 		b := cluster.ContainerID(2000 + int(dstIdx))
-		loc := LocatorFunc(func(c cluster.ContainerID) topology.NodeID {
+		loc := flow.LocatorFunc(func(c cluster.ContainerID) topology.NodeID {
 			if c == a {
 				return s1
 			}
 			return s2
 		})
-		fl := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1 + rng.Float64()}
+		fl := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1 + rng.Float64()}
 		path := e.topo.ShortestPath(s1, s2)
-		p := PolicyFromPath(e.topo, 0, path)
+		p := flow.PolicyFromPath(e.topo, 0, path)
 		if p.Len() < 3 {
 			return true // no two non-adjacent positions
 		}
@@ -411,11 +414,11 @@ func TestQuickSeparabilityNonAdjacentSwaps(t *testing.T) {
 		i, j := 0, 2
 		wi := pickSameType(e.topo, p, i, rng)
 		wj := pickSameType(e.topo, p, j, rng)
-		ui, err := cm.SwapUtility(fl, p, i, wi, loc)
+		ui, err := reference.SwapUtility(cm, fl, p, i, wi, loc)
 		if err != nil {
 			return false
 		}
-		uj, err := cm.SwapUtility(fl, p, j, wj, loc)
+		uj, err := reference.SwapUtility(cm, fl, p, j, wj, loc)
 		if err != nil {
 			return false
 		}
@@ -424,7 +427,7 @@ func TestQuickSeparabilityNonAdjacentSwaps(t *testing.T) {
 			return false
 		}
 		q := p.Clone()
-		if ApplySwap(e.topo, q, i, wi) != nil || ApplySwap(e.topo, q, j, wj) != nil {
+		if reference.ApplySwap(e.topo, q, i, wi) != nil || reference.ApplySwap(e.topo, q, j, wj) != nil {
 			return false
 		}
 		after, err := cm.FlowCost(fl, q, loc)
@@ -438,7 +441,7 @@ func TestQuickSeparabilityNonAdjacentSwaps(t *testing.T) {
 	}
 }
 
-func pickSameType(topo *topology.Topology, p *Policy, i int, rng *rand.Rand) topology.NodeID {
+func pickSameType(topo *topology.Topology, p *flow.Policy, i int, rng *rand.Rand) topology.NodeID {
 	cands := topo.SwitchesOfType(p.Types[i])
 	return cands[rng.Intn(len(cands))]
 }
@@ -448,7 +451,7 @@ func pickSameType(topo *topology.Topology, p *Policy, i int, rng *rand.Rand) top
 // the sum of the independent utilities.
 func TestQuickSeparabilityMoveAndSwap(t *testing.T) {
 	e := newTestEnv(t)
-	cm := NewCostModel(e.topo)
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
 	srv := e.topo.Servers()
 	rng := rand.New(rand.NewSource(9))
 
@@ -461,24 +464,24 @@ func TestQuickSeparabilityMoveAndSwap(t *testing.T) {
 		}
 		a, b := cluster.ContainerID(1), cluster.ContainerID(2)
 		cur := map[cluster.ContainerID]topology.NodeID{a: s1, b: s2}
-		loc := LocatorFunc(func(c cluster.ContainerID) topology.NodeID { return cur[c] })
-		fl := &Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 2}
-		p := PolicyFromPath(e.topo, 0, e.topo.ShortestPath(s1, s2))
+		loc := flow.LocatorFunc(func(c cluster.ContainerID) topology.NodeID { return cur[c] })
+		fl := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 2}
+		p := flow.PolicyFromPath(e.topo, 0, e.topo.ShortestPath(s1, s2))
 		if p.Len() < 2 {
 			return true
 		}
-		flows := []*Flow{fl}
-		pols := map[ID]*Policy{0: p}
+		flows := []*flow.Flow{fl}
+		pols := map[flow.ID]*flow.Policy{0: p}
 
 		// Swap an intermediate (non-first) switch: disjoint from the source
 		// move, which only touches the (server, list[0]) segment.
 		i := 1 + rng.Intn(p.Len()-1)
 		w := pickSameType(e.topo, p, i, rng)
-		uSwap, err := cm.SwapUtility(fl, p, i, w, loc)
+		uSwap, err := reference.SwapUtility(cm, fl, p, i, w, loc)
 		if err != nil {
 			return false
 		}
-		uMove, err := cm.MoveUtility(a, tgt, flows, pols, loc)
+		uMove, err := reference.MoveUtility(cm, a, tgt, flows, pols, loc)
 		if err != nil {
 			return false
 		}
@@ -487,11 +490,11 @@ func TestQuickSeparabilityMoveAndSwap(t *testing.T) {
 			return false
 		}
 		q := p.Clone()
-		if ApplySwap(e.topo, q, i, w) != nil {
+		if reference.ApplySwap(e.topo, q, i, w) != nil {
 			return false
 		}
 		cur[a] = tgt
-		after, err := cm.TotalCost(flows, map[ID]*Policy{0: q}, loc)
+		after, err := cm.TotalCost(flows, map[flow.ID]*flow.Policy{0: q}, loc)
 		if err != nil {
 			return false
 		}
@@ -525,7 +528,7 @@ func TestBuildJobFlows(t *testing.T) {
 	job := testJob(t, 3, 2)
 	maps := []cluster.ContainerID{0, 1, 2}
 	reds := []cluster.ContainerID{3, 4}
-	flows, err := BuildJobFlows(job, maps, reds, 10, BuildOptions{})
+	flows, err := flow.BuildJobFlows(job, maps, reds, 10, flow.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +538,11 @@ func TestBuildJobFlows(t *testing.T) {
 	if flows[0].ID != 10 {
 		t.Errorf("first ID = %d, want 10", flows[0].ID)
 	}
-	if got := TotalSizeGB(flows); math.Abs(got-job.TotalShuffleGB()) > 1e-9 {
+	var got float64
+	for _, f := range flows {
+		got += f.SizeGB
+	}
+	if math.Abs(got-job.TotalShuffleGB()) > 1e-9 {
 		t.Errorf("total flow size %v != job shuffle %v", got, job.TotalShuffleGB())
 	}
 	for _, f := range flows {
@@ -547,16 +554,16 @@ func TestBuildJobFlows(t *testing.T) {
 
 func TestBuildJobFlowsErrors(t *testing.T) {
 	jw := testJob(t, 2, 2)
-	if _, err := BuildJobFlows(jw, []cluster.ContainerID{0}, []cluster.ContainerID{2, 3}, 0, BuildOptions{}); err == nil {
+	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0}, []cluster.ContainerID{2, 3}, 0, flow.BuildOptions{}); err == nil {
 		t.Error("short map containers accepted")
 	}
-	if _, err := BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2}, 0, BuildOptions{}); err == nil {
+	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2}, 0, flow.BuildOptions{}); err == nil {
 		t.Error("short reduce containers accepted")
 	}
-	if _, err := BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{1, 3}, 0, BuildOptions{}); err == nil {
+	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{1, 3}, 0, flow.BuildOptions{}); err == nil {
 		t.Error("shared container accepted")
 	}
-	if _, err := BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2, 3}, 0, BuildOptions{RatePerGB: -1}); err == nil {
+	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2, 3}, 0, flow.BuildOptions{RatePerGB: -1}); err == nil {
 		t.Error("negative rate accepted")
 	}
 }
@@ -564,7 +571,7 @@ func TestBuildJobFlowsErrors(t *testing.T) {
 func TestBuildJobFlowsMinSize(t *testing.T) {
 	jw := testJob(t, 2, 2)
 	jw.Shuffle[0][0] = 0.001
-	flows, err := BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2, 3}, 0, BuildOptions{MinSizeGB: 0.01})
+	flows, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2, 3}, 0, flow.BuildOptions{MinSizeGB: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

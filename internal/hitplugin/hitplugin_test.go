@@ -89,7 +89,7 @@ func TestSubmitPlansRealizesAndInstallsPolicies(t *testing.T) {
 	// Containers actually occupy the live cluster.
 	used := 0
 	for _, s := range live.Servers() {
-		used += live.Used(s).CPU
+		used += live.Capacity(s).Sub(live.Free(s)).CPU
 	}
 	if used != 9 {
 		t.Errorf("live CPU used = %d, want 9", used)
@@ -132,8 +132,8 @@ func TestCompleteReleasesAndLearns(t *testing.T) {
 	}
 	// Cluster is empty again and policies are gone.
 	for _, s := range live.Servers() {
-		if !live.Used(s).IsZero() {
-			t.Errorf("server %d still used: %v", s, live.Used(s))
+		if !live.Capacity(s).Sub(live.Free(s)).IsZero() {
+			t.Errorf("server %d still used: %v", s, live.Capacity(s).Sub(live.Free(s)))
 		}
 	}
 	if p.Controller().NumPolicies() != 0 {

@@ -68,20 +68,6 @@ func (s *Sample) Mean() float64 {
 	return s.Sum() / float64(len(s.values))
 }
 
-// Stddev returns the population standard deviation, or NaN when empty.
-func (s *Sample) Stddev() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.values)))
-}
-
 // Min returns the smallest observation, or NaN when empty.
 func (s *Sample) Min() float64 {
 	if len(s.values) == 0 {
@@ -208,9 +194,6 @@ func (t *Table) AddRowf(formats []string, values ...interface{}) {
 	}
 	t.rows = append(t.rows, cells)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {

@@ -11,7 +11,7 @@ import (
 
 func TestSampleBasics(t *testing.T) {
 	var s Sample
-	if s.N() != 0 || !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) || !math.IsNaN(s.Stddev()) {
+	if s.N() != 0 || !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
 		t.Error("empty sample stats not NaN/zero")
 	}
 	s.AddAll([]float64{4, 1, 3, 2})
@@ -32,10 +32,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 	if got := s.Median(); got != 2.5 {
 		t.Errorf("Median = %v", got)
-	}
-	// Stddev of 1..4 (population) = sqrt(1.25).
-	if got := s.Stddev(); math.Abs(got-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("Stddev = %v", got)
 	}
 	// Adding after sort keeps correctness.
 	s.Add(0)
@@ -126,9 +122,6 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(out, "capacity") || !strings.Contains(out, "62.0") {
 		t.Errorf("missing rows:\n%s", out)
-	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, sep, 2 rows

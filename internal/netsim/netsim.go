@@ -222,7 +222,7 @@ func (s *session) index() {
 // walks receive +Inf (local copies are not network-bound).
 //
 // Every rate is bit-identical to a from-scratch fill of the same active
-// set (refFairShare in the tests): resources are visited in the active
+// set (reference.FairShare): resources are visited in the active
 // set's first-seen order, and a resource's frozen-rate sum is refolded
 // from zero in member order, never accumulated, after one of its members
 // froze. Members outside the active set are masked out of every fold.

@@ -27,11 +27,6 @@ type ScheduleReport struct {
 	UnroutableFlows []flow.ID
 }
 
-// Clean reports whether the round served everything.
-func (r *ScheduleReport) Clean() bool {
-	return r == nil || (len(r.UnplacedContainers) == 0 && len(r.UnroutableFlows) == 0)
-}
-
 // ensureReport returns the request's report, allocating one on demand (the
 // degraded contract: if the caller passed nil, the scheduler stores its own).
 func ensureReport(req *Request) *ScheduleReport {

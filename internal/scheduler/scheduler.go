@@ -2,8 +2,9 @@
 // scheduling strategy in the evaluation, plus the baselines the paper
 // compares Hit-Scheduler against: YARN's Capacity scheduler
 // (topology-unaware), the Probabilistic Network-Aware scheduler of Shen et
-// al. [CLUSTER'16] (static costs, single fixed path), a uniform Random
-// scheduler, and an exhaustive BruteForce oracle for tiny instances.
+// al. [CLUSTER'16] (static costs, single fixed path), and a uniform Random
+// scheduler. The exhaustive BruteForce oracle for tiny instances lives in
+// internal/reference.
 //
 // The Hit-Scheduler itself — the paper's contribution — lives in
 // internal/core and implements the same Scheduler interface.
@@ -423,118 +424,6 @@ func staticReduceCost(o *netstate.Oracle, c cluster.ContainerID, s topology.Node
 		cost += f.SizeGB * float64(d)
 	}
 	return cost
-}
-
-// BruteForce exhaustively enumerates every feasible assignment of the
-// request's containers to servers, scoring each with optimizer-routed
-// policies, and applies the cheapest. It is exponential and guarded to tiny
-// instances; it exists as a test oracle for Hit-Scheduler's quality.
-type BruteForce struct {
-	// MaxAssignments caps the search; exceeded requests fail. Zero means
-	// 200000.
-	MaxAssignments int
-}
-
-// Name implements Scheduler.
-func (BruteForce) Name() string { return "bruteforce" }
-
-// Schedule implements Scheduler.
-func (b BruteForce) Schedule(req *Request) error {
-	if err := req.Validate(); err != nil {
-		return err
-	}
-	limit := b.MaxAssignments
-	if limit == 0 {
-		limit = 200000
-	}
-	tasks := unplacedTasks(req)
-	servers := req.Cluster.Servers()
-
-	// Estimate search size.
-	size := 1
-	for range tasks {
-		size *= len(servers)
-		if size > limit {
-			return fmt.Errorf("scheduler: bruteforce: search space exceeds %d assignments", limit)
-		}
-	}
-
-	assign := make([]topology.NodeID, len(tasks))
-	bestCost := -1.0
-	var best []topology.NodeID
-	loc := req.Locator()
-
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(tasks) {
-			cost, err := bruteEvaluate(req, loc)
-			if err != nil {
-				return nil // infeasible routing under this assignment; skip
-			}
-			if bestCost < 0 || cost < bestCost {
-				bestCost = cost
-				best = append(best[:0], assign...)
-			}
-			return nil
-		}
-		for _, s := range servers {
-			if !req.Cluster.CanHost(s, tasks[i].Container) {
-				continue
-			}
-			if err := req.Cluster.Place(tasks[i].Container, s); err != nil {
-				continue
-			}
-			assign[i] = s
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-			if err := req.Cluster.Unplace(tasks[i].Container); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return err
-	}
-	if bestCost < 0 {
-		return fmt.Errorf("scheduler: bruteforce: no feasible assignment")
-	}
-	for i, t := range tasks {
-		if err := req.Cluster.Place(t.Container, best[i]); err != nil {
-			return err
-		}
-	}
-	// Final policies on the winning assignment.
-	for _, f := range req.Flows {
-		p, err := req.Controller.OptimizePolicy(f, loc)
-		if err != nil {
-			return err
-		}
-		if err := req.Controller.Install(f, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// bruteEvaluate scores the current (fully placed) assignment: optimizer
-// policies per flow, summed cost. It leaves no policies installed.
-func bruteEvaluate(req *Request, loc flow.Locator) (float64, error) {
-	cm := req.Controller.CostModel()
-	var total float64
-	for _, f := range req.Flows {
-		p, err := req.Controller.OptimizePolicy(f, loc)
-		if err != nil {
-			return 0, err
-		}
-		c, err := cm.FlowCost(f, p, loc)
-		if err != nil {
-			return 0, err
-		}
-		total += c
-	}
-	return total, nil
 }
 
 // SortTasksByShuffleOutput orders tasks by the shuffle bytes they produce or

@@ -1,4 +1,4 @@
-package scheduler
+package scheduler_test
 
 import (
 	"math/rand"
@@ -8,6 +8,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/flow"
+	"repro/internal/reference"
+	"repro/internal/scheduler"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -44,9 +46,9 @@ func uniformJob(t *testing.T, id, m, r int, cell float64) *workload.Job {
 	return j
 }
 
-func buildRequest(t *testing.T, cl *cluster.Cluster, ctl *controller.Controller, jobs []*workload.Job, seed int64) (*Request, []JobTasks) {
+func buildRequest(t *testing.T, cl *cluster.Cluster, ctl *controller.Controller, jobs []*workload.Job, seed int64) (*scheduler.Request, []scheduler.JobTasks) {
 	t.Helper()
-	req, jt, err := NewJobRequest(cl, ctl, jobs, cluster.Resources{CPU: 1, Memory: 1024}, rand.New(rand.NewSource(seed)))
+	req, jt, err := scheduler.NewJobRequest(cl, ctl, jobs, cluster.Resources{CPU: 1, Memory: 1024}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func buildRequest(t *testing.T, cl *cluster.Cluster, ctl *controller.Controller,
 
 // checkScheduled asserts every task container is placed, policies exist for
 // all flows and are satisfied, and the cluster invariants hold.
-func checkScheduled(t *testing.T, req *Request) {
+func checkScheduled(t *testing.T, req *scheduler.Request) {
 	t.Helper()
 	for _, task := range req.Tasks {
 		if !req.Cluster.Container(task.Container).Placed() {
@@ -78,7 +80,7 @@ func checkScheduled(t *testing.T, req *Request) {
 	}
 }
 
-func totalCost(t *testing.T, req *Request) float64 {
+func totalCost(t *testing.T, req *scheduler.Request) float64 {
 	t.Helper()
 	c, err := req.Controller.TotalCost(req.Flows, req.Locator())
 	if err != nil {
@@ -90,7 +92,7 @@ func totalCost(t *testing.T, req *Request) float64 {
 func TestCapacitySchedulesEverything(t *testing.T) {
 	cl, ctl := testEnv(t, 2, 4, cluster.Resources{CPU: 4, Memory: 4096})
 	req, _ := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 6, 3, 1)}, 1)
-	if err := (Capacity{}).Schedule(req); err != nil {
+	if err := (scheduler.Capacity{}).Schedule(req); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	checkScheduled(t, req)
@@ -104,7 +106,7 @@ func TestCapacitySpreadsLoad(t *testing.T) {
 	// a second task while an empty server remains.
 	cl, ctl := testEnv(t, 2, 4, cluster.Resources{CPU: 4, Memory: 4096})
 	req, _ := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 8, 8, 1)}, 1)
-	if err := (Capacity{}).Schedule(req); err != nil {
+	if err := (scheduler.Capacity{}).Schedule(req); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range cl.Servers() {
@@ -118,7 +120,7 @@ func TestRandomSchedulerDeterministicPerSeed(t *testing.T) {
 	place := func(seed int64) []topology.NodeID {
 		cl, ctl := testEnv(t, 2, 4, cluster.Resources{CPU: 4, Memory: 4096})
 		req, _ := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 4, 2, 1)}, seed)
-		if err := (Random{}).Schedule(req); err != nil {
+		if err := (scheduler.Random{}).Schedule(req); err != nil {
 			t.Fatal(err)
 		}
 		checkScheduled(t, req)
@@ -153,7 +155,7 @@ func TestPNABiasesReducesTowardMaps(t *testing.T) {
 	for seed := int64(0); seed < trials; seed++ {
 		cl, ctl := testEnv(t, 2, 4, cluster.Resources{CPU: 1, Memory: 4096})
 		req, jt := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 1, 1, 20)}, seed)
-		if err := (PNA{}).Schedule(req); err != nil {
+		if err := (scheduler.PNA{}).Schedule(req); err != nil {
 			t.Fatal(err)
 		}
 		checkScheduled(t, req)
@@ -180,14 +182,14 @@ func TestPNAHandlesZeroCostCandidates(t *testing.T) {
 	if len(req.Flows) != 0 {
 		t.Fatalf("zero-cell job built %d flows", len(req.Flows))
 	}
-	if err := (PNA{}).Schedule(req); err != nil {
+	if err := (scheduler.PNA{}).Schedule(req); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	checkScheduled(t, req)
 }
 
 func TestBruteForceBeatsBaselinesOnTinyInstance(t *testing.T) {
-	runWith := func(s Scheduler, seed int64) float64 {
+	runWith := func(s scheduler.Scheduler, seed int64) float64 {
 		cl, ctl := testEnv(t, 2, 2, cluster.Resources{CPU: 1, Memory: 2048})
 		req, _ := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 2, 1, 5)}, seed)
 		if err := s.Schedule(req); err != nil {
@@ -197,9 +199,9 @@ func TestBruteForceBeatsBaselinesOnTinyInstance(t *testing.T) {
 		return totalCost(t, req)
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		opt := runWith(BruteForce{}, seed)
-		capc := runWith(Capacity{}, seed)
-		rnd := runWith(Random{}, seed)
+		opt := runWith(reference.BruteForce{}, seed)
+		capc := runWith(scheduler.Capacity{}, seed)
+		rnd := runWith(scheduler.Random{}, seed)
 		if opt > capc+1e-9 {
 			t.Errorf("seed %d: bruteforce %v > capacity %v", seed, opt, capc)
 		}
@@ -212,7 +214,7 @@ func TestBruteForceBeatsBaselinesOnTinyInstance(t *testing.T) {
 func TestBruteForceRejectsLargeSearch(t *testing.T) {
 	cl, ctl := testEnv(t, 2, 4, cluster.Resources{CPU: 8, Memory: 65536})
 	req, _ := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 10, 10, 1)}, 1)
-	if err := (BruteForce{MaxAssignments: 1000}).Schedule(req); err == nil {
+	if err := (reference.BruteForce{}).Schedule(req); err == nil {
 		t.Error("oversized search accepted")
 	}
 }
@@ -222,14 +224,14 @@ func TestRequestValidateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
 		name string
-		req  Request
+		req  scheduler.Request
 	}{
-		{"nil cluster", Request{Controller: ctl, Rand: rng}},
-		{"nil controller", Request{Cluster: cl, Rand: rng}},
-		{"nil rand", Request{Cluster: cl, Controller: ctl}},
-		{"unknown container", Request{Cluster: cl, Controller: ctl, Rand: rng,
-			Tasks: []Task{{Container: 99}}}},
-		{"bad flow", Request{Cluster: cl, Controller: ctl, Rand: rng,
+		{"nil cluster", scheduler.Request{Controller: ctl, Rand: rng}},
+		{"nil controller", scheduler.Request{Cluster: cl, Rand: rng}},
+		{"nil rand", scheduler.Request{Cluster: cl, Controller: ctl}},
+		{"unknown container", scheduler.Request{Cluster: cl, Controller: ctl, Rand: rng,
+			Tasks: []scheduler.Task{{Container: 99}}}},
+		{"bad flow", scheduler.Request{Cluster: cl, Controller: ctl, Rand: rng,
 			Flows: []*flow.Flow{{ID: 0, Src: 1, Dst: 1}}}},
 	}
 	for _, tc := range cases {
@@ -247,9 +249,9 @@ func TestRequestValidateFixedUnplaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{
+	req := scheduler.Request{
 		Cluster: cl, Controller: ctl, Rand: rand.New(rand.NewSource(1)),
-		Tasks: []Task{{Container: ct.ID}},
+		Tasks: []scheduler.Task{{Container: ct.ID}},
 		Fixed: map[cluster.ContainerID]bool{ct.ID: true},
 	}
 	if err := req.Validate(); err == nil {
@@ -264,7 +266,7 @@ func TestRequestValidateFixedUnplaced(t *testing.T) {
 }
 
 func TestSchedulersRespectFixedContainers(t *testing.T) {
-	for _, s := range []Scheduler{Capacity{}, Random{}, PNA{}} {
+	for _, s := range []scheduler.Scheduler{scheduler.Capacity{}, scheduler.Random{}, scheduler.PNA{}} {
 		t.Run(s.Name(), func(t *testing.T) {
 			cl, ctl := testEnv(t, 2, 2, cluster.Resources{CPU: 4, Memory: 8192})
 			req, jt := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 2, 2, 1)}, 4)
@@ -296,14 +298,14 @@ func TestSortTasksByShuffleOutput(t *testing.T) {
 	job.Shuffle[0] = []float64{5, 5} // map 0 outputs 10
 	job.Shuffle[1] = []float64{1, 1} // map 1 outputs 2
 	job.Shuffle[2] = []float64{3, 3} // map 2 outputs 6
-	tasks := []Task{
+	tasks := []scheduler.Task{
 		{Job: job, Kind: workload.MapTask, Index: 1},
 		{Job: job, Kind: workload.MapTask, Index: 0},
 		{Job: job, Kind: workload.MapTask, Index: 2},
 		{Job: job, Kind: workload.ReduceTask, Index: 0}, // consumes 9
 		{Job: nil},
 	}
-	SortTasksByShuffleOutput(tasks)
+	scheduler.SortTasksByShuffleOutput(tasks)
 	if tasks[0].Index != 0 || tasks[0].Kind != workload.MapTask {
 		t.Errorf("heaviest first: got index %d", tasks[0].Index)
 	}
@@ -318,20 +320,20 @@ func TestSortTasksByShuffleOutput(t *testing.T) {
 func TestNewJobRequestErrors(t *testing.T) {
 	cl, ctl := testEnv(t, 1, 2, cluster.Resources{CPU: 1, Memory: 1})
 	rng := rand.New(rand.NewSource(1))
-	if _, _, err := NewJobRequest(nil, ctl, nil, cluster.Resources{}, rng); err == nil {
+	if _, _, err := scheduler.NewJobRequest(nil, ctl, nil, cluster.Resources{}, rng); err == nil {
 		t.Error("nil cluster accepted")
 	}
-	if _, _, err := NewJobRequest(cl, ctl, nil, cluster.Resources{}, nil); err == nil {
+	if _, _, err := scheduler.NewJobRequest(cl, ctl, nil, cluster.Resources{}, nil); err == nil {
 		t.Error("nil rng accepted")
 	}
 	bad := &workload.Job{NumMaps: 0, NumReduces: 1}
-	if _, _, err := NewJobRequest(cl, ctl, []*workload.Job{bad}, cluster.Resources{}, rng); err == nil {
+	if _, _, err := scheduler.NewJobRequest(cl, ctl, []*workload.Job{bad}, cluster.Resources{}, rng); err == nil {
 		t.Error("invalid job accepted")
 	}
 }
 
 func TestCAMSchedulesAndBeatsCapacityOnCost(t *testing.T) {
-	runCost := func(s Scheduler, seed int64) float64 {
+	runCost := func(s scheduler.Scheduler, seed int64) float64 {
 		cl, ctl := testEnv(t, 2, 4, cluster.Resources{CPU: 2, Memory: 8192})
 		req, _ := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 6, 4, 3)}, seed)
 		if err := s.Schedule(req); err != nil {
@@ -342,8 +344,8 @@ func TestCAMSchedulesAndBeatsCapacityOnCost(t *testing.T) {
 	}
 	var cam, capc float64
 	for seed := int64(0); seed < 6; seed++ {
-		cam += runCost(CAM{}, seed)
-		capc += runCost(Capacity{}, seed)
+		cam += runCost(scheduler.CAM{}, seed)
+		capc += runCost(scheduler.Capacity{}, seed)
 	}
 	if cam > capc {
 		t.Errorf("CAM aggregate cost %v > capacity %v", cam, capc)
@@ -360,7 +362,7 @@ func TestCAMOptimalOnTinyInstance(t *testing.T) {
 	req, jt := buildRequest(t, cl, ctl, []*workload.Job{job}, 2)
 	// Pre-place maps exactly as CAM would (most-free order).
 	for _, c := range jt[0].Maps {
-		s, err := mostFreeServer(cl, c)
+		s, err := scheduler.MostFreeServer(cl, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +371,7 @@ func TestCAMOptimalOnTinyInstance(t *testing.T) {
 		}
 		req.Fixed[c] = true
 	}
-	if err := (CAM{}).Schedule(req); err != nil {
+	if err := (scheduler.CAM{}).Schedule(req); err != nil {
 		t.Fatal(err)
 	}
 	camCost := totalCost(t, req)
@@ -377,7 +379,7 @@ func TestCAMOptimalOnTinyInstance(t *testing.T) {
 	cl2, ctl2 := testEnv(t, 2, 2, cluster.Resources{CPU: 1, Memory: 2048})
 	req2, jt2 := buildRequest(t, cl2, ctl2, []*workload.Job{job}, 2)
 	for _, c := range jt2[0].Maps {
-		s, err := mostFreeServer(cl2, c)
+		s, err := scheduler.MostFreeServer(cl2, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +388,7 @@ func TestCAMOptimalOnTinyInstance(t *testing.T) {
 		}
 		req2.Fixed[c] = true
 	}
-	if err := (BruteForce{}).Schedule(req2); err != nil {
+	if err := (reference.BruteForce{}).Schedule(req2); err != nil {
 		t.Fatal(err)
 	}
 	optCost := totalCost(t, req2)
@@ -403,7 +405,7 @@ func TestCAMRespectsFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Fixed[jt[0].Reduces[0]] = true
-	if err := (CAM{}).Schedule(req); err != nil {
+	if err := (scheduler.CAM{}).Schedule(req); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.Container(jt[0].Reduces[0]).Server(); got != srv {
@@ -413,12 +415,11 @@ func TestCAMRespectsFixed(t *testing.T) {
 }
 
 func TestSchedulerNames(t *testing.T) {
-	names := map[string]Scheduler{
-		"capacity":   Capacity{},
-		"random":     Random{},
-		"pna":        PNA{},
-		"bruteforce": BruteForce{},
-		"cam":        CAM{},
+	names := map[string]scheduler.Scheduler{
+		"capacity": scheduler.Capacity{},
+		"random":   scheduler.Random{},
+		"pna":      scheduler.PNA{},
+		"cam":      scheduler.CAM{},
 	}
 	for want, s := range names {
 		if got := s.Name(); got != want {
@@ -459,7 +460,7 @@ func TestInstallShortestPoliciesFallsBackUnderSaturation(t *testing.T) {
 	req.Fixed[jt.Maps[0]] = true
 	req.Fixed[jt.Maps[1]] = true
 	req.Fixed[jt.Reduces[0]] = true
-	err = InstallShortestPolicies(req)
+	err = scheduler.InstallShortestPolicies(req)
 	// Both flows must traverse the single aggregation switch (cap 3, need
 	// 4): no feasible routing exists, so a coherent error is correct.
 	if err == nil {
@@ -475,9 +476,9 @@ func TestInstallShortestPoliciesFallsBackUnderSaturation(t *testing.T) {
 }
 
 // buildRequestWith is buildRequest for a single prepared job.
-func buildRequestWith(t *testing.T, cl *cluster.Cluster, ctl *controller.Controller, job *workload.Job, seed int64) (*Request, JobTasks) {
+func buildRequestWith(t *testing.T, cl *cluster.Cluster, ctl *controller.Controller, job *workload.Job, seed int64) (*scheduler.Request, scheduler.JobTasks) {
 	t.Helper()
-	req, jt, err := NewJobRequest(cl, ctl, []*workload.Job{job}, cluster.Resources{CPU: 1, Memory: 512}, rand.New(rand.NewSource(seed)))
+	req, jt, err := scheduler.NewJobRequest(cl, ctl, []*workload.Job{job}, cluster.Resources{CPU: 1, Memory: 512}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,16 +489,16 @@ func TestCapacityNoRoomError(t *testing.T) {
 	cl, ctl := testEnv(t, 1, 2, cluster.Resources{CPU: 1, Memory: 64})
 	// 2 servers x 1 CPU; a 3-task job cannot fit.
 	req, _ := buildRequest(t, cl, ctl, []*workload.Job{uniformJob(t, 0, 2, 1, 1)}, 1)
-	if err := (Capacity{}).Schedule(req); err == nil {
+	if err := (scheduler.Capacity{}).Schedule(req); err == nil {
 		t.Error("over-committed request accepted")
 	}
-	if err := (PNA{}).Schedule(req); err == nil {
+	if err := (scheduler.PNA{}).Schedule(req); err == nil {
 		t.Error("PNA accepted over-committed request")
 	}
-	if err := (Random{}).Schedule(req); err == nil {
+	if err := (scheduler.Random{}).Schedule(req); err == nil {
 		t.Error("Random accepted over-committed request")
 	}
-	if err := (CAM{}).Schedule(req); err == nil {
+	if err := (scheduler.CAM{}).Schedule(req); err == nil {
 		t.Error("CAM accepted over-committed request")
 	}
 }

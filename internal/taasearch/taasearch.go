@@ -1,8 +1,9 @@
 // Package taasearch provides a simulated-annealing solver for the TAA
-// objective. The TAA problem is NP-hard (§4), so the exhaustive BruteForce
-// oracle only reaches toy sizes; the annealer scales to the evaluation's
-// instances and serves as a near-optimal comparator that quantifies how
-// much headroom Hit-Scheduler's stable-matching heuristic leaves.
+// objective. The TAA problem is NP-hard (§4), so the exhaustive
+// reference.BruteForce oracle only reaches toy sizes; the annealer scales
+// to the evaluation's instances and serves as a near-optimal comparator
+// that quantifies how much headroom Hit-Scheduler's stable-matching
+// heuristic leaves.
 //
 // The annealer searches placement space directly: a state is an assignment
 // of every movable container to a server (CPU-feasible); its energy is the

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/reference"
 	"repro/internal/scheduler"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -70,7 +71,7 @@ func runCost(t *testing.T, s scheduler.Scheduler, m, r int, fanout int, seed int
 
 func TestAnnealerMatchesBruteForceOnTinyInstance(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		opt := runCost(t, scheduler.BruteForce{}, 2, 1, 2, seed)
+		opt := runCost(t, reference.BruteForce{}, 2, 1, 2, seed)
 		ann := runCost(t, &Annealer{Iterations: 5000}, 2, 1, 2, seed)
 		if ann > opt+1e-9 {
 			t.Errorf("seed %d: annealer %v > optimal %v", seed, ann, opt)

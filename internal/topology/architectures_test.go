@@ -155,7 +155,7 @@ func TestNewVL2(t *testing.T) {
 	}
 	// Each ToR is dual-homed: degree = 2 agg + servers.
 	for _, tor := range topo.SwitchesOfType(TypeAccess) {
-		if got := topo.Degree(tor); got != 2+4 {
+		if got := len(topo.Neighbors(tor)); got != 2+4 {
 			t.Errorf("ToR degree = %d, want 6", got)
 		}
 	}
@@ -189,13 +189,13 @@ func TestNewBCube(t *testing.T) {
 	}
 	// Every server attaches to exactly k+1 = 2 switches.
 	for _, s := range topo.Servers() {
-		if got := topo.Degree(s); got != 2 {
+		if got := len(topo.Neighbors(s)); got != 2 {
 			t.Errorf("server %d degree = %d, want 2", s, got)
 		}
 	}
 	// Every switch connects exactly n = 4 servers.
 	for _, w := range topo.Switches() {
-		if got := topo.Degree(w); got != 4 {
+		if got := len(topo.Neighbors(w)); got != 4 {
 			t.Errorf("switch %d degree = %d, want 4", w, got)
 		}
 	}

@@ -89,18 +89,6 @@ type Link struct {
 	Latency float64
 }
 
-// Other returns the endpoint of l that is not n. It panics if n is not an
-// endpoint of l.
-func (l Link) Other(n NodeID) NodeID {
-	switch n {
-	case l.A:
-		return l.B
-	case l.B:
-		return l.A
-	}
-	panic(fmt.Sprintf("topology: node %d is not an endpoint of link %d-%d", n, l.A, l.B))
-}
-
 // Topology is an immutable-after-build network graph. Build one with the
 // architecture constructors (NewTree, NewFatTree, NewVL2, NewBCube) or
 // assemble a custom one with NewBuilder.
@@ -188,9 +176,6 @@ func (t *Topology) Links() []Link { return t.links }
 // Neighbors returns the adjacency list of id, sorted ascending. The returned
 // slice must not be modified.
 func (t *Topology) Neighbors(id NodeID) []NodeID { return t.adj[id] }
-
-// Degree returns the number of links incident to id.
-func (t *Topology) Degree(id NodeID) int { return len(t.adj[id]) }
 
 // SetSwitchCapacity overrides a switch's processing capacity in place. It
 // exists for failure injection — degrading or restoring a switch mid-
@@ -639,14 +624,4 @@ func (b *Builder) Build() (*Topology, error) {
 		}
 	}
 	return b.t, nil
-}
-
-// MustBuild is Build that panics on error; for use by the architecture
-// constructors whose inputs are validated beforehand.
-func (b *Builder) MustBuild() *Topology {
-	t, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return t
 }

@@ -78,23 +78,3 @@ func LoadTrace(r io.Reader) (*Trace, error) {
 	}
 	return &t, nil
 }
-
-// NewTrace samples a complete trace from the generator: n jobs with Poisson
-// arrivals at the given rate (rate <= 0 means batch submission).
-func NewTrace(name string, g *Generator, n int, rate float64, seed int64) (*Trace, error) {
-	if g == nil {
-		return nil, fmt.Errorf("workload: nil generator")
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("workload: negative job count %d", n)
-	}
-	t := &Trace{Name: name, Jobs: g.Workload(n)}
-	if rate > 0 {
-		arr, err := PoissonArrivals(n, rate, seed)
-		if err != nil {
-			return nil, err
-		}
-		t.Arrivals = arr
-	}
-	return t, nil
-}

@@ -7,15 +7,27 @@ import (
 	"testing"
 )
 
+// sampleTrace builds an n-job trace from g, with Poisson arrivals at the
+// given rate (none when rate is 0).
+func sampleTrace(t *testing.T, name string, g *Generator, n int, rate float64, seed int64) *Trace {
+	t.Helper()
+	tr := &Trace{Name: name, Jobs: g.Workload(n)}
+	if rate > 0 {
+		arr, err := PoissonArrivals(n, rate, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Arrivals = arr
+	}
+	return tr
+}
+
 func TestTraceSaveLoadRoundTrip(t *testing.T) {
 	g, err := NewGenerator(DefaultConfig(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTrace("mix", g, 4, 0.1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := sampleTrace(t, "mix", g, 4, 0.1, 7)
 	if len(tr.Jobs) != 4 || len(tr.Arrivals) != 4 {
 		t.Fatalf("trace sized %d/%d", len(tr.Jobs), len(tr.Arrivals))
 	}
@@ -46,10 +58,7 @@ func TestTraceSaveLoadRoundTrip(t *testing.T) {
 
 func TestTraceBatchMode(t *testing.T) {
 	g, _ := NewGenerator(DefaultConfig(), 5)
-	tr, err := NewTrace("batch", g, 3, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := sampleTrace(t, "batch", g, 3, 0, 1)
 	if tr.Arrivals != nil {
 		t.Errorf("batch trace has arrivals %v", tr.Arrivals)
 	}
@@ -64,23 +73,23 @@ func TestTraceValidateErrors(t *testing.T) {
 		t.Error("nil trace accepted")
 	}
 	g, _ := NewGenerator(DefaultConfig(), 5)
-	tr, _ := NewTrace("x", g, 2, 0, 1)
+	tr := sampleTrace(t, "x", g, 2, 0, 1)
 	tr.Jobs = append(tr.Jobs, nil)
 	if tr.Validate() == nil {
 		t.Error("nil job accepted")
 	}
-	tr, _ = NewTrace("x", g, 2, 0.5, 1)
+	tr = sampleTrace(t, "x", g, 2, 0.5, 1)
 	tr.Arrivals = tr.Arrivals[:1]
 	if tr.Validate() == nil {
 		t.Error("short arrivals accepted")
 	}
-	tr, _ = NewTrace("x", g, 2, 0.5, 1)
+	tr = sampleTrace(t, "x", g, 2, 0.5, 1)
 	tr.Arrivals[0], tr.Arrivals[1] = tr.Arrivals[1], tr.Arrivals[0]
 	if tr.Validate() == nil {
 		t.Error("unsorted arrivals accepted")
 	}
 	for _, a := range []float64{-1, math.NaN(), math.Inf(1)} {
-		tr, _ = NewTrace("x", g, 1, 0.5, 1)
+		tr = sampleTrace(t, "x", g, 1, 0.5, 1)
 		tr.Arrivals[0] = a
 		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "arrival 0") {
 			t.Errorf("arrival %v: err = %v, want one naming arrival 0", a, err)
@@ -92,16 +101,6 @@ func TestTraceValidateErrors(t *testing.T) {
 	}
 	if err := bad.Save(&bytes.Buffer{}); err == nil {
 		t.Error("Save accepted invalid trace")
-	}
-}
-
-func TestNewTraceErrors(t *testing.T) {
-	if _, err := NewTrace("x", nil, 1, 0, 1); err == nil {
-		t.Error("nil generator accepted")
-	}
-	g, _ := NewGenerator(DefaultConfig(), 5)
-	if _, err := NewTrace("x", g, -1, 0, 1); err == nil {
-		t.Error("negative count accepted")
 	}
 }
 

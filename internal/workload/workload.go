@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Class is the shuffle-intensity class of a benchmark (Table 1).
@@ -417,48 +416,6 @@ func (g *Generator) synthesize(b Benchmark, inputGB float64) *Job {
 		j.ReduceComputeSec[r] = j.ReduceInputGB(r) * b.ReduceSecondsPerGB * (0.9 + 0.2*g.rng.Float64())
 	}
 	return j
-}
-
-// Waves returns how many scheduling waves a task set of size tasks needs
-// given the cluster offers slots concurrent containers (§5.3: "Maps are
-// first scheduled to execute on all available containers and these form the
-// first wave...").
-func Waves(tasks, slots int) int {
-	if tasks <= 0 {
-		return 0
-	}
-	if slots <= 0 {
-		return math.MaxInt32
-	}
-	return (tasks + slots - 1) / slots
-}
-
-// MixShares aggregates the catalog's Table 1 shares by class; used by the
-// Table 1 reproduction.
-func MixShares() map[Class]float64 {
-	out := make(map[Class]float64, int(numClasses))
-	for _, b := range Catalog() {
-		out[b.Class] += b.Share
-	}
-	return out
-}
-
-// ClassOfJobCounts tallies jobs per class; used by workload-mix assertions.
-func ClassOfJobCounts(jobs []*Job) map[Class]int {
-	out := make(map[Class]int)
-	for _, j := range jobs {
-		out[j.Class]++
-	}
-	return out
-}
-
-// SortJobsByShuffle orders jobs descending by total shuffle volume (the
-// paper's subsequent-wave strategy pairs the heaviest shuffle producers
-// first).
-func SortJobsByShuffle(jobs []*Job) {
-	sort.SliceStable(jobs, func(i, k int) bool {
-		return jobs[i].TotalShuffleGB() > jobs[k].TotalShuffleGB()
-	})
 }
 
 // PoissonArrivals draws n job submission times with exponentially

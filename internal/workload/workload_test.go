@@ -13,13 +13,14 @@ func TestCatalogMatchesTable1(t *testing.T) {
 		t.Fatalf("catalog has %d entries, want 11 (Table 1)", len(cat))
 	}
 	var total float64
+	shares := make(map[Class]float64)
 	for _, b := range cat {
 		total += b.Share
+		shares[b.Class] += b.Share
 	}
 	if math.Abs(total-100) > 1e-9 {
 		t.Errorf("shares sum to %v, want 100", total)
 	}
-	shares := MixShares()
 	if shares[ShuffleHeavy] != 40 {
 		t.Errorf("heavy share = %v, want 40 (5+10+10+10+5)", shares[ShuffleHeavy])
 	}
@@ -184,7 +185,10 @@ func TestSampleClassRestriction(t *testing.T) {
 func TestWorkloadMixApproximatesTable1(t *testing.T) {
 	g, _ := NewGenerator(DefaultConfig(), 99)
 	jobs := g.Workload(2000)
-	counts := ClassOfJobCounts(jobs)
+	counts := make(map[Class]int)
+	for _, j := range jobs {
+		counts[j.Class]++
+	}
 	// Expected: heavy 40%, medium 20%, light 40% within 5 points.
 	tol := 0.05 * 2000
 	if got, want := float64(counts[ShuffleHeavy]), 0.40*2000; math.Abs(got-want) > tol {
@@ -217,34 +221,6 @@ func TestHeavyJobsShuffleDominates(t *testing.T) {
 	}
 	if frac := remote / total; frac >= 0.20 {
 		t.Errorf("heavy remote-map fraction = %v, want < 0.20", frac)
-	}
-}
-
-func TestWaves(t *testing.T) {
-	cases := []struct{ tasks, slots, want int }{
-		{0, 10, 0},
-		{-3, 10, 0},
-		{10, 10, 1},
-		{11, 10, 2},
-		{20, 10, 2},
-		{21, 10, 3},
-		{5, 0, math.MaxInt32},
-	}
-	for _, tc := range cases {
-		if got := Waves(tc.tasks, tc.slots); got != tc.want {
-			t.Errorf("Waves(%d, %d) = %d, want %d", tc.tasks, tc.slots, got, tc.want)
-		}
-	}
-}
-
-func TestSortJobsByShuffle(t *testing.T) {
-	g, _ := NewGenerator(DefaultConfig(), 5)
-	jobs := g.Workload(20)
-	SortJobsByShuffle(jobs)
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i-1].TotalShuffleGB() < jobs[i].TotalShuffleGB() {
-			t.Fatalf("not sorted at %d: %v < %v", i, jobs[i-1].TotalShuffleGB(), jobs[i].TotalShuffleGB())
-		}
 	}
 }
 

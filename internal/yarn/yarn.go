@@ -139,12 +139,6 @@ func (rm *ResourceManager) RackOf(server topology.NodeID) string {
 	return fmt.Sprintf("/rack-%d", acc)
 }
 
-// HostNode resolves a host name to its node ID.
-func (rm *ResourceManager) HostNode(name string) (topology.NodeID, bool) {
-	n, ok := rm.hostByName[name]
-	return n, ok
-}
-
 // HostName returns a server's name.
 func (rm *ResourceManager) HostName(server topology.NodeID) string {
 	if !rm.topo.Valid(server) {
@@ -206,19 +200,6 @@ func (a *Application) TakeAllocations() []Allocation {
 	out := st.allocations
 	st.allocations = nil
 	return out
-}
-
-// Pending returns the number of containers still unsatisfied.
-func (a *Application) Pending() int {
-	st := a.rm.apps[a.id]
-	if st == nil {
-		return 0
-	}
-	n := 0
-	for _, p := range st.pending {
-		n += p.remaining
-	}
-	return n
 }
 
 // Release returns a container's resources to the cluster (task finished).

@@ -49,6 +49,15 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
+// pending counts the containers app still waits for.
+func pending(rm *ResourceManager, app *Application) int {
+	n := 0
+	for _, p := range rm.apps[app.ID()].pending {
+		n += p.remaining
+	}
+	return n
+}
+
 func TestAnyHostAllocation(t *testing.T) {
 	rm, cl, _ := newRM(t, cluster.Resources{CPU: 2, Memory: 2048})
 	app := rm.Submit("wordcount")
@@ -58,8 +67,8 @@ func TestAnyHostAllocation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if app.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", app.Pending())
+	if got := pending(rm, app); got != 5 {
+		t.Errorf("pending = %d, want 5", got)
 	}
 	if err := rm.RunUntilSatisfied(10); err != nil {
 		t.Fatal(err)
@@ -172,8 +181,8 @@ func TestStrictLocalityBlocks(t *testing.T) {
 	if !strings.Contains(err.Error(), "unsatisfiable") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	if app.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", app.Pending())
+	if got := pending(rm, app); got != 1 {
+		t.Errorf("pending = %d, want 1", got)
 	}
 }
 
@@ -249,14 +258,14 @@ func TestReleaseReturnsResources(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := app.TakeAllocations()[0]
-	used := cl.Used(a.Node)
+	used := cl.Capacity(a.Node).Sub(cl.Free(a.Node))
 	if used.CPU != 1 {
 		t.Fatalf("used = %v", used)
 	}
 	if err := app.Release(a.Container); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Used(a.Node); !got.IsZero() {
+	if got := cl.Capacity(a.Node).Sub(cl.Free(a.Node)); !got.IsZero() {
 		t.Errorf("used after release = %v", got)
 	}
 	if err := app.Release(a.Container); err == nil {
@@ -281,11 +290,11 @@ func TestHeartbeatErrors(t *testing.T) {
 func TestHostNodeLookup(t *testing.T) {
 	rm, cl, _ := newRM(t, cluster.Resources{CPU: 1, Memory: 1})
 	s := cl.Servers()[3]
-	n, ok := rm.HostNode(rm.HostName(s))
+	n, ok := rm.hostByName[rm.HostName(s)]
 	if !ok || n != s {
-		t.Errorf("HostNode round-trip = (%d, %v)", n, ok)
+		t.Errorf("host name round-trip = (%d, %v)", n, ok)
 	}
-	if _, ok := rm.HostNode("bogus"); ok {
+	if _, ok := rm.hostByName["bogus"]; ok {
 		t.Error("bogus host resolved")
 	}
 	if rm.HostName(topology.NodeID(-1)) != "" {
