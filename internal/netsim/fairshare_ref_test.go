@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/flow"
@@ -172,13 +173,28 @@ func TestFairSharePinnedToReference(t *testing.T) {
 	}
 }
 
-// TestShareMaskedSubsetsPinnedToReference asks one run-wide index about a
-// sequence of random active sets, retiring transfers between calls as
-// Simulate does when they drain, and asserts every call's rates equal a
+// callRates runs one fair-share call over active, which it shuffles
+// first (rates must not depend on its order), and returns the rates in
+// transfer order.
+func callRates(s *session, rng *rand.Rand, active []int32) []float64 {
+	sorted := slices.Clone(active)
+	slices.Sort(sorted)
+	rng.Shuffle(len(active), func(i, j int) { active[i], active[j] = active[j], active[i] })
+	s.share(active)
+	got := make([]float64, len(sorted))
+	for j, ti := range sorted {
+		got[j] = s.rates[ti]
+	}
+	return got
+}
+
+// TestShareMaskedSubsetsPinnedToReference grows and shrinks one run-wide
+// index's active set, admitting transfers in random order and retiring
+// random active ones between calls, and asserts every call's rates equal a
 // from-scratch reference fill of the same set bit for bit.
 func TestShareMaskedSubsetsPinnedToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	retired := 0
+	retired, early := 0, 0
 	for round := 0; round < 4; round++ {
 		for _, topo := range pinFabrics(t, rng) {
 			n := NewNetwork(netstate.New(topo))
@@ -196,51 +212,47 @@ func TestShareMaskedSubsetsPinnedToReference(t *testing.T) {
 				}
 			}
 			s.index()
+			arrivals := rng.Perm(len(trs))
+			admitted := make([]bool, len(trs))
 			for k := 0; k < 24; k++ {
+				for j := rng.Intn(6); j > 0 && len(arrivals) > 0; j-- {
+					ti := int32(arrivals[0])
+					arrivals = arrivals[1:]
+					if slices.Contains(admitted[ti:], true) {
+						early++
+					}
+					s.admit(ti)
+					admitted[ti] = true
+				}
 				var active []int32
 				var subUses [][]reference.Use
 				var subCross []bool
 				for i := range trs {
-					if s.state[i] != finished && rng.Intn(3) != 0 {
+					if admitted[i] && s.state[i] != finished {
 						active = append(active, int32(i))
 						subUses = append(subUses, uses[i])
 						subCross = append(subCross, crossing[i])
 					}
 				}
-				s.share(active)
-				got := make([]float64, len(active))
-				for j, ti := range active {
-					got[j] = s.rates[ti]
-				}
+				got := callRates(s, rng, active)
 				sameRates(t, fmt.Sprintf("round %d call %d", round, k), got, reference.FairShare(caps, subUses, subCross))
 				for _, ti := range active {
 					if rng.Intn(5) == 0 {
-						s.state[ti] = finished
+						s.retire(ti)
 						retired++
 					}
 				}
 			}
 		}
 	}
-	if retired == 0 {
-		t.Fatal("no transfer retired between calls")
+	if retired == 0 || early == 0 {
+		t.Fatalf("%d retirements and %d admissions before a larger index; the calls miss a case", retired, early)
 	}
 }
 
-// TestShareVisitsActiveFirstSeenOrder pins an instance on which visiting
-// resources in the run-wide index's first-seen order (Y, X, W, because of
-// an inactive decoy) instead of the active set's (X, Y, W) changes a rate.
-// Freezing t at X moves Y's used+level·mult by an ulp, which flips Y's
-// saturation test and leaves b to rise another 1e-9.
-func TestShareVisitsActiveFirstSeenOrder(t *testing.T) {
-	const y, x, w = 0, 1, 2
-	caps := []float64{y: 3.321007088437341, x: 1.2662278065642956, w: 0.7885514743087494}
-	uses := [][]reference.Use{
-		{{Res: y, Mult: 1}, {Res: x, Mult: 1}}, // decoy, never active
-		{{Res: x, Mult: 1}, {Res: y, Mult: 1}}, // t
-		{{Res: w, Mult: 1}, {Res: y, Mult: 1}}, // a
-		{{Res: y, Mult: 1}},                    // b
-	}
+// handSession indexes hand-made uses, every transfer crossing, with no
+// transfer admitted yet.
+func handSession(caps []float64, uses [][]reference.Use) *session {
 	s := &session{caps: caps, useOff: []int32{0}}
 	for _, u := range uses {
 		for _, e := range u {
@@ -250,18 +262,72 @@ func TestShareVisitsActiveFirstSeenOrder(t *testing.T) {
 		s.crossing = append(s.crossing, true)
 	}
 	s.index()
-	active := []int32{1, 2, 3}
-	s.share(active)
+	return s
+}
 
+// visitOrderInstance is the instance of DESIGN.md §3.4 on which visiting
+// resources Y, X, W (the first-seen order while the decoy is active)
+// instead of X, Y, W (the order of t, a and b alone) changes b's rate.
+// Freezing t at X moves Y's used+level·mult by an ulp, which flips Y's
+// saturation test and leaves b to rise another 1e-9.
+func visitOrderInstance(t *testing.T) (*session, []float64, [][]reference.Use) {
+	t.Helper()
+	const y, x, w = 0, 1, 2
+	caps := []float64{y: 3.321007088437341, x: 1.2662278065642956, w: 0.7885514743087494}
+	uses := [][]reference.Use{
+		{{Res: y, Mult: 1}, {Res: x, Mult: 1}}, // decoy
+		{{Res: x, Mult: 1}, {Res: y, Mult: 1}}, // t
+		{{Res: w, Mult: 1}, {Res: y, Mult: 1}}, // a
+		{{Res: y, Mult: 1}},                    // b
+	}
 	want := reference.FairShare(caps, uses[1:], []bool{true, true, true})
 	if math.Float64bits(want[2]) != math.Float64bits(1.266227807564296) {
 		t.Fatalf("reference rate of b = %v, want 1.266227807564296; the instance no longer discriminates", want[2])
 	}
-	got := make([]float64, len(active))
-	for j, ti := range active {
-		got[j] = s.rates[ti]
+	return handSession(caps, uses), caps, uses
+}
+
+// TestShareVisitsActiveFirstSeenOrder pins the visit-order instance with
+// t, a and b admitted and the decoy never admitted.
+func TestShareVisitsActiveFirstSeenOrder(t *testing.T) {
+	s, caps, uses := visitOrderInstance(t)
+	for ti := int32(1); ti <= 3; ti++ {
+		s.admit(ti)
 	}
-	sameRates(t, "visit order", got, want)
+	rng := rand.New(rand.NewSource(1))
+	sameRates(t, "visit order", callRates(s, rng, []int32{1, 2, 3}), reference.FairShare(caps, uses[1:], []bool{true, true, true}))
+}
+
+// TestShareRetireMovesFirst pins the visit-order instance with the decoy
+// active for one call and then retired: retiring it must move Y's and X's
+// first active uses to t's, or the next call visits Y before X.
+func TestShareRetireMovesFirst(t *testing.T) {
+	s, caps, uses := visitOrderInstance(t)
+	for ti := int32(0); ti <= 3; ti++ {
+		s.admit(ti)
+	}
+	rng := rand.New(rand.NewSource(1))
+	sameRates(t, "with decoy", callRates(s, rng, []int32{0, 1, 2, 3}), reference.FairShare(caps, uses, []bool{true, true, true, true}))
+	s.retire(0)
+	sameRates(t, "decoy retired", callRates(s, rng, []int32{1, 2, 3}), reference.FairShare(caps, uses[1:], []bool{true, true, true}))
+}
+
+// TestShareFinalSweepCountsTransfers pins that a saturating resource's
+// multiplicity only filters the final sweep: a crosses R twice, so R's
+// multiplicity equals the count of unfrozen transfers when R saturates,
+// yet b, on S alone, is still unfrozen and must keep rising.
+func TestShareFinalSweepCountsTransfers(t *testing.T) {
+	const r, q = 0, 1
+	caps := []float64{r: 1, q: 10}
+	uses := [][]reference.Use{
+		{{Res: r, Mult: 2}}, // a
+		{{Res: q, Mult: 1}}, // b
+	}
+	s := handSession(caps, uses)
+	s.admit(0)
+	s.admit(1)
+	rng := rand.New(rand.NewSource(1))
+	sameRates(t, "final sweep", callRates(s, rng, []int32{0, 1}), reference.FairShare(caps, uses, []bool{true, true}))
 }
 
 // TestSimulatePinnedToReference asserts whole Simulate runs are

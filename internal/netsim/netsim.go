@@ -11,13 +11,14 @@
 // integer ID, and each transfer's walk is expanded once per run, via the
 // netstate oracle's cached shortest paths, into a (resource, multiplicity)
 // usage list. One resource index per run — the usage lists, each
-// resource's members in transfer order, and the capacities — serves every
-// progressive-filling step. A step reads only its active transfers' uses
-// and the resources they touch, and refolds a resource's frozen-rate sum
-// only after one of its members froze; every rate stays bit-identical to a
-// from-scratch fill of the same active set (DESIGN.md §3.4). Capacities
-// are read fresh at the start of every run, so bandwidth/capacity changes
-// (failure injection) between runs are honored.
+// resource's arrived members in transfer order, the capacities, and
+// per-resource counts that arrivals and completions keep current — serves
+// every progressive-filling step. A step starts from those counts, touches
+// only the resources its active transfers use, and refolds a resource's
+// frozen-rate sum only after one of its members froze; every rate stays
+// bit-identical to a from-scratch fill of the same active set (DESIGN.md
+// §3.4). Capacities are read fresh at the start of every run, so
+// bandwidth/capacity changes (failure injection) between runs are honored.
 package netsim
 
 import (
@@ -87,9 +88,9 @@ type member struct {
 
 // Transfer states within a session.
 const (
-	idle     uint8 = iota // not in the current fair-share call
-	unfrozen              // in the call, rate still rising
-	frozen                // in the call, rate fixed
+	idle     uint8 = iota // not admitted yet
+	unfrozen              // active, rate still rising in the current call
+	frozen                // active, rate fixed in the current call
 	finished              // retired; never active again
 )
 
@@ -108,11 +109,18 @@ type session struct {
 	useOff   []int32  // transfer t's uses are uses[useOff[t]:useOff[t+1]]
 	crossing []bool   // false for single-server walks
 
-	// Resource r's members are members[memLo[r]:memHi[r]], in transfer
-	// order. A refold drops finished members, so memHi only shrinks.
+	// Resource r's members are members[memLo[r]:memHi[r]]: the admitted
+	// transfers that use it, in transfer order, except the finished ones
+	// that retire or a refold dropped. Its slots end where r+1's begin.
 	members []member
 	memLo   []int32
 	memHi   []int32
+
+	// Carried across calls, kept by admit and retire.
+	base   []int32 // resource -> multiplicity of its active crossing members
+	single []int32 // resource -> number of its active single-server members
+	first  []int32 // resource -> index into uses of its first active use, -1 off res
+	res    []int32 // resources with an active member, and any that lost it since the last call
 
 	// Per-call state, allocated once per run.
 	state []uint8   // transfer -> idle/unfrozen/frozen/finished
@@ -120,8 +128,6 @@ type session struct {
 	mult  []int32   // resource -> multiplicity of its unfrozen members
 	used  []float64 // resource -> frozen members' rate sum, valid unless dirty
 	dirty []bool
-	seen  []uint32 // resource -> stamp of the last call that touched it
-	stamp uint32
 	order []int32 // the call's resources with unfrozen members, first-seen order
 }
 
@@ -188,8 +194,9 @@ func (s *session) use(start int, id int32, capacity float64) {
 	s.uses = append(s.uses, resUse{res: r, mult: 1})
 }
 
-// index builds the member lists and the per-call buffers once every
-// transfer has been added.
+// index lays out the member-list slots and allocates the per-run state
+// once every transfer has been added. Member lists start empty; admit
+// fills them.
 func (s *session) index() {
 	nRes, nTr := len(s.caps), len(s.crossing)
 	lo := make([]int32, nRes+1)
@@ -202,54 +209,118 @@ func (s *session) index() {
 	s.memLo = lo[:nRes]
 	s.memHi = append([]int32(nil), s.memLo...)
 	s.members = make([]member, len(s.uses))
-	for t := 0; t < nTr; t++ {
-		for _, u := range s.uses[s.useOff[t]:s.useOff[t+1]] {
-			s.members[s.memHi[u.res]] = member{idx: int32(t), mult: u.mult}
-			s.memHi[u.res]++
-		}
+	s.base = make([]int32, nRes)
+	s.single = make([]int32, nRes)
+	s.first = make([]int32, nRes)
+	for r := range s.first {
+		s.first[r] = -1
 	}
+	s.res = make([]int32, 0, nRes)
 	s.state = make([]uint8, nTr)
 	s.rates = make([]float64, nTr)
 	s.mult = make([]int32, nRes)
 	s.used = make([]float64, nRes)
 	s.dirty = make([]bool, nRes)
-	s.seen = make([]uint32, nRes)
 	s.order = make([]int32, 0, nRes)
 }
 
-// share computes the max-min fair rates of the active transfers, given in
-// transfer order, into s.rates via progressive filling. Single-server
-// walks receive +Inf (local copies are not network-bound).
+// admit makes transfer t active: it joins each of its resources' member
+// lists at its transfer-order position (an append when t is the largest
+// index there) and their carried counts.
+func (s *session) admit(t int32) {
+	for i := s.useOff[t]; i < s.useOff[t+1]; i++ {
+		u := s.uses[i]
+		r, j := u.res, s.memHi[u.res]
+		for ; j > s.memLo[r] && s.members[j-1].idx > t; j-- {
+			s.members[j] = s.members[j-1]
+		}
+		s.members[j] = member{idx: t, mult: u.mult}
+		s.memHi[r]++
+		if s.first[r] < 0 {
+			s.res = append(s.res, r)
+			s.first[r] = i
+		} else if i < s.first[r] || s.base[r] == 0 && s.single[r] == 0 {
+			s.first[r] = i
+		}
+		if s.crossing[t] {
+			s.base[r] += u.mult
+		} else {
+			s.single[r]++
+		}
+	}
+}
+
+// retire finishes transfer t and takes it out of its resources' carried
+// counts. Where t was a resource's first active member, the finished
+// members at the head of its list go, and first moves to the new head.
+func (s *session) retire(t int32) {
+	s.state[t] = finished
+	for i := s.useOff[t]; i < s.useOff[t+1]; i++ {
+		u := s.uses[i]
+		r, lo := u.res, s.memLo[u.res]
+		if s.crossing[t] {
+			s.base[r] -= u.mult
+		} else {
+			s.single[r]--
+		}
+		for lo < s.memHi[r] && s.state[s.members[lo].idx] == finished {
+			lo++
+		}
+		if lo == s.memLo[r] {
+			continue // t was not r's first active member
+		}
+		if s.memLo[r] = lo; lo == s.memHi[r] {
+			continue // no active member left; share drops r from res
+		}
+		j := s.useOff[s.members[lo].idx]
+		for s.uses[j].res != r {
+			j++
+		}
+		s.first[r] = j
+	}
+}
+
+// share computes the max-min fair rates of the active transfers, the
+// admitted and unretired ones, into s.rates via progressive filling.
+// Single-server walks receive +Inf (local copies are not network-bound).
 //
 // Every rate is bit-identical to a from-scratch fill of the same active
-// set (reference.FairShare): resources are visited in the active
-// set's first-seen order, and a resource's frozen-rate sum is refolded
-// from zero in member order, never accumulated, after one of its members
-// froze. Members outside the active set are masked out of every fold.
+// set (reference.FairShare): resources are visited in the active set's
+// first-seen order, which is the order of their first active uses, and a
+// resource's frozen-rate sum is refolded from zero in member order, never
+// accumulated, after one of its members froze.
 func (s *session) share(active []int32) {
-	s.stamp++
-	s.order = s.order[:0]
+	left := 0 // unfrozen transfers
 	for _, t := range active {
-		cross := s.crossing[t]
-		if cross {
+		if s.crossing[t] {
 			s.state[t] = unfrozen
+			left++
 		} else {
 			s.state[t] = frozen
 			s.rates[t] = math.Inf(1)
 		}
-		for _, u := range s.uses[s.useOff[t]:s.useOff[t+1]] {
-			r := u.res
-			if s.seen[r] != s.stamp {
-				s.seen[r] = s.stamp
-				s.order = append(s.order, r)
-				s.mult[r], s.used[r], s.dirty[r] = 0, 0, false
-			}
-			if cross {
-				s.mult[r] += u.mult
-			} else {
-				s.dirty[r] = true
-			}
+	}
+	// Drop the resources left without an active member and restore res's
+	// order by first active use. Few entries moved since the last call, so
+	// an insertion sort does little.
+	k := 0
+	for _, r := range s.res {
+		if s.base[r] == 0 && s.single[r] == 0 {
+			s.first[r] = -1
+			continue
 		}
+		j := k
+		for ; j > 0 && s.first[s.res[j-1]] > s.first[r]; j-- {
+			s.res[j] = s.res[j-1]
+		}
+		s.res[j] = r
+		k++
+	}
+	s.res = s.res[:k]
+	s.order = append(s.order[:0], s.res...)
+	for _, r := range s.order {
+		// At the call's start only single-server members are frozen.
+		s.mult[r], s.used[r], s.dirty[r] = s.base[r], 0, s.single[r] > 0
 	}
 
 	level := 0.0
@@ -291,10 +362,15 @@ func (s *session) share(active []int32) {
 				s.refold(r)
 			}
 			if s.used[r]+level*float64(s.mult[r]) >= s.caps[r]-1e-9 {
-				for _, m := range s.members[s.memLo[r]:s.memHi[r]] {
+				mem := s.members[s.memLo[r]:s.memHi[r]]
+				if int(s.mult[r]) >= left && s.sweep(mem, left, level) {
+					return
+				}
+				for _, m := range mem {
 					if s.state[m.idx] == unfrozen {
 						s.freeze(m.idx, level)
 						progressed = true
+						left--
 					}
 				}
 			}
@@ -312,9 +388,31 @@ func (s *session) share(active []int32) {
 			break
 		}
 	}
-	for _, t := range active {
-		s.state[t] = idle
+}
+
+// sweep is the call's last freeze when the saturated resource with
+// members mem holds all left unfrozen transfers: it fixes them at level
+// and reports true, skipping the sum and multiplicity updates of freeze,
+// which nothing reads once no transfer is unfrozen. It counts transfers:
+// a multiplicity of at least left is necessary, not sufficient, since one
+// transfer may cross a resource twice.
+func (s *session) sweep(mem []member, left int, level float64) bool {
+	k := 0
+	for _, m := range mem {
+		if s.state[m.idx] == unfrozen {
+			k++
+		}
 	}
+	if k < left {
+		return false
+	}
+	for _, m := range mem {
+		if s.state[m.idx] == unfrozen {
+			s.state[m.idx] = frozen
+			s.rates[m.idx] = level
+		}
+	}
+	return true
 }
 
 // refold recomputes resource r's frozen-rate sum from zero in member order,
@@ -367,6 +465,7 @@ func (n *Network) FairShare(transfers []*Transfer) ([]float64, error) {
 	active := make([]int32, len(transfers))
 	for i := range active {
 		active[i] = int32(i)
+		s.admit(active[i])
 	}
 	s.share(active)
 	return s.rates, nil
@@ -448,7 +547,7 @@ func (n *Network) Simulate(transfers []*Transfer) (*Result, error) {
 		return cmp.Compare(transfers[a].Start, transfers[b].Start)
 	})
 	head := 0
-	// The arrived, unfinished transfers in transfer order.
+	// The arrived, unfinished transfers.
 	active := make([]int32, 0, len(transfers))
 
 	now := 0.0
@@ -457,13 +556,10 @@ func (n *Network) Simulate(transfers []*Transfer) (*Result, error) {
 			return nil, fmt.Errorf("netsim: simulation did not converge after %d steps", step)
 		}
 		// Admit every transfer that starts by now+1e-12.
-		first := head
 		for head < len(queue) && !(transfers[queue[head]].Start > now+1e-12) {
+			s.admit(queue[head])
+			active = append(active, queue[head])
 			head++
-		}
-		if head > first {
-			active = append(active, queue[first:head]...)
-			slices.Sort(active)
 		}
 		if len(active) == 0 && head == len(queue) {
 			break // nothing pending
@@ -478,7 +574,7 @@ func (n *Network) Simulate(transfers []*Transfer) (*Result, error) {
 				if now > res.Makespan {
 					res.Makespan = now
 				}
-				s.state[t] = finished
+				s.retire(t)
 				continue
 			}
 			active[k] = t

@@ -5,12 +5,14 @@
 # applies the deliberate mutation, runs only the check named by the patch
 # file's basename, and asserts taalint exits with code 1 — findings, not a
 # crash (2) and not a pass (0). Any toothless check fails the script. The
-# six patches: epochbump (skip an epoch bump in SetNodeAlive), errcompare
-# (compare an error with == in faults.React), oraclebypass (call
-# topology.PathLatency in sim's record), panicpath (launch a naked
-# goroutine in the preference build), poolescape (drop the pool Put in
-# solveStages) and snapshotfreeze (write through a captured distance row
-# in a preference-build worker).
+# eight patches: epochbump (skip an epoch bump in SetNodeAlive), errcompare
+# (compare an error with == in faults.React), floateq (test a drained
+# transfer with == 0 in netsim's event loop), maporder (drop the sort of
+# the policy IDs ranged from a map in the fault loop's applyEventsUntil),
+# oraclebypass (call topology.PathLatency in sim's record), panicpath
+# (launch a naked goroutine in the preference build), poolescape (drop
+# the pool Put in solveStages) and snapshotfreeze (write through a
+# captured distance row in a preference-build worker).
 #
 # The snapshot is HEAD plus every tracked, staged and untracked non-ignored
 # change, so an edited check or teeth patch is proven before it is
