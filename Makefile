@@ -1,8 +1,8 @@
 # Developer entry points. CI and the roadmap's tier-1 gate are
 # `make verify` (build, vet, lint, test, and a run of every example
-# program); `make race` is the concurrency gate for the parallel
-# preference-matrix build, whose workers must never call the netstate
-# oracle (it is not safe for concurrent use);
+# program); `make race` is the concurrency gate for the experiment
+# harness's cell fan-out, whose cells must share no scheduler, controller
+# or oracle (none is safe for concurrent use);
 # `make lint` runs taalint, the repo's own determinism / oracle-usage
 # static analysis (also enforced by the selfscan test); `make shuffle`
 # re-runs the tests in random order to keep them state-independent.
@@ -19,9 +19,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the eleven taalint checks (maporder, floateq, rngsource,
+# lint runs the ten taalint checks (maporder, floateq, rngsource,
 # wallclock, oraclebypass, epochbump, errcompare, mergeorder, poolescape,
-# panicpath, snapshotfreeze) over every non-test package, fails on any
+# panicpath) over every non-test package, fails on any
 # unsuppressed finding, and with -prune also fails on stale //taalint:
 # suppressions. Checks run one after another over one shared dataflow
 # index.

@@ -8,19 +8,17 @@
 // the netstate path/cost oracle is only a win if no consumer silently
 // reintroduces ad-hoc BFS or topology scans behind its back — or mutates
 // cached-over state without bumping the epoch that invalidates those
-// caches. Eleven checks in all. v1 shipped five per-package AST checks
+// caches. Ten checks in all. v1 shipped five per-package AST checks
 // (maporder, floateq, rngsource, wallclock, oraclebypass). v2 adds a
 // module-level dataflow layer — a lightweight call graph and field-access
 // index (index.go) — and three checks on top of it: epochbump, errcompare
-// and mergeorder. v3 adds poolescape and an interprocedural effects
-// layer (effects.go) — per-function parameter write-through summaries
-// fixed-pointed over the call graph — that snapshotfreeze reads.
-// panicpath and snapshotfreeze guard the one concurrency that remains,
-// the internal/parallel fan-out of the preference build: no naked
-// goroutines in decision packages, and no worker writes through a row
-// the oracle returned (see each check's file for the precise rules). The
-// netstate oracle itself has one owner and holds no lock; the race
-// detector, not a check, keeps workers off it.
+// and mergeorder. v3 adds poolescape, which keeps memory held in the
+// registered scratch fields from escaping the call that fills it.
+// panicpath keeps naked goroutines out of the decision packages: the one
+// fan-out left is the experiment harness's internal/parallel.Map over
+// cells, each of which builds its own topology, controller and oracle.
+// The netstate oracle, the controller and the Hit scheduler each have one
+// owner and hold no lock.
 // The module checks share one dataflow substrate (flow.go): a path
 // walker, an lvalue-spine helper, a taint evaluator and a call-graph
 // flood.
@@ -135,8 +133,7 @@ type PackageCheck interface {
 
 // ModuleCheck inspects the whole module at once through the dataflow
 // index — required when the invariant spans packages (a mutator in
-// topology proven to bump the epoch consumed in netstate, a worker three
-// calls away writing a row the oracle returned).
+// topology proven to bump the epoch consumed in netstate).
 type ModuleCheck interface {
 	Check
 	RunModule(mp *ModulePass)
@@ -155,7 +152,6 @@ func All() []Check {
 		MergeOrder{},
 		PoolEscape{},
 		PanicPath{},
-		SnapshotFreeze{},
 	}
 }
 

@@ -138,19 +138,19 @@ func (EpochBump) RunModule(mp *ModulePass) {
 		rootsExist = rootsExist || decisionPackages[p.Base()]
 	}
 	funcKeys := sortedKeys(mp.Index.Funcs)
-	var seeds []floodSeed
+	var seeds []FuncKey
 	for _, k := range funcKeys {
 		if decisionPackages[mp.Index.Funcs[k].Pkg.Base()] {
-			seeds = append(seeds, floodSeed{fn: k})
+			seeds = append(seeds, k)
 		}
 	}
-	_, reachable := mp.Index.flood(seeds)
+	reachable := mp.Index.flood(seeds)
 	for _, k := range funcKeys {
 		rule, blessed := ebBlessed[shortKey(k)]
 		if !blessed || rule.exempt {
 			continue
 		}
-		if _, ok := reachable[k]; rootsExist && !ok {
+		if rootsExist && !reachable[k] {
 			continue
 		}
 		info := mp.Index.Funcs[k]

@@ -16,7 +16,7 @@ import (
 //     while each check supplies its lattice and transfer functions;
 //   - spineOf, which takes an lvalue apart;
 //   - reaches, the expression-taint evaluator over a caller's seed;
-//   - Index.flood, the call-graph flood that records provenance;
+//   - Index.flood, the call-graph reachability flood;
 //   - builtinName, isNamed, refLike and sortedKeys.
 
 // forEachFunc calls fn for every function declaration with a body, in
@@ -435,37 +435,29 @@ func refLike(t types.Type) bool {
 	return walk(t)
 }
 
-// floodSeed is one root of a call-graph flood: a function and the name
-// diagnostics give for what reached it.
-type floodSeed struct {
-	fn  FuncKey
-	via string
-}
-
-// flood visits every function reachable over the static call graph from
-// seeds, breadth first, and returns them in visit order with the root
-// that first reached each. Seeds are visited in the order given, which
-// is what decides a function's root when several reach it; an
-// unresolved or external function is visited but calls nothing.
-func (idx *Index) flood(seeds []floodSeed) (order []FuncKey, via map[FuncKey]string) {
-	via = make(map[FuncKey]string)
-	visit := func(fn FuncKey, root string) {
-		if _, seen := via[fn]; !seen && fn != "" {
-			via[fn] = root
+// flood returns every function reachable over the static call graph
+// from seeds, the seeds included; an unresolved or external function is
+// reached but calls nothing.
+func (idx *Index) flood(seeds []FuncKey) map[FuncKey]bool {
+	seen := make(map[FuncKey]bool)
+	var order []FuncKey
+	visit := func(fn FuncKey) {
+		if !seen[fn] && fn != "" {
+			seen[fn] = true
 			order = append(order, fn)
 		}
 	}
-	for _, s := range seeds {
-		visit(s.fn, s.via)
+	for _, fn := range seeds {
+		visit(fn)
 	}
 	for i := 0; i < len(order); i++ {
 		if info := idx.Funcs[order[i]]; info != nil {
 			for _, c := range info.Calls {
-				visit(c.Callee, via[order[i]])
+				visit(c.Callee)
 			}
 		}
 	}
-	return order, via
+	return seen
 }
 
 // sortedKeys returns m's keys in ascending order.

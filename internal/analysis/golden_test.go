@@ -39,9 +39,6 @@ var goldenFixtures = []struct {
 	// panicpath is purely syntactic but scoped to decision packages, so
 	// the fixture masquerades as sim.
 	{"panicpath", "panicpath", "fixture/sim"},
-	// snapshotfreeze's source table keys on "(Oracle).Method" gated by
-	// the netstate base, so the fixture masquerades as netstate.
-	{"snapshotfreeze", "snapshotfreeze", "fixture/netstate"},
 }
 
 // TestGolden runs each check against its fixture package and compares the

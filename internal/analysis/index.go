@@ -62,10 +62,6 @@ type Index struct {
 	// Fields maps "owner-pkg-path.StructName.field" to every access of
 	// that field anywhere in the module, in load order.
 	Fields map[string][]FieldAccess
-
-	// effects is the lazily built v3 write-effect table (effects.go),
-	// shared across the checks of one Run.
-	effects *Effects
 }
 
 // BuildIndex constructs the call graph and field-access index over the

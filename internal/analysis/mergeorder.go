@@ -14,7 +14,7 @@ import (
 // fixed-seed evaluation cannot tolerate (and -race may not even flag it
 // when a mutex serializes the writes).
 //
-// For each call to parallel.ForEach/Map with a function-literal worker,
+// For each call to parallel.Map with a function-literal worker,
 // every write the worker makes to a captured variable must either be
 // index-addressed by the worker's index parameter (out[i] = v — each
 // worker owns a distinct slot, merge order is the index order) or the
@@ -22,9 +22,6 @@ import (
 // Captured map writes are always flagged (insertion order is
 // unrecoverable), as are workers passed by name (the body is not visible
 // at the call site to verify).
-//
-// The parallel package itself is exempt: its internal error-collection
-// slice is the index-addressed pattern this check mandates.
 type MergeOrder struct{}
 
 // Name implements Check.
@@ -32,61 +29,50 @@ func (MergeOrder) Name() string { return "mergeorder" }
 
 // Doc implements Check.
 func (MergeOrder) Doc() string {
-	return "parallel.ForEach/Map workers must merge results via index-addressed slices or an explicit post-fan-out sort"
+	return "parallel.Map workers must merge results via index-addressed slices or an explicit post-fan-out sort"
 }
 
 // Run implements PackageCheck.
 func (MergeOrder) Run(p *Pass) {
-	if p.Pkg.Base() == "parallel" {
-		return
-	}
 	forEachFunc([]*Package{p.Pkg}, func(_ *Package, fd *ast.FuncDecl) {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			callee := parallelCallee(p, call)
-			if callee == "" || len(call.Args) == 0 {
+			if !isParallelMap(p, call) || len(call.Args) == 0 {
 				return true
 			}
 			worker := call.Args[len(call.Args)-1]
 			lit, ok := ast.Unparen(worker).(*ast.FuncLit)
 			if !ok {
 				p.Reportf(worker.Pos(),
-					"worker passed to parallel.%s by name; pass a function literal so the merge order is verifiable at the call site", callee)
+					"worker passed to parallel.Map by name; pass a function literal so the merge order is verifiable at the call site")
 				return true
 			}
-			checkWorker(p, fd, call, lit, callee)
+			checkWorker(p, fd, call, lit)
 			return true
 		})
 	})
 }
 
-// parallelCallee returns "ForEach"/"Map" when call targets
-// internal/parallel, else "".
-func parallelCallee(p *Pass, call *ast.CallExpr) string {
+// isParallelMap reports whether call targets internal/parallel's Map.
+func isParallelMap(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return ""
+		return false
 	}
 	f, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || f.Pkg() == nil || shortKey(f.Pkg().Path()) != "parallel" {
-		return ""
-	}
-	if f.Name() == "ForEach" || f.Name() == "Map" {
-		return f.Name()
-	}
-	return ""
+	return ok && f.Pkg() != nil && shortKey(f.Pkg().Path()) == "parallel" && f.Name() == "Map"
 }
 
 // checkWorker audits one worker literal's writes to captured state.
-func checkWorker(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, lit *ast.FuncLit, callee string) {
+func checkWorker(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, lit *ast.FuncLit) {
 	idxObj := workerIndexParam(p, lit)
 	flag := func(e ast.Expr, mapWrite bool, base types.Object) {
 		if mapWrite {
 			p.Reportf(e.Pos(),
-				"parallel.%s worker writes captured map %s; insertion order is scheduler-dependent — collect into an index-addressed slice and build the map after the call", callee, base.Name())
+				"parallel.Map worker writes captured map %s; insertion order is scheduler-dependent — collect into an index-addressed slice and build the map after the call", base.Name())
 			return
 		}
 		// A slice accumulated out of order is acceptable when explicitly
@@ -95,7 +81,7 @@ func checkWorker(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, lit *ast.FuncLit
 			return
 		}
 		p.Reportf(e.Pos(),
-			"parallel.%s worker writes captured %s in completion order; index it by the worker index or sort it after the call returns", callee, base.Name())
+			"parallel.Map worker writes captured %s in completion order; index it by the worker index or sort it after the call returns", base.Name())
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch s := n.(type) {

@@ -7,9 +7,9 @@ import (
 // PanicPath forbids naked `go` statements in the decision packages. A
 // worker goroutine launched bare has no recover wrapper: a panic in it
 // kills the whole process instead of failing the one task that raised
-// it. Every fan-out in a decision package must flow through the
-// internal/parallel pool (ForEach/Map), whose safeCall wrapper converts
-// panics to errors. That package is deliberately NOT a decision package,
+// it. Every fan-out in a decision package must flow through
+// internal/parallel.Map, whose safeCall wrapper converts panics to
+// errors. That package is deliberately NOT a decision package,
 // so its own launch sites stay legal.
 //
 // The check is purely syntactic — any *ast.GoStmt is a finding — because

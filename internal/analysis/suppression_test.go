@@ -126,7 +126,7 @@ func FuzzSuppressionComment(f *testing.F) {
 		"//taalint:,,, \t ",
 		"/* taalint:floateq block */",
 		"//\ttaalint:wallclock\ttabs everywhere",
-		"//taalint:snapshotfreeze \u00e9\u00e9 non-ascii reason",
+		"//taalint:poolescape \u00e9\u00e9 non-ascii reason",
 	} {
 		f.Add(seed)
 	}

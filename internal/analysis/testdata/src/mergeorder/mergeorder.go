@@ -16,9 +16,9 @@ import (
 // Near-miss.
 func Good(n int) []float64 {
 	out := make([]float64, n)
-	_ = parallel.ForEach(n, 4, func(i int) error {
+	_, _ = parallel.Map(n, func(i int) (bool, error) {
 		out[i] = float64(i) * 1.5
-		return nil
+		return true, nil
 	})
 	return out
 }
@@ -27,9 +27,9 @@ func Good(n int) []float64 {
 // deterministic order. Trigger.
 func BadAppend(n int) []int {
 	var got []int
-	_ = parallel.ForEach(n, 4, func(i int) error {
+	_, _ = parallel.Map(n, func(i int) (bool, error) {
 		got = append(got, i)
-		return nil
+		return true, nil
 	})
 	return got
 }
@@ -38,9 +38,9 @@ func BadAppend(n int) []int {
 // used, which restores determinism. Near-miss.
 func SortedAppend(n int) []int {
 	var got []int
-	_ = parallel.ForEach(n, 4, func(i int) error {
+	_, _ = parallel.Map(n, func(i int) (bool, error) {
 		got = append(got, i)
-		return nil
+		return true, nil
 	})
 	sort.Ints(got)
 	return got
@@ -50,9 +50,9 @@ func SortedAppend(n int) []int {
 // unrecoverable afterwards. Trigger.
 func BadMap(n int) map[int]int {
 	m := make(map[int]int)
-	_ = parallel.ForEach(n, 4, func(i int) error {
+	_, _ = parallel.Map(n, func(i int) (bool, error) {
 		m[i] = i * i
-		return nil
+		return true, nil
 	})
 	return m
 }
@@ -60,25 +60,26 @@ func BadMap(n int) map[int]int {
 // BadCell bumps a shared accumulator in completion order. Trigger.
 func BadCell(n int) int {
 	total := 0
-	_ = parallel.ForEach(n, 4, func(i int) error {
+	_, _ = parallel.Map(n, func(i int) (bool, error) {
 		total += i
-		return nil
+		return true, nil
 	})
 	return total
 }
 
 // BadIndirect hides the worker behind a name, so the merge cannot be
 // verified at the call site. Trigger.
-func BadIndirect(n int, worker func(int) error) error {
-	return parallel.ForEach(n, 4, worker)
+func BadIndirect(n int, worker func(int) (bool, error)) error {
+	_, err := parallel.Map(n, worker)
+	return err
 }
 
 // Tolerated is the suppression specimen: exactly one audited escape hatch.
 func Tolerated(n int) int {
 	total := 0
-	_ = parallel.ForEach(n, 1, func(i int) error {
-		total += i //taalint:mergeorder one worker: completion order IS index order
-		return nil
+	_, _ = parallel.Map(n, func(i int) (bool, error) {
+		total += i //taalint:mergeorder an integer sum is the same in any order
+		return true, nil
 	})
 	return total
 }

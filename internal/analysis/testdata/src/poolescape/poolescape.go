@@ -1,31 +1,33 @@
-// Package stablematch is the poolescape golden fixture: sync.Pool
-// objects must reach a Put on every exit path, and neither pooled nor
-// registered-slab memory may escape the call. Loaded as
+// Package stablematch is the poolescape golden fixture: memory held in
+// a registered slab field may not escape the call. Loaded as
 // fixture/stablematch so the slab-field table (peSlabFields) keys
 // exactly as it does for the real Matcher.
 package stablematch
 
-import (
-	"errors"
-	"sync"
-)
+// Matcher mirrors the real matcher's reusable slabs; rankBack, used and
+// free are registered in peSlabFields.
+type Matcher struct {
+	rankBack []int32
+	used     scratch
+	free     []int
+}
 
 type scratch struct {
 	grades []float64
-	idx    []int32
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// Result is a caller-visible container.
+type Result struct {
+	Grades []float64
+	Ranks  []int32
+}
 
-var errInvalid = errors.New("invalid size")
-
-// Solve draws scratch, defers the Put and returns only fresh memory: the
-// canonical safe shape (near-miss for both rules).
-func Solve(n int) []int32 {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+// Solve works in slab scratch taken by address and returns only fresh
+// memory: the canonical safe shape (near-miss).
+func (m *Matcher) Solve(n int) []int32 {
+	sc := &m.used
 	grades := growFloats(sc.grades, n)
-	sc.grades = grades // re-slicing back into the pooled container is fine
+	sc.grades = grades // re-slicing back into the slab is fine
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(grades[i])
@@ -33,47 +35,26 @@ func Solve(n int) []int32 {
 	return out
 }
 
-// LeakOnError returns early without putting the scratch back (trigger:
-// rule A, Put missing on one exit path).
-func LeakOnError(n int) error {
-	sc := scratchPool.Get().(*scratch)
-	if n < 0 {
-		return errInvalid
-	}
-	sc.grades = growFloats(sc.grades, n)
-	scratchPool.Put(sc)
-	return nil
-}
-
-// ReturnsView returns a re-sliced view of pooled memory that outlives
-// the Put (trigger: rule B, tainted return).
-func ReturnsView(n int) []float64 {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+// ReturnsView returns a helper's view of slab scratch (trigger: tainted
+// return through a call result).
+func (m *Matcher) ReturnsView(n int) []float64 {
+	sc := &m.used
 	return growFloats(sc.grades, n)
 }
 
-// Result is a caller-visible container.
-type Result struct {
-	Grades []float64
+// Stash writes slab scratch through a parameter (trigger: outward
+// store).
+func (m *Matcher) Stash(res *Result, n int) {
+	res.Grades = m.used.grades[:n]
 }
 
-// Stash writes pooled memory through a parameter (trigger: rule B,
-// outward store).
-func Stash(res *Result, n int) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	res.Grades = sc.grades[:n]
+// Publish sends the slab on a channel (trigger: the receiver outlives
+// the call).
+func (m *Matcher) Publish(ch chan []int32) {
+	ch <- m.rankBack
 }
 
-// Matcher mirrors the real matcher's reusable slabs; rankBack and free
-// are registered in peSlabFields.
-type Matcher struct {
-	rankBack []int32
-	free     []int
-}
-
-// Ranks returns the raw slab (trigger: rule B, slab view escapes).
+// Ranks returns the raw slab (trigger: slab view escapes).
 func (m *Matcher) Ranks(n int) []int32 {
 	m.rankBack = growInt32(m.rankBack, n)
 	return m.rankBack
@@ -91,6 +72,35 @@ func (m *Matcher) RanksCopy(n int) []int32 {
 func (m *Matcher) Compact() {
 	free := m.free[:0]
 	m.free = free
+}
+
+// Choose filters into the slab and returns one element of it (near-miss:
+// an element of scalar type carries no reference).
+func (m *Matcher) Choose(vals []int32, pick int) int32 {
+	kept := m.rankBack[:0]
+	for _, v := range vals {
+		if v >= 0 {
+			kept = append(kept, v)
+		}
+	}
+	m.rankBack = kept
+	return kept[pick]
+}
+
+// Filter filters into the slab and stores the result into a fresh
+// container it returns (trigger: the container the store taints escapes
+// by the return).
+func (m *Matcher) Filter(vals []int32) *Result {
+	kept := m.rankBack[:0]
+	for _, v := range vals {
+		if v >= 0 {
+			kept = append(kept, v)
+		}
+	}
+	m.rankBack = kept
+	res := &Result{}
+	res.Ranks = kept
+	return res
 }
 
 // RawRanks exposes the slab under an explicit suppression — the
@@ -111,113 +121,4 @@ func growInt32(s []int32, n int) []int32 {
 		return s[:n]
 	}
 	return make([]int32, n)
-}
-
-// The cases below pin the shared path walker's control-flow rules
-// (DESIGN.md §6.1) for rule A: a reported Get is one some exit path
-// leaves out of the pool.
-
-// SwitchDefault puts the scratch back in every case of a switch that has
-// a default: no path falls past the cases (near-miss).
-func SwitchDefault(n int) {
-	sw := scratchPool.Get().(*scratch)
-	switch {
-	case n < 0:
-		scratchPool.Put(sw)
-	default:
-		scratchPool.Put(sw)
-	}
-}
-
-// SelectDefault puts the scratch back in both clauses of a select with a
-// default: a select never falls past its clauses (near-miss).
-func SelectDefault(ch chan int) {
-	sd := scratchPool.Get().(*scratch)
-	select {
-	case <-ch:
-		scratchPool.Put(sd)
-	default:
-		scratchPool.Put(sd)
-	}
-}
-
-// SelectBlocking puts the scratch back in both clauses of a select
-// without a default, which blocks until one runs (near-miss).
-func SelectBlocking(in, out chan int) {
-	sb := scratchPool.Get().(*scratch)
-	select {
-	case <-in:
-		scratchPool.Put(sb)
-	case out <- 1:
-		scratchPool.Put(sb)
-	}
-}
-
-// AfterReturn's second Get follows a return in the same block: dead code
-// leaves nothing out of the pool (near-miss).
-func AfterReturn(n int) int {
-	sr := scratchPool.Get().(*scratch)
-	scratchPool.Put(sr)
-	return n
-	dead := scratchPool.Get().(*scratch)
-	return len(dead.idx)
-}
-
-// PanicDeferred panics after the Get with the Put already deferred; the
-// panic exit runs the defer (near-miss).
-func PanicDeferred(n int) {
-	sp := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sp)
-	if n < 0 {
-		panic("negative size")
-	}
-}
-
-// DeferOneBranch defers the Put on one branch only, so the other path
-// leaves the scratch out (trigger).
-func DeferOneBranch(n int) {
-	so := scratchPool.Get().(*scratch)
-	if n > 0 {
-		defer scratchPool.Put(so)
-	}
-}
-
-// LabeledLoop draws scratch per row and puts it back both before a
-// labeled continue and at the end of the row (near-miss).
-func LabeledLoop(rows [][]int) {
-outer:
-	for _, row := range rows {
-		sl := scratchPool.Get().(*scratch)
-		for _, v := range row {
-			if v < 0 {
-				scratchPool.Put(sl)
-				continue outer
-			}
-		}
-		scratchPool.Put(sl)
-	}
-}
-
-// BreakSkipsPut draws scratch per row and leaves the loop with a break
-// before the row's Put (trigger).
-func BreakSkipsPut(rows [][]int) {
-	for _, row := range rows {
-		sk := scratchPool.Get().(*scratch)
-		if len(row) == 0 {
-			break
-		}
-		scratchPool.Put(sk)
-	}
-}
-
-// ContinueSkipsPut skips the row's Put with a continue, so that pass
-// ends with the scratch out of the pool (trigger).
-func ContinueSkipsPut(rows [][]int) {
-	for _, row := range rows {
-		sc := scratchPool.Get().(*scratch)
-		if len(row) == 0 {
-			continue
-		}
-		scratchPool.Put(sc)
-	}
 }

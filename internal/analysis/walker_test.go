@@ -4,23 +4,21 @@ import (
 	"go/ast"
 	"maps"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
 // TestWalkerRules pins the shared path walker's control-flow rules on the
-// cases the epochbump, poolescape and lockorder fixtures carry for them
-// (DESIGN.md §6.1): a switch with a default and a select never fall past
-// their clauses, select comm statements run, code after a return is dead,
+// cases the epochbump and lockorder fixtures carry for them (DESIGN.md
+// §6.1): a switch with a default and a select never fall past their
+// clauses, select comm statements run, code after a return is dead,
 // return and panic exit through the defers registered on their path, a
 // defer on one branch covers only that branch, labeled branch statements
 // inside a twice-walked loop keep the loop's answer, a break joins its
 // loop's exit and a continue the end of its loop's pass. Each subtest
 // reads the rules through its own lattice: epochbump's verdict is whether
-// a blessed mutator with the case's body would be reported, poolescape's
-// whether the case's Get is reported, and lockorder's (a held-set flow
-// local to this file) whether the case's lock is held where it takes
-// probe.
+// a blessed mutator with the case's body would be reported, and
+// lockorder's (a held-set flow local to this file) whether the case's
+// lock is held where it takes probe.
 func TestWalkerRules(t *testing.T) {
 	loader := NewLoader()
 	load := func(dir, path string) *Package {
@@ -49,31 +47,6 @@ func TestWalkerRules(t *testing.T) {
 		} {
 			if got := eng.summary("fixture/topology.(Topology)." + name).mayExitDirty; got != wantDirty {
 				t.Errorf("%s: may exit dirty = %v, want %v", name, got, wantDirty)
-			}
-		}
-	})
-
-	t.Run("poolescape", func(t *testing.T) {
-		pkg := load("poolescape", "fixture/stablematch")
-		leaks := make(map[string]bool)
-		for _, f := range Run([]*Package{pkg}, []Check{PoolEscape{}}) {
-			if strings.Contains(f.Msg, "may not be returned to its pool") {
-				leaks[enclosingFunc(pkg, f.Pos.Line)] = true
-			}
-		}
-		for name, wantLeak := range map[string]bool{
-			"SwitchDefault":    false,
-			"SelectDefault":    false,
-			"SelectBlocking":   false,
-			"AfterReturn":      false,
-			"PanicDeferred":    false,
-			"DeferOneBranch":   true,
-			"LabeledLoop":      false,
-			"BreakSkipsPut":    true,
-			"ContinueSkipsPut": true,
-		} {
-			if leaks[name] != wantLeak {
-				t.Errorf("%s: Get reported = %v, want %v", name, leaks[name], wantLeak)
 			}
 		}
 	})
@@ -154,14 +127,4 @@ func (f *heldFlow) apply(n ast.Node, held map[string]bool) map[string]bool {
 		return true
 	})
 	return held
-}
-
-// enclosingFunc names the function declaration of pkg spanning line.
-func enclosingFunc(pkg *Package, line int) (name string) {
-	forEachFunc([]*Package{pkg}, func(_ *Package, fd *ast.FuncDecl) {
-		if pkg.Fset.Position(fd.Pos()).Line <= line && line <= pkg.Fset.Position(fd.End()).Line {
-			name = fd.Name.Name
-		}
-	})
-	return name
 }

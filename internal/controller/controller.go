@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/flow"
 	"repro/internal/netstate"
@@ -55,6 +54,12 @@ type Controller struct {
 	capMin     float64
 	capVersion uint64
 	capValid   bool
+
+	// feasible is RandomPolicy's per-stage filter buffer: one buffer
+	// serves every stage of every call, so a 10k-flow initialization does
+	// not allocate a fresh slice per stage. Only the chosen switch ID
+	// escapes into the policy.
+	feasible []topology.NodeID
 }
 
 // New returns an empty controller over the topology, backed by a fresh
@@ -357,18 +362,16 @@ func (c *Controller) RandomPolicy(f *flow.Flow, loc flow.Locator, rng *rand.Rand
 	if !c.roomEverywhere(f.Rate) {
 		fits = c.fitsFn(f.ID, f.Rate)
 	}
-	fp := feasiblePool.Get().(*[]topology.NodeID)
-	defer feasiblePool.Put(fp)
 	for _, typ := range types {
 		feasible := c.oracle.SwitchesOfType(typ)
 		if fits != nil {
-			kept := (*fp)[:0]
+			kept := c.feasible[:0]
 			for _, w := range feasible {
 				if fits(w) {
 					kept = append(kept, w)
 				}
 			}
-			*fp = kept
+			c.feasible = kept
 			feasible = kept
 		}
 		if len(feasible) == 0 {
@@ -378,12 +381,6 @@ func (c *Controller) RandomPolicy(f *flow.Flow, loc flow.Locator, rng *rand.Rand
 	}
 	return p, nil
 }
-
-// feasiblePool recycles the per-stage feasible-switch scratch RandomPolicy
-// filters into: one buffer serves all stages of a call, and pooling keeps a
-// 10k-flow initialization from allocating a fresh slice per stage. Only the
-// chosen switch ID escapes into the policy.
-var feasiblePool = sync.Pool{New: func() any { return new([]topology.NodeID) }}
 
 // ShortestPolicy builds the deterministic shortest-path policy between the
 // flow's endpoint servers (no load awareness) — the baseline behavior of a

@@ -30,12 +30,10 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/flow"
-	"repro/internal/parallel"
 	"repro/internal/scheduler"
 	"repro/internal/stablematch"
 	"repro/internal/topology"
@@ -52,7 +50,9 @@ const (
 
 // HitScheduler implements scheduler.Scheduler with the paper's joint
 // optimization. The zero value is the full scheduler; the ablation fields
-// turn individual mechanisms off for the design-choice benchmarks.
+// turn individual mechanisms off for the design-choice benchmarks. A
+// HitScheduler is not safe for concurrent use: it holds the preference
+// build's scratch, so one goroutine makes every Schedule call.
 type HitScheduler struct {
 	// DisablePolicyOpt skips Algorithm 1's per-flow route optimization
 	// (policies stay on their initial random routes). Ablation only.
@@ -75,6 +75,10 @@ type HitScheduler struct {
 	// onRebuild, when set, observes each full-row re-match with the number
 	// of proposers rebuilt. Tests only.
 	onRebuild func(proposers int)
+
+	// sc is the preference build's scratch, shared by every proposer row
+	// and host ranking of every call.
+	sc assignScratch
 }
 
 // Name implements scheduler.Scheduler.
@@ -253,9 +257,9 @@ type flowSolve struct {
 }
 
 // runState is the per-call bookkeeping of ONE Schedule call. It lives on
-// the stack of the call, never on the HitScheduler, so a scheduler value
-// can be reused across requests exactly as before. Nothing in a call
-// changes the fabric's distances, so its caches need no version key.
+// the stack of the call, never on the HitScheduler, so nothing one request
+// memoizes is read by the next. Nothing in a call changes the fabric's
+// distances, so its caches need no version key.
 type runState struct {
 	solves map[flow.ID]*flowSolve
 	// matchers holds one slab-reusing stable matcher per container group
@@ -428,11 +432,11 @@ type prefEntry struct {
 	grade float64
 }
 
-// assignScratch pools the per-container working buffers of the preference
+// assignScratch holds the per-container working buffers of the preference
 // build, so a 10k-server wave does not allocate (and GC) a fresh grade
 // vector, bucket table, and permutation scratch for every container.
 // Buffer identity never leaks into results — every buffer is either fully
-// overwritten or explicitly reset before use — so pooling cannot perturb
+// overwritten or explicitly reset before use — so reuse cannot perturb
 // determinism.
 type assignScratch struct {
 	grades   []float64
@@ -464,8 +468,6 @@ type assignScratch struct {
 	htabVals []int32
 	htabMask uint64
 }
-
-var assignScratchPool = sync.Pool{New: func() any { return new(assignScratch) }}
 
 func growF64(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -656,11 +658,6 @@ func (h *HitScheduler) assign(req *scheduler.Request, movable []scheduler.Task, 
 	return nil
 }
 
-// parallelThreshold is the preference-matrix work size (containers ×
-// servers) above which assignGroup fans out across containers. Small groups
-// stay sequential: goroutine fan-out costs more than the loops it saves.
-const parallelThreshold = 4096
-
 // demandClass shares per-demand facts across the containers of one group.
 // Every group container stands unplaced when feasibility is computed, so
 // CanHost depends only on the container's resource demand: containers with
@@ -762,8 +759,9 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		classOf[ci] = cl
 	}
 
-	// Group-level shared tables, built sequentially (deterministic oracle
-	// call order) and only read by the fan-out below:
+	// Per-container preference build (Algorithm 1's preference-matrix rows
+	// plus Eq. 10 proposer rankings). Each container first fetches what its
+	// row reads:
 	//   distances     — the rack-bucket build fetches one O(racks) row per
 	//                   distinct anchored peer server, the per-server build
 	//                   one O(V) DistRow; both memoized in st for the call;
@@ -772,9 +770,25 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	//                   candidate list) only. The rack-bucket build reads
 	//                   it off the class's rack tables; the per-server
 	//                   build asks the oracle's NearestByDist.
+	// Its votes then go into the host-preference grades. Votes are sparse —
+	// at most one server per incident flow — so only voted servers carry a
+	// grade row; every other server's grades are all zero, and a stable
+	// descending sort of an all-equal row is the identity permutation,
+	// shared once below instead of allocated per server.
+	//
+	// Cost sums always accumulate in flow order, keeping the floats
+	// bit-identical to the ungrouped per-flow loop.
+	sc := &h.sc
 	rows := st.rows
-	for ci := range containers {
+	propPrefs := make([][]int, len(containers))
+	truncated := make([]bool, len(containers))
+	gradeRows := make(map[int][]float64, len(containers))
+	limit := h.rowLimit()
+	for ci, c := range containers {
 		cl := classOf[ci]
+		if len(cl.feas) == 0 {
+			return fmt.Errorf("core: %w for container %d", scheduler.ErrNoFeasibleServer, c)
+		}
 		for _, ps := range peerSrv[ci] {
 			if rb != nil {
 				rb.fetch(oracle, ps)
@@ -790,72 +804,17 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 				cl.votes[ps] = clu.ServerIndex(oracle.NearestByDist(ps, cl.cands))
 			}
 		}
-	}
-
-	// Per-container preference build (Algorithm 1's preference-matrix rows
-	// plus Eq. 10 proposer rankings). Every container's pass writes only its
-	// own index, so the fan-out is deterministic: results are identical to
-	// the sequential loop regardless of worker count, and the merge into the
-	// grade rows below happens column-by-column with no shared writes. The
-	// shared tables above (rows, rb, classes, original) are read-only
-	// during the fan-out. The workers never call the oracle, which is not
-	// safe for concurrent use: every row they read was fetched above. A
-	// worker that called it would race on the oracle's caches, which
-	// `go test -race -run TestRackRowWave10k ./internal/core` reports.
-	//
-	// Cost sums always accumulate in flow order, keeping the floats
-	// bit-identical to the ungrouped per-flow loop.
-	propPrefs := make([][]int, len(containers))
-	truncated := make([]bool, len(containers))
-	votes := make([][]int, len(containers)) // per incident flow: voted server index, -1 = none
-	limit := h.rowLimit()
-	workers := 0 // GOMAXPROCS
-	if len(containers)*len(servers) < parallelThreshold {
-		workers = 1
-	}
-	// Every write below is addressed by ci (taalint mergeorder contract):
-	// workers own disjoint slots, so the merge order is the index order.
-	err := parallel.ForEach(len(containers), workers, func(ci int) error {
-		c := containers[ci]
-		cl := classOf[ci]
-		if len(cl.feas) == 0 {
-			return fmt.Errorf("core: %w for container %d", scheduler.ErrNoFeasibleServer, c)
-		}
-
-		sc := assignScratchPool.Get().(*assignScratch)
-		defer assignScratchPool.Put(sc)
 
 		// Proposer preferences: servers by utility (Eq. 10) = current cost
 		// minus candidate cost, descending.
-		var prop []int
 		if rb != nil {
-			prop, truncated[ci] = rb.row(sc, cl, incident[ci], peerSrv[ci], clu.ServerIndex(original[ci]), limit)
+			propPrefs[ci], truncated[ci] = rb.row(sc, cl, incident[ci], peerSrv[ci], clu.ServerIndex(original[ci]), limit)
 		} else {
-			prop = directRow(sc, cl, incident[ci], peerSrv[ci], rows, servers, clu.ServerIndex(original[ci]))
+			propPrefs[ci] = directRow(sc, cl, incident[ci], peerSrv[ci], rows, servers, clu.ServerIndex(original[ci]))
 		}
-		propPrefs[ci] = prop
 
-		// Fan the class's per-peer votes out to this container's flows.
-		vts := make([]int, len(incident[ci]))
-		for k, ps := range peerSrv[ci] {
-			vts[k] = cl.votes[ps]
-		}
-		votes[ci] = vts
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Deterministic merge of the votes into the host-preference grades.
-	// Votes are sparse — at most one server per incident flow — so only
-	// voted servers carry a grade row; every other server's grades are all
-	// zero, and a stable descending sort of an all-equal row is the identity
-	// permutation, shared once below instead of allocated per server.
-	gradeRows := make(map[int][]float64, len(containers))
-	for ci := range containers {
 		for k, f := range incident[ci] {
-			if si := votes[ci][k]; si >= 0 {
+			if si := cl.votes[peerSrv[ci][k]]; si >= 0 {
 				row := gradeRows[si]
 				if row == nil {
 					row = make([]float64, len(containers))
@@ -869,7 +828,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	for ci := range identity {
 		identity[ci] = ci
 	}
-	hostPref := func(sc *assignScratch, si int) []int {
+	hostPref := func(si int) []int {
 		row := gradeRows[si]
 		if row == nil {
 			return identity
@@ -935,8 +894,6 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	// The matching instance. With every row complete it spans all servers,
 	// exactly as before; once a row is cut it holds only the servers some
 	// row names (compactHosts), and hosts maps its indices back.
-	sc := assignScratchPool.Get().(*assignScratch)
-	defer assignScratchPool.Put(sc)
 	for {
 		var hosts []int // instance host index → server index
 		prefs := propPrefs
@@ -951,7 +908,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		hostPrefs := make([][]int, len(hosts))
 		capacity := make([]float64, len(hosts)) // CPU is the binding dimension
 		for hi, si := range hosts {
-			hostPrefs[hi] = hostPref(sc, si)
+			hostPrefs[hi] = hostPref(si)
 			capacity[hi] = float64(clu.Free(servers[si]).CPU)
 		}
 		inst := &stablematch.Instance{

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -263,12 +264,12 @@ func TestHitIncrementalParity(t *testing.T) {
 	}
 }
 
-// TestHitParallelPreferenceBuildParity runs Hit-Scheduler on a cluster large
-// enough (512 servers) that the preference-matrix build fans out across
-// containers, and asserts placements match the uncached (and therefore
-// sequential-equivalent) run exactly. Under -race it also catches a worker
-// that calls the oracle, which is not safe for concurrent use.
-func TestHitParallelPreferenceBuildParity(t *testing.T) {
+// TestHitPreferenceBuildParity512 runs Hit-Scheduler on a 512-server tree
+// and asserts that its placements and cost on the memoizing oracle match
+// the run on the uncached one exactly: every row the preference build
+// reads there comes from a cache, and a cached row that differed from a
+// fresh one would move a placement.
+func TestHitPreferenceBuildParity512(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-server parity run skipped in -short mode")
 	}
@@ -290,7 +291,6 @@ func TestHitParallelPreferenceBuildParity(t *testing.T) {
 			o = netstate.NewUncached(topo)
 		}
 		ctl := controller.NewWithOracle(topo, o)
-		// 12 maps × 512 servers crosses the fan-out threshold.
 		job := &workload.Job{ID: 0, NumMaps: 12, NumReduces: 6, InputGB: 12}
 		job.Shuffle = make([][]float64, job.NumMaps)
 		rng := rand.New(rand.NewSource(42))
@@ -327,10 +327,93 @@ func TestHitParallelPreferenceBuildParity(t *testing.T) {
 	}
 	for i := range p1 {
 		if p1[i] != p2[i] {
-			t.Fatalf("placement %d differs: parallel/cached %d, uncached %d", i, p1[i], p2[i])
+			t.Fatalf("placement %d differs: cached %d, uncached %d", i, p1[i], p2[i])
 		}
 	}
 	if c1 != c2 {
 		t.Fatalf("total cost differs: %v vs %v", c1, c2)
+	}
+}
+
+// TestHitSchedulerReuse schedules three waves with one HitScheduler value,
+// whose preference-build scratch carries from call to call: a 512-server
+// tree (rack-bucket build), BCube(4, 1) (per-server build) and a
+// 27-server tree, in that order, so each later wave runs on scratch sized
+// and left behind by a larger fabric or the other build. Each wave must
+// equal a fresh value's run: placements, routes and cost to the bit.
+func TestHitSchedulerReuse(t *testing.T) {
+	type outcome struct {
+		placements []topology.NodeID
+		routes     [][]topology.NodeID
+		cost       float64
+	}
+	wave := func(t *testing.T, build func() (*topology.Topology, error), h *core.HitScheduler) outcome {
+		t.Helper()
+		topo, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.New(topo, cluster.Resources{CPU: 2, Memory: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := controller.New(topo)
+		job := &workload.Job{ID: 0, NumMaps: 8, NumReduces: 4, InputGB: 8}
+		job.Shuffle = make([][]float64, job.NumMaps)
+		rng := rand.New(rand.NewSource(7))
+		for i := range job.Shuffle {
+			job.Shuffle[i] = make([]float64, job.NumReduces)
+			for k := range job.Shuffle[i] {
+				job.Shuffle[i][k] = rng.Float64() * 3
+			}
+		}
+		job.MapComputeSec = make([]float64, job.NumMaps)
+		job.ReduceComputeSec = make([]float64, job.NumReduces)
+		req, _, err := scheduler.NewJobRequest(cl, ctl, []*workload.Job{job},
+			cluster.Resources{CPU: 1, Memory: 512}, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Schedule(req); err != nil {
+			t.Fatal(err)
+		}
+		var out outcome
+		for _, task := range req.Tasks {
+			out.placements = append(out.placements, cl.Container(task.Container).Server())
+		}
+		for _, f := range req.Flows {
+			var route []topology.NodeID
+			if p := ctl.Policy(f.ID); p != nil {
+				route = append(route, p.List...)
+			}
+			out.routes = append(out.routes, route)
+		}
+		if out.cost, err = ctl.TotalCost(req.Flows, req.Locator()); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	params := topology.LinkParams{Bandwidth: 10, SwitchCapacity: topology.InfiniteCapacity}
+	shared := &core.HitScheduler{}
+	for _, tc := range []struct {
+		name  string
+		build func() (*topology.Topology, error)
+	}{
+		{"tree512", func() (*topology.Topology, error) { return topology.NewTree(3, 8, params) }},
+		{"bcube", func() (*topology.Topology, error) { return topology.NewBCube(4, 1, params) }},
+		{"tree27", func() (*topology.Topology, error) { return topology.NewTree(3, 3, params) }},
+	} {
+		got := wave(t, tc.build, shared)
+		want := wave(t, tc.build, &core.HitScheduler{})
+		if !slices.Equal(got.placements, want.placements) {
+			t.Fatalf("%s: placements differ from a fresh scheduler's:\n got %v\nwant %v", tc.name, got.placements, want.placements)
+		}
+		if !slices.EqualFunc(got.routes, want.routes, slices.Equal[[]topology.NodeID]) {
+			t.Fatalf("%s: routes differ from a fresh scheduler's", tc.name)
+		}
+		if math.Float64bits(got.cost) != math.Float64bits(want.cost) {
+			t.Fatalf("%s: cost %v differs from a fresh scheduler's %v", tc.name, got.cost, want.cost)
+		}
 	}
 }

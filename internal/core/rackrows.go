@@ -46,9 +46,8 @@ func (h *HitScheduler) rowLimit() int {
 	return maxRowLen
 }
 
-// rackBuild is one group's shared, read-only view for the rack-bucket
-// build: the rack of every server and one rack-distance row per anchored
-// peer server.
+// rackBuild is one group's view for the rack-bucket build: the rack of
+// every server and one rack-distance row per anchored peer server.
 type rackBuild struct {
 	clu     *cluster.Cluster
 	servers []topology.NodeID
@@ -70,8 +69,8 @@ func newRackBuild(clu *cluster.Cluster, racks *netstate.RackTable, st *runState)
 // rack returns the rack of server ordinal si.
 func (b *rackBuild) rack(si int32) int32 { return b.rackOf[b.servers[si]] }
 
-// fetch makes sure peer server ps has its rack-distance row. Called only
-// from the sequential pre-pass; the fan-out reads.
+// fetch makes sure peer server ps has its rack-distance row before a row
+// that reads it is built.
 func (b *rackBuild) fetch(o *netstate.Oracle, ps topology.NodeID) {
 	if _, ok := b.dists[ps]; !ok {
 		b.dists[ps] = o.RackDists(nil, ps)

@@ -27,7 +27,7 @@ func runCells(names []string, repeats int, build cellBuilder) ([][]*sim.Result, 
 			cells = append(cells, cell{name: name, si: si, rep: rep})
 		}
 	}
-	flat, err := parallel.Map(len(cells), 0, func(i int) (*sim.Result, error) {
+	flat, err := parallel.Map(len(cells), func(i int) (*sim.Result, error) {
 		c := cells[i]
 		topo, jobs, seed, err := build(c.name, c.rep)
 		if err != nil {

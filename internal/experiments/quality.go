@@ -43,7 +43,7 @@ func QualityGap(cfg Config) (*QualityResult, error) {
 	for _, size := range sizes {
 		maps, reduces := size[0], size[1]
 		type cellOut struct{ hit, ann float64 }
-		cells, err := parallel.Map(cfg.Repeats, 0, func(rep int) (cellOut, error) {
+		cells, err := parallel.Map(cfg.Repeats, func(rep int) (cellOut, error) {
 			seed := cfg.Seed + int64(rep)*631
 			runCost := func(s scheduler.Scheduler) (float64, error) {
 				topo, err := testbedTopology(1)

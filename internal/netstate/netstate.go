@@ -28,11 +28,7 @@
 //
 // An Oracle is not safe for concurrent use, like most standard-library
 // types: it has one owner, the scheduling goroutine that drives the
-// controller, and every cache is a plain field. Fan-outs that need
-// oracle answers (the preference build in internal/core) fetch them
-// before they fan out and share only the returned rows, which are never
-// written after they are returned; the race detector catches a worker
-// that calls an oracle method.
+// controller, and every cache and scratch buffer is a plain field.
 package netstate
 
 import (
@@ -86,6 +82,9 @@ type Oracle struct {
 	// routeHits counts BestRoute's closed-form answers and routeMisses its
 	// DP solves (PairRouteStats).
 	routeHits, routeMisses uint64
+
+	// dp is solveStages' scratch, reused by every DP solve.
+	dp dpScratch
 }
 
 // New returns a memoizing oracle over the topology.

@@ -47,7 +47,6 @@ package netstate
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/topology"
 )
@@ -137,15 +136,13 @@ func (o *Oracle) PairRouteStats() (hits, misses uint64) {
 }
 
 // dpScratch holds one solve's DP buffers (two cost columns plus the
-// back-pointer rows), pooled so the tens of thousands of per-wave solves on
-// a big fabric do not allocate. Buffers are fully overwritten each solve
-// and nothing pooled escapes into results.
+// back-pointer rows), kept by the oracle so the tens of thousands of
+// per-wave solves on a big fabric do not allocate. Buffers are fully
+// overwritten each solve and nothing in them escapes into results.
 type dpScratch struct {
 	a, b []float64
 	prev [][]int
 }
-
-var dpPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -212,8 +209,7 @@ func (o *Oracle) solveStages(rate, unit float64, src, dst topology.NodeID, stage
 		return seg(v, w)
 	}
 	inf := math.Inf(1)
-	dp := dpPool.Get().(*dpScratch)
-	defer dpPool.Put(dp)
+	dp := &o.dp
 	costTo := growFloats(dp.a, len(stages[0]))
 	dp.a = costTo
 	if cap(dp.prev) < len(stages) {

@@ -1,6 +1,6 @@
 // Package parallel provides the small fan-out primitive the experiment
-// harness uses to run independent simulations concurrently: a bounded
-// worker pool over an index range with first-error collection. Results stay
+// harness uses to run independent simulations concurrently: a worker pool
+// over an index range with first-error collection. Results stay
 // deterministic because every task writes only to its own index and owns
 // its engine, RNG and cluster — the pool changes wall-clock time, never
 // values.
@@ -12,34 +12,39 @@ import (
 	"sync"
 )
 
-// ForEach runs fn(i) for i in [0, n) on up to `workers` goroutines
-// (workers <= 0 means GOMAXPROCS) and returns the first error by index
-// order. All tasks run even when one fails, so partial side effects stay
-// deterministic.
+// Map runs fn for every index in [0, n) on up to GOMAXPROCS goroutines
+// and collects the results in index order. It returns the first error by
+// index order. All tasks run even when one fails, so partial side effects
+// stay deterministic.
 //
 // Callers are bound by taalint's mergeorder contract: fn must be a
 // function literal whose writes to captured state are index-addressed by
 // i (each worker owns its slot), or the captured slice must be explicitly
-// sorted after ForEach returns — completion order is scheduler-dependent
-// and must never reach a decision value.
-//
-// fn is also bound by the snapshotfreeze contract: netstate read-API
-// results it captures (dist rows, templates, stage lists) are shared
-// views, frozen while workers run — storing them into per-index slots is
-// fine; writing through them is not. Copy before mutating.
-func ForEach(n, workers int, fn func(i int) error) error {
+// sorted after Map returns — completion order is scheduler-dependent and
+// must never reach a decision value.
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := forEach(n, func(i int) error {
+		v, err := fn(i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// forEach is Map's body: it runs fn(i) for i in [0, n) on up to
+// GOMAXPROCS goroutines and returns the first error by index order.
+func forEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if fn == nil {
-		return fmt.Errorf("parallel: nil function")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -74,21 +79,4 @@ func safeCall(fn func(int) error, i int) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// Map runs fn for every index and collects the results in order.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

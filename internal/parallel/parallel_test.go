@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -10,7 +12,7 @@ import (
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	const n = 200
 	var counts [n]int32
-	if err := ForEach(n, 8, func(i int) error {
+	if err := forEach(n, func(i int) error {
 		atomic.AddInt32(&counts[i], 1)
 		return nil
 	}); err != nil {
@@ -26,7 +28,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 func TestForEachFirstErrorByIndex(t *testing.T) {
 	sentinel3 := errors.New("three")
 	sentinel7 := errors.New("seven")
-	err := ForEach(10, 4, func(i int) error {
+	err := forEach(10, func(i int) error {
 		switch i {
 		case 3:
 			return sentinel3
@@ -42,7 +44,7 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 
 func TestForEachAllTasksRunDespiteError(t *testing.T) {
 	var ran int32
-	_ = ForEach(50, 4, func(i int) error {
+	_ = forEach(50, func(i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 0 {
 			return errors.New("early")
@@ -55,50 +57,35 @@ func TestForEachAllTasksRunDespiteError(t *testing.T) {
 }
 
 func TestForEachEdgeCases(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := forEach(0, func(int) error { return errors.New("never") }); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
-	if err := ForEach(-5, 4, nil); err != nil {
+	if err := forEach(-5, nil); err != nil {
 		t.Errorf("negative n: %v", err)
 	}
-	if err := ForEach(3, 4, nil); err == nil {
+	if _, err := Map[int](3, nil); err == nil {
 		t.Error("nil fn accepted")
 	}
-	// workers <= 0 defaults; workers > n clamps.
-	if err := ForEach(3, 0, func(int) error { return nil }); err != nil {
-		t.Error(err)
-	}
-	if err := ForEach(2, 100, func(int) error { return nil }); err != nil {
+	// Fewer tasks than GOMAXPROCS: the worker count clamps to n.
+	if err := forEach(1, func(int) error { return nil }); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestForEachRecoversPanics(t *testing.T) {
-	err := ForEach(4, 2, func(i int) error {
+	err := forEach(4, func(i int) error {
 		if i == 2 {
 			panic("boom")
 		}
 		return nil
 	})
-	if err == nil || !contains(err.Error(), "panicked") {
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("panic not converted to error: %v", err)
 	}
 }
 
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
-		func() bool {
-			for i := 0; i+len(sub) <= len(s); i++ {
-				if s[i:i+len(sub)] == sub {
-					return true
-				}
-			}
-			return false
-		}())
-}
-
 func TestMapOrdersResults(t *testing.T) {
-	out, err := Map(20, 4, func(i int) (int, error) { return i * i, nil })
+	out, err := Map(20, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +94,7 @@ func TestMapOrdersResults(t *testing.T) {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
-	if _, err := Map(5, 2, func(i int) (int, error) {
+	if _, err := Map(5, func(i int) (int, error) {
 		if i == 4 {
 			return 0, errors.New("bad")
 		}
@@ -117,15 +104,17 @@ func TestMapOrdersResults(t *testing.T) {
 	}
 }
 
-// TestQuickDeterministicResults: for pure fn, Map output is independent of
-// worker count.
+// TestQuickDeterministicResults: for pure fn, Map output on one worker
+// equals its output on the default GOMAXPROCS workers.
 func TestQuickDeterministicResults(t *testing.T) {
-	f := func(nSeed, wSeed uint8) bool {
+	f := func(nSeed uint8) bool {
 		n := int(nSeed%32) + 1
-		w := int(wSeed%8) + 1
-		a, err1 := Map(n, 1, func(i int) (int, error) { return 3*i + 1, nil })
-		b, err2 := Map(n, w, func(i int) (int, error) { return 3*i + 1, nil })
-		if err1 != nil || err2 != nil {
+		fn := func(i int) (int, error) { return 3*i + 1, nil }
+		prev := runtime.GOMAXPROCS(1)
+		a, err1 := Map(n, fn)
+		runtime.GOMAXPROCS(prev)
+		b, err2 := Map(n, fn)
+		if err1 != nil || err2 != nil || len(a) != n || len(b) != n {
 			return false
 		}
 		for i := range a {

@@ -5,14 +5,16 @@
 # applies the deliberate mutation, runs only the check named by the patch
 # file's basename, and asserts taalint exits with code 1 — findings, not a
 # crash (2) and not a pass (0). Any toothless check fails the script. The
-# eight patches: epochbump (skip an epoch bump in SetNodeAlive), errcompare
-# (compare an error with == in faults.React), floateq (test a drained
-# transfer with == 0 in netsim's event loop), maporder (drop the sort of
-# the policy IDs ranged from a map in the fault loop's applyEventsUntil),
-# oraclebypass (call topology.PathLatency in sim's record), panicpath
-# (launch a naked goroutine in the preference build), poolescape (drop
-# the pool Put in solveStages) and snapshotfreeze (write through a
-# captured distance row in a preference-build worker).
+# ten patches, one per check: epochbump (skip an epoch bump in
+# SetNodeAlive), errcompare (compare an error with == in faults.React),
+# floateq (test a drained transfer with == 0 in netsim's event loop),
+# maporder (drop the sort of the policy IDs ranged from a map in the fault
+# loop's applyEventsUntil), mergeorder (append the cell index to a captured
+# slice in runCells' worker), oraclebypass (call topology.PathLatency in
+# sim's record), panicpath (a naked goroutine plus a channel wait in the
+# preference build), poolescape (RandomPolicy keeps its filter buffer as
+# the policy's list), rngsource (core's random start draws rand.Intn from
+# the global source) and wallclock (read time.Now in sim.RunWithArrivals).
 #
 # The snapshot is HEAD plus every tracked, staged and untracked non-ignored
 # change, so an edited check or teeth patch is proven before it is
