@@ -19,9 +19,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the ten taalint checks (maporder, floateq, rngsource,
+# lint runs the eleven taalint checks (maporder, floateq, rngsource,
 # wallclock, oraclebypass, epochbump, errcompare, mergeorder, poolescape,
-# panicpath) over every non-test package, fails on any
+# panicpath, policyfreeze) over every non-test package, fails on any
 # unsuppressed finding, and with -prune also fails on stale //taalint:
 # suppressions. Checks run one after another over one shared dataflow
 # index.

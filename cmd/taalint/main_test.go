@@ -23,9 +23,9 @@ func TestListExitsZero(t *testing.T) {
 	}
 	want := []string{"maporder", "floateq", "rngsource", "wallclock", "oraclebypass",
 		"epochbump", "errcompare", "mergeorder", "poolescape",
-		"panicpath"}
+		"panicpath", "policyfreeze"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("-list names %v, want the ten checks %v", got, want)
+		t.Errorf("-list names %v, want the eleven checks %v", got, want)
 	}
 }
 

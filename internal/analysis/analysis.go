@@ -8,7 +8,7 @@
 // the netstate path/cost oracle is only a win if no consumer silently
 // reintroduces ad-hoc BFS or topology scans behind its back — or mutates
 // cached-over state without bumping the epoch that invalidates those
-// caches. Ten checks in all. v1 shipped five per-package AST checks
+// caches. Eleven checks in all. v1 shipped five per-package AST checks
 // (maporder, floateq, rngsource, wallclock, oraclebypass). v2 adds a
 // module-level dataflow layer — a lightweight call graph and field-access
 // index (index.go) — and three checks on top of it: epochbump, errcompare
@@ -18,7 +18,9 @@
 // fan-out left is the experiment harness's internal/parallel.Map over
 // cells, each of which builds its own topology, controller and oracle.
 // The netstate oracle, the controller and the Hit scheduler each have one
-// owner and hold no lock.
+// owner and hold no lock. policyfreeze keeps a flow.Policy immutable once
+// built, since the controller, core's solve records and the topology's
+// type templates share one value.
 // The module checks share one dataflow substrate (flow.go): a path
 // walker, an lvalue-spine helper, a taint evaluator and a call-graph
 // flood.
@@ -152,6 +154,7 @@ func All() []Check {
 		MergeOrder{},
 		PoolEscape{},
 		PanicPath{},
+		PolicyFreeze{},
 	}
 }
 

@@ -39,6 +39,9 @@ var goldenFixtures = []struct {
 	// panicpath is purely syntactic but scoped to decision packages, so
 	// the fixture masquerades as sim.
 	{"panicpath", "panicpath", "fixture/sim"},
+	// policyfreeze exempts only package flow; the fixture masquerades as
+	// controller.
+	{"policyfreeze", "policyfreeze", "fixture/controller"},
 }
 
 // TestGolden runs each check against its fixture package and compares the

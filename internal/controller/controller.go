@@ -35,12 +35,24 @@ var (
 // Controller is the centralized policy manager. Like the oracle it owns,
 // a Controller is not safe for concurrent use: one goroutine, the one
 // that drives the scheduler, makes every call.
+//
+// Installed policies are shared, not owned: Install keeps the caller's
+// pointer, which flow.Policy's immutability makes safe. Per-flow state
+// lives in tables indexed by flow ID, which assumes IDs are numbered
+// densely from 0 — as scheduler.NewJobRequest, both simulator loops and
+// hitplugin do. The tables grow to the largest ID installed and never
+// shrink, so a long-lived hitplugin's controller holds 16 B for every
+// flow it has ever numbered.
 type Controller struct {
-	topo     *topology.Topology
-	oracle   *netstate.Oracle
-	cost     *flow.CostModel
-	policies map[flow.ID]*flow.Policy
-	rates    map[flow.ID]float64
+	topo   *topology.Topology
+	oracle *netstate.Oracle
+	cost   *flow.CostModel
+	// policies[id] is flow id's installed policy (nil when none) and
+	// rates[id] the rate it was installed with; n counts the non-nil
+	// entries.
+	policies []*flow.Policy
+	rates    []float64
+	n        int
 	// load is the aggregate installed rate per node, indexed by NodeID
 	// (dense: node IDs are compact). Only switch entries are ever nonzero.
 	load []float64
@@ -71,12 +83,10 @@ func New(topo *topology.Topology) *Controller {
 // NewWithOracle returns an empty controller sharing the given oracle.
 func NewWithOracle(topo *topology.Topology, o *netstate.Oracle) *Controller {
 	return &Controller{
-		topo:     topo,
-		oracle:   o,
-		cost:     flow.NewCostModelWithOracle(o),
-		policies: make(map[flow.ID]*flow.Policy),
-		rates:    make(map[flow.ID]float64),
-		load:     make([]float64, topo.NumNodes()),
+		topo:   topo,
+		oracle: o,
+		cost:   flow.NewCostModelWithOracle(o),
+		load:   make([]float64, topo.NumNodes()),
 	}
 }
 
@@ -89,14 +99,30 @@ func (c *Controller) Oracle() *netstate.Oracle { return c.oracle }
 // CostModel returns the controller's cost model.
 func (c *Controller) CostModel() *flow.CostModel { return c.cost }
 
-// Policy returns the installed policy for a flow, or nil.
-func (c *Controller) Policy(id flow.ID) *flow.Policy { return c.policies[id] }
+// Policy returns the installed policy for a flow — the pointer Install
+// was given — or nil.
+func (c *Controller) Policy(id flow.ID) *flow.Policy {
+	if id < 0 || int(id) >= len(c.policies) {
+		return nil
+	}
+	return c.policies[id]
+}
 
-// Policies returns the installed policy map. The caller must not mutate it.
-func (c *Controller) Policies() map[flow.ID]*flow.Policy { return c.policies }
+// Policies returns the installed policies keyed by flow ID, in a map it
+// builds afresh on every call; the policies themselves are shared and
+// must not be mutated.
+func (c *Controller) Policies() map[flow.ID]*flow.Policy {
+	out := make(map[flow.ID]*flow.Policy, c.n)
+	for id, p := range c.policies {
+		if p != nil {
+			out[flow.ID(id)] = p
+		}
+	}
+	return out
+}
 
 // NumPolicies returns the number of installed policies.
-func (c *Controller) NumPolicies() int { return len(c.policies) }
+func (c *Controller) NumPolicies() int { return c.n }
 
 // Load returns the aggregate rate currently routed through switch w
 // (Σ_{p_k ∈ A(w)} f_k.rate). Unknown node IDs read as zero.
@@ -110,8 +136,8 @@ func (c *Controller) Load(w topology.NodeID) float64 {
 // selfLoad returns the rate flow id already contributes to switch w, so
 // feasibility checks do not double-count a flow being rerouted.
 func (c *Controller) selfLoad(id flow.ID, w topology.NodeID) float64 {
-	p, ok := c.policies[id]
-	if !ok {
+	p := c.Policy(id)
+	if p == nil {
 		return 0
 	}
 	var total float64
@@ -140,7 +166,7 @@ func (c *Controller) fits(id flow.ID, w topology.NodeID, rate float64) bool {
 func (c *Controller) fitsFn(id flow.ID, rate float64) func(w topology.NodeID) bool {
 	var selfList []topology.NodeID
 	var selfRate float64
-	if p, ok := c.policies[id]; ok {
+	if p := c.Policy(id); p != nil {
 		selfList = p.List
 		selfRate = c.rates[id]
 	}
@@ -204,7 +230,8 @@ func (c *Controller) FitsEverywhere(rate float64) bool {
 }
 
 // Install validates and installs a policy for f, replacing any previous
-// policy of the same flow and updating switch loads. Installation fails if
+// policy of the same flow and updating switch loads. The controller keeps
+// p itself, not a copy (flow.Policy is immutable). Installation fails if
 // the policy is not satisfied (type/order check) or any switch lacks
 // capacity; on failure the previous policy remains installed.
 func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
@@ -263,8 +290,13 @@ func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 		}
 	}
 	c.Uninstall(f.ID)
-	c.policies[f.ID] = p.Clone()
+	if n := int(f.ID) + 1 - len(c.policies); n > 0 {
+		c.policies = append(c.policies, make([]*flow.Policy, n)...)
+		c.rates = append(c.rates, make([]float64, n)...)
+	}
+	c.policies[f.ID] = p
 	c.rates[f.ID] = f.Rate
+	c.n++
 	for _, w := range p.List {
 		c.load[w] += f.Rate
 		// A NaN load poisons the mark for good: a NaN mark fails both
@@ -279,26 +311,28 @@ func (c *Controller) Install(f *flow.Flow, p *flow.Policy) error {
 // Uninstall removes a flow's policy and releases its switch load. Unknown
 // flows are ignored.
 func (c *Controller) Uninstall(id flow.ID) {
-	p, ok := c.policies[id]
-	if !ok {
+	p := c.Policy(id)
+	if p == nil {
 		return
 	}
+	rate := c.rates[id]
 	for _, w := range p.List {
-		c.load[w] -= c.rates[id]
+		c.load[w] -= rate
 		if c.load[w] < 1e-12 {
 			c.load[w] = 0
 		}
 	}
-	delete(c.policies, id)
-	delete(c.rates, id)
+	c.policies[id] = nil
+	c.rates[id] = 0
+	c.n--
 }
 
 // Candidates implements Eq. 4: the switches that could replace position i of
 // flow id's policy — same type, and enough spare capacity for the flow's
 // rate — excluding the incumbent.
 func (c *Controller) Candidates(id flow.ID, i int) ([]topology.NodeID, error) {
-	p, ok := c.policies[id]
-	if !ok {
+	p := c.Policy(id)
+	if p == nil {
 		return nil, fmt.Errorf("controller: no policy for flow %d", id)
 	}
 	if i < 0 || i >= p.Len() {
@@ -355,7 +389,7 @@ func (c *Controller) RandomPolicy(f *flow.Flow, loc flow.Locator, rng *rand.Rand
 	if err != nil {
 		return nil, err
 	}
-	p := &flow.Policy{Flow: f.ID, Types: append([]string(nil), types...)}
+	p := &flow.Policy{Flow: f.ID, List: make([]topology.NodeID, 0, len(types)), Types: types}
 	// When the load bound passes every switch, the filter would keep every
 	// candidate: draw from the unfiltered list, the same RNG draw.
 	var fits func(topology.NodeID) bool
@@ -488,12 +522,9 @@ func (c *Controller) optimizeBetween(f *flow.Flow, src, dst topology.NodeID) (*f
 	if !ok {
 		return nil, info, fmt.Errorf("controller: %w for flow %d", ErrNoFeasibleRoute, f.ID)
 	}
-	// BestRoute's list is fresh and the caller's, so the policy owns it.
-	return &flow.Policy{
-		Flow:  f.ID,
-		List:  list,
-		Types: append([]string(nil), types...),
-	}, info, nil
+	// BestRoute's list is fresh and the caller's, so the policy owns it;
+	// Types is the oracle's shared template.
+	return &flow.Policy{Flow: f.ID, List: list, Types: types}, info, nil
 }
 
 // feasibleStages applies the capacity filter to a template's full stage
@@ -552,8 +583,8 @@ func errNoFeasibleSwitch(typ string, id flow.ID) error {
 // policy (whether or not it was adopted) and its metadata, so incremental
 // callers can replay the decision without re-solving.
 func (c *Controller) OptimizeInstalledDetailed(f *flow.Flow, loc flow.Locator) (float64, *flow.Policy, SolveInfo, error) {
-	old, ok := c.policies[f.ID]
-	if !ok {
+	old := c.Policy(f.ID)
+	if old == nil {
 		return 0, nil, SolveInfo{}, fmt.Errorf("controller: flow %d has no installed policy", f.ID)
 	}
 	oldCost, err := c.cost.FlowCost(f, old, loc)
@@ -579,7 +610,7 @@ func (c *Controller) OptimizeInstalledDetailed(f *flow.Flow, loc flow.Locator) (
 
 // TotalCost evaluates the TAA objective over the installed policies.
 func (c *Controller) TotalCost(flows []*flow.Flow, loc flow.Locator) (float64, error) {
-	return c.cost.TotalCost(flows, c.policies, loc)
+	return c.cost.TotalCost(flows, c.Policy, loc)
 }
 
 // OverloadedSwitches returns switches whose load exceeds capacity (possible

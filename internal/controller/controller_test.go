@@ -148,20 +148,89 @@ func TestInstallChecksSwitchesInIDOrder(t *testing.T) {
 	}
 }
 
+// TestPolicyTable pins the per-flow tables: Policy returns the pointer
+// Install was given, IDs may arrive in any order, a reinstall replaces
+// and an unknown or out-of-range Uninstall is a no-op, NumPolicies and
+// Policies track what is installed, and installing a built policy into a
+// table that already covers its ID allocates nothing.
+func TestPolicyTable(t *testing.T) {
+	e := newEnv(t, topology.LinkParams{})
+	srv := e.topo.Servers()
+	loc := e.locator()
+	want := make(map[flow.ID]*flow.Policy)
+	flows := make(map[flow.ID]*flow.Flow)
+	for i, id := range []flow.ID{5, 2, 9, 0} {
+		f := e.flowBetween(id, cluster.ContainerID(2*i), cluster.ContainerID(2*i+1), srv[i], srv[15-i], 1)
+		p, err := e.ctl.OptimizePolicy(f, loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ctl.Install(f, p); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.ctl.Policy(id); got != p {
+			t.Errorf("Policy(%d) = %p, want the installed %p", id, got, p)
+		}
+		want[id], flows[id] = p, f
+	}
+	for _, id := range []flow.ID{-1, 1, 3, 10, 1 << 40} {
+		if p := e.ctl.Policy(id); p != nil {
+			t.Errorf("Policy(%d) = %v for an ID never installed", id, p)
+		}
+		e.ctl.Uninstall(id)
+	}
+	if n := e.ctl.NumPolicies(); n != len(want) {
+		t.Errorf("NumPolicies = %d, want %d", n, len(want))
+	}
+
+	// Reinstall flow 2 with a new policy value.
+	p2, err := e.ctl.ShortestPolicy(flows[2], loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ctl.Install(flows[2], p2); err != nil {
+		t.Fatal(err)
+	}
+	want[2] = p2
+	if got := e.ctl.Policy(2); got != p2 {
+		t.Errorf("Policy(2) after reinstall = %p, want %p", got, p2)
+	}
+	e.ctl.Uninstall(5)
+	delete(want, 5)
+	if n := e.ctl.NumPolicies(); n != len(want) {
+		t.Errorf("NumPolicies after reinstall and uninstall = %d, want %d", n, len(want))
+	}
+	got := e.ctl.Policies()
+	if len(got) != len(want) {
+		t.Errorf("Policies has %d entries, want %d", len(got), len(want))
+	}
+	for id, p := range want {
+		if got[id] != p {
+			t.Errorf("Policies()[%d] = %p, want %p", id, got[id], p)
+		}
+	}
+
+	if n := testing.AllocsPerRun(20, func() {
+		if err := e.ctl.Install(flows[9], want[9]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Install of a built policy allocates %v times, want 0", n)
+	}
+}
+
 func TestInstallValidation(t *testing.T) {
 	e := newEnv(t, topology.LinkParams{})
 	srv := e.topo.Servers()
 	f := e.flowBetween(0, 1, 2, srv[0], srv[1], 1)
 	p, _ := e.ctl.ShortestPolicy(f, e.locator())
 	// Wrong flow ID on policy.
-	bad := p.Clone()
-	bad.Flow = 9
+	bad := &flow.Policy{Flow: 9, List: p.List, Types: p.Types}
 	if err := e.ctl.Install(f, bad); err == nil {
 		t.Error("mismatched policy flow accepted")
 	}
 	// Unsatisfied policy.
-	bad = p.Clone()
-	bad.Types[0] = "bogus"
+	bad = &flow.Policy{Flow: p.Flow, List: p.List, Types: append([]string{"bogus"}, p.Types[1:]...)}
 	if err := e.ctl.Install(f, bad); err == nil {
 		t.Error("unsatisfied policy accepted")
 	}
@@ -256,8 +325,7 @@ func TestOptimizePolicyRoutesAroundHotSwitch(t *testing.T) {
 		t.Fatal("no aggregation switch on inter-pod route")
 	}
 	bg := e.flowBetween(1, 3, 4, srv[0], srv[15], 3) // 1 + 3 = 4 = capacity
-	pbg := p0.Clone()
-	pbg.Flow = 1
+	pbg := &flow.Policy{Flow: 1, List: p0.List, Types: p0.Types}
 	if err := e.ctl.Install(bg, pbg); err != nil {
 		t.Fatal(err)
 	}

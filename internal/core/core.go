@@ -246,10 +246,11 @@ func (h *HitScheduler) isSubsequentWave(req *scheduler.Request, movable []schedu
 }
 
 // flowSolve records one flow's most recent Algorithm-1 solve within a
-// Schedule call: the solve's output policy (whether or not it was adopted),
-// whether the solve ran over unfiltered stage lists, and the endpoint
-// servers it saw. These are exactly the inputs cleanFlow needs to prove a
-// re-solve would reproduce the same result bit for bit.
+// Schedule call: the solve's output policy (whether or not it was adopted;
+// nil before the first solve), whether the solve ran over unfiltered stage
+// lists, and the endpoint servers it saw. These are exactly the inputs
+// cleanFlow needs to prove a re-solve would reproduce the same result bit
+// for bit.
 type flowSolve struct {
 	policy   *flow.Policy
 	full     bool
@@ -261,7 +262,9 @@ type flowSolve struct {
 // memoizes is read by the next. Nothing in a call changes the fabric's
 // distances, so its caches need no version key.
 type runState struct {
-	solves map[flow.ID]*flowSolve
+	// solves[i] is the last solve of the call's flow i: every phase walks
+	// the same flow slice, so its index is the dense key.
+	solves []flowSolve
 	// matchers holds one slab-reusing stable matcher per container group
 	// (reduces, maps): successive iterations of the joint loop re-match the
 	// same group, so the dense scratch carries over.
@@ -281,20 +284,21 @@ type runState struct {
 	hostPos []int32
 }
 
-func newRunState() *runState {
+func newRunState(nFlows int) *runState {
 	return &runState{
-		solves:    make(map[flow.ID]*flowSolve),
+		solves:    make([]flowSolve, nFlows),
 		rows:      make(map[topology.NodeID][]int32),
 		rackDists: make(map[topology.NodeID][]int32),
 	}
 }
 
-// record stores the outcome of an Algorithm-1 solve for f.
-func (st *runState) record(f *flow.Flow, loc flow.Locator, p *flow.Policy, info controller.SolveInfo) {
+// record stores the outcome of an Algorithm-1 solve for f, the call's
+// flow i.
+func (st *runState) record(i int, f *flow.Flow, loc flow.Locator, p *flow.Policy, info controller.SolveInfo) {
 	if p == nil {
 		return
 	}
-	st.solves[f.ID] = &flowSolve{
+	st.solves[i] = flowSolve{
 		policy: p,
 		full:   info.FullStages,
 		src:    loc.ServerOf(f.Src),
@@ -311,9 +315,9 @@ func (st *runState) record(f *flow.Flow, loc flow.Locator, p *flow.Policy, info 
 // before. Segment cost being load-independent (Eq. 2) is what makes the
 // proof go through: load changes can only alter a solve through the
 // feasibility filter, which FitsEverywhere shows is inert for this rate.
-func (st *runState) cleanFlow(req *scheduler.Request, f *flow.Flow, loc flow.Locator) bool {
-	rec := st.solves[f.ID]
-	if rec == nil || !rec.full {
+func (st *runState) cleanFlow(req *scheduler.Request, i int, f *flow.Flow, loc flow.Locator) bool {
+	rec := &st.solves[i]
+	if rec.policy == nil || !rec.full {
 		return false
 	}
 	if loc.ServerOf(f.Src) != rec.src || loc.ServerOf(f.Dst) != rec.dst {
@@ -326,7 +330,7 @@ func (st *runState) cleanFlow(req *scheduler.Request, f *flow.Flow, loc flow.Loc
 // round's working flow set (req.Flows minus any degraded-mode exclusions).
 func (h *HitScheduler) scheduleInitialWave(req *scheduler.Request, movable []scheduler.Task, flows []*flow.Flow) error {
 	loc := req.Locator()
-	st := newRunState()
+	st := newRunState(len(flows))
 	best, err := req.Controller.TotalCost(flows, loc)
 	if err != nil {
 		return err
@@ -340,15 +344,15 @@ func (h *HitScheduler) scheduleInitialWave(req *scheduler.Request, movable []sch
 		// unfiltered now) are clean: re-solving is a proven no-op, so the
 		// sweep touches only the dirty set.
 		if !h.DisablePolicyOpt {
-			for _, f := range flows {
-				if h.incremental() && st.cleanFlow(req, f, loc) {
+			for i, f := range flows {
+				if h.incremental() && st.cleanFlow(req, i, f, loc) {
 					continue
 				}
 				_, opt, info, err := req.Controller.OptimizeInstalledDetailed(f, loc)
 				if err != nil {
 					return err
 				}
-				st.record(f, loc, opt, info)
+				st.record(i, f, loc, opt, info)
 			}
 		}
 
@@ -401,19 +405,19 @@ func (h *HitScheduler) reinstallPolicies(req *scheduler.Request, flows []*flow.F
 	for _, f := range flows {
 		req.Controller.Uninstall(f.ID)
 	}
-	for _, f := range flows {
+	for i, f := range flows {
 		var p *flow.Policy
 		var err error
 		switch {
 		case h.DisablePolicyOpt:
 			p, err = req.Controller.RandomPolicy(f, loc, req.Rand)
-		case h.incremental() && st.cleanFlow(req, f, loc):
-			p = st.solves[f.ID].policy
+		case h.incremental() && st.cleanFlow(req, i, f, loc):
+			p = st.solves[i].policy
 		default:
 			var info controller.SolveInfo
 			p, info, err = req.Controller.OptimizePolicyDetailed(f, loc)
 			if err == nil {
-				st.record(f, loc, p, info)
+				st.record(i, f, loc, p, info)
 			}
 		}
 		if err != nil {
@@ -1051,5 +1055,5 @@ func (h *HitScheduler) scheduleSubsequentWave(req *scheduler.Request, movable []
 			return err
 		}
 	}
-	return h.reinstallPolicies(req, flows, loc, newRunState())
+	return h.reinstallPolicies(req, flows, loc, newRunState(len(flows)))
 }

@@ -115,7 +115,7 @@ func BenchmarkPreferenceMatrix(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := h.assignGroup(req, reduces, req.Flows, loc, newRunState(), 0); err != nil {
+				if err := h.assignGroup(req, reduces, req.Flows, loc, newRunState(0), 0); err != nil {
 					b.Fatal(err)
 				}
 			}

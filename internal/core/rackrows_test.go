@@ -70,7 +70,7 @@ func TestRackRowsMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			o, ref := netstate.New(topo), netstate.NewUncached(topo)
-			rb := newRackBuild(clu, o.Racks(), newRunState())
+			rb := newRackBuild(clu, o.Racks(), newRunState(0))
 			servers := clu.Servers()
 			rng := rand.New(rand.NewSource(int64(100 + fi)))
 			sc := new(assignScratch)
@@ -160,7 +160,7 @@ func TestRackBucketsMatchStableRank(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb := newRackBuild(clu, netstate.New(topo).Racks(), newRunState())
+			rb := newRackBuild(clu, netstate.New(topo).Racks(), newRunState(0))
 			n := len(clu.Servers())
 			rng := rand.New(rand.NewSource(int64(200 + fi)))
 			sc := new(assignScratch)

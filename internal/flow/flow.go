@@ -15,7 +15,10 @@ import (
 	"repro/internal/topology"
 )
 
-// ID identifies a flow within one scheduling problem.
+// ID identifies a flow within one scheduling problem. IDs are
+// non-negative: the controller keeps its per-flow state in tables indexed
+// by ID, and every producer (scheduler.NewJobRequest, both simulator
+// loops, hitplugin) numbers flows sequentially from 0.
 type ID int
 
 // Flow is one map→reduce shuffle transfer (f_i in the paper).
@@ -37,6 +40,9 @@ type Flow struct {
 
 // Validate checks basic sanity.
 func (f *Flow) Validate() error {
+	if f.ID < 0 {
+		return fmt.Errorf("flow %d: negative ID", f.ID)
+	}
 	if f.Src == f.Dst {
 		return fmt.Errorf("flow %d: src container == dst container (%d)", f.ID, f.Src)
 	}
@@ -50,6 +56,14 @@ func (f *Flow) Validate() error {
 // flow traverses (p.list) with the required switch type at each position
 // (p.type). A flow between two containers on the same server has an empty
 // policy.
+//
+// A Policy is immutable once built: whoever builds one fills List and
+// Types and then never writes them again, so the controller installs the
+// caller's pointer and a solve can hand the same value to several
+// holders. Types is usually the type template the topology and the
+// netstate oracle share among every flow of one tier class; a write to
+// it would corrupt all of them. taalint's policyfreeze check enforces
+// this outside this package.
 type Policy struct {
 	Flow  ID
 	List  []topology.NodeID
@@ -58,14 +72,6 @@ type Policy struct {
 
 // Len returns p.len, the number of switches on the policy.
 func (p *Policy) Len() int { return len(p.List) }
-
-// Clone returns a deep copy.
-func (p *Policy) Clone() *Policy {
-	q := &Policy{Flow: p.Flow, List: make([]topology.NodeID, len(p.List)), Types: make([]string, len(p.Types))}
-	copy(q.List, p.List)
-	copy(q.Types, p.Types)
-	return q
-}
 
 // Satisfied implements the paper's policy-satisfaction predicate: every
 // required position is filled by a switch of the correct type, in order
@@ -167,14 +173,24 @@ func (cm *CostModel) SegmentCost(rate float64, a, b topology.NodeID) float64 {
 	return rate * cm.UnitCost * float64(d)
 }
 
+// endpoints resolves a flow's endpoint servers, failing when either is
+// unplaced.
+func endpoints(f *Flow, loc Locator) (src, dst topology.NodeID, err error) {
+	src = loc.ServerOf(f.Src)
+	dst = loc.ServerOf(f.Dst)
+	if src == topology.None || dst == topology.None {
+		return src, dst, fmt.Errorf("flow %d: unplaced endpoint (src %d, dst %d)", f.ID, src, dst)
+	}
+	return src, dst, nil
+}
+
 // RouteNodes materializes Eq. 1: the actual routing path of a flow given
 // its policy — source server, the policy's switches in order, destination
 // server. It returns an error when either endpoint is unplaced.
 func (cm *CostModel) RouteNodes(f *Flow, p *Policy, loc Locator) ([]topology.NodeID, error) {
-	src := loc.ServerOf(f.Src)
-	dst := loc.ServerOf(f.Dst)
-	if src == topology.None || dst == topology.None {
-		return nil, fmt.Errorf("flow %d: unplaced endpoint (src %d, dst %d)", f.ID, src, dst)
+	src, dst, err := endpoints(f, loc)
+	if err != nil {
+		return nil, err
 	}
 	route := make([]topology.NodeID, 0, len(p.List)+2)
 	route = append(route, src)
@@ -184,16 +200,20 @@ func (cm *CostModel) RouteNodes(f *Flow, p *Policy, loc Locator) ([]topology.Nod
 }
 
 // FlowCost is Eq. 2 for a single flow: the sum of segment costs along its
-// actual routing path. Same-server flows cost zero.
+// actual routing path (RouteNodes), taken segment by segment from source
+// to destination without building the route. Same-server flows cost zero.
 func (cm *CostModel) FlowCost(f *Flow, p *Policy, loc Locator) (float64, error) {
-	route, err := cm.RouteNodes(f, p, loc)
+	src, dst, err := endpoints(f, loc)
 	if err != nil {
 		return 0, err
 	}
 	var total float64
-	for i := 1; i < len(route); i++ {
-		total += cm.SegmentCost(f.Rate, route[i-1], route[i])
+	prev := src
+	for _, w := range p.List {
+		total += cm.SegmentCost(f.Rate, prev, w)
+		prev = w
 	}
+	total += cm.SegmentCost(f.Rate, prev, dst)
 	return total, nil
 }
 
@@ -226,13 +246,13 @@ func (cm *CostModel) RouteHops(f *Flow, p *Policy, loc Locator) (int, error) {
 	return hops, nil
 }
 
-// TotalCost sums FlowCost over a flow set with their policies — the TAA
-// objective (Eq. 3).
-func (cm *CostModel) TotalCost(flows []*Flow, policies map[ID]*Policy, loc Locator) (float64, error) {
+// TotalCost sums FlowCost over a flow set — the TAA objective (Eq. 3).
+// policy returns a flow's policy, nil when it has none.
+func (cm *CostModel) TotalCost(flows []*Flow, policy func(ID) *Policy, loc Locator) (float64, error) {
 	var total float64
 	for _, f := range flows {
-		p, ok := policies[f.ID]
-		if !ok {
+		p := policy(f.ID)
+		if p == nil {
 			return 0, fmt.Errorf("flow %d: no policy", f.ID)
 		}
 		c, err := cm.FlowCost(f, p, loc)

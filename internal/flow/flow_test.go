@@ -78,6 +78,14 @@ func TestFlowValidate(t *testing.T) {
 	if (&flow.Flow{Src: 0, Dst: 1, SizeGB: -1}).Validate() == nil {
 		t.Error("negative size accepted")
 	}
+	if (&flow.Flow{ID: -1, Src: 0, Dst: 1}).Validate() == nil {
+		t.Error("negative ID accepted")
+	}
+}
+
+// byID adapts a policy map to TotalCost's lookup.
+func byID(pols map[flow.ID]*flow.Policy) func(flow.ID) *flow.Policy {
+	return func(id flow.ID) *flow.Policy { return pols[id] }
 }
 
 func TestPolicySatisfied(t *testing.T) {
@@ -91,26 +99,22 @@ func TestPolicySatisfied(t *testing.T) {
 		t.Errorf("shortest-path policy unsatisfied: %v", err)
 	}
 	// Corrupt the type requirement.
-	bad := p.Clone()
-	bad.Types[0] = "bogus"
+	bad := &flow.Policy{Flow: p.Flow, List: p.List, Types: append([]string{"bogus"}, p.Types[1:]...)}
 	if bad.Satisfied(e.topo) == nil {
 		t.Error("type mismatch accepted")
 	}
 	// List/Types length mismatch.
-	bad = p.Clone()
-	bad.Types = bad.Types[:len(bad.Types)-1]
+	bad = &flow.Policy{Flow: p.Flow, List: p.List, Types: p.Types[:len(p.Types)-1]}
 	if bad.Satisfied(e.topo) == nil {
 		t.Error("length mismatch accepted")
 	}
 	// Server in the switch list.
-	bad = p.Clone()
-	bad.List[0] = srv[0]
+	bad = &flow.Policy{Flow: p.Flow, List: append([]topology.NodeID{srv[0]}, p.List[1:]...), Types: p.Types}
 	if bad.Satisfied(e.topo) == nil {
 		t.Error("server in list accepted")
 	}
 	// Invalid node.
-	bad = p.Clone()
-	bad.List[0] = topology.NodeID(-7)
+	bad = &flow.Policy{Flow: p.Flow, List: append([]topology.NodeID{-7}, p.List[1:]...), Types: p.Types}
 	if bad.Satisfied(e.topo) == nil {
 		t.Error("invalid node accepted")
 	}
@@ -185,6 +189,40 @@ func TestFlowCostAndDelay(t *testing.T) {
 	}
 }
 
+// TestFlowCostSumsRoute pins FlowCost, which walks the policy without
+// building a route, to the Eq. 2 sum over RouteNodes' route in the same
+// left-to-right order, bit for bit, and checks it allocates nothing.
+func TestFlowCostSumsRoute(t *testing.T) {
+	e := newTestEnv(t)
+	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
+	srv := e.topo.Servers()
+	loc := e.locator()
+	a := e.newContainer(t, srv[0])
+	for i, s := range []topology.NodeID{srv[0], srv[1], srv[2], srv[15]} {
+		b := e.newContainer(t, s)
+		f := &flow.Flow{ID: flow.ID(i), Src: a, Dst: b, SizeGB: 1, Rate: 0.1 * float64(i+3)}
+		p := e.shortestPolicy(t, f)
+		route, err := cm.RouteNodes(f, p, loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want float64
+		for j := 1; j < len(route); j++ {
+			want += cm.SegmentCost(f.Rate, route[j-1], route[j])
+		}
+		got, err := cm.FlowCost(f, p, loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("flow to server %d: FlowCost %v, route sum %v", s, got, want)
+		}
+		if n := testing.AllocsPerRun(20, func() { _, _ = cm.FlowCost(f, p, loc) }); n != 0 {
+			t.Errorf("flow to server %d: FlowCost allocates %v times per call, want 0", s, n)
+		}
+	}
+}
+
 func TestFlowCostUnplacedEndpoint(t *testing.T) {
 	e := newTestEnv(t)
 	cm := flow.NewCostModelWithOracle(netstate.New(e.topo))
@@ -211,7 +249,7 @@ func TestTotalCost(t *testing.T) {
 		0: e.shortestPolicy(t, f1),
 		1: e.shortestPolicy(t, f2),
 	}
-	total, err := cm.TotalCost([]*flow.Flow{f1, f2}, pols, e.locator())
+	total, err := cm.TotalCost([]*flow.Flow{f1, f2}, byID(pols), e.locator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +258,7 @@ func TestTotalCost(t *testing.T) {
 		t.Errorf("total = %v, want 6", total)
 	}
 	delete(pols, 1)
-	if _, err := cm.TotalCost([]*flow.Flow{f1, f2}, pols, e.locator()); err == nil {
+	if _, err := cm.TotalCost([]*flow.Flow{f1, f2}, byID(pols), e.locator()); err == nil {
 		t.Error("missing policy accepted")
 	}
 }
@@ -250,8 +288,8 @@ func TestSwapUtilityMatchesCostDelta(t *testing.T) {
 				t.Fatal(err)
 			}
 			before, _ := cm.FlowCost(f, p, loc)
-			q := p.Clone()
-			if err := reference.ApplySwap(e.topo, q, i, w); err != nil {
+			q, err := reference.ApplySwap(e.topo, p, i, w)
+			if err != nil {
 				t.Fatalf("ApplySwap: %v", err)
 			}
 			after, _ := cm.FlowCost(f, q, loc)
@@ -281,14 +319,30 @@ func TestApplySwapTypeChecked(t *testing.T) {
 	p := e.shortestPolicy(t, f)
 	core := e.topo.SwitchesOfType(topology.TypeCore)[0]
 	// Position 0 requires an access switch; a core switch must be rejected.
-	if err := reference.ApplySwap(e.topo, p, 0, core); err == nil {
+	if _, err := reference.ApplySwap(e.topo, p, 0, core); err == nil {
 		t.Error("type-mismatched swap accepted")
 	}
-	if err := reference.ApplySwap(e.topo, p, 0, srv[3]); err == nil {
+	if _, err := reference.ApplySwap(e.topo, p, 0, srv[3]); err == nil {
 		t.Error("server swap target accepted")
 	}
-	if err := reference.ApplySwap(e.topo, p, 99, core); err == nil {
+	if _, err := reference.ApplySwap(e.topo, p, 99, core); err == nil {
 		t.Error("out-of-range swap accepted")
+	}
+	// A valid swap returns a new policy and leaves p as it was.
+	old := p.List[0]
+	var w topology.NodeID = topology.None
+	for _, cand := range e.topo.SwitchesOfType(p.Types[0]) {
+		if cand != old {
+			w = cand
+			break
+		}
+	}
+	q, err := reference.ApplySwap(e.topo, p, 0, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.List[0] != w || p.List[0] != old {
+		t.Errorf("swap to %d: new policy has %d, original now has %d (was %d)", w, q.List[0], p.List[0], old)
 	}
 }
 
@@ -310,10 +364,10 @@ func TestMoveUtilityMatchesCostDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, _ := cm.TotalCost(flows, pols, loc)
+		before, _ := cm.TotalCost(flows, byID(pols), loc)
 		old := e.loc[a]
 		e.loc[a] = target
-		after, _ := cm.TotalCost(flows, pols, loc)
+		after, _ := cm.TotalCost(flows, byID(pols), loc)
 		e.loc[a] = old
 		if math.Abs((before-after)-u) > 1e-9 {
 			t.Errorf("move to %d: utility %v != cost delta %v", target, u, before-after)
@@ -426,8 +480,11 @@ func TestQuickSeparabilityNonAdjacentSwaps(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q := p.Clone()
-		if reference.ApplySwap(e.topo, q, i, wi) != nil || reference.ApplySwap(e.topo, q, j, wj) != nil {
+		q, err := reference.ApplySwap(e.topo, p, i, wi)
+		if err != nil {
+			return false
+		}
+		if q, err = reference.ApplySwap(e.topo, q, j, wj); err != nil {
 			return false
 		}
 		after, err := cm.FlowCost(fl, q, loc)
@@ -485,16 +542,16 @@ func TestQuickSeparabilityMoveAndSwap(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		before, err := cm.TotalCost(flows, pols, loc)
+		before, err := cm.TotalCost(flows, byID(pols), loc)
 		if err != nil {
 			return false
 		}
-		q := p.Clone()
-		if reference.ApplySwap(e.topo, q, i, w) != nil {
+		q, err := reference.ApplySwap(e.topo, p, i, w)
+		if err != nil {
 			return false
 		}
 		cur[a] = tgt
-		after, err := cm.TotalCost(flows, map[flow.ID]*flow.Policy{0: q}, loc)
+		after, err := cm.TotalCost(flows, byID(map[flow.ID]*flow.Policy{0: q}), loc)
 		if err != nil {
 			return false
 		}

@@ -40,6 +40,8 @@ type Plugin struct {
 	store  *profile.Store
 	demand cluster.Resources
 	rng    *rand.Rand
+	// nextFl numbers the flows installed on ctl, from 0 and never reused:
+	// ctl's per-flow tables grow to every flow the plugin has numbered.
 	nextFl flow.ID
 	jobSeq int
 }

@@ -33,13 +33,19 @@ package netstate
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/topology"
 )
 
 // pairKey identifies an ordered (src, dst) node pair.
 type pairKey struct{ src, dst topology.NodeID }
+
+// templateStages is one cached StagesForTemplate answer.
+type templateStages struct {
+	types  []string
+	stages [][]topology.NodeID
+}
 
 // Oracle is the shared path/cost oracle over one topology. Obtain one with
 // New (memoizing) or NewUncached (same API, every query computed fresh —
@@ -62,9 +68,11 @@ type Oracle struct {
 	paths     map[pairKey][]topology.NodeID
 	templates map[pairKey][]string
 
-	// Per-type and per-template candidate caches.
+	// Per-type and per-template candidate caches. A fabric has a handful
+	// of templates, so StagesForTemplate scans stages, comparing each
+	// entry's types, rather than building a map key on every call.
 	byType map[string][]topology.NodeID
-	stages map[string][][]topology.NodeID
+	stages []templateStages
 
 	// access caches each server's access switch (None for non-servers);
 	// ensureLive drops it.
@@ -110,7 +118,6 @@ func newOracle(topo *topology.Topology) *Oracle {
 		paths:     make(map[pairKey][]topology.NodeID),
 		templates: make(map[pairKey][]string),
 		byType:    make(map[string][]topology.NodeID),
-		stages:    make(map[string][][]topology.NodeID),
 	}
 }
 
@@ -131,7 +138,7 @@ func (o *Oracle) ensureLive() {
 	o.paths = make(map[pairKey][]topology.NodeID)
 	o.templates = make(map[pairKey][]string)
 	o.byType = make(map[string][]topology.NodeID)
-	o.stages = make(map[string][][]topology.NodeID)
+	o.stages = nil
 	o.access = nil
 	o.liveSeen = lv
 }
@@ -490,16 +497,17 @@ func (o *Oracle) StagesForTemplate(types []string) [][]topology.NodeID {
 		}
 		return stages
 	}
-	key := strings.Join(types, "\x1f")
 	o.ensureLive()
-	if s, ok := o.stages[key]; ok {
-		return s
+	for _, ts := range o.stages {
+		if slices.Equal(ts.types, types) {
+			return ts.stages
+		}
 	}
 	stages := make([][]topology.NodeID, len(types))
 	for i, typ := range types {
 		stages[i] = o.SwitchesOfType(typ)
 	}
-	o.stages[key] = stages
+	o.stages = append(o.stages, templateStages{types: slices.Clone(types), stages: stages})
 	return stages
 }
 

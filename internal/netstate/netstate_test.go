@@ -180,9 +180,26 @@ func TestTemplatesAndStages(t *testing.T) {
 			}
 		}
 	}
-	// Second query returns the identical shared slices (memoized).
+	// Second query returns the identical shared slices (memoized), also
+	// for an equal template in another slice, and a hit allocates
+	// nothing.
 	if again := o.StagesForTemplate(types); len(again) > 0 && len(stages) > 0 && &again[0] != &stages[0] {
 		t.Error("StagesForTemplate did not return the cached stage list")
+	}
+	key := append([]string(nil), types...)
+	if again := o.StagesForTemplate(key); &again[0] != &stages[0] {
+		t.Error("an equal template in another slice missed the cache")
+	}
+	if n := testing.AllocsPerRun(20, func() { o.StagesForTemplate(key) }); n != 0 {
+		t.Errorf("a StagesForTemplate hit allocates %v times, want 0", n)
+	}
+	// The cache keeps its own copy of a template: the caller may reuse
+	// its slice afterwards.
+	o2 := netstate.New(topo)
+	first := o2.StagesForTemplate(key)
+	key[0] = "bogus"
+	if again := o2.StagesForTemplate(types); &again[0] != &first[0] {
+		t.Error("rewriting the caller's template slice changed the cache key")
 	}
 }
 

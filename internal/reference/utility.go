@@ -76,19 +76,22 @@ func MoveUtility(cm *flow.CostModel, c cluster.ContainerID, s topology.NodeID, f
 	return utility, nil
 }
 
-// ApplySwap reschedules position i of the policy to switch w
-// (p.list[i] -> ŵ). It fails if w's type differs from the required
-// p.type[i], preserving policy satisfaction.
-func ApplySwap(topo *topology.Topology, p *flow.Policy, i int, w topology.NodeID) error {
+// ApplySwap returns the policy with position i rescheduled to switch w
+// (p.list[i] -> ŵ), leaving p as it was: policies are immutable. It fails
+// if w's type differs from the required p.type[i], preserving policy
+// satisfaction.
+func ApplySwap(topo *topology.Topology, p *flow.Policy, i int, w topology.NodeID) (*flow.Policy, error) {
 	if i < 0 || i >= len(p.List) {
-		return fmt.Errorf("flow %d: swap position %d out of range", p.Flow, i)
+		return nil, fmt.Errorf("flow %d: swap position %d out of range", p.Flow, i)
 	}
 	if !topo.Valid(w) || !topo.Node(w).IsSwitch() {
-		return fmt.Errorf("flow %d: swap target %d is not a switch", p.Flow, w)
+		return nil, fmt.Errorf("flow %d: swap target %d is not a switch", p.Flow, w)
 	}
 	if got := topo.Node(w).Type; got != p.Types[i] {
-		return fmt.Errorf("flow %d: swap target type %q, want %q", p.Flow, got, p.Types[i])
+		return nil, fmt.Errorf("flow %d: swap target type %q, want %q", p.Flow, got, p.Types[i])
 	}
-	p.List[i] = w
-	return nil
+	q := &flow.Policy{Flow: p.Flow, List: make([]topology.NodeID, len(p.List)), Types: p.Types}
+	copy(q.List, p.List)
+	q.List[i] = w
+	return q, nil
 }

@@ -248,6 +248,11 @@ func (e *Engine) restore(ck *Checkpoint, jobs []*workload.Job, arrivals []float6
 	if ck.Wave < 0 {
 		return nil, 0, 0, fmt.Errorf("sim: checkpoint wave %d is negative: %w", ck.Wave, ErrCheckpointMismatch)
 	}
+	// The controller sizes its per-flow tables by flow ID, so an edited
+	// NextFlowID must not reach the first Install.
+	if n := numberableFlows(jobs); ck.NextFlowID < 0 || int(ck.NextFlowID) > n {
+		return nil, 0, 0, fmt.Errorf("sim: checkpoint NextFlowID %d outside [0, %d]: %w", ck.NextFlowID, n, ErrCheckpointMismatch)
+	}
 
 	// Recreate every recorded container in ascending ID order so the
 	// sequential NewContainer counter reproduces each recorded ID exactly;

@@ -200,6 +200,11 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 		{"prev-wave-unknown", "PrevWave", func(_ *Checkpoint, jc *JobCheckpoint) { jc.PrevWave = append(jc.PrevWave, 999) }},
 		{"flow-id-at-next", "flow ID", func(ck *Checkpoint, jc *JobCheckpoint) { jc.Flows[0].ID = ck.NextFlowID }},
 		{"next-flow-id-rewound", "flow ID", func(ck *Checkpoint, _ *JobCheckpoint) { ck.NextFlowID = 0 }},
+		{"next-flow-id-negative", "NextFlowID", func(ck *Checkpoint, _ *JobCheckpoint) { ck.NextFlowID = -1 }},
+		{"next-flow-id-past-cells", "NextFlowID", func(ck *Checkpoint, _ *JobCheckpoint) {
+			ck.NextFlowID = flow.ID(numberableFlows(jobs) + 1)
+		}},
+		{"next-flow-id-huge", "NextFlowID", func(ck *Checkpoint, _ *JobCheckpoint) { ck.NextFlowID = 1 << 40 }},
 		{"flow-id-repeated", "flow ID", func(ck *Checkpoint, jc *JobCheckpoint) {
 			for i := range ck.Jobs {
 				if other := &ck.Jobs[i]; other != jc && len(other.Flows) > 0 {
@@ -230,6 +235,11 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+			// No wave ran, so no policy was installed: scheduling a wave
+			// draws from the RNG first.
+			if d := eng.rngSrc.Draws(); d != 0 {
+				t.Errorf("%d RNG draws before the error", d)
 			}
 		})
 	}

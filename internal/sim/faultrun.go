@@ -159,17 +159,23 @@ func (e *Engine) runFaulty(res *Result, jobs []*workload.Job, arrivals []float64
 		if over := e.ctl.OverloadedSwitches(); len(over) != 0 {
 			return nil, nil, fmt.Errorf("sim: switches %v over capacity after reaction", over)
 		}
-		ids := make([]flow.ID, 0, e.ctl.NumPolicies())
-		for id := range e.ctl.Policies() {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			for _, w := range e.ctl.Policy(id).List {
+		// Flows are numbered from 0, so [0, nextFlowID) holds every
+		// installed policy; the count guards that.
+		installed := 0
+		for id := flow.ID(0); id < nextFlowID; id++ {
+			p := e.ctl.Policy(id)
+			if p == nil {
+				continue
+			}
+			installed++
+			for _, w := range p.List {
 				if !e.topo.Alive(w) {
 					return nil, nil, fmt.Errorf("sim: flow %d policy traverses dead switch %d after reaction", id, w)
 				}
 			}
+		}
+		if installed != e.ctl.NumPolicies() {
+			return nil, nil, fmt.Errorf("sim: %d installed policies, %d below flow ID %d", e.ctl.NumPolicies(), installed, nextFlowID)
 		}
 		return dropped, evictedNow, nil
 	}

@@ -205,6 +205,24 @@ func (st *jobState) addFlows(req *scheduler.Request, m int, next *flow.ID) {
 	}
 }
 
+// numberableFlows is the number of flow IDs the legacy loop hands out for
+// jobs: addFlows numbers one flow per shuffle cell it does not skip, and
+// each map runs once.
+func numberableFlows(jobs []*workload.Job) int {
+	n := 0
+	for _, job := range jobs {
+		for _, row := range job.Shuffle {
+			for _, size := range row {
+				if size <= 0 {
+					continue
+				}
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // record snapshots fl's installed route into st before anything moves:
 // the route's nodes, hops, Eq. 2 cost and latency.
 func (e *Engine) record(st *jobState, fl *flow.Flow, loc flow.Locator) error {

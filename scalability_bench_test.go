@@ -34,35 +34,60 @@ func benchJob(maps, reduces int) *workload.Job {
 	return j
 }
 
-func benchSchedule(b *testing.B, s scheduler.Scheduler, build func() (*topology.Topology, error), maps, reduces int) {
+// benchOps times s.Schedule on requests from newReq, which builds the
+// same instance every call. One untimed Schedule first sizes the
+// scheduler's reusable scratch, so every timed op does the same work and
+// allocs/op is one op's count, whatever b.N is. It returns the last
+// request.
+func benchOps(b *testing.B, s scheduler.Scheduler, newReq func() *scheduler.Request) *scheduler.Request {
 	b.Helper()
 	b.ReportAllocs()
-	var ctl *controller.Controller
+	b.StopTimer()
+	if err := s.Schedule(newReq()); err != nil {
+		b.Fatal(err)
+	}
+	var req *scheduler.Request
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		topo, err := build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cl, err := cluster.New(topo, cluster.Resources{CPU: 2, Memory: 8192})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctl = controller.New(topo)
-		req, _, err := scheduler.NewJobRequest(cl, ctl, []*workload.Job{benchJob(maps, reduces)},
-			cluster.Resources{CPU: 1, Memory: 512}, rand.New(rand.NewSource(int64(i))))
-		if err != nil {
-			b.Fatal(err)
-		}
+		req = newReq()
 		b.StartTimer()
 		if err := s.Schedule(req); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 	}
-	b.StopTimer()
+	return req
+}
+
+// newBenchRequest builds one benchmark instance: job on a fresh cluster
+// and controller over build's fabric, with the random start drawn from a
+// fixed seed.
+func newBenchRequest(b *testing.B, build func() (*topology.Topology, error), job *workload.Job) (*scheduler.Request, []scheduler.JobTasks) {
+	b.Helper()
+	topo, err := build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := cluster.New(topo, cluster.Resources{CPU: 2, Memory: 8192})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req, jt, err := scheduler.NewJobRequest(cl, controller.New(topo), []*workload.Job{job},
+		cluster.Resources{CPU: 1, Memory: 512}, rand.New(rand.NewSource(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return req, jt
+}
+
+func benchSchedule(b *testing.B, s scheduler.Scheduler, build func() (*topology.Topology, error), maps, reduces int) {
+	b.Helper()
+	req := benchOps(b, s, func() *scheduler.Request {
+		req, _ := newBenchRequest(b, build, benchJob(maps, reduces))
+		return req
+	})
 	// Footprint next to wall-clock: the oracle's cache census from the last
 	// iteration (O(V) in structural mode) and the process peak RSS.
-	ms := ctl.Oracle().MemoryStats()
+	ms := req.Controller.Oracle().MemoryStats()
 	b.ReportMetric(float64(ms.ApproxBytes)/1e6, "oracle-MB")
 	if rss, ok := procstat.PeakRSSBytes(); ok {
 		b.ReportMetric(float64(rss)/1e6, "peakRSS-MB")
@@ -137,37 +162,20 @@ func BenchmarkSubsequentWaveScalability(b *testing.B) {
 		servers := fanout * fanout * fanout
 		maps := servers / 2
 		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				topo, err := topology.NewTree(3, fanout, topology.LinkParams{Bandwidth: 1, SwitchCapacity: 1e9})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cl, err := cluster.New(topo, cluster.Resources{CPU: 2, Memory: 8192})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctl := controller.New(topo)
-				job := benchJob(maps, servers/4+1)
-				req, jt, err := scheduler.NewJobRequest(cl, ctl, []*workload.Job{job},
-					cluster.Resources{CPU: 1, Memory: 512}, rand.New(rand.NewSource(int64(i))))
-				if err != nil {
-					b.Fatal(err)
-				}
+			build := treeBuilder(3, fanout)
+			benchOps(b, &core.HitScheduler{}, func() *scheduler.Request {
+				req, jt := newBenchRequest(b, build, benchJob(maps, servers/4+1))
 				// Fix every reduce on a server, making this a pure
 				// subsequent-wave request.
-				srv := cl.Servers()
+				srv := req.Cluster.Servers()
 				for ri, c := range jt[0].Reduces {
-					if err := cl.Place(c, srv[ri%len(srv)]); err != nil {
+					if err := req.Cluster.Place(c, srv[ri%len(srv)]); err != nil {
 						b.Fatal(err)
 					}
 					req.Fixed[c] = true
 				}
-				b.StartTimer()
-				if err := (&core.HitScheduler{}).Schedule(req); err != nil {
-					b.Fatal(err)
-				}
-			}
+				return req
+			})
 		})
 	}
 }

@@ -5,16 +5,19 @@
 # applies the deliberate mutation, runs only the check named by the patch
 # file's basename, and asserts taalint exits with code 1 — findings, not a
 # crash (2) and not a pass (0). Any toothless check fails the script. The
-# ten patches, one per check: epochbump (skip an epoch bump in
+# eleven patches, one per check: epochbump (skip an epoch bump in
 # SetNodeAlive), errcompare (compare an error with == in faults.React),
 # floateq (test a drained transfer with == 0 in netsim's event loop),
-# maporder (drop the sort of the policy IDs ranged from a map in the fault
-# loop's applyEventsUntil), mergeorder (append the cell index to a captured
-# slice in runCells' worker), oraclebypass (call topology.PathLatency in
-# sim's record), panicpath (a naked goroutine plus a channel wait in the
-# preference build), poolescape (RandomPolicy keeps its filter buffer as
-# the policy's list), rngsource (core's random start draws rand.Intn from
-# the global source) and wallclock (read time.Now in sim.RunWithArrivals).
+# maporder (the fault loop's dead-switch check ranges over the
+# controller's policy map and returns on the first dead switch),
+# mergeorder (append the cell index to a captured slice in runCells'
+# worker), oraclebypass (call topology.PathLatency in sim's record),
+# panicpath (a naked goroutine plus a channel wait in the preference
+# build), policyfreeze (OptimizeInstalledDetailed writes opt.List[0]
+# before installing it), poolescape (RandomPolicy keeps its filter buffer
+# as the policy's list), rngsource (core's random start draws rand.Intn
+# from the global source) and wallclock (read time.Now in
+# sim.RunWithArrivals).
 #
 # The snapshot is HEAD plus every tracked, staged and untracked non-ignored
 # change, so an edited check or teeth patch is proven before it is
