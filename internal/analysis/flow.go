@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"sort"
 )
 
@@ -17,7 +16,7 @@ import (
 //   - spineOf, which takes an lvalue apart;
 //   - reaches, the expression-taint evaluator over a caller's seed;
 //   - Index.flood, the call-graph reachability flood;
-//   - builtinName, isNamed, refLike and sortedKeys.
+//   - builtinName, refLike and sortedKeys.
 
 // forEachFunc calls fn for every function declaration with a body, in
 // package, file and declaration order.
@@ -481,18 +480,3 @@ func builtinName(pkg *Package, fun ast.Expr) string {
 	}
 	return ""
 }
-
-// isNamed reports whether t, or the type t points to, is a named type
-// declared in the package at path with one of names (any name when names
-// is empty).
-func isNamed(t types.Type, path string, names ...string) bool {
-	named, ok := derefType(t).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != path {
-		return false
-	}
-	return len(names) == 0 || slices.Contains(names, named.Obj().Name())
-}
-
-// isAtomicType reports whether t is one of sync/atomic's named types
-// (Bool, Int32..Uint64, Uintptr, Pointer[T], Value).
-func isAtomicType(t types.Type) bool { return isNamed(t, "sync/atomic") }

@@ -289,45 +289,6 @@ func collectFieldAccesses(idx *Index, pkg *Package, fn FuncKey, body ast.Node) {
 	})
 }
 
-// atomicOperands returns what a sync/atomic call acts on — the receiver
-// of a method on an atomic-typed value (o.epoch.Add(1)), or the operand
-// of each &-argument of a package function (atomic.AddUint64(&s.seq, 1))
-// — and whether the call writes them (Add, And, CompareAndSwap, Or,
-// Store, Swap; not Load).
-func atomicOperands(p *Package, call *ast.CallExpr) (ops []ast.Expr, writes bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	for _, prefix := range []string{"Add", "And", "CompareAndSwap", "Or", "Store", "Swap"} {
-		writes = writes || strings.HasPrefix(sel.Sel.Name, prefix)
-	}
-	if isAtomicPkgFunc(p, call.Fun) {
-		for _, arg := range call.Args {
-			if ue, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-				ops = append(ops, ue.X)
-			}
-		}
-		return ops, writes
-	}
-	if isAtomicType(p.Info.TypeOf(sel.X)) {
-		return []ast.Expr{sel.X}, writes
-	}
-	return nil, false
-}
-
-// isAtomicPkgFunc reports whether the call target is a package-level
-// function of sync/atomic.
-func isAtomicPkgFunc(p *Package, fun ast.Expr) bool {
-	sel, ok := ast.Unparen(fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	f, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	return ok && f.Pkg() != nil && f.Pkg().Path() == "sync/atomic" &&
-		f.Type().(*types.Signature).Recv() == nil
-}
-
 // shortKey trims the import-path directory from an index key, leaving the
 // package-base-qualified form both the real module and fixtures share:
 // "repro/internal/topology.(Topology).SetNodeAlive" and

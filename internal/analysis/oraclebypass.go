@@ -5,47 +5,25 @@ import (
 	"strings"
 )
 
-// OracleBypass enforces the PR 1 invariant behind internal/netstate: all
-// path, BFS-distance and switch-inventory queries go through the shared
-// liveness-aware oracle. Calling the raw *topology.Topology query methods
-// from a consumer package silently reintroduces the O(containers × servers
-// × flows × BFS) behavior the oracle removed, and the raw closed forms
-// below answer for the healthy graph even after a switch has crashed.
-//
-// Forbidden outside internal/netstate (and internal/topology itself):
-// Topology.Dist, ShortestPath, ShortestPathDAG, PathLatency, AccessSwitch
-// and SwitchesOfType — each has an oracle equivalent of the same name —
-// plus the coordinate closed forms StructuralDist, LowestCommonTier,
-// StageTemplate and StageRoute, which answer for the healthy graph only
-// and whose refuse-and-fall-back-to-BFS gating is centralized in
-// internal/netstate.
-// Structural accessors (Node, Servers, Switches, Links, Neighbors, ...)
-// remain free: they are O(1) reads, not path computations.
+// OracleBypass keeps the topology's coordinate closed forms inside
+// internal/netstate. StructuralDist, StageTemplate and StageRoute answer
+// for the HEALTHY graph only — each refuses (ok=false) while any node is
+// down — and internal/netstate is where the refuse-and-fall-back-to-BFS
+// gating lives. A consumer calling them directly must reimplement that
+// gating, and a missed refusal check silently serves healthy-graph answers
+// on a degraded fabric. Every other path answer (distances, paths, access
+// switches, switch lists, latencies) exists only on the netstate oracle,
+// so the package boundary already routes those through it. Structural
+// accessors (Node, Servers, Switches, Links, Neighbors, ...) remain free:
+// they are O(1) reads, not path computations.
 type OracleBypass struct{}
 
-// oracleOnly are the *topology.Topology methods with a mandatory oracle
-// equivalent.
-var oracleOnly = map[string]bool{
-	"Dist":            true,
-	"ShortestPath":    true,
-	"ShortestPathDAG": true,
-	"PathLatency":     true,
-	"AccessSwitch":    true,
-	"SwitchesOfType":  true,
-}
-
 // structuralOnly are the coordinate closed-form accessors, callable only
-// from internal/netstate. Unlike the oracleOnly methods these are O(1),
-// but they answer for the HEALTHY graph only — each refuses (ok=false)
-// while any node is down — and internal/netstate is where the
-// fallback-to-BFS gating lives. A consumer calling them directly must
-// reimplement that gating, and a missed refusal check silently serves
-// healthy-graph distances on a degraded fabric.
+// from internal/netstate.
 var structuralOnly = map[string]bool{
-	"StructuralDist":   true,
-	"LowestCommonTier": true,
-	"StageTemplate":    true,
-	"StageRoute":       true,
+	"StructuralDist": true,
+	"StageTemplate":  true,
+	"StageRoute":     true,
 }
 
 // Name implements Check.
@@ -53,7 +31,7 @@ func (OracleBypass) Name() string { return "oraclebypass" }
 
 // Doc implements Check.
 func (OracleBypass) Doc() string {
-	return "topology path/distance queries outside internal/netstate must go through the netstate oracle"
+	return "topology closed forms outside internal/netstate must go through the netstate oracle"
 }
 
 // Run implements Check.
@@ -67,15 +45,7 @@ func (OracleBypass) Run(p *Pass) {
 			continue
 		}
 		m := selection.Obj()
-		if !isTopologyType(selection.Recv()) {
-			continue
-		}
-		switch {
-		case oracleOnly[m.Name()]:
-			p.Reportf(sel.Sel.Pos(),
-				"direct topology.%s bypasses the netstate oracle (uncached BFS, epoch-blind); use (*netstate.Oracle).%s",
-				m.Name(), m.Name())
-		case structuralOnly[m.Name()]:
+		if isTopologyType(selection.Recv()) && structuralOnly[m.Name()] {
 			p.Reportf(sel.Sel.Pos(),
 				"topology.%s is a structural closed form reserved for internal/netstate (liveness fallback gating lives there); query the oracle instead",
 				m.Name())

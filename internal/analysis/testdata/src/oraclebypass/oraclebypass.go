@@ -1,6 +1,6 @@
 // Package fixture exercises the oraclebypass check: it plays the role of a
-// scheduler-layer consumer (import path "fixture/consumer") issuing
-// path/distance queries.
+// scheduler-layer consumer (import path "fixture/consumer") reaching for
+// the topology's closed forms.
 package fixture
 
 import (
@@ -8,17 +8,8 @@ import (
 	"repro/internal/topology"
 )
 
-// RawDist runs an uncached, epoch-blind BFS on the raw topology. Flagged.
-func RawDist(t *topology.Topology, a, b topology.NodeID) int {
-	return t.Dist(a, b)
-}
-
-// RawPath bypasses the shared path cache. Flagged.
-func RawPath(t *topology.Topology, a, b topology.NodeID) []topology.NodeID {
-	return t.ShortestPath(a, b)
-}
-
-// OracleDist routes the same query through the shared oracle. Not flagged.
+// OracleDist routes a distance query through the shared oracle. Not
+// flagged.
 func OracleDist(o *netstate.Oracle, a, b topology.NodeID) int {
 	return o.Dist(a, b)
 }
@@ -28,23 +19,12 @@ func Structural(t *topology.Topology) int {
 	return t.NumServers() + t.NumLinks()
 }
 
-// Probe queries the access switch on the raw topology. Flagged.
-func Probe(t *topology.Topology, s topology.NodeID) topology.NodeID {
-	return t.AccessSwitch(s)
-}
-
 // RawStructuralDist calls a coordinate closed form from a consumer: the
 // healthy-graph answer with none of netstate's liveness fallback gating.
-// Flagged (the structural-accessor arm of the check).
+// Flagged.
 func RawStructuralDist(t *topology.Topology, a, b topology.NodeID) int {
 	d, _ := t.StructuralDist(a, b)
 	return d
-}
-
-// RawCommonTier climbs the hierarchy without the oracle. Flagged.
-func RawCommonTier(t *topology.Topology, a, b topology.NodeID) int {
-	tier, _ := t.LowestCommonTier(a, b)
-	return tier
 }
 
 // RawStageRoute picks a flow's switches without the oracle. Flagged.

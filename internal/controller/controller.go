@@ -149,20 +149,11 @@ func (c *Controller) selfLoad(id flow.ID, w topology.NodeID) float64 {
 	return total
 }
 
-// fits reports whether routing `rate` through w is feasible for flow id,
-// ignoring the flow's own present contribution.
-func (c *Controller) fits(id flow.ID, w topology.NodeID, rate float64) bool {
-	cap := c.topo.Node(w).Capacity
-	if math.IsInf(cap, 1) {
-		return true
-	}
-	return c.load[w]-c.selfLoad(id, w)+rate <= cap+1e-9
-}
-
-// fitsFn returns fits(id, ·, rate) with the flow's policy and rate looked
-// up once instead of per switch — the feasibility scans in OptimizePolicy
-// and RandomPolicy call it across every candidate switch. The arithmetic
-// (and therefore every accept/reject decision) is identical to fits.
+// fitsFn returns Eq. 4's capacity filter for flow id: whether routing
+// `rate` through a switch w is feasible, ignoring the flow's own present
+// contribution (its installed policy and rate are looked up once, not per
+// switch). The feasibility scans of Algorithm 1 (feasibleStages) and
+// RandomPolicy call it across every candidate switch of the required type.
 func (c *Controller) fitsFn(id flow.ID, rate float64) func(w topology.NodeID) bool {
 	var selfList []topology.NodeID
 	var selfRate float64
@@ -209,7 +200,7 @@ func (c *Controller) roomEverywhere(rate float64) bool {
 // discounted — the condition under which Algorithm 1's feasibility filter
 // provably keeps every candidate switch for any flow of that rate
 // (self-load only adds headroom, and float subtraction of a non-negative
-// self term is monotone, so fits() can only be more permissive). The load
+// self term is monotone, so fitsFn can only be more permissive). The load
 // high-water bound answers it in O(1) whenever it can; otherwise it scans
 // every switch. Core's dirty-set skip uses this to prove a re-solve would
 // see the same unfiltered stage lists as the cached solve.
@@ -325,30 +316,6 @@ func (c *Controller) Uninstall(id flow.ID) {
 	c.policies[id] = nil
 	c.rates[id] = 0
 	c.n--
-}
-
-// Candidates implements Eq. 4: the switches that could replace position i of
-// flow id's policy — same type, and enough spare capacity for the flow's
-// rate — excluding the incumbent.
-func (c *Controller) Candidates(id flow.ID, i int) ([]topology.NodeID, error) {
-	p := c.Policy(id)
-	if p == nil {
-		return nil, fmt.Errorf("controller: no policy for flow %d", id)
-	}
-	if i < 0 || i >= p.Len() {
-		return nil, fmt.Errorf("controller: position %d out of range for flow %d", i, id)
-	}
-	rate := c.rates[id]
-	var out []topology.NodeID
-	for _, w := range c.oracle.SwitchesOfType(p.Types[i]) {
-		if w == p.List[i] {
-			continue
-		}
-		if c.fits(id, w, rate) {
-			out = append(out, w)
-		}
-	}
-	return out, nil
 }
 
 // endpointServers resolves a flow's endpoint containers to their hosting

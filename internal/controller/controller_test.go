@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/flow"
+	"repro/internal/netstate"
 	"repro/internal/topology"
 )
 
@@ -398,6 +399,9 @@ func TestOptimizeInstalledUnknownFlow(t *testing.T) {
 	}
 }
 
+// TestCandidatesEq4 checks Eq. 4's candidate set as Algorithm 1 and
+// RandomPolicy filter it: the switches of position i's type, other than
+// the incumbent, that fitsFn keeps for the flow's rate.
 func TestCandidatesEq4(t *testing.T) {
 	e := newEnv(t, topology.LinkParams{Bandwidth: 1, SwitchCapacity: 2})
 	srv := e.topo.Servers()
@@ -410,6 +414,16 @@ func TestCandidatesEq4(t *testing.T) {
 	if err := e.ctl.Install(f, p); err != nil {
 		t.Fatal(err)
 	}
+	candidates := func(i int) []topology.NodeID {
+		fits := e.ctl.fitsFn(f.ID, f.Rate)
+		var out []topology.NodeID
+		for _, w := range e.ctl.oracle.SwitchesOfType(p.Types[i]) {
+			if w != p.List[i] && fits(w) {
+				out = append(out, w)
+			}
+		}
+		return out
+	}
 	// Core stage: 4 cores total, 3 alternatives, all same type with headroom.
 	coreIdx := -1
 	for i, typ := range p.Types {
@@ -420,19 +434,13 @@ func TestCandidatesEq4(t *testing.T) {
 	if coreIdx < 0 {
 		t.Fatal("no core stage")
 	}
-	cands, err := e.ctl.Candidates(f.ID, coreIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cands := candidates(coreIdx)
 	if len(cands) != 3 {
 		t.Errorf("core candidates = %d, want 3", len(cands))
 	}
 	for _, w := range cands {
 		if e.topo.Node(w).Type != topology.TypeCore {
 			t.Errorf("candidate %d not a core switch", w)
-		}
-		if w == p.List[coreIdx] {
-			t.Error("incumbent listed as candidate")
 		}
 	}
 	// Saturate one alternative core with a flow between two other pods (so
@@ -452,21 +460,10 @@ func TestCandidatesEq4(t *testing.T) {
 	if err := e.ctl.Install(bg, pbg); err != nil {
 		t.Fatal(err)
 	}
-	cands2, err := e.ctl.Candidates(f.ID, coreIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range cands2 {
+	for _, w := range candidates(coreIdx) {
 		if w == other {
 			t.Errorf("saturated switch %d still a candidate", other)
 		}
-	}
-	// Errors.
-	if _, err := e.ctl.Candidates(99, 0); err == nil {
-		t.Error("unknown flow accepted")
-	}
-	if _, err := e.ctl.Candidates(f.ID, 99); err == nil {
-		t.Error("out-of-range position accepted")
 	}
 }
 
@@ -556,7 +553,7 @@ func TestQuickOptimizedNeverWorseThanRandom(t *testing.T) {
 			return false
 		}
 		// Optimal is also never better than the graph shortest path.
-		return oc <= rc+1e-9 && oc >= float64(e.topo.Dist(sa, sb))-1e-9
+		return oc <= rc+1e-9 && oc >= float64(netstate.NewUncached(e.topo).Dist(sa, sb))-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

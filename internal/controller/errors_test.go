@@ -38,7 +38,7 @@ func TestErrNoFeasibleRouteSentinel(t *testing.T) {
 	}
 	srv := topo.Servers()
 	ctl := New(topo)
-	acc := topo.AccessSwitch(srv[0])
+	acc := ctl.Oracle().AccessSwitch(srv[0])
 	if err := topo.SetNodeAlive(acc, false); err != nil {
 		t.Fatal(err)
 	}

@@ -188,6 +188,16 @@ func (h *HitScheduler) Schedule(req *scheduler.Request) error {
 	}
 	flows = routable
 
+	// Each movable container's incident flows, bucketed once for the whole
+	// call in flow order, so every cost sum over a list keeps its bits.
+	if h.sc.incident == nil {
+		h.sc.incident = make(map[cluster.ContainerID][]*flow.Flow, len(movable))
+	}
+	clear(h.sc.incident)
+	for _, t := range movable {
+		h.sc.incident[t.Container] = nil
+	}
+	flow.IncidentFlows(h.sc.incident, flows)
 	if h.isSubsequentWave(req, movable, flows) {
 		return h.scheduleSubsequentWave(req, movable, flows)
 	}
@@ -358,7 +368,7 @@ func (h *HitScheduler) scheduleInitialWave(req *scheduler.Request, movable []sch
 
 		// Phase 2 — task assignment via preference matrix + stable matching
 		// (Algorithm 2).
-		if err := h.assign(req, movable, flows, loc, st); err != nil {
+		if err := h.assign(req, movable, loc, st); err != nil {
 			return err
 		}
 
@@ -471,6 +481,11 @@ type assignScratch struct {
 	htabKeys []uint64
 	htabVals []int32
 	htabMask uint64
+
+	// incident is Schedule's index of each movable container's incident
+	// flows for the call. The map's storage carries over from call to
+	// call; its lists are rebuilt by every call.
+	incident map[cluster.ContainerID][]*flow.Flow
 }
 
 func growF64(s []float64, n int) []float64 {
@@ -642,7 +657,7 @@ func sortDescFallback(grades []float64, vals, out []int) {
 // route is re-optimized after the move (the paper's grades "will be updated
 // when rescheduling a new routing path"), so they reduce to rate ×
 // hop-distance deltas against the anchored peer.
-func (h *HitScheduler) assign(req *scheduler.Request, movable []scheduler.Task, flows []*flow.Flow, loc flow.Locator, st *runState) error {
+func (h *HitScheduler) assign(req *scheduler.Request, movable []scheduler.Task, loc flow.Locator, st *runState) error {
 	var reduces, maps []scheduler.Task
 	for _, t := range movable {
 		if t.Kind == workload.ReduceTask {
@@ -655,7 +670,7 @@ func (h *HitScheduler) assign(req *scheduler.Request, movable []scheduler.Task, 
 		if len(group) == 0 {
 			continue
 		}
-		if err := h.assignGroup(req, group, flows, loc, st, gi); err != nil {
+		if err := h.assignGroup(req, group, loc, st, gi); err != nil {
 			return err
 		}
 	}
@@ -698,9 +713,10 @@ func newDemandClass(clu *cluster.Cluster, rep cluster.ContainerID, rb *rackBuild
 	return cl
 }
 
-// assignGroup matches one kind-homogeneous container group onto servers.
-// gi selects the group's slab-reusing matcher in st (0 = reduces, 1 = maps).
-func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Task, flows []*flow.Flow, loc flow.Locator, st *runState, gi int) error {
+// assignGroup matches one kind-homogeneous container group onto servers,
+// reading each container's incident flows from h.sc.incident. gi selects
+// the group's slab-reusing matcher in st (0 = reduces, 1 = maps).
+func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Task, loc flow.Locator, st *runState, gi int) error {
 	clu := req.Cluster
 	servers := clu.Servers()
 	containers := make([]cluster.ContainerID, len(group))
@@ -709,11 +725,12 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 	}
 	oracle := req.Controller.Oracle()
 
-	// Incident flows and anchored peer servers per container.
-	incident := make([][]*flow.Flow, len(containers))
+	// Incident flows with a placed peer, and their anchored peer servers,
+	// per container.
+	placed := make([][]*flow.Flow, len(containers))
 	peerSrv := make([][]topology.NodeID, len(containers))
 	for i, c := range containers {
-		for _, f := range flow.IncidentFlows(c, flows) {
+		for _, f := range h.sc.incident[c] {
 			peer := f.Src
 			if peer == c {
 				peer = f.Dst
@@ -722,7 +739,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 			if ps == topology.None {
 				continue
 			}
-			incident[i] = append(incident[i], f)
+			placed[i] = append(placed[i], f)
 			peerSrv[i] = append(peerSrv[i], ps)
 		}
 	}
@@ -812,12 +829,12 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 		// Proposer preferences: servers by utility (Eq. 10) = current cost
 		// minus candidate cost, descending.
 		if rb != nil {
-			propPrefs[ci], truncated[ci] = rb.row(sc, cl, incident[ci], peerSrv[ci], clu.ServerIndex(original[ci]), limit)
+			propPrefs[ci], truncated[ci] = rb.row(sc, cl, placed[ci], peerSrv[ci], clu.ServerIndex(original[ci]), limit)
 		} else {
-			propPrefs[ci] = directRow(sc, cl, incident[ci], peerSrv[ci], rows, servers, clu.ServerIndex(original[ci]))
+			propPrefs[ci] = directRow(sc, cl, placed[ci], peerSrv[ci], rows, servers, clu.ServerIndex(original[ci]))
 		}
 
-		for k, f := range incident[ci] {
+		for k, f := range placed[ci] {
 			if si := cl.votes[peerSrv[ci][k]]; si >= 0 {
 				row := gradeRows[si]
 				if row == nil {
@@ -956,7 +973,7 @@ func (h *HitScheduler) assignGroup(req *scheduler.Request, group []scheduler.Tas
 			h.onRebuild(len(redo))
 		}
 		for _, ci := range redo {
-			propPrefs[ci], truncated[ci] = rb.row(sc, classOf[ci], incident[ci], peerSrv[ci], clu.ServerIndex(original[ci]), 0)
+			propPrefs[ci], truncated[ci] = rb.row(sc, classOf[ci], placed[ci], peerSrv[ci], clu.ServerIndex(original[ci]), 0)
 		}
 	}
 }
@@ -1021,12 +1038,11 @@ func (h *HitScheduler) scheduleSubsequentWave(req *scheduler.Request, movable []
 
 	for _, t := range tasks {
 		c := t.Container
-		incident := flow.IncidentFlows(c, flows)
 		best := topology.None
 		bestCost := 0.0
 		for _, s := range req.Cluster.Candidates(c) {
 			var cost float64
-			for _, f := range incident {
+			for _, f := range h.sc.incident[c] {
 				var peer cluster.ContainerID
 				if f.Src == c {
 					peer = f.Dst

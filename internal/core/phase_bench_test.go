@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/controller"
+	"repro/internal/flow"
 	"repro/internal/scheduler"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -112,10 +113,15 @@ func BenchmarkPreferenceMatrix(b *testing.B) {
 					reduces = append(reduces, t)
 				}
 			}
+			h.sc.incident = make(map[cluster.ContainerID][]*flow.Flow, len(reduces))
+			for _, t := range reduces {
+				h.sc.incident[t.Container] = nil
+			}
+			flow.IncidentFlows(h.sc.incident, req.Flows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := h.assignGroup(req, reduces, req.Flows, loc, newRunState(0), 0); err != nil {
+				if err := h.assignGroup(req, reduces, loc, newRunState(0), 0); err != nil {
 					b.Fatal(err)
 				}
 			}

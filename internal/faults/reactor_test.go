@@ -127,7 +127,7 @@ func TestChaosReactorDropsUnroutableFlow(t *testing.T) {
 
 	// Kill the access switch of flow 2's source server: no route can exist,
 	// so the reactor must shed the flow rather than error out.
-	acc := topo.AccessSwitch(eps[2].Src)
+	acc := ctl.Oracle().AccessSwitch(eps[2].Src)
 	if acc == topology.None {
 		t.Fatal("source server has no access switch")
 	}

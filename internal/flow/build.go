@@ -7,19 +7,11 @@ import (
 	"repro/internal/workload"
 )
 
-// BuildOptions tunes flow construction from a job's shuffle matrix.
-type BuildOptions struct {
-	// MinSizeGB drops negligible matrix cells (no flow is created below it).
-	MinSizeGB float64
-	// RatePerGB converts flow size to the rate used against switch
-	// capacities (f.rate = size * RatePerGB). Defaults to 1 when zero.
-	RatePerGB float64
-}
-
-// BuildJobFlows creates one Flow per non-trivial cell of the job's shuffle
-// matrix. mapContainers[m] must host map task m and reduceContainers[r]
-// reduce task r. IDs are assigned sequentially starting at firstID.
-func BuildJobFlows(job *workload.Job, mapContainers, reduceContainers []cluster.ContainerID, firstID ID, opts BuildOptions) ([]*Flow, error) {
+// BuildJobFlows creates one Flow per positive cell of the job's shuffle
+// matrix, with its rate equal to its size, as the simulator's flows have.
+// mapContainers[m] must host map task m and reduceContainers[r] reduce
+// task r. IDs are assigned sequentially starting at firstID.
+func BuildJobFlows(job *workload.Job, mapContainers, reduceContainers []cluster.ContainerID, firstID ID) ([]*Flow, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
@@ -29,20 +21,12 @@ func BuildJobFlows(job *workload.Job, mapContainers, reduceContainers []cluster.
 	if len(reduceContainers) != job.NumReduces {
 		return nil, fmt.Errorf("flow: %d reduce containers for %d reduce tasks", len(reduceContainers), job.NumReduces)
 	}
-	ratePerGB := opts.RatePerGB
-	if ratePerGB == 0 { //taalint:floateq zero is the explicit "use default" sentinel; negatives are rejected below
-
-		ratePerGB = 1
-	}
-	if ratePerGB < 0 {
-		return nil, fmt.Errorf("flow: negative RatePerGB %v", ratePerGB)
-	}
 	var out []*Flow
 	id := firstID
 	for m := 0; m < job.NumMaps; m++ {
 		for r := 0; r < job.NumReduces; r++ {
 			size := job.Shuffle[m][r]
-			if size <= opts.MinSizeGB {
+			if size <= 0 {
 				continue
 			}
 			if mapContainers[m] == reduceContainers[r] {
@@ -56,7 +40,7 @@ func BuildJobFlows(job *workload.Job, mapContainers, reduceContainers []cluster.
 				Src:         mapContainers[m],
 				Dst:         reduceContainers[r],
 				SizeGB:      size,
-				Rate:        size * ratePerGB,
+				Rate:        size,
 			})
 			id++
 		}

@@ -264,14 +264,16 @@ func (cm *CostModel) TotalCost(flows []*Flow, policy func(ID) *Policy, loc Locat
 	return total, nil
 }
 
-// IncidentFlows returns the subset of flows with container c as an endpoint
-// (P(c_i, *) ∪ P(*, c_i)).
-func IncidentFlows(c cluster.ContainerID, flows []*Flow) []*Flow {
-	var out []*Flow
+// IncidentFlows appends to each list of into the flows incident to that
+// list's container, P(c, *) ∪ P(*, c), in one pass over flows that keeps
+// their order. Containers with no key in into are skipped.
+func IncidentFlows(into map[cluster.ContainerID][]*Flow, flows []*Flow) {
 	for _, f := range flows {
-		if f.Src == c || f.Dst == c {
-			out = append(out, f)
+		if l, ok := into[f.Src]; ok {
+			into[f.Src] = append(l, f)
+		}
+		if l, ok := into[f.Dst]; ok {
+			into[f.Dst] = append(l, f)
 		}
 	}
-	return out
 }

@@ -60,7 +60,7 @@ func (e *testEnv) shortestPolicy(t *testing.T, f *flow.Flow) *flow.Policy {
 	t.Helper()
 	src := e.loc[f.Src]
 	dst := e.loc[f.Dst]
-	path := e.topo.ShortestPath(src, dst)
+	path := reference.ShortestPath(e.topo, src, dst)
 	if path == nil {
 		t.Fatalf("no path between %d and %d", src, dst)
 	}
@@ -123,7 +123,7 @@ func TestPolicySatisfied(t *testing.T) {
 func TestPolicyFromPathExtractsSwitches(t *testing.T) {
 	e := newTestEnv(t)
 	srv := e.topo.Servers()
-	path := e.topo.ShortestPath(srv[0], srv[15])
+	path := reference.ShortestPath(e.topo, srv[0], srv[15])
 	p := flow.PolicyFromPath(e.topo, 3, path)
 	// Inter-pod fat-tree path: edge, agg, core, agg, edge = 5 switches.
 	if p.Len() != 5 {
@@ -273,12 +273,10 @@ func TestSwapUtilityMatchesCostDelta(t *testing.T) {
 	p := e.shortestPolicy(t, f)
 	loc := e.locator()
 
-	dag := e.topo.ShortestPathDAG(srv[0], srv[15])
-	stages := dag.SwitchStages()
 	// Find a stage with an alternative switch and check utility == cost delta.
 	found := false
-	for i, stage := range stages {
-		for _, w := range stage {
+	for i, typ := range p.Types {
+		for _, w := range cm.Oracle().SwitchesOfType(typ) {
 			if w == p.List[i] {
 				continue
 			}
@@ -317,7 +315,7 @@ func TestApplySwapTypeChecked(t *testing.T) {
 	b := e.newContainer(t, srv[15])
 	f := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1}
 	p := e.shortestPolicy(t, f)
-	core := e.topo.SwitchesOfType(topology.TypeCore)[0]
+	core := netstate.NewUncached(e.topo).SwitchesOfType(topology.TypeCore)[0]
 	// Position 0 requires an access switch; a core switch must be rejected.
 	if _, err := reference.ApplySwap(e.topo, p, 0, core); err == nil {
 		t.Error("type-mismatched swap accepted")
@@ -331,7 +329,7 @@ func TestApplySwapTypeChecked(t *testing.T) {
 	// A valid swap returns a new policy and leaves p as it was.
 	old := p.List[0]
 	var w topology.NodeID = topology.None
-	for _, cand := range e.topo.SwitchesOfType(p.Types[0]) {
+	for _, cand := range netstate.NewUncached(e.topo).SwitchesOfType(p.Types[0]) {
 		if cand != old {
 			w = cand
 			break
@@ -406,9 +404,19 @@ func TestIncidentFlows(t *testing.T) {
 	f1 := &flow.Flow{ID: 0, Src: 1, Dst: 2}
 	f2 := &flow.Flow{ID: 1, Src: 3, Dst: 1}
 	f3 := &flow.Flow{ID: 2, Src: 4, Dst: 5}
-	got := flow.IncidentFlows(1, []*flow.Flow{f1, f2, f3})
-	if len(got) != 2 {
-		t.Fatalf("incident = %d flows, want 2", len(got))
+	got := map[cluster.ContainerID][]*flow.Flow{1: nil, 5: nil, 9: nil}
+	flow.IncidentFlows(got, []*flow.Flow{f1, f2, f3})
+	if c1 := got[1]; len(c1) != 2 || c1[0] != f1 || c1[1] != f2 {
+		t.Fatalf("incident to 1 = %v, want [f1 f2] in flow order", c1)
+	}
+	if c5 := got[5]; len(c5) != 1 || c5[0] != f3 {
+		t.Fatalf("incident to 5 = %v, want [f3]", c5)
+	}
+	if c9, ok := got[9]; !ok || len(c9) != 0 {
+		t.Fatalf("incident to 9 = %v (listed %v), want an empty list", c9, ok)
+	}
+	if _, ok := got[2]; ok {
+		t.Fatal("container 2 was not asked for but has a list")
 	}
 }
 
@@ -458,7 +466,7 @@ func TestQuickSeparabilityNonAdjacentSwaps(t *testing.T) {
 			return s2
 		})
 		fl := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 1 + rng.Float64()}
-		path := e.topo.ShortestPath(s1, s2)
+		path := reference.ShortestPath(e.topo, s1, s2)
 		p := flow.PolicyFromPath(e.topo, 0, path)
 		if p.Len() < 3 {
 			return true // no two non-adjacent positions
@@ -499,7 +507,7 @@ func TestQuickSeparabilityNonAdjacentSwaps(t *testing.T) {
 }
 
 func pickSameType(topo *topology.Topology, p *flow.Policy, i int, rng *rand.Rand) topology.NodeID {
-	cands := topo.SwitchesOfType(p.Types[i])
+	cands := netstate.NewUncached(topo).SwitchesOfType(p.Types[i])
 	return cands[rng.Intn(len(cands))]
 }
 
@@ -523,7 +531,7 @@ func TestQuickSeparabilityMoveAndSwap(t *testing.T) {
 		cur := map[cluster.ContainerID]topology.NodeID{a: s1, b: s2}
 		loc := flow.LocatorFunc(func(c cluster.ContainerID) topology.NodeID { return cur[c] })
 		fl := &flow.Flow{ID: 0, Src: a, Dst: b, SizeGB: 1, Rate: 2}
-		p := flow.PolicyFromPath(e.topo, 0, e.topo.ShortestPath(s1, s2))
+		p := flow.PolicyFromPath(e.topo, 0, reference.ShortestPath(e.topo, s1, s2))
 		if p.Len() < 2 {
 			return true
 		}
@@ -585,7 +593,7 @@ func TestBuildJobFlows(t *testing.T) {
 	job := testJob(t, 3, 2)
 	maps := []cluster.ContainerID{0, 1, 2}
 	reds := []cluster.ContainerID{3, 4}
-	flows, err := flow.BuildJobFlows(job, maps, reds, 10, flow.BuildOptions{})
+	flows, err := flow.BuildJobFlows(job, maps, reds, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,28 +619,25 @@ func TestBuildJobFlows(t *testing.T) {
 
 func TestBuildJobFlowsErrors(t *testing.T) {
 	jw := testJob(t, 2, 2)
-	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0}, []cluster.ContainerID{2, 3}, 0, flow.BuildOptions{}); err == nil {
+	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0}, []cluster.ContainerID{2, 3}, 0); err == nil {
 		t.Error("short map containers accepted")
 	}
-	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2}, 0, flow.BuildOptions{}); err == nil {
+	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2}, 0); err == nil {
 		t.Error("short reduce containers accepted")
 	}
-	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{1, 3}, 0, flow.BuildOptions{}); err == nil {
+	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{1, 3}, 0); err == nil {
 		t.Error("shared container accepted")
-	}
-	if _, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2, 3}, 0, flow.BuildOptions{RatePerGB: -1}); err == nil {
-		t.Error("negative rate accepted")
 	}
 }
 
 func TestBuildJobFlowsMinSize(t *testing.T) {
 	jw := testJob(t, 2, 2)
-	jw.Shuffle[0][0] = 0.001
-	flows, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2, 3}, 0, flow.BuildOptions{MinSizeGB: 0.01})
+	jw.Shuffle[0][0] = 0
+	flows, err := flow.BuildJobFlows(jw, []cluster.ContainerID{0, 1}, []cluster.ContainerID{2, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(flows) != 3 {
-		t.Errorf("flows = %d, want 3 (tiny cell dropped)", len(flows))
+		t.Errorf("flows = %d, want 3 (empty cell dropped)", len(flows))
 	}
 }

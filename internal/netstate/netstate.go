@@ -1,5 +1,9 @@
 // Package netstate provides the shared view of the network that every
 // placement layer queries: a memoized path/cost oracle over one topology.
+// It is the one place that computes a hop distance, shortest path, access
+// switch, per-type switch list or path latency; internal/topology keeps
+// only the graph and the generators' closed forms, which this package
+// gates.
 //
 // Before this package existed, every consumer — Algorithm 1 in
 // internal/controller, the preference-matrix build in internal/core, the
@@ -33,6 +37,7 @@ package netstate
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/topology"
@@ -172,8 +177,8 @@ func (o *Oracle) closedForm() bool {
 	return o.structuralOK() && o.topo.ServersSingleHomed()
 }
 
-// computeDistRow runs a fresh BFS from src, traversing only live nodes
-// (mirroring topology.bfs: a dead source reaches nothing).
+// computeDistRow runs a fresh BFS from src, traversing only live nodes: a
+// dead source reaches nothing.
 func (o *Oracle) computeDistRow(src topology.NodeID) []int32 {
 	n := o.topo.NumNodes()
 	d := make([]int32, n)
@@ -251,10 +256,36 @@ func (o *Oracle) Dist(a, b topology.NodeID) int {
 	return int(o.DistRow(a)[b])
 }
 
+// distFrom answers hop distances from one anchor node without building a
+// row where it need not: while the coordinate closed forms answer, each
+// probe is one StructuralDist; otherwise probes read the anchor's BFS row
+// (DistRow). IDs must be valid.
+type distFrom struct {
+	topo *topology.Topology
+	from topology.NodeID
+	row  []int32
+}
+
+func (o *Oracle) distFrom(x topology.NodeID) distFrom {
+	if o.structuralOK() {
+		return distFrom{topo: o.topo, from: x}
+	}
+	return distFrom{row: o.DistRow(x)}
+}
+
+// to returns the hop distance from the anchor to y, -1 when unreachable.
+// (The named result keeps it within the inliner's budget.)
+func (d distFrom) to(y topology.NodeID) (h int) {
+	if d.row == nil {
+		h, _ = d.topo.StructuralDist(d.from, y)
+		return h
+	}
+	return int(d.row[y])
+}
+
 // ShortestPath returns one shortest path from src to dst inclusive,
-// preferring lower node IDs at ties — the same tie-break as
-// topology.ShortestPath. The returned slice is shared; callers must not
-// modify it. It returns nil when disconnected.
+// preferring lower node IDs at ties. The returned slice is shared; callers
+// must not modify it. It returns nil when disconnected.
 func (o *Oracle) ShortestPath(src, dst topology.NodeID) []topology.NodeID {
 	if src == dst {
 		return []topology.NodeID{src}
@@ -273,33 +304,27 @@ func (o *Oracle) ShortestPath(src, dst topology.NodeID) []topology.NodeID {
 	return p
 }
 
-// buildPath reconstructs the lowest-ID shortest path using the distance
-// table of dst (mirroring topology.ShortestPath exactly). In structural
-// mode the dst row never materializes: each neighbor probe is an O(1)
-// coordinate query, preserving the identical first-lowest-ID tie-break.
+// buildPath walks the lowest-ID shortest path from src to dst: from each
+// node it steps to the first neighbour (adjacency is sorted) one hop
+// closer to dst.
 func (o *Oracle) buildPath(src, dst topology.NodeID) []topology.NodeID {
-	if o.structuralOK() {
-		if p, ok := o.buildPathStructural(src, dst); ok {
-			return p
-		}
-	}
-	dd := o.DistRow(dst)
-	if dd[src] < 0 {
+	toDst := o.distFrom(dst)
+	rem := toDst.to(src)
+	if rem < 0 {
 		return nil
 	}
-	path := make([]topology.NodeID, 0, int(dd[src])+1)
+	path := make([]topology.NodeID, 0, rem+1)
 	path = append(path, src)
-	cur := src
-	for cur != dst {
+	for cur := src; cur != dst; rem-- {
 		next := topology.None
 		for _, nb := range o.topo.Neighbors(cur) {
-			if dd[nb] == dd[cur]-1 {
+			if toDst.to(nb) == rem-1 {
 				next = nb
-				break // adjacency is sorted: lowest-ID choice
+				break
 			}
 		}
 		if next == topology.None {
-			return nil // defensive; unreachable given dd[src] >= 0
+			return nil // defensive; unreachable given rem >= 0
 		}
 		path = append(path, next)
 		cur = next
@@ -307,53 +332,16 @@ func (o *Oracle) buildPath(src, dst topology.NodeID) []topology.NodeID {
 	return path
 }
 
-// buildPathStructural is buildPath's coordinate-math twin: same walk, same
-// sorted-adjacency first-match tie-break, no distance row.
-func (o *Oracle) buildPathStructural(src, dst topology.NodeID) ([]topology.NodeID, bool) {
-	rem, ok := o.topo.StructuralDist(src, dst)
-	if !ok {
-		return nil, false
-	}
-	path := make([]topology.NodeID, 0, rem+1)
-	path = append(path, src)
-	cur := src
-	for cur != dst {
-		next := topology.None
-		for _, nb := range o.topo.Neighbors(cur) {
-			d, dok := o.topo.StructuralDist(nb, dst)
-			if !dok {
-				return nil, false // degraded mid-walk: redo via BFS rows
-			}
-			if d == rem-1 {
-				next = nb
-				break // adjacency is sorted: lowest-ID choice
-			}
-		}
-		if next == topology.None {
-			return nil, true // defensive; healthy structural graphs are connected
-		}
-		path = append(path, next)
-		cur = next
-		rem--
-	}
-	return path, true
-}
-
 // NearestByDist returns the candidate closest to src by hop distance,
 // breaking ties toward lower node IDs; None when no candidate is reachable.
 // This is the single lookup that replaces the fresh per-query BFS the
 // preference-matrix build used to run.
 func (o *Oracle) NearestByDist(src topology.NodeID, cands []topology.NodeID) topology.NodeID {
-	if o.structuralOK() {
-		if best, ok := o.nearestStructural(src, cands); ok {
-			return best
-		}
-	}
-	row := o.DistRow(src)
+	from := o.distFrom(src)
 	best := topology.None
-	bestD := int32(-1)
+	bestD := -1
 	for _, c := range cands {
-		d := row[c]
+		d := from.to(c)
 		if d < 0 {
 			continue
 		}
@@ -364,33 +352,27 @@ func (o *Oracle) NearestByDist(src topology.NodeID, cands []topology.NodeID) top
 	return best
 }
 
-// nearestStructural scans candidates with O(1) coordinate distances — same
-// compare, same lower-ID tie-break, no row. Healthy structural graphs are
-// connected, so the fallback's unreachable-skip never fires here.
-func (o *Oracle) nearestStructural(src topology.NodeID, cands []topology.NodeID) (topology.NodeID, bool) {
-	best := topology.None
-	bestD := -1
-	for _, c := range cands {
-		d, ok := o.topo.StructuralDist(src, c)
-		if !ok {
-			return topology.None, false
+// PathLatency sums the per-switch and per-link delay along a node path,
+// expressed in the paper's unit T: each switch traversed contributes 1 T
+// (as in the §2.3 case study) and each link contributes its Latency.
+func (o *Oracle) PathLatency(path []topology.NodeID) float64 {
+	var total float64
+	for i, id := range path {
+		if o.topo.Node(id).IsSwitch() {
+			total += 1
 		}
-		if bestD == -1 || d < bestD || (d == bestD && c < best) {
-			bestD, best = d, c
+		if i+1 < len(path) {
+			if l, ok := o.topo.Link(id, path[i+1]); ok {
+				total += l.Latency
+			}
 		}
 	}
-	return best, true
-}
-
-// PathLatency sums per-switch and per-link delay along a node path, in the
-// paper's T unit (delegates to the topology).
-func (o *Oracle) PathLatency(path []topology.NodeID) float64 {
-	return o.topo.PathLatency(path)
+	return total
 }
 
 // ExpandRoute splices shortest sub-paths between consecutive route
-// elements, turning a policy-level route into a concrete link walk. Unlike
-// the topology-level helper it reuses cached path segments.
+// elements, turning a policy-level route into a concrete link walk, from
+// cached path segments.
 func (o *Oracle) ExpandRoute(route []topology.NodeID) ([]topology.NodeID, error) {
 	if len(route) == 0 {
 		return nil, fmt.Errorf("netstate: empty route")
@@ -418,28 +400,28 @@ func (o *Oracle) ExpandRoute(route []topology.NodeID) ([]topology.NodeID, error)
 // shortest path between two nodes — the required policy template of a flow
 // between servers src and dst (w.type per hop). Empty (nil) for src == dst;
 // an error when disconnected. The returned slice is shared; callers must
-// not modify it. Server pairs of a healthy Tree, Fat-Tree or VL2 fabric
-// get the topology's per-class template without touching the pair map.
+// not modify it. Server pairs of a healthy generated fabric take the
+// topology's closed form; Tree, Fat-Tree and VL2 share one template per
+// pair class, so only BCube's templates, built per pair, and the answers
+// read off a path join the pair map.
 func (o *Oracle) TypeTemplate(src, dst topology.NodeID) ([]string, error) {
 	if src == dst {
 		return nil, nil
 	}
-	if o.closedForm() {
-		if tmpl, ok := o.topo.StageTemplate(src, dst); ok {
-			return tmpl, nil
-		}
-	}
 	key := pairKey{src, dst}
-	if o.cached {
+	memo := o.cached && !o.closedForm()
+	if memo {
 		o.ensureLive()
 		if t, ok := o.templates[key]; ok {
 			return t, nil
 		}
 	}
 	var types []string
-	if tmpl, ok := o.structuralTemplate(src, dst); ok {
-		types = tmpl
-	} else {
+	ok := false
+	if o.structuralOK() {
+		types, ok = o.topo.StageTemplate(src, dst)
+	}
+	if !ok {
 		path := o.ShortestPath(src, dst)
 		if path == nil {
 			return nil, fmt.Errorf("netstate: no path between nodes %d and %d", src, dst)
@@ -451,31 +433,29 @@ func (o *Oracle) TypeTemplate(src, dst topology.NodeID) ([]string, error) {
 			}
 		}
 	}
-	if o.cached {
+	if memo {
 		o.templates[key] = types
 	}
 	return types, nil
 }
 
-// structuralTemplate answers TypeTemplate from coordinates for server pairs
-// on healthy structural topologies, skipping path materialization entirely.
-func (o *Oracle) structuralTemplate(src, dst topology.NodeID) ([]string, bool) {
-	if !o.structuralOK() {
-		return nil, false
-	}
-	return o.topo.StageTemplate(src, dst)
-}
-
-// SwitchesOfType returns all switches of the given type, ascending. The
-// returned slice is shared; callers must not modify it.
+// SwitchesOfType returns all live switches of the given type, ascending;
+// crashed switches cannot serve any policy stage. The returned slice is
+// shared; callers must not modify it.
 func (o *Oracle) SwitchesOfType(typ string) []topology.NodeID {
-	if !o.cached {
-		return o.topo.SwitchesOfType(typ)
+	if o.cached {
+		o.ensureLive()
+		if s, ok := o.byType[typ]; ok {
+			return s
+		}
 	}
-	o.ensureLive()
-	s, ok := o.byType[typ]
-	if !ok {
-		s = o.topo.SwitchesOfType(typ)
+	var s []topology.NodeID
+	for _, id := range o.topo.Switches() {
+		if o.topo.Node(id).Type == typ && o.topo.Alive(id) {
+			s = append(s, id)
+		}
+	}
+	if o.cached {
 		o.byType[typ] = s
 	}
 	return s
@@ -511,21 +491,37 @@ func (o *Oracle) StagesForTemplate(types []string) [][]topology.NodeID {
 	return stages
 }
 
-// AccessSwitch returns the access switch a server attaches to (cached; None
-// for non-servers).
+// AccessSwitch returns the access switch a server attaches to: its live
+// switch neighbour of lowest tier. None for non-servers, invalid IDs and
+// servers with no live switch neighbour. Memoizing oracles fill one table
+// for every node on first use.
 func (o *Oracle) AccessSwitch(server topology.NodeID) topology.NodeID {
+	if !o.topo.Valid(server) {
+		return topology.None
+	}
 	if !o.cached {
-		return o.topo.AccessSwitch(server)
+		return o.accessOf(server)
 	}
 	o.ensureLive()
 	if o.access == nil {
 		o.access = make([]topology.NodeID, o.topo.NumNodes())
 		for i := range o.access {
-			o.access[i] = o.topo.AccessSwitch(topology.NodeID(i))
+			o.access[i] = o.accessOf(topology.NodeID(i))
 		}
 	}
-	if !o.topo.Valid(server) {
-		return topology.None
-	}
 	return o.access[server]
+}
+
+func (o *Oracle) accessOf(x topology.NodeID) topology.NodeID {
+	best := topology.None
+	if !o.topo.Node(x).IsServer() {
+		return best
+	}
+	bestTier := math.MaxInt
+	for _, nb := range o.topo.Neighbors(x) {
+		if n := o.topo.Node(nb); n.IsSwitch() && n.Tier < bestTier && o.topo.Alive(nb) {
+			best, bestTier = nb, n.Tier
+		}
+	}
+	return best
 }

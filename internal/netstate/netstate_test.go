@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/netstate"
+	"repro/internal/reference"
 	"repro/internal/topology"
 )
 
@@ -22,14 +23,15 @@ func buildTree(t testing.TB, depth, fanout int) *topology.Topology {
 }
 
 // TestShortestPathMatchesTopology asserts the oracle reproduces the
-// topology's lowest-ID tie-break exactly, for every server pair.
+// lowest-ID tie-break of a plain BFS walk over the graph exactly, for every
+// server pair.
 func TestShortestPathMatchesTopology(t *testing.T) {
 	topo := buildTree(t, 3, 3)
 	o := netstate.New(topo)
 	servers := topo.Servers()
 	for _, a := range servers {
 		for _, b := range servers {
-			want := topo.ShortestPath(a, b)
+			want := reference.ShortestPath(topo, a, b)
 			got := o.ShortestPath(a, b)
 			if len(got) != len(want) {
 				t.Fatalf("ShortestPath(%d,%d) length %d, want %d", a, b, len(got), len(want))
@@ -125,7 +127,7 @@ func TestNearestByDist(t *testing.T) {
 		want := topology.None
 		wantD := math.MaxInt
 		for _, c := range cands {
-			d := topo.Dist(src, c)
+			d := reference.Dist(topo, src, c)
 			if d < 0 {
 				continue
 			}
@@ -139,8 +141,8 @@ func TestNearestByDist(t *testing.T) {
 	}
 }
 
-// TestTemplatesAndStages asserts the shared template/stage caches match the
-// topology-level computation.
+// TestTemplatesAndStages asserts the shared template/stage caches match a
+// computation from the raw graph.
 func TestTemplatesAndStages(t *testing.T) {
 	topo := buildTree(t, 3, 2)
 	o := netstate.New(topo)
@@ -150,7 +152,7 @@ func TestTemplatesAndStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := topo.ShortestPath(a, b)
+	path := reference.ShortestPath(topo, a, b)
 	var want []string
 	for _, n := range path {
 		if topo.Node(n).IsSwitch() {
@@ -170,7 +172,12 @@ func TestTemplatesAndStages(t *testing.T) {
 		t.Fatalf("StagesForTemplate: %d stages for %d types", len(stages), len(types))
 	}
 	for i, typ := range types {
-		fromTopo := topo.SwitchesOfType(typ)
+		var fromTopo []topology.NodeID
+		for _, w := range topo.Switches() {
+			if topo.Node(w).Type == typ {
+				fromTopo = append(fromTopo, w)
+			}
+		}
 		if len(stages[i]) != len(fromTopo) {
 			t.Fatalf("stage %d: %d candidates, want %d", i, len(stages[i]), len(fromTopo))
 		}
@@ -203,12 +210,13 @@ func TestTemplatesAndStages(t *testing.T) {
 	}
 }
 
-// TestAccessSwitchCached asserts the cached table matches the topology.
+// TestAccessSwitchCached asserts the cached table matches the graph: on a
+// tree every server's one neighbour is its access switch.
 func TestAccessSwitchCached(t *testing.T) {
 	topo := buildTree(t, 3, 2)
 	o := netstate.New(topo)
 	for _, s := range topo.Servers() {
-		if got, want := o.AccessSwitch(s), topo.AccessSwitch(s); got != want {
+		if got, want := o.AccessSwitch(s), topo.Neighbors(s)[0]; got != want {
 			t.Fatalf("AccessSwitch(%d) = %d, want %d", s, got, want)
 		}
 	}

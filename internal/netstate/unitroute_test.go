@@ -47,12 +47,14 @@ func unitFabrics(t *testing.T) []unitFabric {
 func samplePairs(topo *topology.Topology, rng *rand.Rand, perClass int) [][2]topology.NodeID {
 	byDist := make(map[int][][2]topology.NodeID)
 	var dists []int
+	ref := netstate.NewUncached(topo)
 	for _, a := range topo.Servers() {
+		row := ref.DistRow(a)
 		for _, b := range topo.Servers() {
 			if a == b {
 				continue
 			}
-			d := topo.Dist(a, b)
+			d := int(row[b])
 			if _, ok := byDist[d]; !ok {
 				dists = append(dists, d)
 			}
@@ -200,7 +202,7 @@ func rackPairs(topo *topology.Topology) [][2]topology.NodeID {
 	var reps []topology.NodeID
 	seen := make(map[topology.NodeID]bool)
 	for _, s := range topo.Servers() {
-		if acc := topo.AccessSwitch(s); !seen[acc] {
+		if acc := topo.Neighbors(s)[0]; !seen[acc] { // single-homed
 			seen[acc] = true
 			reps = append(reps, s)
 		}
@@ -219,9 +221,11 @@ func rackPairs(topo *topology.Topology) [][2]topology.NodeID {
 // sameDistPair returns the first ordered server pair at hop distance d.
 func sameDistPair(t *testing.T, topo *topology.Topology, d int) (topology.NodeID, topology.NodeID) {
 	t.Helper()
+	ref := netstate.NewUncached(topo)
 	for _, a := range topo.Servers() {
+		row := ref.DistRow(a)
 		for _, b := range topo.Servers() {
-			if a != b && topo.Dist(a, b) == d {
+			if a != b && int(row[b]) == d {
 				return a, b
 			}
 		}
@@ -369,7 +373,7 @@ func TestUnitRouteExhaustive(t *testing.T) {
 			var racks [][]topology.NodeID
 			rackOf := make(map[topology.NodeID]int)
 			for _, s := range topo.Servers() {
-				acc := topo.AccessSwitch(s)
+				acc := o.AccessSwitch(s)
 				r, seen := rackOf[acc]
 				if !seen {
 					r = len(racks)

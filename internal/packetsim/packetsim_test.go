@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/flow"
+	"repro/internal/reference"
 	"repro/internal/topology"
 )
 
@@ -215,7 +216,7 @@ func TestQuickConservationAndMonotoneDelay(t *testing.T) {
 			}
 			specs = append(specs, &FlowSpec{
 				ID:    flow.ID(i),
-				Route: topo.ShortestPath(a, b),
+				Route: reference.ShortestPath(topo, a, b),
 				Bytes: 0.02 + float64(i)*0.01,
 			})
 		}

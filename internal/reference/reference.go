@@ -2,9 +2,10 @@
 // check the production code against: netsim's fluid max-min model as it
 // stood before it became incremental (FairShare, Simulate), the paper's
 // separable utilities of §5.1 (SwapUtility, MoveUtility, ApplySwap), an
-// exhaustive placement oracle (BruteForce), and a from-scratch
+// exhaustive placement oracle (BruteForce), a from-scratch
 // recomputation of the controller's and the cluster's accounting (Cost,
-// Loads, Used).
+// Loads, Used), and a plain BFS over the raw graph (Dist, ShortestPath)
+// to check netstate's oracle against.
 //
 // Only tests import this package; TestNoProductionImports fails on any
 // non-test import. It imports no netsim, sim or core, so the internal
@@ -19,6 +20,57 @@ import (
 	"repro/internal/netstate"
 	"repro/internal/topology"
 )
+
+// Dist is the hop distance between a and b by a plain BFS over the live
+// nodes of the raw graph, -1 when they are disconnected: no closed form
+// and no cache.
+func Dist(topo *topology.Topology, a, b topology.NodeID) int {
+	return bfs(topo, a)[b]
+}
+
+// ShortestPath is the lowest-ID shortest path from src to dst, inclusive
+// of both: from src it steps each time to the lowest-ID neighbour one hop
+// closer to dst. nil when they are disconnected.
+func ShortestPath(topo *topology.Topology, src, dst topology.NodeID) []topology.NodeID {
+	d := bfs(topo, dst)
+	if d[src] < 0 {
+		return nil
+	}
+	path := []topology.NodeID{src}
+	for cur := src; cur != dst; path = append(path, cur) {
+		for _, nb := range topo.Neighbors(cur) {
+			if d[nb] == d[cur]-1 {
+				cur = nb
+				break
+			}
+		}
+	}
+	return path
+}
+
+// bfs returns the hop distance from src to every node, traversing live
+// nodes only (a dead source reaches nothing); -1 marks the unreachable.
+func bfs(topo *topology.Topology, src topology.NodeID) []int {
+	d := make([]int, topo.NumNodes())
+	for i := range d {
+		d[i] = -1
+	}
+	if !topo.Alive(src) {
+		return d
+	}
+	d[src] = 0
+	queue := []topology.NodeID{src}
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		for _, v := range topo.Neighbors(u) {
+			if d[v] < 0 && topo.Alive(v) {
+				d[v] = d[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return d
+}
 
 // Cost is the TAA objective (Eq. 2, 3) recomputed from scratch: for every
 // flow, rate × the hop count of its route from the source server through

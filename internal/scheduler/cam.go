@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/flow"
 	"repro/internal/mincostflow"
 	"repro/internal/topology"
@@ -61,16 +62,20 @@ func (CAM) Schedule(req *Request) error {
 		// flow's placed peer; capacity = free CPU slots (the matching
 		// dimension used across the repository).
 		cost := make([][]float64, len(reduces))
+		incident := make(map[cluster.ContainerID][]*flow.Flow, len(reduces))
+		for _, t := range reduces {
+			incident[t.Container] = nil
+		}
+		flow.IncidentFlows(incident, req.Flows)
 		for ri, t := range reduces {
 			cost[ri] = make([]float64, len(servers))
-			incident := flow.IncidentFlows(t.Container, req.Flows)
 			for si, s := range servers {
 				if !req.Cluster.CanHost(s, t.Container) {
 					cost[ri][si] = math.Inf(1)
 					continue
 				}
 				var c float64
-				for _, f := range incident {
+				for _, f := range incident[t.Container] {
 					peer := f.Src
 					if peer == t.Container {
 						peer = f.Dst

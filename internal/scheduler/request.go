@@ -57,7 +57,7 @@ func NewJobRequest(cl *cluster.Cluster, ctl *controller.Controller, jobs []*work
 			jt.Reduces = append(jt.Reduces, ct.ID)
 			req.Tasks = append(req.Tasks, Task{Job: job, Kind: workload.ReduceTask, Index: r, Container: ct.ID})
 		}
-		flows, err := flow.BuildJobFlows(job, jt.Maps, jt.Reduces, nextFlowID, flow.BuildOptions{})
+		flows, err := flow.BuildJobFlows(job, jt.Maps, jt.Reduces, nextFlowID)
 		if err != nil {
 			return nil, nil, err
 		}

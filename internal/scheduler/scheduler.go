@@ -263,35 +263,33 @@ func (Random) Schedule(req *Request) error {
 // the already-placed maps plus a rack-contention term (the original
 // scheduler's bandwidth awareness: bytes already converging on a rack make
 // it less attractive).
-type PNA struct {
-	// Gamma sharpens the probability weighting: weight = (1/cost)^Gamma.
-	// Zero defaults to 2 (the characteristic "probabilistic, mostly greedy"
-	// behavior).
-	Gamma float64
-	// ContentionHops weights the bytes already destined to a rack when
-	// costing a new placement there (zero defaults to 2: the up-and-down
-	// hops of a rack uplink).
-	ContentionHops float64
-	// TopK bounds the sampled candidate set to the K cheapest servers (zero
-	// defaults to 16). Without the bound, inverse-cost sampling over very
-	// large clusters puts most probability mass on the huge population of
-	// far servers — the opposite of the scheduler's intent on the small
-	// clusters it was designed for.
-	TopK int
-}
+type PNA struct{}
+
+// PNA's weighting.
+const (
+	// pnaGamma sharpens the probability weighting: weight =
+	// (1/cost)^pnaGamma, the characteristic "probabilistic, mostly
+	// greedy" behavior.
+	pnaGamma = 2.0
+	// pnaContentionHops weights the bytes already destined to a rack when
+	// costing a new placement there: the up-and-down hops of a rack
+	// uplink.
+	pnaContentionHops = 2.0
+	// pnaTopK bounds the sampled candidate set to the K cheapest servers.
+	// Without the bound, inverse-cost sampling over very large clusters
+	// puts most probability mass on the huge population of far servers —
+	// the opposite of the scheduler's intent on the small clusters it was
+	// designed for.
+	pnaTopK = 16
+)
 
 // Name implements Scheduler.
 func (PNA) Name() string { return "pna" }
 
 // Schedule implements Scheduler.
-func (p PNA) Schedule(req *Request) error {
+func (PNA) Schedule(req *Request) error {
 	if err := req.Validate(); err != nil {
 		return err
-	}
-	gamma := p.Gamma
-	if gamma == 0 { //taalint:floateq zero is the explicit "use default" sentinel on the config field
-
-		gamma = 2
 	}
 	oracle := req.Controller.Oracle()
 
@@ -316,11 +314,6 @@ func (p PNA) Schedule(req *Request) error {
 
 	// Reduces: probabilistic placement by inverse cost (static hop distance
 	// plus the rack-contention term).
-	contention := p.ContentionHops
-	if contention == 0 { //taalint:floateq zero is the explicit "use default" sentinel on the config field
-
-		contention = 2
-	}
 	rackBytes := make(map[topology.NodeID]float64)
 	serverBytes := make(map[topology.NodeID]float64)
 	loc := req.Locator()
@@ -336,25 +329,18 @@ func (p PNA) Schedule(req *Request) error {
 		costs := make([]float64, len(cands))
 		for i, s := range cands {
 			c := staticReduceCost(oracle, t.Container, s, req.Flows, loc)
-			c += rackBytes[oracle.AccessSwitch(s)] * contention
-			c += serverBytes[s] * contention * 2 // terminal downlink is the scarcest hop
+			c += rackBytes[oracle.AccessSwitch(s)] * pnaContentionHops
+			c += serverBytes[s] * pnaContentionHops * 2 // terminal downlink is the scarcest hop
 			costs[i] = c
 		}
-		// Sample inverse-cost among only the K cheapest candidates: over very
-		// large clusters, unbounded inverse-cost sampling puts most of its
-		// probability mass on the huge population of far servers, inverting
-		// the scheduler's intent on the small clusters it was designed for.
-		topK := p.TopK
-		if topK <= 0 {
-			topK = 16
-		}
+		// Sample inverse-cost among only the pnaTopK cheapest candidates.
 		order := make([]int, len(cands))
 		for i := range order {
 			order[i] = i
 		}
 		sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] < costs[order[b]] })
-		if len(order) > topK {
-			order = order[:topK]
+		if len(order) > pnaTopK {
+			order = order[:pnaTopK]
 		}
 		weights := make([]float64, len(order))
 		var total float64
@@ -363,7 +349,7 @@ func (p PNA) Schedule(req *Request) error {
 			if costs[idx] > 0 {
 				w = 1 / costs[idx]
 			}
-			w = math.Pow(w, gamma)
+			w = math.Pow(w, pnaGamma)
 			weights[k] = w
 			total += w
 		}

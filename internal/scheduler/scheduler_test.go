@@ -159,10 +159,9 @@ func TestPNABiasesReducesTowardMaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkScheduled(t, req)
-		topo := cl.Topology()
 		ms := cl.Container(jt[0].Maps[0]).Server()
 		rs := cl.Container(jt[0].Reduces[0]).Server()
-		if topo.AccessSwitch(ms) == topo.AccessSwitch(rs) {
+		if o := ctl.Oracle(); o.AccessSwitch(ms) == o.AccessSwitch(rs) {
 			sameRack++
 		}
 	}

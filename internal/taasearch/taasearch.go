@@ -29,11 +29,13 @@ import (
 type Annealer struct {
 	// Iterations of the Metropolis loop (default 20000).
 	Iterations int
-	// StartTemp and Cooling define the geometric schedule T_{k+1} = T_k *
-	// Cooling (defaults 10.0 and 0.9995).
-	StartTemp float64
-	Cooling   float64
 }
+
+// The geometric cooling schedule: T_0 = startTemp, T_{k+1} = T_k × cooling.
+const (
+	startTemp = 10.0
+	cooling   = 0.9995
+)
 
 // Name implements scheduler.Scheduler.
 func (a *Annealer) Name() string { return "anneal" }
@@ -43,20 +45,6 @@ func (a *Annealer) iterations() int {
 		return 20000
 	}
 	return a.Iterations
-}
-
-func (a *Annealer) startTemp() float64 {
-	if a.StartTemp <= 0 {
-		return 10
-	}
-	return a.StartTemp
-}
-
-func (a *Annealer) cooling() float64 {
-	if a.Cooling <= 0 || a.Cooling >= 1 {
-		return 0.9995
-	}
-	return a.Cooling
 }
 
 // Schedule implements scheduler.Scheduler.
@@ -168,8 +156,7 @@ func (a *Annealer) Schedule(req *scheduler.Request) error {
 	}
 
 	// Metropolis loop.
-	temp := a.startTemp()
-	cool := a.cooling()
+	temp := startTemp
 	if len(movable) > 0 {
 		for it := 0; it < a.iterations(); it++ {
 			c := movable[req.Rand.Intn(len(movable))]
@@ -180,17 +167,17 @@ func (a *Annealer) Schedule(req *scheduler.Request) error {
 				// Swap with another movable container (keeps occupancy).
 				o := movable[req.Rand.Intn(len(movable))]
 				if o == c {
-					temp *= cool
+					temp *= cooling
 					continue
 				}
 				so := position[o]
 				if so == cur {
-					temp *= cool
+					temp *= cooling
 					continue
 				}
 				// CPU feasibility of the exchange.
 				if freeCPU[cur]+demand[c]-demand[o] < 0 || freeCPU[so]+demand[o]-demand[c] < 0 {
-					temp *= cool
+					temp *= cooling
 					continue
 				}
 				before := costAt(c, cur) + costAt(o, so)
@@ -207,7 +194,7 @@ func (a *Annealer) Schedule(req *scheduler.Request) error {
 				// Move to a random server with room.
 				s := servers[req.Rand.Intn(len(servers))]
 				if s == cur || freeCPU[s] < demand[c] {
-					temp *= cool
+					temp *= cooling
 					continue
 				}
 				delta = costAt(c, s) - costAt(c, cur)
@@ -220,7 +207,7 @@ func (a *Annealer) Schedule(req *scheduler.Request) error {
 			if delta <= 0 || (temp > 1e-9 && req.Rand.Float64() < math.Exp(-delta/temp)) {
 				apply()
 			}
-			temp *= cool
+			temp *= cooling
 		}
 	}
 

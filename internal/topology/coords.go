@@ -5,14 +5,14 @@
 // and so, except on BCube, do that path's switches. The generators emit
 // those coordinates plus an architecture descriptor at construction time;
 // the helpers below answer in O(1) (O(tiers) for trees, O(digits) for
-// BCube) without touching the BFS machinery.
+// BCube) without a BFS.
 //
 // The closed forms describe the HEALTHY graph only. Every helper refuses —
 // returns ok=false — while any node is crashed (numDead > 0) or when the
 // topology was hand-assembled via NewBuilder (FamilyIrregular), so callers
-// fall back to BFS per query. internal/netstate is the intended caller; a
-// taalint check (oraclebypass) keeps decision packages from bypassing the
-// netstate oracle and calling these directly.
+// fall back to BFS per query. internal/netstate is their one caller; a
+// taalint check (oraclebypass) keeps every other package from calling
+// them directly.
 package topology
 
 import (
@@ -120,7 +120,7 @@ func (t *Topology) Family() Family { return t.arch.family }
 func (t *Topology) ServersSingleHomed() bool { return t.singleHomed }
 
 // StructuralDist returns the hop distance between a and b computed from
-// coordinates alone, matching Dist exactly on the healthy graph. ok=false
+// coordinates alone, matching a BFS hop count exactly on the healthy graph. ok=false
 // when the topology is irregular, any node is crashed, or an ID is invalid —
 // callers must then fall back to BFS.
 func (t *Topology) StructuralDist(a, b NodeID) (int, bool) {
@@ -143,11 +143,11 @@ func (t *Topology) StructuralDist(a, b NodeID) (int, bool) {
 	return 0, false
 }
 
-// LowestCommonTier returns the tier of the highest-tier node on the lowest-ID
+// lowestCommonTier returns the tier of the highest-tier node on the lowest-ID
 // shortest path between two SERVERS: the "how far up the hierarchy does this
 // flow climb" answer (-1 when a == b, where the path has no switch at all).
 // ok=false for non-servers, irregular topologies, or degraded graphs.
-func (t *Topology) LowestCommonTier(a, b NodeID) (int, bool) {
+func (t *Topology) lowestCommonTier(a, b NodeID) (int, bool) {
 	if t.arch.family == FamilyIrregular || t.numDead > 0 ||
 		!t.Valid(a) || !t.Valid(b) || !t.nodes[a].IsServer() || !t.nodes[b].IsServer() {
 		return 0, false
@@ -197,8 +197,8 @@ func (t *Topology) LowestCommonTier(a, b NodeID) (int, bool) {
 }
 
 // StageTemplate returns the switch-type sequence of the lowest-ID shortest
-// path between two SERVERS — exactly the types of the interior nodes of
-// ShortestPath(a, b), without materializing the path. nil (ok=true) when
+// path between two SERVERS — exactly the types of the interior switches of
+// netstate's ShortestPath(a, b), without materializing the path. nil (ok=true) when
 // a == b. ok=false for non-servers, irregular topologies, or degraded graphs.
 //
 // On Tree, Fat-Tree and VL2 the template depends only on the pair's lowest
@@ -206,7 +206,7 @@ func (t *Topology) LowestCommonTier(a, b NodeID) (int, bool) {
 // the topology: it is shared, and callers must not modify it. BCube
 // templates are allocated per call.
 func (t *Topology) StageTemplate(a, b NodeID) ([]string, bool) {
-	top, ok := t.LowestCommonTier(a, b)
+	top, ok := t.lowestCommonTier(a, b)
 	if !ok || top < 0 {
 		return nil, ok
 	}
@@ -231,7 +231,7 @@ func (t *Topology) StageTemplate(a, b NodeID) ([]string, bool) {
 
 // StageRoute returns the switches of the lowest-ID shortest path between
 // two SERVERS, one per entry of StageTemplate(a, b) — exactly the interior
-// nodes of ShortestPath(a, b) — in O(tiers), as a fresh slice. nil (ok=true)
+// nodes of netstate's ShortestPath(a, b) — in O(tiers), as a fresh slice. nil (ok=true)
 // when a == b. ok=false for BCube (its shortest paths relay through
 // servers), non-servers, irregular topologies, or degraded graphs.
 //
@@ -244,7 +244,7 @@ func (t *Topology) StageTemplate(a, b NodeID) ([]string, bool) {
 //	VL2:      the lowest-index aggregation switch both racks share; else
 //	          each rack's lower-index aggregation switch and intermediate 0.
 func (t *Topology) StageRoute(a, b NodeID) ([]NodeID, bool) {
-	top, ok := t.LowestCommonTier(a, b)
+	top, ok := t.lowestCommonTier(a, b)
 	if !ok || t.arch.family == FamilyBCube {
 		return nil, false
 	}

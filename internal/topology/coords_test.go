@@ -62,8 +62,8 @@ func sortedCaseNames(cases map[string]*Topology) []string {
 	return names
 }
 
-// TestStructuralDistParity checks StructuralDist == BFS Dist for EVERY node
-// pair of every structural case.
+// TestStructuralDistParity checks StructuralDist against a BFS hop count
+// for EVERY node pair of every structural case.
 func TestStructuralDistParity(t *testing.T) {
 	cases := structuralCases(t)
 	for _, name := range sortedCaseNames(cases) {
@@ -74,18 +74,15 @@ func TestStructuralDistParity(t *testing.T) {
 			}
 			n := topo.NumNodes()
 			for a := 0; a < n; a++ {
-				bfsRow := make([]int, n)
-				for b := 0; b < n; b++ {
-					bfsRow[b] = topo.Dist(NodeID(a), NodeID(b))
-				}
+				row := bfsRow(topo, NodeID(a))
 				for b := 0; b < n; b++ {
 					got, ok := topo.StructuralDist(NodeID(a), NodeID(b))
 					if !ok {
 						t.Fatalf("StructuralDist(%d,%d) refused on healthy graph", a, b)
 					}
-					if got != bfsRow[b] {
+					if got != row[b] {
 						t.Fatalf("StructuralDist(%d,%d)=%d, BFS=%d (a=%v b=%v)",
-							a, b, got, bfsRow[b], topo.Node(NodeID(a)), topo.Node(NodeID(b)))
+							a, b, got, row[b], topo.Node(NodeID(a)), topo.Node(NodeID(b)))
 					}
 				}
 			}
@@ -93,7 +90,7 @@ func TestStructuralDistParity(t *testing.T) {
 	}
 }
 
-// TestLowestCommonTierParity checks LowestCommonTier against the highest
+// TestLowestCommonTierParity checks lowestCommonTier against the highest
 // tier on the lowest-ID shortest path, for every server pair.
 func TestLowestCommonTierParity(t *testing.T) {
 	cases := structuralCases(t)
@@ -102,18 +99,18 @@ func TestLowestCommonTierParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, a := range topo.Servers() {
 				for _, b := range topo.Servers() {
-					got, ok := topo.LowestCommonTier(a, b)
+					got, ok := topo.lowestCommonTier(a, b)
 					if !ok {
-						t.Fatalf("LowestCommonTier(%d,%d) refused on healthy graph", a, b)
+						t.Fatalf("lowestCommonTier(%d,%d) refused on healthy graph", a, b)
 					}
 					want := -1
-					for _, id := range topo.ShortestPath(a, b) {
+					for _, id := range lowestIDPath(topo, a, b) {
 						if tier := topo.Node(id).Tier; tier > want {
 							want = tier
 						}
 					}
 					if got != want {
-						t.Fatalf("LowestCommonTier(%d,%d)=%d, path max tier=%d", a, b, got, want)
+						t.Fatalf("lowestCommonTier(%d,%d)=%d, path max tier=%d", a, b, got, want)
 					}
 				}
 			}
@@ -140,7 +137,7 @@ func TestStageTemplateParity(t *testing.T) {
 					// which carry no type — netstate's TypeTemplate skips
 					// them the same way).
 					var want []string
-					for _, id := range topo.ShortestPath(a, b) {
+					for _, id := range lowestIDPath(topo, a, b) {
 						if topo.Node(id).IsSwitch() {
 							want = append(want, topo.Node(id).Type)
 						}
@@ -162,7 +159,7 @@ func TestStageTemplateParity(t *testing.T) {
 					}
 					var path []NodeID
 					if a != b {
-						path = topo.ShortestPath(a, b)
+						path = lowestIDPath(topo, a, b)
 						path = path[1 : len(path)-1]
 					}
 					if !ok || fmt.Sprint(route) != fmt.Sprint(path) {
@@ -188,7 +185,7 @@ func TestStageTemplateShared(t *testing.T) {
 			byTier := make(map[int][]string)
 			for _, a := range topo.Servers() {
 				for _, b := range topo.Servers() {
-					tier, _ := topo.LowestCommonTier(a, b)
+					tier, _ := topo.lowestCommonTier(a, b)
 					got, _ := topo.StageTemplate(a, b)
 					if a == b {
 						continue
@@ -245,8 +242,8 @@ func TestStructuralRefusals(t *testing.T) {
 	if _, ok := topo.StructuralDist(srv[0], srv[1]); ok {
 		t.Fatal("StructuralDist answered on a degraded graph")
 	}
-	if _, ok := topo.LowestCommonTier(srv[0], srv[1]); ok {
-		t.Fatal("LowestCommonTier answered on a degraded graph")
+	if _, ok := topo.lowestCommonTier(srv[0], srv[1]); ok {
+		t.Fatal("lowestCommonTier answered on a degraded graph")
 	}
 	if _, ok := topo.StageTemplate(srv[0], srv[1]); ok {
 		t.Fatal("StageTemplate answered on a degraded graph")

@@ -1,10 +1,11 @@
 // Package topology models hierarchical data-center network topologies:
 // servers, typed switches with processing capacities, and links with
 // bandwidth and latency. It provides the multi-tier architectures the paper
-// evaluates (Tree, Fat-Tree, VL2, BCube) plus generic graph queries used by
-// the policy optimizer: BFS distances, shortest-path enumeration, and the
-// layered shortest-path DAG that defines which switches may serve each stage
-// of a shuffle flow's route.
+// evaluates (Tree, Fat-Tree, VL2, BCube), the graph accessors, and the
+// generators' coordinate closed forms (coords.go). Hop distances, shortest
+// paths, access switches, per-type switch lists and path latencies are
+// computed in one place, internal/netstate, which gates those closed forms
+// on liveness and falls back to BFS over this graph.
 //
 // All topologies are undirected graphs. Node identity is a dense integer
 // NodeID so that per-node state elsewhere in the system can live in slices.
@@ -12,7 +13,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -89,18 +89,20 @@ type Link struct {
 	Latency float64
 }
 
-// Topology is an immutable-after-build network graph. Build one with the
-// architecture constructors (NewTree, NewFatTree, NewVL2, NewBCube) or
-// assemble a custom one with NewBuilder.
+// Topology is a network graph whose structure is immutable after Build. Build
+// one with the architecture constructors (NewTree, NewFatTree, NewVL2,
+// NewBCube) or assemble a custom one with NewBuilder. After Build it
+// changes only through the three fault-injection setters
+// (SetSwitchCapacity, SetLinkBandwidth, SetNodeAlive), and it keeps no
+// cache.
 type Topology struct {
 	name     string
 	nodes    []Node
 	links    []Link
-	adj      [][]NodeID       // adjacency lists, sorted
-	linkIdx  map[linkKey]int  // canonicalized endpoint pair -> index into links
-	servers  []NodeID         // sorted
-	switches []NodeID         // sorted
-	dist     map[NodeID][]int // BFS distance cache, filled lazily per source
+	adj      [][]NodeID      // adjacency lists, sorted
+	linkIdx  map[linkKey]int // canonicalized endpoint pair -> index into links
+	servers  []NodeID        // sorted
+	switches []NodeID        // sorted
 	// version counts in-place mutations (switch capacity, link bandwidth).
 	// The controller's capacity bound refreshes when it moves; the graph
 	// structure itself never changes, so distance/path caches stay valid
@@ -109,10 +111,9 @@ type Topology struct {
 	// alive is the liveness mask for failure injection: alive[i] == false
 	// means node i has crashed and must not appear on any path. nil means
 	// every node is alive (the common case; no per-hop overhead). Dead
-	// nodes change the EFFECTIVE structure — BFS, shortest paths, DAGs and
-	// type inventories all route around them — so liveness mutations get
-	// their own version counter, which netstate's structure caches follow,
-	// and clear the local BFS cache.
+	// nodes change the EFFECTIVE structure — BFS, shortest paths and type
+	// inventories all route around them — so liveness mutations get their
+	// own version counter, which netstate's structure caches follow.
 	alive       []bool
 	liveVersion uint64
 	numDead     int
@@ -224,7 +225,7 @@ func (t *Topology) AllAlive() bool { return t.numDead == 0 }
 
 // LivenessVersion counts liveness mutations (SetNodeAlive flips). Unlike
 // Version it signals EFFECTIVE STRUCTURE change: a dead node disappears
-// from paths, DAGs and type inventories, so structure-derived caches
+// from paths and type inventories, so structure-derived caches
 // (netstate distance rows, shortest paths, templates, stage lists) must be
 // rebuilt when it moves.
 func (t *Topology) LivenessVersion() uint64 { return t.liveVersion }
@@ -256,8 +257,6 @@ func (t *Topology) SetNodeAlive(id NodeID, alive bool) error {
 		t.numDead++
 	}
 	t.liveVersion++
-	// The BFS cache below encodes paths through the old liveness mask.
-	t.dist = make(map[NodeID][]int)
 	return nil
 }
 
@@ -284,186 +283,27 @@ func (t *Topology) Adjacent(a, b NodeID) bool {
 	return ok
 }
 
-// SwitchesOfType returns all live switches whose Type equals typ,
-// ascending. Crashed switches are excluded: they cannot serve any policy
-// stage.
-func (t *Topology) SwitchesOfType(typ string) []NodeID {
-	var out []NodeID
-	for _, id := range t.switches {
-		if t.nodes[id].Type == typ && t.Alive(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// AccessSwitch returns the access switch a server attaches to: its unique
-// switch neighbor of lowest tier. It returns None for non-servers or isolated
-// servers.
-func (t *Topology) AccessSwitch(server NodeID) NodeID {
-	if !t.Valid(server) || !t.nodes[server].IsServer() {
-		return None
-	}
-	best := None
-	bestTier := math.MaxInt
-	for _, nb := range t.adj[server] {
-		if !t.Alive(nb) {
-			continue
-		}
-		if n := t.nodes[nb]; n.IsSwitch() && n.Tier < bestTier {
-			best, bestTier = nb, n.Tier
-		}
-	}
-	return best
-}
-
-// Dist returns the hop distance (number of links) on a shortest path between
-// a and b, or -1 if they are disconnected.
-func (t *Topology) Dist(a, b NodeID) int {
-	d := t.bfs(a)
-	return d[b]
-}
-
-// bfs returns (and caches) BFS distances from src; unreachable nodes get
-// -1. Dead nodes are never traversed: a dead source reaches nothing, and
-// paths route around dead intermediates (SetNodeAlive clears this cache on
-// every liveness flip).
-func (t *Topology) bfs(src NodeID) []int {
-	if d, ok := t.dist[src]; ok {
-		return d
-	}
-	d := make([]int, len(t.nodes))
-	for i := range d {
-		d[i] = -1
-	}
-	if !t.Alive(src) {
-		t.dist[src] = d
-		return d
-	}
-	d[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range t.adj[u] {
-			if d[v] == -1 && t.Alive(v) {
-				d[v] = d[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	t.dist[src] = d
-	return d
-}
-
-// Connected reports whether every node is reachable from every other.
+// Connected reports whether every node is live and reachable from every
+// other. It runs one BFS and keeps nothing.
 func (t *Topology) Connected() bool {
 	if len(t.nodes) == 0 {
 		return true
 	}
-	d := t.bfs(0)
-	for _, x := range d {
-		if x < 0 {
-			return false
-		}
+	if !t.Alive(0) {
+		return false
 	}
-	return true
-}
-
-// ShortestPath returns one shortest path from src to dst, inclusive of both
-// endpoints, preferring lower node IDs at ties. It returns nil if src and dst
-// are disconnected.
-func (t *Topology) ShortestPath(src, dst NodeID) []NodeID {
-	if src == dst {
-		return []NodeID{src}
-	}
-	dd := t.bfs(dst)
-	if dd[src] < 0 {
-		return nil
-	}
-	path := []NodeID{src}
-	cur := src
-	for cur != dst {
-		next := None
-		for _, nb := range t.adj[cur] {
-			if dd[nb] == dd[cur]-1 {
-				next = nb
-				break // adjacency is sorted, so this is the lowest-ID choice
-			}
-		}
-		if next == None {
-			return nil // unreachable given dd[src] >= 0; defensive
-		}
-		path = append(path, next)
-		cur = next
-	}
-	return path
-}
-
-// PathDAG is the DAG of all shortest paths between a fixed (src, dst) pair.
-// Stage 0 holds only src and the last stage only dst; Stages[i] lists every
-// node that appears at hop i on some shortest path. Any walk that picks one
-// node per stage, moving only between adjacent picks, is a valid shortest
-// route — this is exactly the set of alternatives the paper's network-policy
-// optimizer chooses among when it "reschedules the i-th switch of a policy".
-type PathDAG struct {
-	Src, Dst NodeID
-	// Stages[i] lists the candidate nodes for hop i, ascending. len(Stages)
-	// == hop distance + 1.
-	Stages [][]NodeID
-}
-
-// Hops returns the number of links on any path through the DAG.
-func (d *PathDAG) Hops() int { return len(d.Stages) - 1 }
-
-// SwitchStages returns the stages strictly between the endpoints — the
-// positions a policy's switch list covers.
-func (d *PathDAG) SwitchStages() [][]NodeID {
-	if len(d.Stages) < 2 {
-		return nil
-	}
-	return d.Stages[1 : len(d.Stages)-1]
-}
-
-// ShortestPathDAG computes the all-shortest-paths DAG between src and dst.
-// A node v belongs to stage i iff dist(src,v) == i and dist(v,dst) == L-i,
-// where L = dist(src,dst). It returns nil if src and dst are disconnected.
-func (t *Topology) ShortestPathDAG(src, dst NodeID) *PathDAG {
-	ds := t.bfs(src)
-	dd := t.bfs(dst)
-	total := ds[dst]
-	if total < 0 {
-		return nil
-	}
-	dag := &PathDAG{Src: src, Dst: dst, Stages: make([][]NodeID, total+1)}
-	for id := range t.nodes {
-		n := NodeID(id)
-		if ds[n] >= 0 && dd[n] >= 0 && ds[n]+dd[n] == total {
-			dag.Stages[ds[n]] = append(dag.Stages[ds[n]], n)
-		}
-	}
-	for _, s := range dag.Stages {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	return dag
-}
-
-// PathLatency sums the per-switch and per-link delay along a node path,
-// expressed in the paper's unit T: each switch traversed contributes 1 T
-// (as in the §2.3 case study) and each link contributes its Latency.
-func (t *Topology) PathLatency(path []NodeID) float64 {
-	var total float64
-	for i, id := range path {
-		if t.nodes[id].IsSwitch() {
-			total += 1
-		}
-		if i+1 < len(path) {
-			if l, ok := t.Link(id, path[i+1]); ok {
-				total += l.Latency
+	seen := make([]bool, len(t.nodes))
+	seen[0] = true
+	queue := []NodeID{0}
+	for i := 0; i < len(queue); i++ {
+		for _, v := range t.adj[queue[i]] {
+			if !seen[v] && t.Alive(v) {
+				seen[v] = true
+				queue = append(queue, v)
 			}
 		}
 	}
-	return total
+	return len(queue) == len(t.nodes)
 }
 
 // ValidatePath reports an error unless path is a walk over existing links
@@ -500,7 +340,6 @@ func NewBuilder(name string) *Builder {
 	return &Builder{t: &Topology{
 		name:    name,
 		linkIdx: make(map[linkKey]int),
-		dist:    make(map[NodeID][]int),
 	}}
 }
 

@@ -42,6 +42,66 @@ func buildDiamond(t *testing.T) (*Topology, map[string]NodeID) {
 	return topo, ids
 }
 
+// BuildDiamond exposes buildDiamond to the tests of package topology_test,
+// which ask the netstate oracle about it.
+var BuildDiamond = buildDiamond
+
+// bfsRow is this package's test reference for hop counts from src: a plain
+// BFS over live nodes, -1 for the unreachable. The production BFS lives in
+// internal/netstate, which these tests cannot import.
+func bfsRow(t *Topology, src NodeID) []int {
+	d := make([]int, t.NumNodes())
+	for i := range d {
+		d[i] = -1
+	}
+	if !t.Alive(src) {
+		return d
+	}
+	d[src] = 0
+	queue := []NodeID{src}
+	for i := 0; i < len(queue); i++ {
+		for _, v := range t.Neighbors(queue[i]) {
+			if d[v] < 0 && t.Alive(v) {
+				d[v] = d[queue[i]] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return d
+}
+
+func bfsDist(t *Topology, a, b NodeID) int { return bfsRow(t, a)[b] }
+
+// lowestIDPath is the lowest-ID shortest path from a to b, inclusive: each
+// step goes to the lowest-ID neighbour one hop closer to b.
+func lowestIDPath(t *Topology, a, b NodeID) []NodeID {
+	d := bfsRow(t, b)
+	if d[a] < 0 {
+		return nil
+	}
+	path := []NodeID{a}
+	for cur := a; cur != b; path = append(path, cur) {
+		for _, nb := range t.Neighbors(cur) {
+			if d[nb] == d[cur]-1 {
+				cur = nb
+				break
+			}
+		}
+	}
+	return path
+}
+
+// numOfType counts the switches of one type.
+func numOfType(t *Topology, typ string) int {
+	n := 0
+	for _, w := range t.Switches() {
+		if t.Node(w).Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBuilderCounts(t *testing.T) {
 	topo, _ := buildDiamond(t)
 	if got, want := topo.NumNodes(), 8; got != want {
@@ -114,123 +174,6 @@ func TestBuilderErrors(t *testing.T) {
 	})
 }
 
-func TestDistAndShortestPath(t *testing.T) {
-	topo, ids := buildDiamond(t)
-	if got := topo.Dist(ids["s0"], ids["s1"]); got != 2 {
-		t.Errorf("Dist(s0,s1) = %d, want 2", got)
-	}
-	if got := topo.Dist(ids["s0"], ids["s2"]); got != 5 {
-		t.Errorf("Dist(s0,s2) = %d, want 5", got)
-	}
-	if got := topo.Dist(ids["s0"], ids["s0"]); got != 0 {
-		t.Errorf("Dist(s0,s0) = %d, want 0", got)
-	}
-	path := topo.ShortestPath(ids["s0"], ids["s2"])
-	if len(path) != 6 {
-		t.Fatalf("ShortestPath(s0,s2) len = %d, want 6 (%v)", len(path), path)
-	}
-	if err := topo.ValidatePath(path); err != nil {
-		t.Errorf("ValidatePath: %v", err)
-	}
-	if path[0] != ids["s0"] || path[len(path)-1] != ids["s2"] {
-		t.Errorf("path endpoints wrong: %v", path)
-	}
-	if got := topo.ShortestPath(ids["s1"], ids["s1"]); len(got) != 1 || got[0] != ids["s1"] {
-		t.Errorf("ShortestPath to self = %v, want single node", got)
-	}
-}
-
-func TestShortestPathDAGStages(t *testing.T) {
-	topo, ids := buildDiamond(t)
-	dag := topo.ShortestPathDAG(ids["s0"], ids["s2"])
-	if dag == nil {
-		t.Fatal("ShortestPathDAG returned nil")
-	}
-	if got := dag.Hops(); got != 5 {
-		t.Fatalf("Hops = %d, want 5", got)
-	}
-	// Stage 2 (after s0, sw3) must hold both parallel aggregation switches.
-	stage2 := dag.Stages[2]
-	if len(stage2) != 2 {
-		t.Fatalf("stage 2 = %v, want the two aggregation switches", stage2)
-	}
-	want := map[NodeID]bool{ids["sw1"]: true, ids["sw2"]: true}
-	for _, n := range stage2 {
-		if !want[n] {
-			t.Errorf("unexpected node %d in stage 2", n)
-		}
-	}
-	// Endpoints are singletons.
-	if len(dag.Stages[0]) != 1 || dag.Stages[0][0] != ids["s0"] {
-		t.Errorf("stage 0 = %v, want [s0]", dag.Stages[0])
-	}
-	last := dag.Stages[len(dag.Stages)-1]
-	if len(last) != 1 || last[0] != ids["s2"] {
-		t.Errorf("last stage = %v, want [s2]", last)
-	}
-	// Switch stages exclude endpoints.
-	if got := len(dag.SwitchStages()); got != 4 {
-		t.Errorf("SwitchStages count = %d, want 4", got)
-	}
-}
-
-func TestPathDAGEveryStageChoiceIsAWalk(t *testing.T) {
-	topo, ids := buildDiamond(t)
-	dag := topo.ShortestPathDAG(ids["s0"], ids["s2"])
-	// Every combination of one node per stage with adjacent consecutive picks
-	// must validate; here the only free stage is stage 2.
-	for _, mid := range dag.Stages[2] {
-		path := []NodeID{dag.Stages[0][0], dag.Stages[1][0], mid, dag.Stages[3][0], dag.Stages[4][0], dag.Stages[5][0]}
-		if err := topo.ValidatePath(path); err != nil {
-			t.Errorf("stage walk through %d invalid: %v", mid, err)
-		}
-	}
-}
-
-func TestAccessSwitch(t *testing.T) {
-	topo, ids := buildDiamond(t)
-	if got := topo.AccessSwitch(ids["s0"]); got != ids["sw3"] {
-		t.Errorf("AccessSwitch(s0) = %d, want sw3=%d", got, ids["sw3"])
-	}
-	if got := topo.AccessSwitch(ids["s2"]); got != ids["sw4"] {
-		t.Errorf("AccessSwitch(s2) = %d, want sw4=%d", got, ids["sw4"])
-	}
-	if got := topo.AccessSwitch(ids["sw0"]); got != None {
-		t.Errorf("AccessSwitch(switch) = %d, want None", got)
-	}
-	if got := topo.AccessSwitch(NodeID(-5)); got != None {
-		t.Errorf("AccessSwitch(invalid) = %d, want None", got)
-	}
-}
-
-func TestSwitchesOfType(t *testing.T) {
-	topo, _ := buildDiamond(t)
-	if got := len(topo.SwitchesOfType(TypeAggregation)); got != 2 {
-		t.Errorf("aggregation switches = %d, want 2", got)
-	}
-	if got := len(topo.SwitchesOfType(TypeAccess)); got != 2 {
-		t.Errorf("access switches = %d, want 2", got)
-	}
-	if got := len(topo.SwitchesOfType("nope")); got != 0 {
-		t.Errorf("unknown type switches = %d, want 0", got)
-	}
-}
-
-func TestPathLatencyCountsSwitches(t *testing.T) {
-	topo, ids := buildDiamond(t)
-	// s0 -> sw3 -> sw1 -> sw0 -> sw4 -> s2 traverses 4 switches -> 4 T.
-	path := topo.ShortestPath(ids["s0"], ids["s2"])
-	if got := topo.PathLatency(path); got != 4 {
-		t.Errorf("PathLatency = %v, want 4", got)
-	}
-	// The case-study convention: S1<->S2 under the same access switch is 1 T... but
-	// between racks (3 switches) it is 3 T.
-	p2 := topo.ShortestPath(ids["s0"], ids["s1"])
-	if got := topo.PathLatency(p2); got != 1 {
-		t.Errorf("same-rack PathLatency = %v, want 1", got)
-	}
-}
-
 func TestValidatePathErrors(t *testing.T) {
 	topo, ids := buildDiamond(t)
 	cases := []struct {
@@ -299,7 +242,7 @@ func TestQuickDistSymmetric(t *testing.T) {
 		}
 		srv := topo.Servers()
 		a, b := srv[0], srv[len(srv)-1]
-		return topo.Dist(a, b) == topo.Dist(b, a)
+		return bfsDist(topo, a, b) == bfsDist(topo, b, a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -318,56 +261,9 @@ func TestQuickTriangleInequality(t *testing.T) {
 		a := srv[int(i)%len(srv)]
 		b := srv[int(j)%len(srv)]
 		c := srv[int(k)%len(srv)]
-		return topo.Dist(a, c) <= topo.Dist(a, b)+topo.Dist(b, c)
+		return bfsDist(topo, a, c) <= bfsDist(topo, a, b)+bfsDist(topo, b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickDAGConsistent: for random server pairs in a fat-tree, every stage
-// of the shortest-path DAG is non-empty and consecutive stages connect.
-func TestQuickDAGConsistent(t *testing.T) {
-	topo, err := NewFatTree(4, LinkParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := topo.Servers()
-	f := func(i, j uint16) bool {
-		a := srv[int(i)%len(srv)]
-		b := srv[int(j)%len(srv)]
-		if a == b {
-			return true
-		}
-		dag := topo.ShortestPathDAG(a, b)
-		if dag == nil || dag.Hops() != topo.Dist(a, b) {
-			return false
-		}
-		for si, stage := range dag.Stages {
-			if len(stage) == 0 {
-				return false
-			}
-			if si == 0 {
-				continue
-			}
-			// Every node in this stage must have at least one neighbor in the
-			// previous stage.
-			for _, n := range stage {
-				ok := false
-				for _, p := range dag.Stages[si-1] {
-					if topo.Adjacent(p, n) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
@@ -383,21 +279,5 @@ func TestInfiniteCapacitySwitch(t *testing.T) {
 	}
 	if !math.IsInf(topo.Node(w).Capacity, 1) {
 		t.Error("capacity not infinite")
-	}
-}
-
-func BenchmarkShortestPathDAGFatTree8(b *testing.B) {
-	topo, err := NewFatTree(8, LinkParams{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := topo.Servers()
-	// Warm the BFS cache once so the benchmark measures DAG assembly.
-	topo.Dist(srv[0], srv[len(srv)-1])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dag := topo.ShortestPathDAG(srv[0], srv[len(srv)-1]); dag == nil {
-			b.Fatal("nil DAG")
-		}
 	}
 }

@@ -221,52 +221,36 @@ func finiteNonNegative(v float64) bool {
 
 // Config tunes the statistical job generator.
 type Config struct {
-	// SplitGB is the input split size; NumMaps = ceil(InputGB / SplitGB).
-	SplitGB float64
 	// MinInputGB and MaxInputGB bound the per-job input size (uniform draw).
 	MinInputGB, MaxInputGB float64
-	// ReducesPerMap scales reduce count: NumReduces = max(1, NumMaps *
-	// ReducesPerMap).
-	ReducesPerMap float64
 	// MaxMaps caps the map count so simulations stay tractable.
 	MaxMaps int
-	// PartitionSkew is the Zipf-like exponent of the reduce partition sizes;
-	// 0 = perfectly uniform partitions.
-	PartitionSkew float64
-	// MapNoise is the multiplicative jitter (+-fraction) on per-map output.
-	MapNoise float64
 }
 
+// The generator's fixed job shape: 256 MB input splits (NumMaps =
+// ceil(InputGB / splitGB)), one reduce per two maps (NumReduces = max(1,
+// ceil(NumMaps × reducesPerMap))), reduce partition sizes Zipf-like with
+// exponent partitionSkew (0 would be uniform), and a multiplicative
+// ±mapNoise jitter on each map's output.
+const (
+	splitGB       = 0.25
+	reducesPerMap = 0.5
+	partitionSkew = 0.5
+	mapNoise      = 0.2
+)
+
 // DefaultConfig returns the generator configuration used by the evaluation:
-// 256 MB splits, jobs of 4–40 GB input, one reduce per two maps, modest
-// partition skew.
+// jobs of 4–40 GB input and at most 64 maps.
 func DefaultConfig() Config {
-	return Config{
-		SplitGB:       0.25,
-		MinInputGB:    4,
-		MaxInputGB:    40,
-		ReducesPerMap: 0.5,
-		MaxMaps:       64,
-		PartitionSkew: 0.5,
-		MapNoise:      0.2,
-	}
+	return Config{MinInputGB: 4, MaxInputGB: 40, MaxMaps: 64}
 }
 
 func (c Config) validate() error {
-	if c.SplitGB <= 0 {
-		return fmt.Errorf("workload: SplitGB must be positive, got %v", c.SplitGB)
-	}
 	if c.MinInputGB <= 0 || c.MaxInputGB < c.MinInputGB {
 		return fmt.Errorf("workload: bad input range [%v, %v]", c.MinInputGB, c.MaxInputGB)
 	}
-	if c.ReducesPerMap <= 0 {
-		return fmt.Errorf("workload: ReducesPerMap must be positive, got %v", c.ReducesPerMap)
-	}
 	if c.MaxMaps < 1 {
 		return fmt.Errorf("workload: MaxMaps must be >= 1, got %d", c.MaxMaps)
-	}
-	if c.PartitionSkew < 0 || c.MapNoise < 0 || c.MapNoise >= 1 {
-		return fmt.Errorf("workload: bad skew/noise (%v, %v)", c.PartitionSkew, c.MapNoise)
 	}
 	return nil
 }
@@ -354,14 +338,14 @@ func (g *Generator) pickBenchmark() Benchmark {
 }
 
 func (g *Generator) synthesize(b Benchmark, inputGB float64) *Job {
-	nMaps := int(math.Ceil(inputGB / g.cfg.SplitGB))
+	nMaps := int(math.Ceil(inputGB / splitGB))
 	if nMaps > g.cfg.MaxMaps {
 		nMaps = g.cfg.MaxMaps
 	}
 	if nMaps < 1 {
 		nMaps = 1
 	}
-	nReduces := int(math.Ceil(float64(nMaps) * g.cfg.ReducesPerMap))
+	nReduces := int(math.Ceil(float64(nMaps) * reducesPerMap))
 	if nReduces < 1 {
 		nReduces = 1
 	}
@@ -383,7 +367,7 @@ func (g *Generator) synthesize(b Benchmark, inputGB float64) *Job {
 	mapShare := make([]float64, nMaps)
 	var mapSum float64
 	for m := range mapShare {
-		mapShare[m] = 1 + g.cfg.MapNoise*(2*g.rng.Float64()-1)
+		mapShare[m] = 1 + mapNoise*(2*g.rng.Float64()-1)
 		mapSum += mapShare[m]
 	}
 	// Per-reduce partition share: Zipf-like r^-skew, shuffled so the hot
@@ -391,7 +375,7 @@ func (g *Generator) synthesize(b Benchmark, inputGB float64) *Job {
 	redShare := make([]float64, nReduces)
 	var redSum float64
 	for r := range redShare {
-		redShare[r] = math.Pow(float64(r+1), -g.cfg.PartitionSkew)
+		redShare[r] = math.Pow(float64(r+1), -partitionSkew)
 		redSum += redShare[r]
 	}
 	g.rng.Shuffle(nReduces, func(a, bb int) { redShare[a], redShare[bb] = redShare[bb], redShare[a] })

@@ -146,19 +146,9 @@ func TestGeneratorErrors(t *testing.T) {
 		t.Error("inverted input range accepted")
 	}
 	bad = DefaultConfig()
-	bad.ReducesPerMap = 0
-	if _, err := NewGenerator(bad, 1); err == nil {
-		t.Error("zero reduces-per-map accepted")
-	}
-	bad = DefaultConfig()
 	bad.MaxMaps = 0
 	if _, err := NewGenerator(bad, 1); err == nil {
 		t.Error("zero MaxMaps accepted")
-	}
-	bad = DefaultConfig()
-	bad.MapNoise = 1
-	if _, err := NewGenerator(bad, 1); err == nil {
-		t.Error("MapNoise=1 accepted")
 	}
 	g, _ := NewGenerator(DefaultConfig(), 1)
 	if _, err := g.Job("nope", 1); err == nil {

@@ -91,9 +91,9 @@ type appState struct {
 
 // ResourceManager grants containers on a cluster in response to node
 // heartbeats, honoring preferred hosts the way §6.3 describes. A request
-// with RelaxLocality waits RelaxAfter scheduling opportunities before
-// accepting rack-mates of its preferred host and twice that before
-// accepting any node (YARN's locality delay).
+// with RelaxLocality waits one scheduling opportunity per server (one full
+// sweep) before accepting rack-mates of its preferred host and twice that
+// before accepting any node (YARN's locality delay).
 type ResourceManager struct {
 	cl   *cluster.Cluster
 	topo *topology.Topology
@@ -105,9 +105,9 @@ type ResourceManager struct {
 	nextID AppID
 	// hostByName resolves ResourceName host strings.
 	hostByName map[string]topology.NodeID
-	// RelaxAfter is the scheduling-opportunity budget before locality
-	// relaxation; defaults to the server count (one full sweep).
-	RelaxAfter int
+	// relaxAfter is the scheduling-opportunity budget before locality
+	// relaxation: the server count.
+	relaxAfter int
 }
 
 // NewResourceManager wraps a cluster.
@@ -125,7 +125,7 @@ func NewResourceManager(cl *cluster.Cluster) (*ResourceManager, error) {
 	for _, s := range cl.Servers() {
 		rm.hostByName[rm.topo.Node(s).Name] = s
 	}
-	rm.RelaxAfter = cl.Topology().NumServers()
+	rm.relaxAfter = cl.Topology().NumServers()
 	return rm, nil
 }
 
@@ -236,7 +236,7 @@ func (rm *ResourceManager) match(p *pendingRequest, node topology.NodeID) matchL
 		if rm.RackOf(node) == req.ResourceName {
 			return matchRack
 		}
-		if req.RelaxLocality && p.skips >= rm.relaxAfter() {
+		if req.RelaxLocality && p.skips >= rm.relaxAfter {
 			return matchAny
 		}
 	default:
@@ -251,23 +251,16 @@ func (rm *ResourceManager) match(p *pendingRequest, node topology.NodeID) matchL
 			return matchNone
 		}
 		if rm.RackOf(pref) == rm.RackOf(node) {
-			if p.skips >= rm.relaxAfter() {
+			if p.skips >= rm.relaxAfter {
 				return matchRack
 			}
 			return matchNone
 		}
-		if p.skips >= 2*rm.relaxAfter() {
+		if p.skips >= 2*rm.relaxAfter {
 			return matchAny
 		}
 	}
 	return matchNone
-}
-
-func (rm *ResourceManager) relaxAfter() int {
-	if rm.RelaxAfter > 0 {
-		return rm.RelaxAfter
-	}
-	return rm.topo.NumServers()
 }
 
 // fullyRelaxed reports whether waiting longer cannot widen the request's
@@ -279,9 +272,9 @@ func (rm *ResourceManager) fullyRelaxed(p *pendingRequest) bool {
 	case !p.req.RelaxLocality:
 		return true
 	case p.req.ResourceName[0] == '/':
-		return p.skips >= rm.relaxAfter()
+		return p.skips >= rm.relaxAfter
 	default:
-		return p.skips >= 2*rm.relaxAfter()
+		return p.skips >= 2*rm.relaxAfter
 	}
 }
 

@@ -11,13 +11,13 @@
 # maporder (the fault loop's dead-switch check ranges over the
 # controller's policy map and returns on the first dead switch),
 # mergeorder (append the cell index to a captured slice in runCells'
-# worker), oraclebypass (call topology.PathLatency in sim's record),
-# panicpath (a naked goroutine plus a channel wait in the preference
-# build), policyfreeze (OptimizeInstalledDetailed writes opt.List[0]
-# before installing it), poolescape (RandomPolicy keeps its filter buffer
-# as the policy's list), rngsource (core's random start draws rand.Intn
-# from the global source) and wallclock (read time.Now in
-# sim.RunWithArrivals).
+# worker), oraclebypass (call topology.StageTemplate in the
+# controller's typeTemplate), panicpath (a naked goroutine plus a
+# channel wait in the preference build), policyfreeze
+# (OptimizeInstalledDetailed writes opt.List[0] before installing it),
+# poolescape (RandomPolicy keeps its filter buffer as the policy's list),
+# rngsource (core's random start draws rand.Intn from the global source)
+# and wallclock (read time.Now in sim.RunWithArrivals).
 #
 # The snapshot is HEAD plus every tracked, staged and untracked non-ignored
 # change, so an edited check or teeth patch is proven before it is
